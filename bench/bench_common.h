@@ -18,7 +18,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
-#include "obs/trace.h"
 #include "obs/trace_event.h"
 #include "optimizer/optimizer.h"
 #include "train/dataset.h"
@@ -129,10 +128,10 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   return options;
 }
 
-/// Plans + executes one generated query on `env` under a QueryTracer and
-/// returns the resulting span tree (one span per physical operator).
-inline StatusOr<obs::Span> TraceSampleQuery(const datagen::DatabaseEnv& env,
-                                            uint64_t seed = 20220101) {
+/// Plans + executes one generated query on `env` into a throwaway recorder
+/// and returns its trace-event JSON (one "exec" event per physical operator).
+inline StatusOr<obs::JsonValue> TraceSampleQuery(
+    const datagen::DatabaseEnv& env, uint64_t seed = 20220101) {
   workload::QueryGenerator generator(&env, workload::TrainingWorkloadConfig(),
                                      seed);
   optimizer::Planner planner(env.db.get(), &env.stats);
@@ -140,13 +139,13 @@ inline StatusOr<obs::Span> TraceSampleQuery(const datagen::DatabaseEnv& env,
     plan::QuerySpec query = generator.Next();
     auto plan = planner.Plan(query);
     if (!plan.ok()) continue;
-    obs::QueryTracer tracer;
+    obs::TraceEventRecorder recorder;
     exec::ExecutorOptions exec_options;
-    exec_options.tracer = &tracer;
+    exec_options.recorder = &recorder;
     exec::Executor executor(env.db.get(), exec_options);
     auto result = executor.Execute(&*plan);
-    if (!result.ok() || tracer.roots().empty()) continue;
-    return tracer.roots().front();
+    if (!result.ok()) continue;
+    return recorder.ToJson();
   }
   return Status::Internal("no executable sample query found on " +
                           env.db->name());
@@ -174,15 +173,8 @@ inline int MaybeWriteBenchMetrics(
     if (estimator != nullptr) {
       artifact.SetQualityMonitor(estimator->quality_monitor());
     }
-    StatusOr<obs::Span> trace = TraceSampleQuery(env);
+    StatusOr<obs::JsonValue> trace = TraceSampleQuery(env);
     if (trace.ok()) {
-      // The sample query's operator tree also lands on the timeline (if one
-      // is being recorded) as its own named track.
-      if (obs::TraceEventRecorder* recorder = obs::TraceEventRecorder::Global();
-          recorder != nullptr) {
-        obs::ProjectSpanTree(recorder, *trace,
-                             "sample_query:" + env.db->name());
-      }
       artifact.AddTrace("sample_query:" + env.db->name(), std::move(*trace));
     } else {
       std::fprintf(stderr, "[metrics] sample trace failed: %s\n",

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <string>
 
 #include "common/logging.h"
@@ -20,7 +21,6 @@
 #include "exec/executor.h"
 #include "obs/prom.h"
 #include "obs/quality.h"
-#include "obs/trace.h"
 #include "obs/trace_event.h"
 #include "optimizer/optimizer.h"
 #include "runtime/simulator.h"
@@ -64,7 +64,8 @@ void PrintHelp() {
       "  \\metrics        dump the live metrics registry (Prometheus text\n"
       "                  exposition format: executor, planner, zero-shot and\n"
       "                  quality.* prediction-quality series)\n"
-      "  \\trace <path>   write the last query's operator span tree as Chrome\n"
+      "  \\trace <path>   write the last query's operator timeline (one event\n"
+      "                  per operator, work counters as args) as Chrome\n"
       "                  trace-event JSON (open in chrome://tracing or\n"
       "                  ui.perfetto.dev)\n"
       "  \\help           this help\n"
@@ -72,12 +73,9 @@ void PrintHelp() {
       "  anything else is parsed as SQL and executed\n");
 }
 
-/// Writes `root` (the last query's span tree) as a standalone Chrome
-/// trace-event file via a throwaway recorder.
-void WriteQueryTrace(const obs::Span& root, const std::string& path) {
-  obs::TraceEventRecorder recorder;
-  obs::ProjectSpanTree(&recorder, root, "last_query",
-                       /*end_ts_us=*/root.duration_ms * 1000.0);
+/// Writes the last query's timeline as a standalone Chrome trace-event file.
+void WriteQueryTrace(const obs::TraceEventRecorder& recorder,
+                     const std::string& path) {
   Status status = recorder.WriteTo(path);
   if (status.ok()) {
     std::printf("wrote %s — open in chrome://tracing or ui.perfetto.dev\n",
@@ -105,13 +103,9 @@ int main() {
 
   auto imdb = datagen::MakeImdbEnv(7, 0.1);
   optimizer::Planner planner(imdb.db.get(), &imdb.stats);
-  obs::QueryTracer tracer;
-  exec::ExecutorOptions exec_options;
-  exec_options.tracer = &tracer;
-  exec::Executor executor(imdb.db.get(), exec_options);
   runtime::RuntimeSimulator simulator;
-  bool have_last_trace = false;
-  obs::Span last_trace;
+  // Each query records into its own recorder; \trace writes the last one.
+  std::unique_ptr<obs::TraceEventRecorder> last_trace;
 
   std::printf("Connected to database 'imdb' (never seen in training).\n");
   std::printf("Type SQL, \\d for schema, \\help for commands, \\q to quit.\n\n");
@@ -139,10 +133,10 @@ int main() {
       while (!path.empty() && path.front() == ' ') path.erase(path.begin());
       if (path.empty()) {
         std::printf("usage: \\trace <path>\n");
-      } else if (!have_last_trace) {
+      } else if (last_trace == nullptr) {
         std::printf("no query executed yet — run one first\n");
       } else {
-        WriteQueryTrace(last_trace, path);
+        WriteQueryTrace(*last_trace, path);
       }
       continue;
     }
@@ -157,17 +151,16 @@ int main() {
       continue;
     }
     auto predicted = estimator.EstimateQueryMs(imdb, *query);
-    tracer.Clear();
-    auto result = executor.Execute(&*plan);
+    auto trace = std::make_unique<obs::TraceEventRecorder>();
+    exec::ExecutorOptions exec_options;
+    exec_options.recorder = trace.get();
+    auto result = exec::Executor(imdb.db.get(), exec_options).Execute(&*plan);
     if (!result.ok()) {
       std::printf("execution error: %s\n",
                   result.status().ToString().c_str());
       continue;
     }
-    if (!tracer.roots().empty()) {
-      last_trace = tracer.roots().front();
-      have_last_trace = true;
-    }
+    last_trace = std::move(trace);
     double measured = simulator.PlanMs(*plan, *result);
 
     std::printf("\n%s\n\n", plan->root->ToString(*imdb.db).c_str());

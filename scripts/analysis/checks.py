@@ -1,4 +1,4 @@
-"""The five whole-program checks of zerodb-analyzer.
+"""The whole-program checks of zerodb-analyzer.
 
 Each check consumes the merged micro-IR (`{rel: FileIR}`) produced by
 either frontend and yields ir.Finding objects. Suppression
@@ -17,9 +17,6 @@ Rules:
                     function-local or temporary
   lifetime-member   class stores a string_view or reference member
   layering          #include edge that points *up* the module DAG
-  discarded-status  statement-level call to a Status/StatusOr-returning
-                    function (including through aliases) whose result is
-                    dropped
   unit-mix          interprocedural dimensional analysis over the
                     common/units.h tag lattice (see dataflow.py)
   statusor-deref    StatusOr dereferenced on a path where ok() was never
@@ -34,7 +31,7 @@ from . import dataflow
 from .ir import Finding, strip_code
 
 ALL_RULES = ("nondet-call", "nondet-iter", "lock-order", "lifetime-return",
-             "lifetime-member", "layering", "discarded-status",
+             "lifetime-member", "layering",
              "unit-mix", "statusor-deref", "hot-alloc")
 
 # Module DAG, bottom (most fundamental) to top: an #include may only point
@@ -351,33 +348,6 @@ def check_layering(files):
     return findings
 
 
-# -- discarded Status --------------------------------------------------
-
-def check_discarded_status(files):
-    status_fns, non_status_fns = set(), set()
-    for fir in files.values():
-        status_fns |= fir.status_fns
-        non_status_fns |= fir.non_status_fns
-    # Precision first: a name also declared with a non-Status return type
-    # anywhere (overloads, unrelated helpers) is not convicted textually.
-    convictable = status_fns - non_status_fns
-    findings = []
-    for rel in sorted(files):
-        fir = files[rel]
-        for call in fir.stmt_calls:
-            if call.name not in convictable:
-                continue
-            if fir.suppressed(call.line, "discarded-status"):
-                continue
-            findings.append(Finding(
-                rel, call.line, "discarded-status",
-                f"result of Status-returning `{call.qualified}` is "
-                "discarded (reached through an alias or macro the "
-                "[[nodiscard]] regex gate cannot see); check it with "
-                "ZDB_CHECK_OK or justify a (void) cast"))
-    return findings
-
-
 # -- driver ------------------------------------------------------------
 
 def run_all(files):
@@ -388,7 +358,6 @@ def run_all(files):
     findings.extend(lock_findings)
     findings.extend(check_lifetime(files))
     findings.extend(check_layering(files))
-    findings.extend(check_discarded_status(files))
     findings.extend(dataflow.run(files))
     findings.sort(key=lambda f: (f.rel, f.line, f.rule))
     return findings, edges, cyclic

@@ -191,12 +191,6 @@ class _TuLowering:
     def lower_function(self, fir, cursor):
         result = cursor.result_type.spelling
         name = cursor.spelling
-        canonical_result = cursor.result_type.get_canonical().spelling
-        base = canonical_result.replace("zerodb::", "").split("<")[0].strip()
-        if base in ("Status", "StatusOr"):
-            fir.status_fns.add(name)
-        elif name:
-            fir.non_status_fns.add(name)
         if not cursor.is_definition():
             return
         start, end = _extent_lines(cursor)
@@ -223,10 +217,6 @@ class _TuLowering:
                 if child.spelling and not self.seen(
                         loc_fir, ("call", line, child.spelling, id(node))):
                     loc_fir.calls.append(ir.CallSite(
-                        name=child.spelling, qualified=qualified or
-                        child.spelling, line=line))
-                if node.kind == kinds.COMPOUND_STMT and child.spelling:
-                    loc_fir.stmt_calls.append(ir.CallSite(
                         name=child.spelling, qualified=qualified or
                         child.spelling, line=line))
             elif kind == kinds.DECL_REF_EXPR and "random_device" in \

@@ -123,20 +123,11 @@ class FileIR:
     functions: "list[Function]" = field(default_factory=list)
     classes: "list[ClassDecl]" = field(default_factory=list)
     calls: "list[CallSite]" = field(default_factory=list)
-    # expression-statements that are a single call (result discarded)
-    stmt_calls: "list[CallSite]" = field(default_factory=list)
     locks: "list[LockAcquire]" = field(default_factory=list)
     range_fors: "list[RangeFor]" = field(default_factory=list)
     # every declaration seen in the file (locals, members, globals):
     # variable name -> declared type text, for range-for type resolution
     decl_types: "dict[str, str]" = field(default_factory=dict)
-    # `using Alias = zerodb::Status;` / typedef equivalents
-    status_aliases: "set[str]" = field(default_factory=set)
-    # names declared in this file with a Status/StatusOr return type
-    status_fns: "set[str]" = field(default_factory=set)
-    # names also declared with a non-Status return type somewhere (used to
-    # keep the textual discarded-status check precise on overloads)
-    non_status_fns: "set[str]" = field(default_factory=set)
 
     def suppressed(self, line: int, rule: str) -> bool:
         """True when `line` (1-based) or the line above carries

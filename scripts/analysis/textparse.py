@@ -64,16 +64,6 @@ RETURN_RE = re.compile(r"^return\b\s*(.*?);?\s*$")
 CALL_RE = re.compile(
     r"([A-Za-z_][\w]*(?:(?:::|\.|->)[A-Za-z_~][\w]*)*)\s*\(")
 
-# Whole statement is one call expression -> discarded result candidate.
-STMT_CALL_RE = re.compile(r"^((?:\w+(?:::|\.|->))*(\w+))\s*\(.*\)\s*;?\s*$")
-
-STATUS_ALIAS_RE = re.compile(
-    r"\busing\s+(\w+)\s*=\s*(?:zerodb::)?(?:common::)?"
-    r"Status(?:Or<[^;]*>)?\s*;")
-STATUS_DECL_RE = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s+)?(?:static\s+|virtual\s+|inline\s+)*"
-    r"((?:zerodb::)?\w+(?:<[\w:<>,\s*&]*>)?)\s+(\w+)\s*\(")
-
 LABEL_RE = re.compile(r"^(?:(?:public|private|protected)\s*:\s*"
                       r"|case\s+[^:]+?:(?!:)\s*|default\s*:\s*)+")
 
@@ -177,25 +167,6 @@ def parse_file(path, rel, raw_lines=None):
                 continue
             fir.calls.append(ir.CallSite(
                 name=name, qualified=qualified, line=idx + 1))
-        m = STATUS_ALIAS_RE.search(line)
-        if m:
-            fir.status_aliases.add(m.group(1))
-
-    for idx, line in enumerate(code):
-        if is_pp[idx]:
-            continue
-        m = STATUS_DECL_RE.match(line)
-        if not m:
-            continue
-        ret = m.group(1).replace("zerodb::", "")
-        base = ret.split("<")[0]
-        name = m.group(2)
-        if base in CONTROL_KEYWORDS or name in CONTROL_KEYWORDS:
-            continue
-        if base in ("Status", "StatusOr") or base in fir.status_aliases:
-            fir.status_fns.add(name)
-        else:
-            fir.non_status_fns.add(name)
 
     # ---- statement/scope scan ----------------------------------------
     scopes = []  # stack of _Scope
@@ -288,11 +259,6 @@ def parse_file(path, rel, raw_lines=None):
                 cls.members.append(ir.Member(type_text=m.group(1).strip(),
                                              name=m.group(2),
                                              line=first_line))
-
-        m = STMT_CALL_RE.match(text)
-        if m and m.group(2) not in CONTROL_KEYWORDS:
-            fir.stmt_calls.append(ir.CallSite(
-                name=m.group(2), qualified=m.group(1), line=first_line))
 
     def open_scope(open_line):
         text, first_line = take_statement()

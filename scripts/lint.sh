@@ -71,8 +71,8 @@ if command -v python3 > /dev/null 2>&1; then
   fi
 
   # --- zerodb-analyzer: whole-program checks (determinism audit, lock-order
-  # cycles, lifetime, layering, AST-accurate discarded-status, and the
-  # interprocedural dataflow rules unit-mix / statusor-deref / hot-alloc).
+  # cycles, lifetime, layering, and the interprocedural dataflow rules
+  # unit-mix / statusor-deref / hot-alloc).
   # Uses the libclang frontend when the python clang bindings are importable
   # and degrades to the built-in lexical frontend otherwise, so findings
   # gate the tree in any container with python3.

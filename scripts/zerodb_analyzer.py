@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """zerodb-analyzer: whole-program static analysis for the zerodb tree.
 
-Five checks over a frontend-neutral micro-IR (see scripts/analysis/):
+Four checks over a frontend-neutral micro-IR (see scripts/analysis/):
 determinism audit (nondet-call / nondet-iter), cross-TU lock-order cycles
 (lock-order, with a lock_order.dot artifact), lifetime (lifetime-return /
-lifetime-member), module-DAG layering, and AST-level discarded Status.
+lifetime-member) and module-DAG layering, plus the interprocedural dataflow
+rules (unit-mix / statusor-deref / hot-alloc). Discarded Status results are
+left to the compiler: Status and StatusOr are class-level [[nodiscard]]
+under -Werror, and zerodb-lint requires a reason on every (void) cast.
 
 Frontends:
   libclang   real ASTs from compile_commands.json (python3-clang + a
@@ -246,7 +249,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="zerodb_analyzer.py",
         description="whole-program static analysis (determinism, "
-                    "lock-order, lifetime, layering, discarded Status)")
+                    "lock-order, lifetime, layering, dataflow)")
     parser.add_argument("files", nargs="*",
                         help="analyze only these files (default: src/ tree)")
     parser.add_argument("-p", "--compdb",

@@ -26,11 +26,6 @@ Rules (all suppressible on a given line — or the line above it — with
                     override that needs a justification; (b) the
                     [[nodiscard]] markers themselves must stay present in
                     src/common/status.h.
-  bare-span         QueryTracer::BeginSpan / EndSpan calls anywhere outside
-                    src/obs/. Manual begin/end pairs leak spans on early
-                    returns and exceptions; instrumentation goes through the
-                    RAII obs::SpanScope (or obs::TimelineScope for the
-                    cross-thread timeline) so every span is balanced.
   include-hygiene   files using ZDB_ thread-safety annotation macros must
                     directly include common/thread_annotations.h (or
                     common/sync.h); files using Mutex/MutexLock/CondVar must
@@ -91,7 +86,6 @@ ANNOTATION_MACRO_RE = re.compile(
     r"RELEASE_SHARED|TRY_ACQUIRE|ASSERT_CAPABILITY|RETURN_CAPABILITY|"
     r"NO_THREAD_SAFETY_ANALYSIS)\b"
 )
-BARE_SPAN_RE = re.compile(r"\b(?:BeginSpan|EndSpan)\s*\(")
 SYNC_TYPE_RE = re.compile(r"\b(?:Mutex|MutexLock|CondVar)\b")
 ANNOTATION_INCLUDE_RE = re.compile(
     r'#include\s+"common/(?:thread_annotations|sync)\.h"'
@@ -197,7 +191,6 @@ def lint_file(path, as_library=None):
     in_sync = rel in ("src/common/sync.h", "src/common/sync.cc")
     in_thread_pool = rel in ("src/common/thread_pool.h",
                              "src/common/thread_pool.cc")
-    in_obs = rel.startswith("src/obs/")
     findings = []
 
     def report(idx, rule, message):
@@ -219,11 +212,6 @@ def lint_file(path, as_library=None):
                    "raw std::thread/std::jthread/std::async/.detach(); "
                    "schedule work on zerodb::ThreadPool "
                    "(common/thread_pool.h)")
-        if not in_obs and BARE_SPAN_RE.search(line):
-            report(idx, "bare-span",
-                   "manual BeginSpan/EndSpan outside src/obs/; use the RAII "
-                   "obs::SpanScope (obs/trace.h) or obs::TimelineScope "
-                   "(obs/trace_event.h) so spans balance on every path")
         if library and STDOUT_IO_RE.search(line):
             report(idx, "stdout-io",
                    "direct stdout/stderr I/O in library code; use ZDB_LOG "

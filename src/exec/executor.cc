@@ -94,21 +94,21 @@ struct DoubleHash {
 
 }  // namespace
 
-// Mirrors every work counter of one operator onto its trace span.
-void AttachStats(obs::SpanScope* span, const OperatorStats& stats) {
-  span->AddAttribute("input_rows_left", static_cast<double>(stats.input_rows_left));
-  span->AddAttribute("input_rows_right", static_cast<double>(stats.input_rows_right));
-  span->AddAttribute("output_rows", static_cast<double>(stats.output_rows));
-  span->AddAttribute("rows_scanned", static_cast<double>(stats.rows_scanned));
-  span->AddAttribute("pages_read", static_cast<double>(stats.pages_read));
-  span->AddAttribute("index_probes", static_cast<double>(stats.index_probes));
-  span->AddAttribute("index_entries", static_cast<double>(stats.index_entries));
-  span->AddAttribute("predicate_evals", static_cast<double>(stats.predicate_evals));
-  span->AddAttribute("hash_build_rows", static_cast<double>(stats.hash_build_rows));
-  span->AddAttribute("hash_probe_rows", static_cast<double>(stats.hash_probe_rows));
-  span->AddAttribute("sort_rows", static_cast<double>(stats.sort_rows));
-  span->AddAttribute("group_count", static_cast<double>(stats.group_count));
-  span->AddAttribute("output_bytes", static_cast<double>(stats.output_bytes));
+// Mirrors every work counter of one operator onto its timeline event.
+void AttachStats(obs::TimelineScope* event, const OperatorStats& stats) {
+  event->AddArg("input_rows_left", static_cast<double>(stats.input_rows_left));
+  event->AddArg("input_rows_right", static_cast<double>(stats.input_rows_right));
+  event->AddArg("output_rows", static_cast<double>(stats.output_rows));
+  event->AddArg("rows_scanned", static_cast<double>(stats.rows_scanned));
+  event->AddArg("pages_read", static_cast<double>(stats.pages_read));
+  event->AddArg("index_probes", static_cast<double>(stats.index_probes));
+  event->AddArg("index_entries", static_cast<double>(stats.index_entries));
+  event->AddArg("predicate_evals", static_cast<double>(stats.predicate_evals));
+  event->AddArg("hash_build_rows", static_cast<double>(stats.hash_build_rows));
+  event->AddArg("hash_probe_rows", static_cast<double>(stats.hash_probe_rows));
+  event->AddArg("sort_rows", static_cast<double>(stats.sort_rows));
+  event->AddArg("group_count", static_cast<double>(stats.group_count));
+  event->AddArg("output_bytes", static_cast<double>(stats.output_bytes));
 }
 
 const OperatorStats& ExecutionResult::StatsFor(
@@ -148,10 +148,12 @@ StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
 
 StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
                                          ExecutionResult* result) {
-  // The span opens before the child recursion in the switch, so child spans
-  // nest underneath; span and histogram time covers the whole subtree.
-  obs::SpanScope span(options_.tracer, plan::PhysicalOpName(node->type));
-  obs::TimelineScope timeline(plan::PhysicalOpName(node->type), "exec");
+  // The event opens before the child recursion in the switch, so child
+  // events nest inside it; event and histogram time cover the whole subtree.
+  obs::TimelineScope timeline(plan::PhysicalOpName(node->type), "exec",
+                              options_.recorder != nullptr
+                                  ? options_.recorder
+                                  : obs::TraceEventRecorder::Global());
   obs::ScopedTimer timer(registry_->enabled() ? operator_us_ : nullptr);
   OperatorStats stats;
   StatusOr<RowBatch> batch_or = [&]() -> StatusOr<RowBatch> {
@@ -211,10 +213,10 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
   result->stats[node] = stats;
   operators_executed_->Add(1);
   rows_produced_->Add(stats.output_rows);
-  if (span.active()) {
-    if (!node->table_name.empty()) span.SetDetail(node->table_name);
-    span.AddAttribute("est_cardinality", node->est_cardinality);
-    AttachStats(&span, stats);
+  if (timeline.active()) {
+    if (!node->table_name.empty()) timeline.SetDetail(node->table_name);
+    timeline.AddArg("est_cardinality", node->est_cardinality);
+    AttachStats(&timeline, stats);
   }
   return batch;
 }

@@ -7,7 +7,7 @@
 #include "common/status.h"
 #include "exec/batch.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/trace_event.h"
 #include "plan/physical.h"
 #include "storage/database.h"
 
@@ -26,9 +26,12 @@ struct ExecutionResult {
 /// collector draws a replacement).
 struct ExecutorOptions {
   int64_t max_intermediate_rows = 2'000'000;
-  /// When set, every executed plan records a span tree mirroring the plan:
-  /// one span per operator carrying wall time plus its OperatorStats.
-  obs::QueryTracer* tracer = nullptr;
+  /// Timeline that receives one "exec" event per operator, named after the
+  /// operator (plus the table for scans) and carrying est_cardinality and
+  /// the OperatorStats as args; children's events nest inside their
+  /// parent's on the executing thread's track. nullptr = the process-global
+  /// recorder (absent by default, so the only cost is a branch per operator).
+  obs::TraceEventRecorder* recorder = nullptr;
   /// Registry for executor counters/latency histograms; nullptr = the
   /// process-global registry (disabled by default, so the only cost is a
   /// branch per operator).
@@ -43,10 +46,10 @@ struct ExecutorOptions {
 ///
 /// Thread-compatible, not thread-safe (DESIGN.md "Concurrency discipline"):
 /// one Executor serves one thread at a time — Execute mutates the plan in
-/// place and the options' tracer is thread-confined. Distinct Executor
-/// instances over the same (immutable) Database are safe concurrently: the
-/// shared MetricsRegistry is internally synchronized and the cached metric
-/// pointers below are written only in the constructor. A future parallel
+/// place. Distinct Executor instances over the same (immutable) Database are
+/// safe concurrently: the shared MetricsRegistry and TraceEventRecorder are
+/// internally synchronized and the cached metric pointers below are written
+/// only in the constructor. A future parallel
 /// executor parallelizes *within* Execute (operator trees), keeping this
 /// external contract.
 class Executor {

@@ -117,6 +117,9 @@ std::shared_ptr<Node> GraphArena::NewNode() {
   if (slab_index == slabs_.size()) {
     slabs_.push_back(std::make_unique<NodeSlab>());
   }
+  // Placement new allocates nothing: the slab owns the memory, and the
+  // handle returned below is the aliasing shared_ptr.
+  // zerodb-lint: allow(naked-new): placement new into arena-owned slab
   Node* node = new (slabs_[slab_index]->slot(nodes_in_use_ % kNodesPerSlab))
       Node();
   node->arena = this;

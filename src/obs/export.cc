@@ -36,7 +36,7 @@ JsonValue MetricsArtifact::ToJson() const {
   if (registry_ != nullptr) out.Set("metrics", registry_->ToJson());
   if (!traces_.empty()) {
     JsonValue traces = JsonValue::Object();
-    for (const auto& [name, root] : traces_) traces.Set(name, root.ToJson());
+    for (const auto& [name, trace] : traces_) traces.Set(name, trace);
     out.Set("traces", std::move(traces));
   }
   if (!training_.empty()) {

@@ -9,7 +9,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace zerodb::obs {
 
@@ -30,7 +29,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& text);
 /// {
 ///   "name": "...", "labels": {...},
 ///   "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
-///   "traces": {"<trace name>": <span tree>, ...},
+///   "traces": {"<trace name>": <trace-event JSON>, ...},
 ///   "training": {"<run name>": [{epoch,...}, ...], ...},
 ///   "quality": {"samples": ..., "qerror": {...}, "drift": {...}}
 /// }
@@ -43,8 +42,9 @@ class MetricsArtifact {
   }
   /// The registry whose metrics are dumped (nullptr = omit section).
   void SetRegistry(const MetricsRegistry* registry) { registry_ = registry; }
-  void AddTrace(std::string name, Span root) {
-    traces_.emplace_back(std::move(name), std::move(root));
+  /// Embeds a timeline (TraceEventRecorder::ToJson) under "traces".
+  void AddTrace(std::string name, JsonValue trace) {
+    traces_.emplace_back(std::move(name), std::move(trace));
   }
   void AddTrainingRun(std::string name, std::vector<EpochStat> history) {
     training_.emplace_back(std::move(name), std::move(history));
@@ -65,7 +65,7 @@ class MetricsArtifact {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> labels_;
   const MetricsRegistry* registry_ = nullptr;
-  std::vector<std::pair<std::string, Span>> traces_;
+  std::vector<std::pair<std::string, JsonValue>> traces_;
   std::vector<std::pair<std::string, std::vector<EpochStat>>> training_;
   const PredictionQualityMonitor* quality_ = nullptr;
 };

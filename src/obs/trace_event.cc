@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
 #include "common/sync.h"
 #include "obs/export.h"
 #include "obs/pool_telemetry.h"
@@ -118,44 +117,6 @@ void TraceEventRecorder::AddCounter(std::string name, double value) {
   AppendTo(BufferForThisThread(), std::move(event));
 }
 
-int TraceEventRecorder::RegisterVirtualTrack(const std::string& name) {
-  MutexLock lock(&mu_);
-  for (const auto& track : virtual_tracks_) {
-    if (track->name == name) return track->tid;
-  }
-  auto track = std::make_unique<TrackBuffer>();
-  track->tid = next_tid_++;
-  track->name = name;
-  int tid = track->tid;
-  virtual_tracks_.push_back(std::move(track));
-  return tid;
-}
-
-void TraceEventRecorder::AddCompleteEventOnTrack(
-    int tid, std::string name, const char* category, double ts_us,
-    double dur_us, std::vector<std::pair<std::string, double>> args) {
-  if (!enabled()) return;
-  TrackBuffer* track = nullptr;
-  {
-    MutexLock lock(&mu_);
-    for (const auto& candidate : virtual_tracks_) {
-      if (candidate->tid == tid) {
-        track = candidate.get();
-        break;
-      }
-    }
-  }
-  ZDB_CHECK(track != nullptr) << "unknown virtual track tid " << tid;
-  Event event;
-  event.name = std::move(name);
-  event.category = category;
-  event.ph = 'X';
-  event.ts_us = ts_us;
-  event.dur_us = dur_us < 0.0 ? 0.0 : dur_us;
-  event.args = std::move(args);
-  AppendTo(track, std::move(event));
-}
-
 JsonValue TraceEventRecorder::ToJson() const {
   constexpr int kPid = 1;
   JsonValue events = JsonValue::Array();
@@ -203,7 +164,6 @@ JsonValue TraceEventRecorder::ToJson() const {
   {
     MutexLock lock(&mu_);
     for (const auto& [key, buffer] : buffers_) dump_track(*buffer);
-    for (const auto& track : virtual_tracks_) dump_track(*track);
   }
 
   int64_t dropped = dropped_events();
@@ -247,34 +207,6 @@ TraceEventRecorder* TraceEventRecorder::InstallGlobal() {
   // their timeline tracks either way.
   InstallPoolTelemetry();
   return recorder;
-}
-
-namespace {
-
-void ProjectSpan(TraceEventRecorder* recorder, int tid, const Span& span,
-                 double start_us) {
-  std::string name = span.name;
-  if (!span.detail.empty()) name += " " + span.detail;
-  recorder->AddCompleteEventOnTrack(tid, std::move(name), "span", start_us,
-                                    span.duration_ms * 1000.0,
-                                    span.attributes);
-  double child_start = start_us;
-  for (const Span& child : span.children) {
-    ProjectSpan(recorder, tid, child, child_start);
-    child_start += child.duration_ms * 1000.0;
-  }
-}
-
-}  // namespace
-
-void ProjectSpanTree(TraceEventRecorder* recorder, const Span& root,
-                     const std::string& track_name, double end_ts_us) {
-  if (recorder == nullptr || !recorder->enabled()) return;
-  if (end_ts_us < 0.0) end_ts_us = recorder->NowUs();
-  int tid = recorder->RegisterVirtualTrack(track_name);
-  double start_us = end_ts_us - root.duration_ms * 1000.0;
-  if (start_us < 0.0) start_us = 0.0;
-  ProjectSpan(recorder, tid, root, start_us);
 }
 
 }  // namespace zerodb::obs

@@ -13,7 +13,6 @@
 #include "common/sync.h"
 #include "common/thread_annotations.h"
 #include "obs/json.h"
-#include "obs/trace.h"
 
 namespace zerodb::obs {
 
@@ -24,15 +23,16 @@ namespace zerodb::obs {
 void SetCurrentThreadTraceName(std::string name);
 
 /// Records Chrome trace-event / Perfetto-loadable timelines from any number
-/// of threads at once — the cross-thread complement of the per-query,
-/// thread-confined QueryTracer.
+/// of threads at once. This is zerodb's one tracing model: the executor
+/// records one "exec" event per operator (work counters as args), so a
+/// query's operator tree is the nesting of its events on one track.
 ///
 /// Threading model (DESIGN.md "Timeline tracing & quality monitoring"):
 /// each thread appends to its own buffer under that buffer's (annotated,
 /// uncontended) Mutex; the recorder's own Mutex only guards the
-/// thread-key → buffer map and the virtual tracks. ToJson/WriteTo flush by
-/// taking each buffer mutex in turn, so exporting races cleanly with
-/// recording (TSan-verified in tests/obs_test.cc).
+/// thread-key → buffer map. ToJson/WriteTo flush by taking each buffer mutex
+/// in turn, so exporting races cleanly with recording (TSan-verified in
+/// tests/obs_test.cc).
 ///
 /// Buffers are bounded: past Options::max_events_per_thread a thread's
 /// further events are counted as dropped instead of recorded, so a traced
@@ -41,9 +41,8 @@ void SetCurrentThreadTraceName(std::string name);
 class TraceEventRecorder {
  public:
   struct Options {
-    /// Per-thread (and per-virtual-track) event cap; overflow is dropped
-    /// and counted (see dropped_events / the trace's zerodb_dropped_events
-    /// counter track).
+    /// Per-thread event cap; overflow is dropped and counted (see
+    /// dropped_events / the trace's zerodb_dropped_events counter track).
     size_t max_events_per_thread = 1 << 15;
   };
 
@@ -75,18 +74,6 @@ class TraceEventRecorder {
 
   /// Appends a counter ("ph":"C") sample on the calling thread's track.
   void AddCounter(std::string name, double value) ZDB_EXCLUDES(mu_);
-
-  /// Opens a named synthetic track that is not bound to any thread (used by
-  /// the span-tree bridge). Returns its tid. Cold path, recorder-mutex
-  /// guarded. Reuses the track if the name was registered before.
-  int RegisterVirtualTrack(const std::string& name) ZDB_EXCLUDES(mu_);
-
-  /// Appends a complete event onto a virtual track (recorder-mutex guarded;
-  /// safe from any thread).
-  void AddCompleteEventOnTrack(
-      int tid, std::string name, const char* category, double ts_us,
-      double dur_us, std::vector<std::pair<std::string, double>> args = {})
-      ZDB_EXCLUDES(mu_);
 
   /// Events discarded because a buffer hit max_events_per_thread.
   int64_t dropped_events() const {
@@ -145,8 +132,6 @@ class TraceEventRecorder {
   // in BufferForThisThread can hand out stable pointers.
   std::vector<std::pair<int, std::unique_ptr<TrackBuffer>>> buffers_
       ZDB_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<TrackBuffer>> virtual_tracks_
-      ZDB_GUARDED_BY(mu_);
   int next_tid_ ZDB_GUARDED_BY(mu_) = 1;  ///< 0 is the metadata pseudo-track
 
   static std::atomic<TraceEventRecorder*> global_;
@@ -160,7 +145,8 @@ class TraceEventRecorder {
 /// Defaults to the global recorder; a nullptr or disabled recorder makes the
 /// whole scope free of clock reads and allocations ("a few branches"), so
 /// instrumented hot paths need no call-site branching. `name` and `category`
-/// must outlive the scope (pass string literals).
+/// must outlive the scope (pass string literals); SetDetail appends a
+/// runtime string such as a table name.
 class TimelineScope {
  public:
   explicit TimelineScope(const char* name, const char* category = "zerodb",
@@ -182,10 +168,17 @@ class TimelineScope {
     if (recorder_ != nullptr) args_.emplace_back(std::move(key), value);
   }
 
+  /// Names the event "<name> <detail>" (e.g. "SeqScan users").
+  void SetDetail(const std::string& detail) {
+    if (recorder_ != nullptr) detail_ = detail;
+  }
+
   ~TimelineScope() {
     if (recorder_ == nullptr) return;
     double end_us = recorder_->NowUs();
-    recorder_->AddCompleteEvent(name_, category_, start_us_,
+    std::string name = name_;
+    if (!detail_.empty()) name += " " + detail_;
+    recorder_->AddCompleteEvent(std::move(name), category_, start_us_,
                                 end_us - start_us_, std::move(args_));
   }
 
@@ -194,17 +187,9 @@ class TimelineScope {
   const char* name_;
   const char* category_;
   double start_us_ = 0.0;
+  std::string detail_;
   std::vector<std::pair<std::string, double>> args_;
 };
-
-/// Bridges a finished QueryTracer span tree onto the timeline: lays the tree
-/// out on a virtual track named `track_name`, with the root ending at
-/// `end_ts_us` (default: now) and children placed consecutively from each
-/// parent's start — spans carry durations, not timestamps, so the layout is
-/// synthesized but preserves nesting and relative widths. Span attributes
-/// become event args. No-op on a nullptr/disabled recorder.
-void ProjectSpanTree(TraceEventRecorder* recorder, const Span& root,
-                     const std::string& track_name, double end_ts_us = -1.0);
 
 }  // namespace zerodb::obs
 

@@ -275,6 +275,9 @@ TEST(ArenaStressTest, EightThreadReplicaArenas) {
   const size_t kThreads = 8;
   const int kCycles = 25;
   std::atomic<int> failures{0};
+  // Dedicated threads on purpose: the stress needs 8 threads live at once,
+  // each binding its own arena, and the shared pool may have fewer workers.
+  // zerodb-lint: allow(raw-thread): per-thread arenas need dedicated threads
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -303,6 +306,7 @@ TEST(ArenaStressTest, EightThreadReplicaArenas) {
       if (arena.stats().nodes_in_use != 0) failures.fetch_add(1);
     });
   }
+  // zerodb-lint: allow(raw-thread): joins the dedicated threads above
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
 }

@@ -1,9 +1,8 @@
 // Semantics of the annotated sync primitives (common/sync.h) plus
 // multi-threaded stress on the classes the concurrency layer migrated:
-// MetricsRegistry (thread-safe, shared across 8 threads) and QueryTracer
-// (thread-compatible, one per thread). Run under ZERODB_SANITIZE=thread
-// (scripts/check.sh thread) these tests prove the migration kept the
-// annotated state race-free.
+// MetricsRegistry (thread-safe, shared across 8 threads). Run under
+// ZERODB_SANITIZE=thread (scripts/check.sh thread) these tests prove the
+// migration kept the annotated state race-free.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 
 #include "common/sync.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace zerodb {
 namespace {
@@ -220,48 +218,6 @@ TEST(SyncStressTest, MetricsRegistrySharedAcrossEightThreads) {
                   ->value(),
               kOps);
   }
-}
-
-TEST(SyncStressTest, ThreadConfinedTracersWithSharedRegistry) {
-  // The documented discipline for thread-compatible classes: one
-  // QueryTracer per thread (no sharing), while all threads report to one
-  // thread-safe MetricsRegistry. TSan verifies the confinement claim.
-  obs::MetricsRegistry registry(/*enabled=*/true);
-  constexpr int kThreads = 8;
-  constexpr int kQueries = 200;
-  // zerodb-lint: allow(raw-thread): testing the layer ThreadPool is built on
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  std::vector<size_t> span_counts(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, &span_counts, t] {
-      obs::QueryTracer tracer;  // thread-confined
-      for (int q = 0; q < kQueries; ++q) {
-        // zerodb-lint: allow(bare-span): stress-testing QueryTracer itself
-        obs::Span* root = tracer.BeginSpan("query");
-        root->AddAttribute("thread", static_cast<double>(t));
-        // zerodb-lint: allow(bare-span): stress-testing QueryTracer itself
-        tracer.BeginSpan("scan");
-        registry.GetCounter("trace.spans")->Add(2);
-        // zerodb-lint: allow(bare-span): stress-testing QueryTracer itself
-        tracer.EndSpan();
-        // zerodb-lint: allow(bare-span): stress-testing QueryTracer itself
-        tracer.EndSpan();
-      }
-      size_t spans = 0;
-      for (const obs::Span& root : tracer.roots()) {
-        spans += root.TreeSize();
-      }
-      span_counts[static_cast<size_t>(t)] = spans;
-    });
-  }
-  // zerodb-lint: allow(raw-thread): testing the layer ThreadPool is built on
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(span_counts[static_cast<size_t>(t)], size_t{2} * kQueries);
-  }
-  EXPECT_EQ(registry.GetCounter("trace.spans")->value(),
-            int64_t{2} * kThreads * kQueries);
 }
 
 }  // namespace
