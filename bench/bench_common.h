@@ -45,12 +45,6 @@ struct BenchOptions {
   /// Global-pool size (--threads=N). 0 keeps the default (ZERODB_THREADS
   /// env, else hardware_concurrency).
   size_t threads = 0;
-  /// Serving knobs, forwarded into ZeroShotConfig by benches that build an
-  /// estimator. --batch_size=N chunks each batched forward pass into N-plan
-  /// slices (0 = one pass over all cache misses); --cache_capacity=N sizes
-  /// the plan-fingerprint prediction cache (0 disables caching entirely).
-  size_t batch_size = 0;
-  size_t cache_capacity = 4096;
 };
 
 /// Parses one --threads value and installs it as the global-pool size.
@@ -78,8 +72,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   const std::string trace_prefix = "--trace_out=";
   const std::string prom_prefix = "--prom_out=";
   const std::string threads_prefix = "--threads=";
-  const std::string batch_prefix = "--batch_size=";
-  const std::string cache_prefix = "--cache_capacity=";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind(prefix, 0) == 0) {
@@ -98,23 +90,10 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       options.threads = ApplyThreadsFlag(arg.substr(threads_prefix.size()));
     } else if (arg == "--threads" && i + 1 < argc) {
       options.threads = ApplyThreadsFlag(argv[++i]);
-    } else if (arg.rfind(batch_prefix, 0) == 0) {
-      options.batch_size = static_cast<size_t>(
-          std::strtoul(arg.substr(batch_prefix.size()).c_str(), nullptr, 10));
-    } else if (arg == "--batch_size" && i + 1 < argc) {
-      options.batch_size =
-          static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind(cache_prefix, 0) == 0) {
-      options.cache_capacity = static_cast<size_t>(
-          std::strtoul(arg.substr(cache_prefix.size()).c_str(), nullptr, 10));
-    } else if (arg == "--cache_capacity" && i + 1 < argc) {
-      options.cache_capacity =
-          static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\nusage: %s [--metrics_out=<path>] "
-                   "[--trace_out=<path>] [--prom_out=<path>] [--threads=<N>] "
-                   "[--batch_size=<N>] [--cache_capacity=<N>]\n",
+                   "[--trace_out=<path>] [--prom_out=<path>] [--threads=<N>]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -265,26 +244,19 @@ struct ExperimentContext {
 };
 
 inline zeroshot::ZeroShotConfig MakeZeroShotConfig(
-    const ScaleConfig& scale, featurize::CardinalityMode mode,
-    const BenchOptions* options = nullptr) {
+    const ScaleConfig& scale, featurize::CardinalityMode mode) {
   zeroshot::ZeroShotConfig config;
   config.queries_per_database = scale.queries_per_database;
   config.trainer.max_epochs = scale.max_epochs;
   config.model.hidden_dim = scale.hidden_dim;
   config.model.cardinality_mode = mode;
-  if (options != nullptr) {
-    config.serve_batch_size = options->batch_size;
-    config.cache.capacity = options->cache_capacity;
-  }
   return config;
 }
 
 /// Builds the full context. `need_exact_model` / `need_baseline_pool` skip
-/// work a particular bench does not use; `options` (when given) forwards
-/// the --batch_size / --cache_capacity serving knobs into both estimators.
+/// work a particular bench does not use.
 inline ExperimentContext BuildContext(bool need_exact_model = true,
-                                      bool need_baseline_pool = true,
-                                      const BenchOptions* options = nullptr) {
+                                      bool need_baseline_pool = true) {
   SetLogLevel(LogLevel::kWarning);  // keep bench stdout clean
   ExperimentContext context;
   context.scale = GetScaleConfig();
@@ -296,8 +268,8 @@ inline ExperimentContext BuildContext(bool need_exact_model = true,
 
   std::fprintf(stderr, "[setup] collecting corpus workloads + training "
                        "zero-shot (estimated card.)...\n");
-  auto est_config = MakeZeroShotConfig(
-      context.scale, featurize::CardinalityMode::kEstimated, options);
+  auto est_config = MakeZeroShotConfig(context.scale,
+                                       featurize::CardinalityMode::kEstimated);
   std::vector<train::QueryRecord> corpus_records =
       zeroshot::CollectCorpusRecords(context.corpus, est_config);
   context.zero_shot_estimated = std::make_unique<zeroshot::ZeroShotEstimator>(
@@ -305,8 +277,8 @@ inline ExperimentContext BuildContext(bool need_exact_model = true,
                                                     est_config));
   if (need_exact_model) {
     std::fprintf(stderr, "[setup] training zero-shot (exact card.)...\n");
-    auto exact_config = MakeZeroShotConfig(
-        context.scale, featurize::CardinalityMode::kExact, options);
+    auto exact_config =
+        MakeZeroShotConfig(context.scale, featurize::CardinalityMode::kExact);
     // Reuse the already-collected (and executed) records of the first model.
     std::vector<train::QueryRecord> copies;
     for (const train::QueryRecord& record :

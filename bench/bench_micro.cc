@@ -59,16 +59,6 @@ MicroState& State() {
   return *state;
 }
 
-// --cache_capacity knob, filled in by main() before benchmarks run. Sizes
-// the PredictCache exercised by BM_PredictCacheLookup.
-size_t g_cache_capacity = 4096;
-
-// --batch_size knob: chunk size for BM_ZeroShotInferenceBatch, mirroring
-// ZeroShotConfig::serve_batch_size (0 = price the whole record set in one
-// forward pass). Lets a single binary measure the latency/throughput trade
-// of bounded serving batches without rebuilding.
-size_t g_serve_batch_size = 0;
-
 // The corpus pipeline on 1 vs 4 threads. Generation fans out per database
 // onto a local pool, so the serial/parallel pair shares nothing but the
 // (bit-identical) output. Two measurement caveats, both visible in the
@@ -185,17 +175,9 @@ BENCHMARK(BM_ZeroShotInferenceSingle);
 void BM_ZeroShotInferenceBatch(benchmark::State& state) {
   MicroState& micro = State();
   auto view = train::MakeView(micro.records);
-  const size_t chunk =
-      g_serve_batch_size == 0 ? view.size() : g_serve_batch_size;
-  std::vector<const train::QueryRecord*> slice;
   for (auto _ : state) {
-    for (size_t begin = 0; begin < view.size(); begin += chunk) {
-      const size_t end = std::min(view.size(), begin + chunk);
-      slice.assign(view.begin() + static_cast<ptrdiff_t>(begin),
-                   view.begin() + static_cast<ptrdiff_t>(end));
-      auto predictions = micro.model->PredictMs(slice);
-      benchmark::DoNotOptimize(predictions.data());
-    }
+    auto predictions = micro.model->PredictMs(view);
+    benchmark::DoNotOptimize(predictions.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(micro.records.size()));
@@ -247,9 +229,7 @@ BENCHMARK(BM_ForwardBatch)
 // the steady-state serving cost per cached plan.
 void BM_PredictCacheLookup(benchmark::State& state) {
   MicroState& micro = State();
-  zeroshot::PredictCacheOptions options;
-  options.capacity = g_cache_capacity;
-  zeroshot::PredictCache cache(options);
+  zeroshot::PredictCache cache;
   for (const auto& record : micro.records) {
     cache.Insert(plan::FingerprintPlan(record.plan), Millis(1.0));
   }
@@ -351,7 +331,7 @@ void BM_TrainEpoch(benchmark::State& state) {
   MicroState& micro = State();
   auto view = train::MakeView(micro.records);
   const size_t threads = static_cast<size_t>(state.range(0));
-  const bool pooled = state.range(1) != 0;
+  nn::SetArenaEnabledForTest(state.range(1) != 0);
   nn::InstallArenaStatsHook(
       [](const nn::ArenaStats&) { g_arena_resets.fetch_add(1); });
   g_arena_resets = 0;
@@ -366,11 +346,11 @@ void BM_TrainEpoch(benchmark::State& state) {
     trainer.early_stop_patience = 1000;
     trainer.validation_fraction = 0.0;
     trainer.num_threads = threads;
-    trainer.pooled_memory = pooled;
     train::TrainResult result = train::TrainModel(&model, view, trainer);
     benchmark::DoNotOptimize(result.final_train_loss);
   }
   const nn::AutodiffAllocCounters after = nn::GlobalAllocCounters();
+  nn::ClearArenaEnabledOverrideForTest();
   nn::InstallArenaStatsHook(nullptr);
   const double allocs = static_cast<double>(
       (after.heap_nodes - before.heap_nodes) +
@@ -485,20 +465,6 @@ int main(int argc, char** argv) {
           arg.substr(std::string("--threads=").size()));
     } else if (arg == "--threads" && i + 1 < argc) {
       options.threads = zerodb::bench::ApplyThreadsFlag(argv[++i]);
-    } else if (arg.rfind("--cache_capacity=", 0) == 0) {
-      zerodb::g_cache_capacity = static_cast<size_t>(std::strtoul(
-          arg.substr(std::string("--cache_capacity=").size()).c_str(), nullptr,
-          10));
-    } else if (arg == "--cache_capacity" && i + 1 < argc) {
-      zerodb::g_cache_capacity =
-          static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (arg.rfind("--batch_size=", 0) == 0) {
-      zerodb::g_serve_batch_size = static_cast<size_t>(std::strtoul(
-          arg.substr(std::string("--batch_size=").size()).c_str(), nullptr,
-          10));
-    } else if (arg == "--batch_size" && i + 1 < argc) {
-      zerodb::g_serve_batch_size =
-          static_cast<size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else {
       passthrough.push_back(argv[i]);
     }

@@ -70,8 +70,8 @@ std::vector<train::QueryRecord> CollectIndexWorkload(
 }
 
 int Run(const BenchOptions& options) {
-  ExperimentContext context = BuildContext(
-      /*need_exact_model=*/true, /*need_baseline_pool=*/false, &options);
+  ExperimentContext context =
+      BuildContext(/*need_exact_model=*/true, /*need_baseline_pool=*/false);
 
   std::vector<Row> rows;
   std::fprintf(stderr, "[eval] scale workload...\n");

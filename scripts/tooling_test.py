@@ -18,6 +18,9 @@ Covered:
                      allowlisted families only and passes clean runs
   analysis/suppress  `zerodb-lint: allow(...)` parsing unit tests (shared
                      by zerodb_lint.py and every analyzer rule)
+  analysis/files     tree walk and --changed-only file selection (shared by
+                     zerodb_lint.py and zerodb_analyzer.py) on a scratch git
+                     repo; a bad base ref exits 2 with a diagnostic
   analysis/sarif     SARIF writer and ::error emitter survive malformed
                      findings (bad IR) and an empty run — no tracebacks
 
@@ -33,7 +36,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__))))
 
-from analysis import sarif, suppress  # noqa: E402
+from analysis import files, sarif, suppress  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(REPO_ROOT, "scripts")
@@ -382,6 +385,50 @@ def test_suppress():
           and not suppress.suppressed([], 0, "unit-mix"))
 
 
+def test_files(tmp):
+    repo = os.path.join(tmp, "files_repo")
+    for rel in ("src/b/y.cc", "src/a/x.h", "src/a/notes.txt", "tests/t.cc",
+                "docs/d.cc"):
+        os.makedirs(os.path.dirname(os.path.join(repo, rel)), exist_ok=True)
+        write(repo, rel, "// " + rel + "\n")
+
+    roots, exts = ("src", "tests"), (".h", ".cc")
+    tree = [os.path.relpath(p, repo)
+            for p in files.tree_files(repo, roots, exts)]
+    check("files: tree walk filters roots/extensions in sorted order",
+          tree == ["src/a/x.h", "src/b/y.cc", "tests/t.cc"], str(tree))
+
+    def git(*argv):
+        subprocess.run(["git", "-C", repo, "-c", "user.name=t",
+                        "-c", "user.email=t@t", *argv],
+                       capture_output=True, check=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    write(repo, "src/a/x.h", "// changed\n")      # modified
+    os.remove(os.path.join(repo, "src/b/y.cc"))    # deleted: skipped
+    write(repo, "tests/new.cc", "// new\n")        # untracked
+    write(repo, "docs/d.cc", "// changed\n")      # outside the roots
+    write(repo, "src/a/notes.txt", "changed\n")    # wrong extension
+    changed = [os.path.relpath(p, repo)
+               for p in files.changed_files(repo, roots, exts, "HEAD", "t")]
+    check("files: changed = modified + untracked, inside roots/extensions",
+          changed == ["src/a/x.h", "tests/new.cc"], str(changed))
+
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]);"
+         "from analysis import files;"
+         "files.changed_files(sys.argv[2], ('src',), ('.cc',),"
+         " 'no-such-ref', 'probe')",
+         SCRIPTS, repo],
+        capture_output=True, text=True, check=False)
+    expect_clean_failure("files: bad base ref", result, want_exit=2)
+    check("files: diagnostic names the tool",
+          result.stderr.startswith("probe: git diff"), result.stderr[:200])
+
+
 class _FakeFinding:
     def __init__(self, rel, line, rule, message):
         self.rel = rel
@@ -444,6 +491,7 @@ def main():
         test_trace_validate(tmp)
         test_bench_compare(tmp)
         test_suppress()
+        test_files(tmp)
         test_sarif(tmp)
     if _failures:
         print(f"tooling_test: FAIL ({len(_failures)}/{_checks} checks): "

@@ -31,22 +31,14 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from analysis import checks, ir, textparse  # noqa: E402
 from analysis import callgraph, clangparse, dataflow  # noqa: E402
+from analysis import files as source_files  # noqa: E402
 from analysis import sarif as sarif_out  # noqa: E402
 
 REPO_ROOT = os.path.realpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 FIXTURE_DIR = os.path.join(REPO_ROOT, "scripts", "lint_fixtures", "analyzer")
 SCAN_ROOT = "src"
-
-
-def _tree_files():
-    out = []
-    for root, dirs, names in os.walk(os.path.join(REPO_ROOT, SCAN_ROOT)):
-        dirs.sort()
-        for name in sorted(names):
-            if name.endswith((".h", ".cc")):
-                out.append(os.path.join(root, name))
-    return out
+EXTENSIONS = (".h", ".cc")
 
 
 def _rel(path):
@@ -84,29 +76,6 @@ def _parse(paths, frontend, compdb):
         if rel not in files:
             files[rel] = textparse.parse_file(path, rel)
     return files, "libclang"
-
-
-def _changed_rels(base):
-    """Repo-relative analyzable files changed vs `base`, plus untracked
-    ones — the seed set for the --changed-only fast path."""
-    import subprocess
-
-    def git(*argv):
-        result = subprocess.run(
-            ["git", "-C", REPO_ROOT, *argv],
-            capture_output=True, text=True, check=False)
-        if result.returncode != 0:
-            print(f"zerodb-analyzer: git {' '.join(argv)} failed: "
-                  f"{result.stderr.strip()}", file=sys.stderr)
-            sys.exit(2)
-        return result.stdout.splitlines()
-
-    names = set(git("diff", "--name-only", "--diff-filter=d", base, "--"))
-    names |= set(git("ls-files", "--others", "--exclude-standard"))
-    return {name for name in names
-            if name.endswith((".h", ".cc"))
-            and name.startswith(SCAN_ROOT + "/")
-            and os.path.isfile(os.path.join(REPO_ROOT, name))}
 
 
 def _relevant_rels(files, changed_rels):
@@ -291,7 +260,9 @@ def main(argv=None):
 
     changed_rels = None
     if args.changed_only:
-        changed_rels = _changed_rels(args.base)
+        changed_rels = {_rel(path) for path in source_files.changed_files(
+            REPO_ROOT, (SCAN_ROOT,), EXTENSIONS, args.base,
+            "zerodb-analyzer")}
         if not changed_rels:
             print("zerodb-analyzer: no changed analyzable files")
             if args.sarif:
@@ -308,7 +279,7 @@ def main(argv=None):
                 return 2
             paths.append(os.path.abspath(f))
     else:
-        paths = _tree_files()
+        paths = source_files.tree_files(REPO_ROOT, (SCAN_ROOT,), EXTENSIONS)
         if not paths:
             print(f"zerodb-analyzer: nothing under {SCAN_ROOT}/",
                   file=sys.stderr)

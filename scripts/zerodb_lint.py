@@ -51,6 +51,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from analysis import files as source_files  # noqa: E402
 from analysis import suppress as _suppress  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -258,46 +259,6 @@ def lint_file(path, as_library=None):
     return findings
 
 
-def collect_changed_files(base):
-    """Lintable files changed vs `base` (plus untracked ones), for fast
-    pre-commit runs: `scripts/zerodb_lint.py --changed-only`."""
-    import subprocess
-
-    def git(*argv):
-        result = subprocess.run(
-            ["git", "-C", REPO_ROOT, *argv],
-            capture_output=True, text=True, check=False)
-        if result.returncode != 0:
-            print(f"zerodb_lint: git {' '.join(argv)} failed: "
-                  f"{result.stderr.strip()}", file=sys.stderr)
-            sys.exit(2)
-        return result.stdout.splitlines()
-
-    names = set(git("diff", "--name-only", "--diff-filter=d", base, "--"))
-    names |= set(git("ls-files", "--others", "--exclude-standard"))
-    files = []
-    for name in sorted(names):
-        if not name.endswith(EXTENSIONS):
-            continue
-        if not name.startswith(tuple(root + "/" for root in SCAN_ROOTS)):
-            continue
-        path = os.path.join(REPO_ROOT, name)
-        if os.path.isfile(path):
-            files.append(path)
-    return files
-
-
-def collect_tree_files():
-    files = []
-    for root in SCAN_ROOTS:
-        base = os.path.join(REPO_ROOT, root)
-        for dirpath, _, names in os.walk(base):
-            for name in sorted(names):
-                if name.endswith(EXTENSIONS):
-                    files.append(os.path.join(dirpath, name))
-    return files
-
-
 def self_test():
     fixture_dir = os.path.join(REPO_ROOT, FIXTURE_DIR)
     fixtures = sorted(
@@ -355,14 +316,15 @@ def main():
         parser.error("--changed-only takes no file arguments")
 
     if args.changed_only:
-        files = collect_changed_files(args.base)
+        files = source_files.changed_files(
+            REPO_ROOT, SCAN_ROOTS, EXTENSIONS, args.base, "zerodb_lint")
         if not files:
             print("zerodb_lint: no changed lintable files")
             return 0
     elif args.files:
         files = [os.path.abspath(f) for f in args.files]
     else:
-        files = collect_tree_files()
+        files = source_files.tree_files(REPO_ROOT, SCAN_ROOTS, EXTENSIONS)
     for f in files:
         if not os.path.isfile(f):
             print(f"zerodb_lint: no such file: {f}", file=sys.stderr)

@@ -57,13 +57,10 @@ class NeuralCostModel : public CostPredictor {
 
   /// A same-architecture copy with its own parameter storage, holding the
   /// same parameter values and normalization state as this model. The
-  /// parallel trainer gives each worker thread a replica so concurrent
+  /// parallel trainer gives each shard executor a replica so concurrent
   /// backward passes never touch shared gradient buffers; replicas are
   /// re-synced from the trained model's parameter values every step.
-  /// Models that return nullptr (the default) are trained serially.
-  virtual std::unique_ptr<NeuralCostModel> CloneReplica() const {
-    return nullptr;
-  }
+  virtual std::unique_ptr<NeuralCostModel> CloneReplica() const = 0;
 };
 
 }  // namespace zerodb::models

@@ -16,6 +16,10 @@ namespace zerodb::models {
 
 namespace {
 
+/// Entries in the per-model training graph cache (FeaturizeNormalizedCached).
+/// Plans beyond this many distinct ones are featurized afresh every batch.
+constexpr size_t kGraphCacheCapacity = 8192;
+
 nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
                             size_t hidden_layers, float dropout) {
   nn::MlpConfig config;
@@ -156,18 +160,16 @@ void TreeMessagePassingModel::InvalidateGraphCache() {
 
 const featurize::PlanGraph* TreeMessagePassingModel::FeaturizeNormalizedCached(
     const QueryRecord& record) {
-  if (config_.graph_cache_capacity > 0) {
-    const uint64_t key = plan::FingerprintCombine(
-        plan::FingerprintPlan(record.plan),
-        plan::FingerprintString(record.db_name));
-    auto it = graph_cache_.find(key);
-    if (it != graph_cache_.end()) return &it->second;
-    if (graph_cache_.size() < config_.graph_cache_capacity) {
-      auto inserted = graph_cache_.emplace(key, FeaturizeNormalized(record));
-      return &inserted.first->second;
-    }
+  const uint64_t key = plan::FingerprintCombine(
+      plan::FingerprintPlan(record.plan),
+      plan::FingerprintString(record.db_name));
+  auto it = graph_cache_.find(key);
+  if (it != graph_cache_.end()) return &it->second;
+  if (graph_cache_.size() < kGraphCacheCapacity) {
+    auto inserted = graph_cache_.emplace(key, FeaturizeNormalized(record));
+    return &inserted.first->second;
   }
-  // Cache disabled or full: featurize into per-batch overflow storage.
+  // Cache full: featurize into per-batch overflow storage.
   overflow_graphs_.push_back(FeaturizeNormalized(record));
   return &overflow_graphs_.back();
 }

@@ -25,14 +25,6 @@ struct TreeModelConfig {
   size_t readout_layers = 2;   ///< hidden layers in the readout MLP
   float dropout = 0.0f;
   uint64_t init_seed = 1;
-  /// Training-path cache of normalized plan graphs, keyed by plan
-  /// fingerprint + database name: plans recur every epoch, and featurizing
-  /// them is the dominant per-batch rebuild cost. 0 disables. The cache is
-  /// per-model-instance (each trainer replica fills its own), consulted only
-  /// from the serial LossOnBatch path, and cleared whenever normalization
-  /// changes — featurization is deterministic, so cached and fresh graphs
-  /// are identical and the loss history does not depend on cache state.
-  size_t graph_cache_capacity = 8192;
 };
 
 /// The paper's model architecture (Section 3.1): encode each plan node with
@@ -90,8 +82,12 @@ class TreeMessagePassingModel : public NeuralCostModel {
   featurize::PlanGraph FeaturizeNormalized(
       const QueryRecord& record) const;
 
-  /// Training-path featurization through the graph cache (see
-  /// TreeModelConfig::graph_cache_capacity). The returned pointer is valid
+  /// Training-path featurization through the graph cache: plans recur every
+  /// epoch, and featurizing them is the dominant per-batch rebuild cost. The
+  /// cache is per-model-instance (each trainer replica fills its own) and
+  /// cleared whenever normalization changes — featurization is
+  /// deterministic, so cached and fresh graphs are identical and the loss
+  /// history does not depend on cache state. The returned pointer is valid
   /// until the next Prepare/LoadWeights/CopyTreeStateFrom (cached graphs) or
   /// the next LossOnBatch (overflow graphs). Not thread-safe; only the
   /// serial LossOnBatch path uses it.
@@ -111,8 +107,8 @@ class TreeMessagePassingModel : public NeuralCostModel {
   /// key = FingerprintCombine(FingerprintPlan(plan), db name). Values are
   /// stable across inserts (node-based map), so Forward can hold pointers.
   std::unordered_map<uint64_t, featurize::PlanGraph> graph_cache_;
-  /// Graphs featurized when the cache is full or disabled; cleared per
-  /// batch. Deque: growth must not move earlier elements mid-batch.
+  /// Graphs featurized when the cache is full; cleared per batch. Deque:
+  /// growth must not move earlier elements mid-batch.
   std::deque<featurize::PlanGraph> overflow_graphs_;
 
   /// Reused per-batch scratch (capacities reach steady state after the

@@ -43,9 +43,6 @@ class Sgd : public Optimizer {
 
   void Step() override;
 
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-  float learning_rate() const { return learning_rate_; }
-
  private:
   float learning_rate_;
   float momentum_;
@@ -61,8 +58,6 @@ class Adam : public Optimizer {
 
   void Step() override;
 
-  void set_learning_rate(float lr) { learning_rate_ = lr; }
-  float learning_rate() const { return learning_rate_; }
   int64_t step_count() const { return step_count_; }
 
  private:

@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,23 +36,32 @@ Status LoadParameters(std::vector<Tensor> parameters,
                       const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
-  auto read_u64 = [&in]() {
-    uint64_t value = 0;
-    in.read(reinterpret_cast<char*>(&value), sizeof(value));
-    return value;
+  auto read_u64 = [&in](uint64_t* value) {
+    in.read(reinterpret_cast<char*>(value), sizeof(*value));
+    return static_cast<bool>(in);
   };
-  if (read_u64() != kMagic) {
+  const Status truncated = Status::IOError("truncated parameter file: " + path);
+  uint64_t magic = 0;
+  if (!read_u64(&magic)) return truncated;
+  if (magic != kMagic) {
     return Status::InvalidArgument("not a zerodb parameter file: " + path);
   }
-  uint64_t count = read_u64();
+  uint64_t count = 0;
+  if (!read_u64(&count)) return truncated;
   if (count != parameters.size()) {
     return Status::InvalidArgument(
         StrFormat("parameter count mismatch: file has %llu, model has %zu",
                   static_cast<unsigned long long>(count), parameters.size()));
   }
-  for (Tensor& parameter : parameters) {
-    uint64_t rows = read_u64();
-    uint64_t cols = read_u64();
+  // Every tensor lands in a staging buffer first; the parameters change only
+  // once the whole file has been read, so a failed load leaves the model as
+  // it was.
+  std::vector<std::vector<float>> staged(parameters.size());
+  for (size_t i = 0; i < parameters.size(); ++i) {
+    const Tensor& parameter = parameters[i];
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    if (!read_u64(&rows) || !read_u64(&cols)) return truncated;
     if (rows != parameter.rows() || cols != parameter.cols()) {
       return Status::InvalidArgument(StrFormat(
           "parameter shape mismatch: file (%llu, %llu) vs model %s",
@@ -59,9 +69,17 @@ Status LoadParameters(std::vector<Tensor> parameters,
           static_cast<unsigned long long>(cols),
           parameter.ShapeString().c_str()));
     }
-    in.read(reinterpret_cast<char*>(parameter.mutable_data().data()),
+    staged[i].resize(parameter.size());
+    in.read(reinterpret_cast<char*>(staged[i].data()),
             static_cast<std::streamsize>(parameter.size() * sizeof(float)));
-    if (!in) return Status::IOError("truncated parameter file: " + path);
+    if (!in) return truncated;
+  }
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    return Status::InvalidArgument("trailing bytes after parameters: " + path);
+  }
+  for (size_t i = 0; i < parameters.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(),
+              parameters[i].mutable_data().begin());
   }
   return Status::OK();
 }

@@ -17,7 +17,8 @@ Status SaveParameters(const std::vector<Tensor>& parameters,
                       const std::string& path);
 
 /// Loads parameters saved by SaveParameters into the given tensors in order.
-/// Fails if the count or any shape mismatches.
+/// Fails if the count or any shape mismatches, or if the file is truncated or
+/// has trailing bytes. All or nothing: on failure no tensor is changed.
 Status LoadParameters(std::vector<Tensor> parameters, const std::string& path);
 
 }  // namespace zerodb::nn

@@ -42,7 +42,7 @@ JsonValue MetricsArtifact::ToJson() const {
   if (!training_.empty()) {
     JsonValue training = JsonValue::Object();
     for (const auto& [name, history] : training_) {
-      training.Set(name, TrainTelemetry::HistoryToJson(history));
+      training.Set(name, HistoryToJson(history));
     }
     out.Set("training", std::move(training));
   }

@@ -1,23 +1,8 @@
 #include "obs/telemetry.h"
 
-#include "common/logging.h"
-
 namespace zerodb::obs {
 
-void TrainTelemetry::RecordEpoch(const EpochStat& stat) {
-  epochs_.push_back(stat);
-  if (log_epochs_) LogEpoch(run_name_, stat);
-}
-
-void TrainTelemetry::LogEpoch(const std::string& run_name,
-                              const EpochStat& stat) {
-  ZDB_LOG(Info) << run_name << " epoch " << stat.epoch
-                << " train=" << stat.train_loss << " val=" << stat.val_loss
-                << " lr=" << stat.learning_rate
-                << " grad_norm=" << stat.grad_norm;
-}
-
-JsonValue TrainTelemetry::HistoryToJson(const std::vector<EpochStat>& history) {
+JsonValue HistoryToJson(const std::vector<EpochStat>& history) {
   JsonValue epochs = JsonValue::Array();
   for (const EpochStat& stat : history) {
     JsonValue entry = JsonValue::Object();
@@ -29,13 +14,6 @@ JsonValue TrainTelemetry::HistoryToJson(const std::vector<EpochStat>& history) {
     epochs.Append(std::move(entry));
   }
   return epochs;
-}
-
-JsonValue TrainTelemetry::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  out.Set("run", run_name_);
-  out.Set("epochs", HistoryToJson(epochs_));
-  return out;
 }
 
 }  // namespace zerodb::obs

@@ -2,7 +2,6 @@
 #define ZERODB_OBS_TELEMETRY_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "obs/json.h"
@@ -18,38 +17,9 @@ struct EpochStat {
   double grad_norm = 0.0;  ///< mean pre-clipping global L2 norm over batches
 };
 
-/// Sink for per-epoch training telemetry. The trainer appends one EpochStat
-/// per epoch; with `log_epochs` the sink also emits an info log line per
-/// epoch — the structured replacement for the old `verbose` prints.
-///
-/// Thread-compatible: owned by the single training thread that feeds it
-/// (DESIGN.md "Concurrency discipline"); epochs_ becomes ZDB_GUARDED_BY a
-/// mutex if trainers ever share a sink.
-class TrainTelemetry {
- public:
-  explicit TrainTelemetry(std::string run_name = "train",
-                          bool log_epochs = false)
-      : run_name_(std::move(run_name)), log_epochs_(log_epochs) {}
-
-  void RecordEpoch(const EpochStat& stat);
-
-  const std::string& run_name() const { return run_name_; }
-  const std::vector<EpochStat>& epochs() const { return epochs_; }
-
-  JsonValue ToJson() const;
-
-  /// Formats + logs one epoch line (used by RecordEpoch and by the trainer's
-  /// verbose path when no sink is attached).
-  static void LogEpoch(const std::string& run_name, const EpochStat& stat);
-
-  /// The loss-curve JSON shared by ToJson and TrainResult exporters.
-  static JsonValue HistoryToJson(const std::vector<EpochStat>& history);
-
- private:
-  std::string run_name_;
-  bool log_epochs_;
-  std::vector<EpochStat> epochs_;
-};
+/// The loss-curve JSON of a training history (TrainResult::history): one
+/// object per epoch with every EpochStat field.
+JsonValue HistoryToJson(const std::vector<EpochStat>& history);
 
 }  // namespace zerodb::obs
 

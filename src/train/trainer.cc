@@ -6,10 +6,8 @@
 #include <memory>
 
 #include "common/check.h"
-#include "common/sync.h"
 #include "common/thread_pool.h"
 #include "nn/arena.h"
-#include "nn/lr_schedule.h"
 #include "nn/optimizer.h"
 #include "nn/ops.h"
 #include "nn/validate.h"
@@ -39,8 +37,8 @@ struct ShardResult {
 struct ShardExecutor {
   models::NeuralCostModel* model = nullptr;
   std::vector<nn::Tensor> params;
-  /// Pooled autodiff memory for this executor's shards; null when pooling
-  /// is disabled (TrainerOptions::pooled_memory false or ZERODB_ARENA=off).
+  /// Pooled autodiff memory for this executor's shards; null under
+  /// ZERODB_ARENA=off.
   std::unique_ptr<nn::GraphArena> arena;
   std::vector<const QueryRecord*> shard;  ///< reused shard record scratch
 };
@@ -110,75 +108,35 @@ TrainResult TrainModel(models::NeuralCostModel* model,
 
   // Shard-parallel gradient setup. Replicas are cloned after Prepare so they
   // carry the fitted normalization; parameter values are re-synced from the
-  // caller's model before every batch (Step changes them). A model whose
-  // CloneReplica returns nullptr trains serially — on the identical sharded
-  // arithmetic, so the loss history does not depend on this fallback.
+  // caller's model before every batch (Step changes them).
   size_t want_threads = options.num_threads;
   if (want_threads == 0) want_threads = ThreadPool::Global()->num_threads();
   const size_t max_shards =
       (options.batch_size + kShardRecords - 1) / kShardRecords;
   const size_t executors =
       std::max<size_t>(1, std::min(want_threads, max_shards));
-  std::vector<std::unique_ptr<models::NeuralCostModel>> replicas;
-  std::vector<std::vector<nn::Tensor>> replica_params;
-  while (replicas.size() + 1 < executors) {
-    std::unique_ptr<models::NeuralCostModel> replica = model->CloneReplica();
-    if (replica == nullptr) {
-      replicas.clear();
-      replica_params.clear();
-      break;
-    }
-    replica_params.push_back(replica->Parameters());
-    replicas.push_back(std::move(replica));
-  }
-  ThreadPool* shard_pool = replicas.empty() ? nullptr : ThreadPool::Global();
+  ThreadPool* shard_pool = executors > 1 ? ThreadPool::Global() : nullptr;
 
-  // One ShardExecutor per model (the caller's plus the replicas), each with
-  // its own GraphArena when pooling is enabled. Arenas are per-executor, not
-  // per-thread: the executor free-list below hands a model *and* its arena
-  // to exactly one worker at a time, so arena access is single-threaded by
-  // construction (the mutex hand-off orders it).
-  const bool pooled = options.pooled_memory && nn::ArenaEnabled();
-  std::vector<ShardExecutor> shard_executors(1 + replicas.size());
-  shard_executors[0].model = model;
-  shard_executors[0].params = main_params;
-  for (size_t r = 0; r < replicas.size(); ++r) {
-    shard_executors[r + 1].model = replicas[r].get();
-    shard_executors[r + 1].params = replica_params[r];
-  }
-  for (ShardExecutor& shard_exec : shard_executors) {
+  // One ShardExecutor per model — the caller's first, then executors - 1
+  // replicas — each with its own GraphArena unless ZERODB_ARENA=off. Every
+  // batch, executor e runs one contiguous shard range inside a single pool
+  // task, so its model and arena are only ever touched by one thread at a
+  // time (the ParallelFor join orders one batch before the next).
+  const bool pooled = nn::ArenaEnabled();
+  std::vector<std::unique_ptr<models::NeuralCostModel>> replicas;
+  std::vector<ShardExecutor> shard_executors(executors);
+  for (size_t e = 0; e < executors; ++e) {
+    ShardExecutor& shard_exec = shard_executors[e];
+    if (e == 0) {
+      shard_exec.model = model;
+    } else {
+      replicas.push_back(model->CloneReplica());
+      ZDB_CHECK(replicas.back() != nullptr) << model->Name();
+      shard_exec.model = replicas.back().get();
+    }
+    shard_exec.params = shard_exec.model->Parameters();
     if (pooled) shard_exec.arena = std::make_unique<nn::GraphArena>();
   }
-
-  // Blocking free list of shard executors. Which executor runs which shard
-  // is scheduling-dependent, but all executors hold bit-identical
-  // parameters, so shard results are not.
-  struct ExecutorPool {
-    Mutex mu;
-    CondVar cv;
-    std::vector<ShardExecutor*> free_executors ZDB_GUARDED_BY(mu);
-  };
-  ExecutorPool exec;
-  {
-    MutexLock lock(&exec.mu);
-    for (ShardExecutor& shard_exec : shard_executors) {
-      exec.free_executors.push_back(&shard_exec);
-    }
-  }
-  auto acquire_executor = [&exec]() {
-    MutexLock lock(&exec.mu);
-    while (exec.free_executors.empty()) exec.cv.Wait(&exec.mu);
-    ShardExecutor* e = exec.free_executors.back();
-    exec.free_executors.pop_back();
-    return e;
-  };
-  auto release_executor = [&exec](ShardExecutor* e) {
-    {
-      MutexLock lock(&exec.mu);
-      exec.free_executors.push_back(e);
-    }
-    exec.cv.NotifyOne();
-  };
 
   auto snapshot = [&]() {
     std::vector<std::vector<float>> weights;
@@ -197,22 +155,6 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   double best_val = std::numeric_limits<double>::infinity();
   std::vector<std::vector<float>> best_weights = snapshot();
   size_t epochs_since_best = 0;
-
-  std::unique_ptr<nn::LrSchedule> schedule;
-  switch (options.lr_schedule) {
-    case LrScheduleKind::kConstant:
-      schedule = std::make_unique<nn::ConstantLr>(options.learning_rate);
-      break;
-    case LrScheduleKind::kStepDecay:
-      schedule = std::make_unique<nn::StepDecayLr>(
-          options.learning_rate, options.lr_decay_factor,
-          options.lr_decay_epochs);
-      break;
-    case LrScheduleKind::kCosine:
-      schedule = std::make_unique<nn::CosineLr>(
-          options.learning_rate, options.lr_floor, options.max_epochs);
-      break;
-  }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter* epochs_counter = registry.GetCounter("train.epochs");
@@ -233,8 +175,6 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     obs::ScopedTimer epoch_timer(registry.enabled() ? epoch_us : nullptr);
     obs::TimelineScope epoch_scope("train.epoch", "train");
     epoch_scope.AddArg("epoch", static_cast<double>(epoch + 1));
-    const float learning_rate = schedule->RateForEpoch(epoch);
-    optimizer.set_learning_rate(learning_rate);
     rng.Shuffle(&training);
     double epoch_loss = 0.0;
     double grad_norm_sum = 0.0;
@@ -257,26 +197,33 @@ TrainResult TrainModel(models::NeuralCostModel* model,
         shard_seed = rng.NextUint64();
       }
 
+      // Static shard mapping: executor e of `used` runs shards
+      // [e * num_shards / used, (e + 1) * num_shards / used). Shard results
+      // land in per-shard slots, so the mapping never reaches the arithmetic.
+      const size_t used = std::min(executors, num_shards);
       // Replicas re-read the parameters the last Step produced.
-      for (std::vector<nn::Tensor>& params : replica_params) {
+      for (size_t e = 1; e < used; ++e) {
         for (size_t i = 0; i < main_params.size(); ++i) {
-          params[i].mutable_data() = main_params[i].data();
+          shard_executors[e].params[i].mutable_data() = main_params[i].data();
         }
       }
-
-      ParallelFor(shard_pool, 0, num_shards, /*grain=*/1,
-                  [&](size_t chunk_begin, size_t chunk_end) {
-                    ShardExecutor* e = acquire_executor();
-                    for (size_t s = chunk_begin; s < chunk_end; ++s) {
-                      obs::TimelineScope shard_scope("train.shard", "train");
-                      shard_scope.AddArg("shard", static_cast<double>(s));
-                      const size_t shard_begin = s * kShardRecords;
-                      const size_t shard_end =
-                          std::min(batch_size, shard_begin + kShardRecords);
-                      RunShard(e, batch, shard_begin, shard_end, batch_size,
-                               shard_seeds[s], &shard_results[s]);
+      auto run_executor = [&](size_t e) {
+        for (size_t s = e * num_shards / used; s < (e + 1) * num_shards / used;
+             ++s) {
+          obs::TimelineScope shard_scope("train.shard", "train");
+          shard_scope.AddArg("shard", static_cast<double>(s));
+          const size_t shard_begin = s * kShardRecords;
+          const size_t shard_end =
+              std::min(batch_size, shard_begin + kShardRecords);
+          RunShard(&shard_executors[e], batch, shard_begin, shard_end,
+                   batch_size, shard_seeds[s], &shard_results[s]);
+        }
+      };
+      ParallelFor(shard_pool, 0, used, /*grain=*/1,
+                  [&](size_t exec_begin, size_t exec_end) {
+                    for (size_t e = exec_begin; e < exec_end; ++e) {
+                      run_executor(e);
                     }
-                    release_executor(e);
                   });
 
       // Fixed-order reduction: shard partials land on the caller's model in
@@ -319,16 +266,10 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     stat.epoch = epoch + 1;
     stat.train_loss = result.final_train_loss;
     stat.val_loss = val_loss;
-    stat.learning_rate = learning_rate;
+    stat.learning_rate = options.learning_rate;
     stat.grad_norm =
         grad_norm_sum / static_cast<double>(std::max<size_t>(batches, 1));
     result.history.push_back(stat);
-    if (options.telemetry != nullptr) {
-      // The sink controls its own logging (log_epochs).
-      options.telemetry->RecordEpoch(stat);
-    } else if (options.verbose) {
-      obs::TrainTelemetry::LogEpoch(model->Name(), stat);
-    }
     if (val_loss < best_val - 1e-6) {
       best_val = val_loss;
       best_weights = snapshot();

@@ -10,16 +10,10 @@
 
 namespace zerodb::train {
 
-enum class LrScheduleKind { kConstant, kStepDecay, kCosine };
-
 struct TrainerOptions {
   size_t max_epochs = 60;
   size_t batch_size = 32;
   float learning_rate = 1e-3f;
-  LrScheduleKind lr_schedule = LrScheduleKind::kConstant;
-  float lr_decay_factor = 0.5f;   ///< step decay only
-  size_t lr_decay_epochs = 15;    ///< step decay only
-  float lr_floor = 1e-4f;         ///< cosine only
   float weight_decay = 1e-5f;
   double grad_clip_norm = 10.0;
   double validation_fraction = 0.1;
@@ -31,27 +25,15 @@ struct TrainerOptions {
   /// loss histories: every mini-batch is split into fixed 8-record shards
   /// whose partial gradients are reduced in ascending shard order, and each
   /// shard draws its dropout Rng from a seed pre-drawn in shard order — the
-  /// arithmetic never depends on which thread ran which shard. Parallel
-  /// execution needs models::NeuralCostModel::CloneReplica; models without
-  /// it train serially (still sharded, still identical).
+  /// arithmetic never depends on which thread ran which shard.
+  ///
+  /// Each shard executor (the caller's model or a CloneReplica) owns a
+  /// nn::GraphArena that serves every graph node and buffer of its shards and
+  /// is reset once the shard's gradients are harvested, so at steady state a
+  /// training batch allocates nothing in the nn layer. ZERODB_ARENA=off
+  /// (nn::ArenaEnabled) switches to fresh allocation; the arithmetic is the
+  /// same either way (pinned by TrainTest.PooledMemoryDoesNotChangeLossHistory).
   size_t num_threads = 0;
-  /// Pooled autodiff memory: each shard executor owns a nn::GraphArena that
-  /// serves every graph node and buffer of its shards and is reset once the
-  /// shard's gradients are harvested — at steady state a training batch
-  /// allocates nothing in the nn layer. Arithmetic is unchanged (same ops,
-  /// same buffers zeroed the same way), so loss histories are bit-identical
-  /// to the fresh-allocation path (pinned by
-  /// TrainTest.PooledMemoryDoesNotChangeLossHistory). Gated globally by
-  /// ZERODB_ARENA=off (nn::ArenaEnabled), which CI uses to keep the
-  /// fallback path exercised.
-  bool pooled_memory = true;
-  /// Logs one line per epoch (via the telemetry sink when one is attached,
-  /// else through obs::TrainTelemetry::LogEpoch → ZDB_LOG).
-  bool verbose = false;
-  /// Optional external sink receiving every epoch's EpochStat as it is
-  /// produced (the per-epoch history also always lands in
-  /// TrainResult::history).
-  obs::TrainTelemetry* telemetry = nullptr;
 };
 
 struct TrainResult {
@@ -67,14 +49,15 @@ struct TrainResult {
 /// best-weights restoration — the standard recipe the paper's models use.
 ///
 /// Thread-compatible, not thread-safe (DESIGN.md "Concurrency discipline"):
-/// the model, the records and the telemetry sink must not be touched by
-/// other threads for the duration of the call. Training runs over disjoint
-/// models are safe concurrently (logging and the global metrics registry,
-/// the only shared state reached from here, are thread-safe).
+/// the model and the records must not be touched by other threads for the
+/// duration of the call. Training runs over disjoint models are safe
+/// concurrently (logging and the global metrics registry, the only shared
+/// state reached from here, are thread-safe).
 ///
 /// Internally the gradient computation fans minibatch shards out over the
-/// global ThreadPool (see TrainerOptions::num_threads); worker threads only
-/// ever touch model replicas, never the caller's model.
+/// global ThreadPool (see TrainerOptions::num_threads): each shard executor —
+/// the caller's model or one of its replicas — runs one contiguous range of
+/// shards per batch, in exactly one pool task.
 TrainResult TrainModel(models::NeuralCostModel* model,
                        const std::vector<const QueryRecord*>& records,
                        const TrainerOptions& options = TrainerOptions());

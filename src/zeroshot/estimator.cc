@@ -1,7 +1,5 @@
 #include "zeroshot/estimator.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -110,15 +108,12 @@ ZeroShotEstimator ZeroShotEstimator::TrainFromRecords(
   estimator.quality_ = std::make_unique<obs::PredictionQualityMonitor>();
   // The cache is created after training, so it starts empty — (re)training
   // always begins with an invalidated cache by construction.
-  if (config.cache.capacity > 0) {
-    estimator.cache_ = std::make_unique<PredictCache>(config.cache);
-  }
-  estimator.serve_batch_size_ = config.serve_batch_size;
+  estimator.cache_ = std::make_unique<PredictCache>(config.cache);
   return estimator;
 }
 
 void ZeroShotEstimator::MaybeInvalidateOnDrift() {
-  if (quality_ == nullptr || cache_ == nullptr) return;
+  if (quality_ == nullptr) return;
   const int64_t events = quality_->drift_events();
   if (events > seen_drift_events_) {
     seen_drift_events_ = events;
@@ -126,24 +121,6 @@ void ZeroShotEstimator::MaybeInvalidateOnDrift() {
                      << cache_->size() << " cached predictions";
     cache_->Invalidate();
   }
-}
-
-std::vector<Millis> ZeroShotEstimator::ForwardInChunks(
-    const std::vector<const train::QueryRecord*>& records) {
-  const size_t chunk =
-      serve_batch_size_ == 0 ? records.size() : serve_batch_size_;
-  if (chunk >= records.size()) return model_->ForwardBatch(records);
-  std::vector<Millis> out;
-  out.reserve(records.size());
-  for (size_t begin = 0; begin < records.size(); begin += chunk) {
-    const size_t end = std::min(begin + chunk, records.size());
-    std::vector<const train::QueryRecord*> slice(
-        records.begin() + static_cast<std::ptrdiff_t>(begin),
-        records.begin() + static_cast<std::ptrdiff_t>(end));
-    std::vector<Millis> part = model_->ForwardBatch(slice);
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
 }
 
 std::vector<Millis> ZeroShotEstimator::PredictMs(
@@ -159,33 +136,27 @@ std::vector<Millis> ZeroShotEstimator::PredictMs(
   std::vector<uint64_t> miss_keys;
   std::vector<size_t> miss_positions;
   std::vector<const train::QueryRecord*> miss_records;
-  if (cache_ != nullptr) {
-    miss_keys.reserve(records.size());
-    miss_positions.reserve(records.size());
-    miss_records.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const uint64_t key = CacheKey(*records[i]);
-      if (std::optional<Millis> hit = cache_->Lookup(key)) {
-        predicted[i] = *hit;
-        continue;
-      }
-      miss_keys.push_back(key);
-      miss_positions.push_back(i);
-      miss_records.push_back(records[i]);
+  miss_keys.reserve(records.size());
+  miss_positions.reserve(records.size());
+  miss_records.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    const uint64_t key = CacheKey(*records[i]);
+    if (std::optional<Millis> hit = cache_->Lookup(key)) {
+      predicted[i] = *hit;
+      continue;
     }
-  } else {
-    miss_positions.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) miss_positions.push_back(i);
-    miss_records = records;
+    miss_keys.push_back(key);
+    miss_positions.push_back(i);
+    miss_records.push_back(records[i]);
   }
   if (!miss_records.empty()) {
     obs::TimelineScope scope("zeroshot.predict", "zeroshot");
     scope.AddArg("records", static_cast<double>(records.size()));
     scope.AddArg("cache_misses", static_cast<double>(miss_records.size()));
-    std::vector<Millis> fresh = ForwardInChunks(miss_records);
+    std::vector<Millis> fresh = model_->ForwardBatch(miss_records);
     for (size_t j = 0; j < miss_positions.size(); ++j) {
       predicted[miss_positions[j]] = fresh[j];
-      if (cache_ != nullptr) cache_->Insert(miss_keys[j], fresh[j]);
+      cache_->Insert(miss_keys[j], fresh[j]);
     }
   }
   // Records that carry a measured runtime (executed evaluation workloads)
@@ -203,38 +174,12 @@ std::vector<Millis> ZeroShotEstimator::PredictMs(
 StatusOr<Millis> ZeroShotEstimator::EstimateQueryMs(
     const datagen::DatabaseEnv& env, const plan::QuerySpec& query,
     const optimizer::PlannerOptions& planner_options) {
-  ZDB_CHECK(model_ != nullptr);
-  if (model_->cardinality_mode() != featurize::CardinalityMode::kEstimated) {
-    return Status::InvalidArgument(
-        "EstimateQueryMs requires an estimated-cardinality model (exact "
-        "cardinalities only exist after execution)");
-  }
-  EstimatorMetrics& metrics = EstimatorMetrics::Get();
-  metrics.estimate_query_calls->Add(1);
-  obs::TimelineScope scope("zeroshot.estimate_query", "zeroshot");
-  optimizer::Planner planner(env.db.get(), &env.stats, optimizer::CostParams(),
-                             planner_options);
-  plan::PhysicalPlan plan;
-  {
-    obs::ScopedTimer timer(metrics.registry.enabled() ? metrics.plan_us
-                                                      : nullptr);
-    ZDB_ASSIGN_OR_RETURN(plan, planner.Plan(query));
-  }
-  train::QueryRecord record;
-  record.env = &env;
-  record.db_name = env.db->name();
-  record.query = query;
-  record.plan = std::move(plan);
-  record.opt_cost = record.plan.root->est_cost;
-  std::vector<const train::QueryRecord*> view = {&record};
-  // Through PredictMs (not the model directly) so the prediction is served
-  // from — and inserted into — the fingerprint cache.
-  return PredictMs(view)[0];
+  return std::move(EstimateQueryBatchMs(env, std::span(&query, 1),
+                                        planner_options)[0]);
 }
 
 std::vector<StatusOr<Millis>> ZeroShotEstimator::EstimateQueryBatchMs(
-    const datagen::DatabaseEnv& env,
-    const std::vector<plan::QuerySpec>& queries,
+    const datagen::DatabaseEnv& env, std::span<const plan::QuerySpec> queries,
     const optimizer::PlannerOptions& planner_options) {
   ZDB_CHECK(model_ != nullptr);
   std::vector<StatusOr<Millis>> out;
@@ -242,14 +187,14 @@ std::vector<StatusOr<Millis>> ZeroShotEstimator::EstimateQueryBatchMs(
   if (model_->cardinality_mode() != featurize::CardinalityMode::kEstimated) {
     for (size_t i = 0; i < queries.size(); ++i) {
       out.emplace_back(Status::InvalidArgument(
-          "EstimateQueryBatchMs requires an estimated-cardinality model "
-          "(exact cardinalities only exist after execution)"));
+          "query estimation requires an estimated-cardinality model (exact "
+          "cardinalities only exist after execution)"));
     }
     return out;
   }
   EstimatorMetrics& metrics = EstimatorMetrics::Get();
   metrics.estimate_query_calls->Add(static_cast<int64_t>(queries.size()));
-  obs::TimelineScope scope("zeroshot.estimate_batch", "zeroshot");
+  obs::TimelineScope scope("zeroshot.estimate_query", "zeroshot");
   scope.AddArg("queries", static_cast<double>(queries.size()));
   optimizer::Planner planner(env.db.get(), &env.stats, optimizer::CostParams(),
                              planner_options);
@@ -277,6 +222,8 @@ std::vector<StatusOr<Millis>> ZeroShotEstimator::EstimateQueryBatchMs(
     records.push_back(std::move(record));
     out.emplace_back(Millis(0.0));  // overwritten by the batched prediction
   }
+  // Through PredictMs (not the model directly) so predictions are served
+  // from — and inserted into — the fingerprint cache.
   if (!records.empty()) {
     std::vector<Millis> predicted = PredictMs(train::MakeView(records));
     for (size_t j = 0; j < positions.size(); ++j) {

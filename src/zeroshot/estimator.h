@@ -2,6 +2,7 @@
 #define ZERODB_ZEROSHOT_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -29,12 +30,10 @@ struct ZeroShotConfig {
   models::ZeroShotCostModel::Options model;
   uint64_t seed = 7;
 
-  /// Serving knobs. Predictions are memoized by plan fingerprint + database
-  /// identity (set `cache.capacity = 0` to disable); cache misses go through
-  /// the model's batched ForwardBatch in chunks of `serve_batch_size`
-  /// records (0 = one forward pass per PredictMs call, no chunking).
+  /// Serving: predictions are memoized by plan fingerprint + database
+  /// identity; each PredictMs call prices all of its cache misses in one
+  /// batched ForwardBatch pass.
   PredictCacheOptions cache;
-  size_t serve_batch_size = 0;
 };
 
 /// The public face of the reproduction: train once on many databases, then
@@ -61,7 +60,8 @@ class ZeroShotEstimator {
   /// The deployable path: plans `query` on the (unseen) database and
   /// predicts its runtime without executing anything. Only valid for
   /// estimated-cardinality models. `planner_options` may declare
-  /// hypothetical indexes — the What-If mode of Section 4.1.
+  /// hypothetical indexes — the What-If mode of Section 4.1. Equivalent to
+  /// EstimateQueryBatchMs over the single query.
   StatusOr<Millis> EstimateQueryMs(
       const datagen::DatabaseEnv& env, const plan::QuerySpec& query,
       const optimizer::PlannerOptions& planner_options = {});
@@ -73,8 +73,7 @@ class ZeroShotEstimator {
   /// unplannable queries carry the planner's status, and a model in
   /// exact-cardinality mode fails every entry.
   std::vector<StatusOr<Millis>> EstimateQueryBatchMs(
-      const datagen::DatabaseEnv& env,
-      const std::vector<plan::QuerySpec>& queries,
+      const datagen::DatabaseEnv& env, std::span<const plan::QuerySpec> queries,
       const optimizer::PlannerOptions& planner_options = {});
 
   /// Feeds one serving-time (prediction, observed runtime) pair into the
@@ -95,15 +94,13 @@ class ZeroShotEstimator {
   }
 
   /// The plan-fingerprint prediction cache fronting the model; non-null
-  /// after Train/TrainFromRecords unless `config.cache.capacity` was 0.
+  /// after Train/TrainFromRecords.
   const PredictCache* predict_cache() const { return cache_.get(); }
 
   /// Drops every cached prediction. Runs automatically whenever the
   /// quality monitor reports a new drift event; call it manually after any
   /// out-of-band weight change (LoadWeights-style swaps).
-  void InvalidatePredictionCache() {
-    if (cache_ != nullptr) cache_->Invalidate();
-  }
+  void InvalidatePredictionCache() { cache_->Invalidate(); }
 
   models::ZeroShotCostModel& model() { return *model_; }
   const train::TrainResult& train_result() const { return train_result_; }
@@ -119,16 +116,11 @@ class ZeroShotEstimator {
   /// signal that flagged them.
   void MaybeInvalidateOnDrift();
 
-  /// Runs ForwardBatch over `records` in serve_batch_size chunks.
-  std::vector<Millis> ForwardInChunks(
-      const std::vector<const train::QueryRecord*>& records);
-
   std::unique_ptr<models::ZeroShotCostModel> model_;
   train::TrainResult train_result_;
   std::vector<train::QueryRecord> training_records_;
   std::unique_ptr<obs::PredictionQualityMonitor> quality_;
   std::unique_ptr<PredictCache> cache_;
-  size_t serve_batch_size_ = 0;
   int64_t seen_drift_events_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "zeroshot/predict_cache.h"
 
-#include <chrono>
-
+#include "common/check.h"
 #include "common/sync.h"
 
 namespace zerodb::zeroshot {
@@ -10,15 +9,6 @@ namespace {
 
 obs::MetricsRegistry& RegistryOrGlobal(obs::MetricsRegistry* registry) {
   return registry != nullptr ? *registry : obs::MetricsRegistry::Global();
-}
-
-double SteadyNowMs() {
-  // TTL expiry is inherently wall-clock; predictions themselves stay
-  // deterministic (expiry only forces a recompute of the same value).
-  // zerodb-lint: allow(nondet-call)
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(now.time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -36,11 +26,8 @@ PredictCache::PredictCache(PredictCacheOptions options)
       hit_rate_gauge_(RegistryOrGlobal(options_.registry)
                           .GetGauge("cache.hit_rate")),
       size_gauge_(RegistryOrGlobal(options_.registry)
-                      .GetGauge("cache.size")) {}
-
-double PredictCache::NowMs() const {
-  if (options_.now_ms != nullptr) return options_.now_ms();
-  return SteadyNowMs();
+                      .GetGauge("cache.size")) {
+  ZDB_CHECK_GT(options_.capacity, 0u) << "PredictCache needs capacity > 0";
 }
 
 void PredictCache::UpdateGaugesLocked() {
@@ -54,25 +41,11 @@ void PredictCache::UpdateGaugesLocked() {
 }
 
 std::optional<Millis> PredictCache::Lookup(uint64_t key) {
-  if (options_.capacity == 0) return std::nullopt;
   MutexLock lock(&mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
     miss_counter_->Add(1);
-    UpdateGaugesLocked();
-    return std::nullopt;
-  }
-  if (options_.ttl_ms > 0.0 &&
-      NowMs() - it->second->inserted_at_ms > options_.ttl_ms) {
-    // Expired: drop it and report a miss (plus the eviction) so the caller
-    // recomputes and re-inserts a fresh value.
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++misses_;
-    ++evictions_;
-    miss_counter_->Add(1);
-    evict_counter_->Add(1);
     UpdateGaugesLocked();
     return std::nullopt;
   }
@@ -84,12 +57,10 @@ std::optional<Millis> PredictCache::Lookup(uint64_t key) {
 }
 
 void PredictCache::Insert(uint64_t key, Millis predicted) {
-  if (options_.capacity == 0) return;
   MutexLock lock(&mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->predicted = predicted;
-    it->second->inserted_at_ms = options_.ttl_ms > 0.0 ? NowMs() : 0.0;
     lru_.splice(lru_.begin(), lru_, it->second);
     UpdateGaugesLocked();
     return;
@@ -97,7 +68,6 @@ void PredictCache::Insert(uint64_t key, Millis predicted) {
   Entry entry;
   entry.key = key;
   entry.predicted = predicted;
-  entry.inserted_at_ms = options_.ttl_ms > 0.0 ? NowMs() : 0.0;
   lru_.push_front(std::move(entry));
   index_[key] = lru_.begin();
   while (lru_.size() > options_.capacity) {

@@ -2,7 +2,6 @@
 #define ZERODB_ZEROSHOT_PREDICT_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -16,22 +15,12 @@ namespace zerodb::zeroshot {
 
 /// Knobs for the plan-fingerprint prediction cache.
 struct PredictCacheOptions {
-  /// Maximum resident entries. 0 disables the cache entirely: Lookup
-  /// always misses (without counting) and Insert is a no-op.
+  /// Maximum resident entries; must be positive.
   size_t capacity = 4096;
-
-  /// Entry lifetime in milliseconds; 0 keeps entries until evicted or
-  /// invalidated. TTL bounds how long a stale prediction can outlive a
-  /// statistics refresh that the fingerprint cannot see.
-  double ttl_ms = 0.0;
 
   /// Metric sink for cache.{hit,miss,evict,invalidation} counters and the
   /// cache.{hit_rate,size} gauges; nullptr = MetricsRegistry::Global().
   obs::MetricsRegistry* registry = nullptr;
-
-  /// Injectable monotonic clock in milliseconds, consulted only when
-  /// ttl_ms > 0 (tests pin it; the default reads steady_clock).
-  std::function<double()> now_ms;
 };
 
 /// Thread-safe LRU map from 64-bit plan fingerprints
@@ -53,8 +42,7 @@ class PredictCache {
   PredictCache& operator=(const PredictCache&) = delete;
 
   /// Returns the cached prediction and refreshes its LRU position, or
-  /// nullopt on miss. Entries past their TTL count as a miss plus an
-  /// eviction.
+  /// nullopt on miss.
   std::optional<Millis> Lookup(uint64_t key) ZDB_EXCLUDES(mu_);
 
   /// Inserts (or refreshes) a prediction, evicting the least recently used
@@ -78,11 +66,9 @@ class PredictCache {
   struct Entry {
     uint64_t key = 0;
     Millis predicted;
-    double inserted_at_ms = 0.0;
   };
   using LruList = std::list<Entry>;
 
-  double NowMs() const;
   void UpdateGaugesLocked() ZDB_REQUIRES(mu_);
 
   const PredictCacheOptions options_;

@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 
 #include "datagen/corpus.h"
 #include "models/scaled_cost_model.h"
 #include "train/metrics.h"
+#include "train/trainer.h"
 #include "workload/benchmarks.h"
 #include "zeroshot/ensemble.h"
 #include "zeroshot/estimator.h"
@@ -199,6 +204,66 @@ TEST_F(ExtensionsTest, SaveLoadRoundTripsPredictions) {
     EXPECT_NEAR(original[i].value(), roundtrip[i].value(),
                 1e-5 * (1.0 + original[i].value()));
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(ExtensionsTest, TruncatedWeightFileLeavesModelUnchanged) {
+  // Two tiny models trained from different initializations: `source`
+  // provides the weight file, `target` receives every truncated prefix of
+  // it. A load that half-applied would move target's predictions toward
+  // source's, so bitwise-equal probes after each failed load prove the
+  // load is all or nothing. Tiny keeps the file (and the number of
+  // prefixes) small.
+  std::vector<const train::QueryRecord*> training;
+  for (size_t i = 0; i < 64; ++i) training.push_back(&(*records_)[i]);
+  train::TrainerOptions trainer;
+  trainer.max_epochs = 2;
+  auto make_trained = [&](uint64_t init_seed) {
+    models::ZeroShotCostModel::Options options;
+    options.hidden_dim = 4;
+    options.init_seed = init_seed;
+    auto model = std::make_unique<models::ZeroShotCostModel>(options);
+    train::TrainModel(model.get(), training, trainer);
+    return model;
+  };
+  std::unique_ptr<models::ZeroShotCostModel> source = make_trained(1);
+  std::unique_ptr<models::ZeroShotCostModel> target = make_trained(2);
+
+  const std::string path = testing::TempDir() + "/zdb_truncated.bin";
+  ASSERT_TRUE(source->SaveWeights(path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 16u);
+
+  auto write_file = [&](const std::string& content) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  };
+  std::vector<const train::QueryRecord*> probes(training.begin(),
+                                                training.begin() + 8);
+  const std::vector<Millis> before = target->PredictMs(probes);
+  auto expect_rejected = [&](const std::string& content) {
+    write_file(content);
+    ASSERT_FALSE(target->LoadWeights(path).ok()) << content.size() << " bytes";
+    const std::vector<Millis> after = target->PredictMs(probes);
+    for (size_t i = 0; i < probes.size(); ++i) {
+      ASSERT_EQ(after[i].value(), before[i].value())
+          << content.size() << " bytes, probe " << i;
+    }
+  };
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes.substr(0, length)));
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes + '\0'));  // trailing byte
+
+  // The exact file still loads, and does move the predictions.
+  write_file(bytes);
+  ASSERT_TRUE(target->LoadWeights(path).ok());
+  EXPECT_NE(target->PredictMs(probes)[0].value(), before[0].value());
   std::remove(path.c_str());
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
-#include "nn/lr_schedule.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -383,32 +382,6 @@ TEST(OpsTest, LayerNormForward) {
   EXPECT_NEAR(y.at(0, 2), 1.2247f, 1e-3);
   // Constant row: all zeros (epsilon guards the division).
   for (int j = 0; j < 3; ++j) EXPECT_NEAR(y.at(1, j), 0.0f, 1e-3);
-}
-
-TEST(LrScheduleTest, ConstantAndStep) {
-  ConstantLr constant(0.1f);
-  EXPECT_FLOAT_EQ(constant.RateForEpoch(0), 0.1f);
-  EXPECT_FLOAT_EQ(constant.RateForEpoch(100), 0.1f);
-
-  StepDecayLr step(0.1f, 0.5f, 10);
-  EXPECT_FLOAT_EQ(step.RateForEpoch(0), 0.1f);
-  EXPECT_FLOAT_EQ(step.RateForEpoch(9), 0.1f);
-  EXPECT_FLOAT_EQ(step.RateForEpoch(10), 0.05f);
-  EXPECT_FLOAT_EQ(step.RateForEpoch(25), 0.025f);
-}
-
-TEST(LrScheduleTest, CosineDecreasesToFloor) {
-  CosineLr cosine(0.1f, 0.01f, 21);
-  EXPECT_FLOAT_EQ(cosine.RateForEpoch(0), 0.1f);
-  EXPECT_NEAR(cosine.RateForEpoch(10), 0.055f, 1e-3);
-  EXPECT_FLOAT_EQ(cosine.RateForEpoch(20), 0.01f);
-  EXPECT_FLOAT_EQ(cosine.RateForEpoch(100), 0.01f);  // clamped past the end
-  float previous = 1.0f;
-  for (size_t epoch = 0; epoch < 21; ++epoch) {
-    float rate = cosine.RateForEpoch(epoch);
-    EXPECT_LE(rate, previous + 1e-7f);
-    previous = rate;
-  }
 }
 
 TEST(SerializeTest, SaveLoadRoundTrip) {

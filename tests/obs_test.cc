@@ -473,19 +473,16 @@ TEST(ExecutorTraceTest, SeedWorkloadEventsMatchStats) {
 // ---------------------------------------------------------------------------
 // Training telemetry + artifact
 
-TEST(TelemetryTest, RecordsEpochsAndSerializes) {
-  TrainTelemetry telemetry("run");
-  telemetry.RecordEpoch({1, 2.0, 2.5, 1e-3, 0.7});
-  telemetry.RecordEpoch({2, 1.5, 2.0, 1e-3, 0.6});
-  ASSERT_EQ(telemetry.epochs().size(), 2u);
-  EXPECT_EQ(telemetry.epochs()[1].epoch, 2u);
-
-  JsonValue json = telemetry.ToJson();
-  const JsonValue* epochs = json.Find("epochs");
-  ASSERT_NE(epochs, nullptr);
-  ASSERT_EQ(epochs->size(), 2u);
-  EXPECT_DOUBLE_EQ(epochs->at(0).Find("train_loss")->AsDouble(), 2.0);
-  EXPECT_DOUBLE_EQ(epochs->at(1).Find("val_loss")->AsDouble(), 2.0);
+TEST(TelemetryTest, HistorySerializesEveryEpoch) {
+  std::vector<EpochStat> history = {{1, 2.0, 2.5, 1e-3, 0.7},
+                                    {2, 1.5, 2.0, 1e-3, 0.6}};
+  JsonValue epochs = HistoryToJson(history);
+  ASSERT_EQ(epochs.size(), 2u);
+  EXPECT_EQ(epochs.at(1).Find("epoch")->AsInt(), 2);
+  EXPECT_DOUBLE_EQ(epochs.at(0).Find("train_loss")->AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(epochs.at(1).Find("val_loss")->AsDouble(), 2.0);
+  EXPECT_DOUBLE_EQ(epochs.at(0).Find("learning_rate")->AsDouble(), 1e-3);
+  EXPECT_DOUBLE_EQ(epochs.at(0).Find("grad_norm")->AsDouble(), 0.7);
 }
 
 TEST(ArtifactTest, WriteToProducesParseableJson) {

@@ -58,37 +58,8 @@ TEST(PredictCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup(3).has_value());
 }
 
-TEST(PredictCacheTest, ZeroCapacityDisables) {
-  PredictCache cache(SmallCache(0));
-  cache.Insert(1, Millis(1.0));
-  EXPECT_EQ(cache.Lookup(1), std::nullopt);
-  EXPECT_EQ(cache.size(), 0u);
-  // A disabled cache records no traffic: every call would be a miss, which
-  // would drag the hit-rate gauge to zero for a cache that is not there.
-  EXPECT_EQ(cache.hits(), 0);
-  EXPECT_EQ(cache.misses(), 0);
-}
-
-TEST(PredictCacheTest, TtlExpiryCountsMissAndEviction) {
-  double fake_now = 100.0;
-  PredictCacheOptions options = SmallCache(4);
-  options.ttl_ms = 50.0;
-  options.now_ms = [&fake_now] { return fake_now; };
-  PredictCache cache(options);
-
-  cache.Insert(1, Millis(1.0));
-  fake_now = 149.0;  // still inside the TTL window
-  EXPECT_TRUE(cache.Lookup(1).has_value());
-  fake_now = 151.0;  // past it
-  EXPECT_EQ(cache.Lookup(1), std::nullopt);
-  EXPECT_EQ(cache.misses(), 1);
-  EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.size(), 0u);
-
-  // Re-inserting after expiry restarts the clock.
-  cache.Insert(1, Millis(2.0));
-  fake_now = 200.0;
-  EXPECT_TRUE(cache.Lookup(1).has_value());
+TEST(PredictCacheTest, ZeroCapacityIsRejected) {
+  EXPECT_DEATH(PredictCache cache(SmallCache(0)), "capacity");
 }
 
 TEST(PredictCacheTest, InvalidateDropsEverything) {
