@@ -1,16 +1,16 @@
-"""zerodb-analyzer: AST-level whole-program analysis for the zerodb tree.
+"""zerodb-analyzer: static analysis for the zerodb tree.
 
-The package splits into three layers:
+The package splits into these layers:
 
-  ir.py          the frontend-neutral micro-IR every check consumes:
+  lexical.py     the per-file repo-invariant rules (raw-mutex,
+                 raw-thread, stdout-io, naked-new, discarded-status,
+                 include-hygiene) and the strict UTF-8 source reader
+  ir.py          the micro-IR every whole-program check consumes:
                  per-file functions (with ordered lock acquisitions,
                  range-for loops, calls, returns, locals), classes
                  (with members), includes and suppressions
-  clangparse.py  libclang (clang.cindex) frontend — the real AST, used
-                 when python3-clang + libclang are installed (CI)
-  textparse.py   pure-python lexical frontend — a conservative
-                 brace/token scanner that fills the same IR, so every
-                 check still runs in containers without libclang
+  textparse.py   the lexical frontend — a conservative brace/token
+                 scanner that fills the IR
   checks.py      the whole-program checks (determinism audit,
                  lock-order cycles, lifetime, layering, plus the
                  dataflow.py rules) over the merged IR
@@ -18,4 +18,4 @@ The package splits into three layers:
 Entry point: scripts/zerodb_analyzer.py.
 """
 
-__all__ = ["ir", "textparse", "clangparse", "checks"]
+__all__ = ["lexical", "ir", "textparse", "checks"]

@@ -1,18 +1,14 @@
 """Cross-TU call graph for zerodb-analyzer's interprocedural passes.
 
-The existing micro-IR (ir.FileIR) materializes `Function` objects only for
-the lifetime check, and the two frontends disagree on which functions they
-materialize (textparse only lowers view/reference-returning ones). The
+The micro-IR (ir.FileIR) materializes `Function` objects only for the
+lifetime check (textparse only lowers view/reference-returning ones). The
 interprocedural passes need *every* function with its parameters,
-statements and loop structure — and they need the exact same answer from
-both frontends, or the pinned fixtures would flap depending on whether
-libclang is installed.
+statements and loop structure.
 
-So this module does its own lowering, from `FileIR.raw_lines` (which both
-frontends populate identically): a single brace/paren scan recovers
-function definitions, their parameter lists, per-statement text with
-1-based lines, and whether each statement sits inside a loop. Findings
-built on top of this are frontend-identical by construction.
+So this module does its own lowering, from `FileIR.raw_lines`: a single
+brace/paren scan recovers function definitions, their parameter lists,
+per-statement text with 1-based lines, and whether each statement sits
+inside a loop.
 
 Call resolution is name-based and conservative: a call site resolves to
 every known function with that unqualified name (same-named overloads are

@@ -1,9 +1,9 @@
 """The whole-program checks of zerodb-analyzer.
 
 Each check consumes the merged micro-IR (`{rel: FileIR}`) produced by
-either frontend and yields ir.Finding objects. Suppression
+textparse.py and yields ir.Finding objects. Suppression
 (`// zerodb-lint: allow(<rule>)` on the line or the line above) is applied
-here so both frontends behave identically.
+here.
 
 Rules:
   nondet-call       banned nondeterminism source (clocks, rand, getenv,
@@ -212,7 +212,35 @@ def _find_cycles(edges):
     return cyclic
 
 
+def _path_back(cyclic, start, goal):
+    """Shortest chain of cyclic edges leading from `start` to `goal`
+    (breadth-first, sorted successors so the reported chain is stable)."""
+    previous = {start: None}
+    frontier = [start]
+    while frontier and goal not in previous:
+        successors = []
+        for node in frontier:
+            for (a, b) in sorted(cyclic):
+                if a == node and b not in previous:
+                    previous[b] = (a, b)
+                    successors.append(b)
+        frontier = successors
+    chain = []
+    node = goal
+    while previous.get(node) is not None:
+        chain.append(previous[node])
+        node = previous[node][0]
+    return chain[::-1]
+
+
 def check_lock_order(files):
+    """Cycles in the cross-TU lock acquisition-order graph.
+
+    Kept next to clang's -Wthread-safety because that analysis does not
+    see a two-lock order inversion unless the code carries acquired-before
+    annotations (clang's `acquired_before` / `acquired_after` attributes),
+    and zerodb has none: this check is the only guard against an
+    A-then-B / B-then-A deadlock."""
     edges = build_lock_graph(files)
     cyclic = _find_cycles(edges)
     findings = []
@@ -225,28 +253,15 @@ def check_lock_order(files):
             message = (f"`{a}` acquired while already held — "
                        "zerodb::Mutex is not reentrant, this self-deadlocks")
         else:
+            opposite = ", ".join(
+                f"`{p}` then `{q}` at {edges[(p, q)][0]}:{edges[(p, q)][1]}"
+                for p, q in _path_back(cyclic, b, a))
             message = (f"acquiring `{b}` while holding `{a}` closes a "
-                       "lock-order cycle; some other code path takes these "
-                       "locks in the opposite order (see lock_order.dot) — "
-                       "pick one global order and restructure")
+                       f"lock-order cycle; the opposite order is taken at "
+                       f"{opposite} — pick one global order and "
+                       "restructure")
         findings.append(Finding(rel, line, "lock-order", message))
-    return findings, edges, cyclic
-
-
-def lock_graph_dot(edges, cyclic):
-    lines = ["digraph lock_order {",
-             '  rankdir=LR;',
-             '  node [shape=box, fontname="monospace"];']
-    nodes = sorted({n for edge in edges for n in edge})
-    for node in nodes:
-        lines.append(f'  "{node}";')
-    for (a, b) in sorted(edges):
-        rel, line = edges[(a, b)]
-        style = ' [color=red, penwidth=2]' if (a, b) in cyclic else ""
-        lines.append(f'  "{a}" -> "{b}"'
-                     f'{style};  // first: {rel}:{line}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return findings
 
 
 # -- lifetime ----------------------------------------------------------
@@ -274,20 +289,15 @@ def check_lifetime(files):
                 if fir.suppressed(ret.line, "lifetime-return"):
                     continue
                 expr = ret.expr
-                flagged = False
-                if ret.returns_local:
-                    flagged = True
-                elif ret.returns_local is None:
-                    # Textual fallback: convict only when the named local
-                    # *owns* its storage. Iterators, pointers and
-                    # reference locals project into someone else's buffer
-                    # (usually a member), which is fine.
-                    base = _base_expr_identifier(expr)
-                    local_type = func.locals.get(base, "")
-                    flagged = (
-                        _OWNING_LOCAL_RE.search(local_type) is not None
-                        and "*" not in local_type
-                        and not local_type.rstrip().endswith("&"))
+                # Convict only when the named local *owns* its storage.
+                # Iterators, pointers and reference locals project into
+                # someone else's buffer (usually a member), which is fine.
+                base = _base_expr_identifier(expr)
+                local_type = func.locals.get(base, "")
+                flagged = (
+                    _OWNING_LOCAL_RE.search(local_type) is not None
+                    and "*" not in local_type
+                    and not local_type.rstrip().endswith("&"))
                 if not flagged and is_view and expr and \
                         _TEMP_STRING_RE.search(expr):
                     flagged = True
@@ -351,13 +361,12 @@ def check_layering(files):
 # -- driver ------------------------------------------------------------
 
 def run_all(files):
-    """Runs every check; returns (findings, lock_edges, cyclic_edges)."""
+    """Runs every check; returns the findings sorted by location."""
     findings = []
     findings.extend(check_determinism(files))
-    lock_findings, edges, cyclic = check_lock_order(files)
-    findings.extend(lock_findings)
+    findings.extend(check_lock_order(files))
     findings.extend(check_lifetime(files))
     findings.extend(check_layering(files))
     findings.extend(dataflow.run(files))
     findings.sort(key=lambda f: (f.rel, f.line, f.rule))
-    return findings, edges, cyclic
+    return findings

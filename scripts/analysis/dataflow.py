@@ -32,10 +32,7 @@ Three rules built on the cross-TU call graph (callgraph.py):
                   exempt by qualified name: its slow paths allocate by
                   design, precisely so steady-state call sites don't.
 
-All three passes read only `FileIR.raw_lines` (via callgraph.lower_file),
-which both frontends populate identically — so findings are
-frontend-identical by construction and the pinned fixtures hold under
-libclang and text alike.
+All three passes read only `FileIR.raw_lines` (via callgraph.lower_file).
 """
 
 import re
@@ -316,8 +313,8 @@ class UnitPass:
             if call.name in _CONVERSIONS:
                 continue
             # Rule (a): tagged argument into a differently-declared unit
-            # parameter. Same-named overloads are merged by the text
-            # frontend, so convict only when every candidate conflicts.
+            # parameter. Same-named overloads are merged by the call
+            # graph, so convict only when every candidate conflicts.
             candidates = self.graph.resolve(call.name)
             if not candidates:
                 continue

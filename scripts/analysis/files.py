@@ -1,9 +1,9 @@
-"""Shared source-file discovery for zerodb_lint.py and zerodb_analyzer.py.
+"""Source-file discovery for zerodb_analyzer.py.
 
-One walker, one git query: both tools scan a set of repo-relative roots for
-files with given extensions, either the whole tree or only what changed
-against a git ref (plus untracked files) for the `--changed-only` fast
-path. Unit tests live in scripts/tooling_test.py (files.py section).
+One walker, one git query: the analyzer scans a set of repo-relative roots
+for files with given extensions, either the whole tree or only what
+changed against a git ref (plus untracked files) for the `--changed-only`
+fast path. Unit tests live in scripts/tooling_test.py (files.py section).
 """
 
 import os

@@ -1,9 +1,9 @@
-"""Frontend-neutral micro-IR for zerodb-analyzer.
+"""Micro-IR for zerodb-analyzer's whole-program rules.
 
-Both frontends (libclang in clangparse.py, the lexical fallback in
-textparse.py) lower a translation unit into these structures; every check
-in checks.py consumes only this IR, so findings stay frontend-agnostic and
-the self-test fixtures pin one behavior.
+The lexical frontend (textparse.py) lowers a translation unit into these
+structures and every check in checks.py consumes only this IR. The
+Finding type and strip_code are shared with the per-file rules
+(lexical.py).
 
 Line numbers are 1-based throughout (matching compiler diagnostics).
 """
@@ -12,12 +12,6 @@ import re
 from dataclasses import dataclass, field
 
 from . import suppress
-
-# Shared suppression syntax with zerodb_lint.py (one parser, one behavior:
-# see analysis/suppress.py): `// zerodb-lint: allow(rule)` — or a
-# comma-separated list, spaces allowed — on the offending line or the line
-# directly above it.
-SUPPRESS_RE = suppress.SUPPRESS_RE
 
 # Fixture-only markers (see scripts/lint_fixtures/analyzer/):
 #   // expect-analyzer: <rule>           this line must be flagged
@@ -64,13 +58,11 @@ class RangeFor:
 @dataclass
 class ReturnStmt:
     """`expr` is the returned expression's source text ('' for bare
-    return). `returns_local` is set when the frontend proved the value is
-    a function-local variable (libclang) — the textual frontend leaves it
-    None and the check falls back to matching `expr` against `locals`."""
+    return); the lifetime check matches it against the function's
+    `locals`."""
 
     expr: str
     line: int
-    returns_local: "bool | None" = None
 
 
 @dataclass
@@ -134,13 +126,6 @@ class FileIR:
         `// zerodb-lint: allow(...)` naming `rule`."""
         return suppress.suppressed(self.raw_lines, line - 1, rule)
 
-    def expected_findings(self) -> "set[tuple[int, str]]":
-        expected = set()
-        for idx, line in enumerate(self.raw_lines):
-            for m in EXPECT_RE.finditer(line):
-                expected.add((idx + 1, m.group(1)))
-        return expected
-
     def fixture_module(self) -> "str | None":
         for line in self.raw_lines[:10]:
             m = MODULE_MARKER_RE.search(line)
@@ -170,7 +155,8 @@ def module_of(rel: str) -> str:
 
 def strip_code(lines):
     """Blanks comments and string/char literals so token scans only see
-    code. Tracks /* */ across lines; same contract as zerodb_lint."""
+    code. Tracks /* */ across lines; ignores raw strings (unused in this
+    tree)."""
     stripped = []
     in_block = False
     for line in lines:

@@ -1,8 +1,8 @@
 """Shared `// zerodb-lint: allow(...)` suppression parsing.
 
-One parser, one behavior: both scripts/zerodb_lint.py (per-line lint) and
-the analyzer checks (scripts/analysis/) honor the same comment syntax, so a
-suppression written for either tool reads identically to both:
+One parser, one behavior: the per-file rules (lexical.py) and the
+whole-program checks (checks.py, dataflow.py) honor the same comment
+syntax:
 
     // zerodb-lint: allow(rule)
     // zerodb-lint: allow(rule-a, rule-b)

@@ -1,4 +1,4 @@
-"""Lexical fallback frontend for zerodb-analyzer.
+"""The lexical frontend of zerodb-analyzer's whole-program rules.
 
 Lowers a C++ source file into the micro-IR (analysis/ir.py) without a real
 compiler: comments/strings are blanked, then a single character scan tracks
@@ -9,7 +9,7 @@ extents, range-fors with body extents, view/reference-returning function
 definitions with their body-locals, view/reference class members, Status
 alias/return declarations) and leaves everything else untouched.
 
-Known approximations vs the libclang frontend (clangparse.py):
+Known approximations (a lexical scan, not a compiler AST):
   - lock identity is the canonical acquisition-expression text (`mu_`,
     `exec.mu`), not the semantic member — same-named locks on different
     classes merge into one graph node (safe: merging can only create
@@ -131,12 +131,9 @@ def _range_for_container(text):
     return header[m.end():].strip()
 
 
-def parse_file(path, rel, raw_lines=None):
-    """Returns the FileIR for one file. `raw_lines` lets callers reuse an
-    already-read file body."""
-    if raw_lines is None:
-        with open(path, encoding="utf-8", errors="replace") as f:
-            raw_lines = f.read().splitlines()
+def parse_file(path, rel, raw_lines):
+    """Returns the FileIR for one file from its already-read lines (the
+    analyzer reads each file once, strictly, for both rule families)."""
     code = ir.strip_code(raw_lines)
     fir = ir.FileIR(path=path, rel=rel, module=ir.module_of(rel),
                     raw_lines=raw_lines)

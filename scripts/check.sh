@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Lint + sanitized build + test runs. Usage:
-#   scripts/check.sh            # zerodb-lint, then ASan AND TSan runs
+#   scripts/check.sh            # zerodb-analyzer, then ASan AND TSan runs
 #   scripts/check.sh address    # one sanitizer: address
 #   scripts/check.sh thread     # one sanitizer: thread (TSan)
 #   scripts/check.sh undefined  # UBSan, -fno-sanitize-recover (UB aborts)
@@ -10,17 +10,15 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# Repo-invariant lint + whole-program analyzer + tooling tests gate every
-# check run (fail on violations; only skipped when python3 itself is
-# missing).
+# Static analysis (per-file repo invariants + whole-program checks) and
+# tooling tests gate every check run (fail on violations; only skipped when
+# python3 itself is missing).
 if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/zerodb_lint.py --self-test
-  python3 scripts/zerodb_lint.py
   python3 scripts/zerodb_analyzer.py --self-test
   python3 scripts/zerodb_analyzer.py
   python3 scripts/tooling_test.py
 else
-  echo "check.sh: zerodb-lint SKIPPED (python3 not installed)" >&2
+  echo "check.sh: zerodb-analyzer SKIPPED (python3 not installed)" >&2
 fi
 
 # Compiler cache when available (CI restores .ccache across runs; local

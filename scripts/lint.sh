@@ -1,22 +1,24 @@
 #!/usr/bin/env bash
 # Static-analysis runner. Usage:
-#   scripts/lint.sh             # zerodb-lint + clang-tidy over src/
+#   scripts/lint.sh             # zerodb-analyzer (whole tree) + clang-tidy
+#                               # over src/
 #   scripts/lint.sh --format    # clang-format verify-only pass (no rewrites)
-#   scripts/lint.sh src/nn      # zerodb-lint + clang-tidy over one subtree
+#   scripts/lint.sh src/nn      # zerodb-analyzer + clang-tidy over one
+#                               # subtree (the analyzer always scans the tree)
 #
-# ZERODB_LINT_BASE=<ref> switches the python analyzers to their
-# --changed-only fast path against that ref (pre-commit loop; the analyzer
-# still parses the whole tree so cross-TU checks stay sound, but reports
-# only findings the changed files can influence via the call graph).
+# ZERODB_LINT_BASE=<ref> switches zerodb-analyzer to its --changed-only
+# fast path against that ref (pre-commit loop; it still parses the whole
+# tree so cross-TU checks stay sound, but reports only findings the changed
+# files can influence via the call graph).
 #
 # Exits non-zero on any finding. When an *optional external* tool is not
 # installed (clang-tidy/clang-format in minimal containers that only ship
 # gcc), prints a SKIPPED notice and exits 0 so the rest of the verification
 # pipeline (`-Werror` build, UBSan, debug validators) still gates the tree;
-# CI installs the tools and runs the real thing. zerodb_lint.py is NOT
+# CI installs the tools and runs the real thing. zerodb_analyzer.py is NOT
 # optional: it needs only python3, and findings always fail the run.
 #
-# scripts/lint_fixtures/ (known-bad zerodb-lint snippets) is exempt from
+# scripts/lint_fixtures/ (known-bad analyzer snippets) is exempt from
 # tidy and format: the tidy/format file globs below cover only
 # src/tests/bench/examples, and the fixture directory carries its own
 # .clang-tidy disabling every check.
@@ -55,27 +57,13 @@ if [[ "${1-}" == "--format" ]]; then
   exit 0
 fi
 
-# --- zerodb-lint: repo invariants (raw-mutex, raw-thread, stdout-io,
-# naked-new, discarded-status, include-hygiene). Self-test first so a broken
-# linter
-# can't silently pass the tree.
+# --- zerodb-analyzer: per-file repo invariants (raw-mutex, raw-thread,
+# stdout-io, naked-new, discarded-status, include-hygiene) and the
+# whole-program checks (determinism audit, lock-order cycles, lifetime,
+# layering, and the interprocedural dataflow rules unit-mix /
+# statusor-deref / hot-alloc). Self-test first so a broken analyzer can't
+# silently pass the tree.
 if command -v python3 > /dev/null 2>&1; then
-  echo "lint.sh: zerodb-lint self-test"
-  python3 scripts/zerodb_lint.py --self-test
-  if [[ -n "${ZERODB_LINT_BASE-}" ]]; then
-    echo "lint.sh: zerodb-lint changed-only scan (base $ZERODB_LINT_BASE)"
-    python3 scripts/zerodb_lint.py --changed-only --base "$ZERODB_LINT_BASE"
-  else
-    echo "lint.sh: zerodb-lint tree scan"
-    python3 scripts/zerodb_lint.py
-  fi
-
-  # --- zerodb-analyzer: whole-program checks (determinism audit, lock-order
-  # cycles, lifetime, layering, and the interprocedural dataflow rules
-  # unit-mix / statusor-deref / hot-alloc).
-  # Uses the libclang frontend when the python clang bindings are importable
-  # and degrades to the built-in lexical frontend otherwise, so findings
-  # gate the tree in any container with python3.
   echo "lint.sh: zerodb-analyzer self-test"
   python3 scripts/zerodb_analyzer.py --self-test
   if [[ -n "${ZERODB_LINT_BASE-}" ]]; then
@@ -92,7 +80,7 @@ if command -v python3 > /dev/null 2>&1; then
   echo "lint.sh: tooling negative-path tests"
   python3 scripts/tooling_test.py
 else
-  echo "lint.sh: zerodb-lint SKIPPED (python3 not installed)" >&2
+  echo "lint.sh: zerodb-analyzer SKIPPED (python3 not installed)" >&2
 fi
 
 if ! TIDY="$(find_tool clang-tidy)"; then

@@ -2,7 +2,7 @@
 // outside src/common/thread_pool.* must be flagged. Work fans out through
 // zerodb::ThreadPool so pool metrics, shutdown draining and the determinism
 // contracts stay centralized. This file is never compiled; it exists so
-// `scripts/zerodb_lint.py --self-test` proves the rule fires.
+// `scripts/zerodb_analyzer.py --self-test` proves the rule fires.
 
 #include <future>
 #include <thread>

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Negative-path tests for the repo's python tooling.
 
-The C++ gates (analyzer/lint self-tests) pin behavior on *code*; this file
+The C++ gate (the analyzer self-test) pins behavior on *code*; this file
 pins the tooling's behavior on *bad inputs*: every script must reject
 malformed, empty or truncated files with a clean one-line diagnostic and a
 non-zero exit — never a python stack trace (a traceback in CI reads as a
@@ -16,11 +16,15 @@ Covered:
                      counters skipped with a ::notice, never compared;
                      --fail-on hard gate trips (exit 3, ::error) on
                      allowlisted families only and passes clean runs
+  zerodb_analyzer.py a non-UTF-8 file is an `io` finding (exit 1); a
+                     missing path exits 2; a per-file (stdout-io) and a
+                     whole-program (nondet-call) finding under src/ land in
+                     one SARIF report
   analysis/suppress  `zerodb-lint: allow(...)` parsing unit tests (shared
-                     by zerodb_lint.py and every analyzer rule)
-  analysis/files     tree walk and --changed-only file selection (shared by
-                     zerodb_lint.py and zerodb_analyzer.py) on a scratch git
-                     repo; a bad base ref exits 2 with a diagnostic
+                     by the per-file and the whole-program rules)
+  analysis/files     tree walk and --changed-only file selection of
+                     zerodb_analyzer.py on a scratch git repo; a bad base
+                     ref exits 2 with a diagnostic
   analysis/sarif     SARIF writer and ::error emitter survive malformed
                      findings (bad IR) and an empty run — no tracebacks
 
@@ -30,6 +34,7 @@ check.sh and the CI lint job.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -354,6 +359,47 @@ def test_bench_compare(tmp):
         want_exit=2)
 
 
+def test_analyzer(tmp):
+    undecodable = os.path.join(tmp, "undecodable.cc")
+    with open(undecodable, "wb") as f:
+        f.write(b"int x;\n// \xff\xfe\n")
+    result = run_script("zerodb_analyzer.py", undecodable)
+    expect_clean_failure("analyzer non-UTF-8 file", result)
+    check("analyzer non-UTF-8 file: io finding",
+          "[io] unreadable" in result.stdout, result.stdout.strip()[:200])
+
+    expect_clean_failure(
+        "analyzer nonexistent path",
+        run_script("zerodb_analyzer.py", os.path.join(tmp, "absent.cc")),
+        want_exit=2)
+
+    # A scratch repo (the analyzer resolves its root from its own path)
+    # with one per-file and one whole-program violation under src/.
+    repo = os.path.join(tmp, "analyzer_repo")
+    shutil.copytree(SCRIPTS, os.path.join(repo, "scripts"),
+                    ignore=shutil.ignore_patterns("__pycache__",
+                                                  "lint_fixtures"))
+    os.makedirs(os.path.join(repo, "src", "plan"))
+    write(repo, "src/plan/bad.cc",
+          "#include <cstdlib>\n#include <iostream>\n"
+          "int Draw() { return rand(); }\n"
+          "void Show(int v) { std::cout << v; }\n")
+    log_path = os.path.join(tmp, "both.sarif")
+    result = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "zerodb_analyzer.py"),
+         "--sarif", log_path],
+        capture_output=True, text=True, check=False)
+    rule_ids = set()
+    if os.path.isfile(log_path):
+        with open(log_path, encoding="utf-8") as f:
+            results = json.load(f)["runs"][0]["results"]
+        rule_ids = {r["ruleId"] for r in results}
+    check("analyzer: both rule families share one SARIF report",
+          result.returncode == 1
+          and rule_ids == {"stdout-io", "nondet-call"},
+          f"exit {result.returncode}, rules {sorted(rule_ids)}")
+
+
 def test_suppress():
     check("suppress: plain line has no rules",
           suppress.allowed_rules("int x = 1;") == frozenset())
@@ -490,6 +536,7 @@ def main():
         test_bench_summary(tmp)
         test_trace_validate(tmp)
         test_bench_compare(tmp)
+        test_analyzer(tmp)
         test_suppress()
         test_files(tmp)
         test_sarif(tmp)

@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
-"""zerodb-analyzer: whole-program static analysis for the zerodb tree.
+"""zerodb-analyzer: the static analysis of the zerodb tree.
 
-Four checks over a frontend-neutral micro-IR (see scripts/analysis/):
-determinism audit (nondet-call / nondet-iter), cross-TU lock-order cycles
-(lock-order, with a lock_order.dot artifact), lifetime (lifetime-return /
-lifetime-member) and module-DAG layering, plus the interprocedural dataflow
-rules (unit-mix / statusor-deref / hot-alloc). Discarded Status results are
-left to the compiler: Status and StatusOr are class-level [[nodiscard]]
-under -Werror, and zerodb-lint requires a reason on every (void) cast.
+Two rule families over one read of each file (see scripts/analysis/):
 
-Frontends:
-  libclang   real ASTs from compile_commands.json (python3-clang + a
-             loadable libclang.so; the CI `analyze` job provides both)
-  text       pure-python lexical frontend, always available
+  per-file        repo invariants clang-tidy cannot express (lexical.py:
+                  raw-mutex, raw-thread, stdout-io, naked-new,
+                  discarded-status, include-hygiene) over src/ tests/
+                  bench/ examples/ (.h .cc .cpp)
+  whole-program   determinism audit (nondet-call / nondet-iter), cross-TU
+                  lock-order cycles, lifetime (lifetime-return /
+                  lifetime-member), module-DAG layering and the
+                  interprocedural dataflow rules (unit-mix /
+                  statusor-deref / hot-alloc) over src/ (.h .cc), lowered
+                  by the lexical frontend textparse.py (checks.py)
 
-`--frontend auto` (default) prefers libclang and degrades to the textual
-frontend with a warning; `--frontend libclang` prints SKIPPED and exits 0
-when libclang is unavailable, so the gate never hard-fails on a missing
-toolchain. The self-test always runs the textual frontend so fixture
-behavior is pinned and reproducible in any container.
+Explicit FILE arguments get both families. A file that is not valid UTF-8
+is reported as `io` and skipped by both.
 
-Exit codes: 0 clean (or SKIPPED), 1 findings / self-test failure, 2 usage.
+Usage:
+  scripts/zerodb_analyzer.py                  # whole tree
+  scripts/zerodb_analyzer.py FILE...          # these files only
+  scripts/zerodb_analyzer.py --changed-only   # findings a change vs --base
+                                              # can influence
+  scripts/zerodb_analyzer.py --self-test      # fixtures under
+                                              # scripts/lint_fixtures/
+
+Exit codes: 0 clean, 1 findings / self-test failure, 2 usage error.
 """
 
 import argparse
@@ -29,53 +34,40 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from analysis import checks, ir, textparse  # noqa: E402
-from analysis import callgraph, clangparse, dataflow  # noqa: E402
+from analysis import callgraph, checks, ir, lexical, textparse  # noqa: E402
 from analysis import files as source_files  # noqa: E402
 from analysis import sarif as sarif_out  # noqa: E402
 
 REPO_ROOT = os.path.realpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
-FIXTURE_DIR = os.path.join(REPO_ROOT, "scripts", "lint_fixtures", "analyzer")
-SCAN_ROOT = "src"
-EXTENSIONS = (".h", ".cc")
+LEXICAL_ROOTS = ("src", "tests", "bench", "examples")
+LEXICAL_EXTENSIONS = (".h", ".cc", ".cpp")
+PROGRAM_EXTENSIONS = (".h", ".cc")
+RULES = lexical.RULES + checks.ALL_RULES
+
+LINT_FIXTURES = os.path.join(REPO_ROOT, "scripts", "lint_fixtures")
+
+
+def _lexical_findings(path, rel, raw):
+    return lexical.check_file(rel, raw, library=True)
+
+
+def _program_findings(path, rel, raw):
+    return checks.run_all({rel: textparse.parse_file(path, rel, raw)})
+
+
+# One self-test loop over (fixture dir, marker regex, rule family): each
+# fixture must produce exactly the findings its markers name.
+FIXTURE_FAMILIES = (
+    (LINT_FIXTURES, lexical.EXPECT_RE, _lexical_findings),
+    (os.path.join(LINT_FIXTURES, "analyzer"), ir.EXPECT_RE,
+     _program_findings),
+)
 
 
 def _rel(path):
     return os.path.relpath(os.path.realpath(path), REPO_ROOT).replace(
         os.sep, "/")
-
-
-def _parse_text(paths):
-    files = {}
-    for path in paths:
-        rel = _rel(path)
-        files[rel] = textparse.parse_file(path, rel)
-    return files
-
-
-def _parse(paths, frontend, compdb):
-    """Returns ({rel: FileIR}, frontend_used) or raises
-    clangparse.FrontendUnavailable when frontend == 'libclang' only."""
-    if frontend == "text":
-        return _parse_text(paths), "text"
-    limit = None
-    if paths is not None:
-        limit = {_rel(p) for p in paths}
-    try:
-        files = clangparse.parse_compdb(compdb, REPO_ROOT,
-                                        limit_files=limit)
-    except clangparse.FrontendUnavailable:
-        if frontend == "libclang":
-            raise
-        return _parse_text(paths), "text"
-    # Headers no TU reaches (or files outside the compdb) still get the
-    # textual frontend, so coverage matches the tree scan.
-    for path in paths:
-        rel = _rel(path)
-        if rel not in files:
-            files[rel] = textparse.parse_file(path, rel)
-    return files, "libclang"
 
 
 def _relevant_rels(files, changed_rels):
@@ -91,149 +83,64 @@ def _relevant_rels(files, changed_rels):
     return relevant
 
 
-def _write_dot(dot_path, edges, cyclic):
-    os.makedirs(os.path.dirname(os.path.abspath(dot_path)), exist_ok=True)
-    with open(dot_path, "w", encoding="utf-8") as f:
-        f.write(checks.lock_graph_dot(edges, cyclic))
-
-
-def _self_test_libclang(names):
-    """Second self-test leg: the interprocedural dataflow rules under the
-    libclang frontend. Dataflow lowers from FileIR.raw_lines, which both
-    frontends populate identically, so these findings must match the text
-    frontend exactly; where libclang is absent the leg prints SKIPPED and
-    the gate stays green (mirrors the tree-wide `--frontend libclang`
-    degradation contract)."""
-    import json
-    import tempfile
-
-    try:
-        clangparse.load()
-    except clangparse.FrontendUnavailable as error:
-        print(f"self-test[libclang]: SKIPPED ({error})")
-        return 0
-
-    dataflow_rules = set(dataflow.RULES)
-    sources = [os.path.join(FIXTURE_DIR, n) for n in names
-               if n.endswith(".cc")]
-    with tempfile.TemporaryDirectory() as tmp:
-        compdb_path = os.path.join(tmp, "compile_commands.json")
-        with open(compdb_path, "w", encoding="utf-8") as f:
-            json.dump([{"directory": FIXTURE_DIR,
-                        "file": src,
-                        "arguments": ["clang++", "-std=c++17",
-                                      "-fsyntax-only", src]}
-                       for src in sources], f)
-        try:
-            files = clangparse.parse_compdb(compdb_path, REPO_ROOT)
-        except clangparse.FrontendUnavailable as error:
-            print(f"self-test[libclang]: SKIPPED ({error})")
-            return 0
-
-    failures = 0
-    for src in sources:
-        name = os.path.basename(src)
-        rel = _rel(src)
-        fir = files.get(rel)
-        if fir is None:
-            failures += 1
-            print(f"FAIL [libclang] {name}: fixture missing from parse")
-            continue
-        findings = dataflow.run({rel: fir})
-        found = {(f.line, f.rule) for f in findings}
-        expected = {(line, rule) for line, rule
-                    in fir.expected_findings() if rule in dataflow_rules}
-        problems = []
-        for line, rule in sorted(expected - found):
-            problems.append(f"missed expected: line {line} [{rule}]")
-        for line, rule in sorted(found - expected):
-            problems.append(f"spurious finding: line {line} [{rule}]")
-        if problems:
-            failures += 1
-            print(f"FAIL [libclang] {name}")
-            for p in problems:
-                print(f"  {p}")
-        else:
-            print(f"ok   [libclang] {name} ({len(expected)} expected)")
-    return failures
-
-
 def self_test():
-    if not os.path.isdir(FIXTURE_DIR):
-        print(f"zerodb-analyzer: FAIL: missing fixture dir {FIXTURE_DIR}")
-        return 1
-    names = sorted(n for n in os.listdir(FIXTURE_DIR)
-                   if n.endswith((".cc", ".h")))
-    if not names:
-        print("zerodb-analyzer: FAIL: no fixtures found")
-        return 1
-    rules_covered = set()
     failures = 0
-    for name in names:
-        path = os.path.join(FIXTURE_DIR, name)
-        rel = _rel(path)
-        fir = textparse.parse_file(path, rel)
-        findings, _, _ = checks.run_all({rel: fir})
-        found = {(f.line, f.rule) for f in findings}
-        expected = fir.expected_findings()
-        problems = []
-        if name.startswith("good_"):
-            if expected:
-                problems.append("good_ fixture must not carry "
-                                "expect-analyzer markers")
-            for f in sorted(found):
-                problems.append(f"unexpected finding: line {f[0]} [{f[1]}]")
-        else:
-            if not expected:
-                problems.append("bad_ fixture has no expect-analyzer "
-                                "markers")
-            for line, rule in sorted(expected - found):
-                problems.append(f"missed expected: line {line} [{rule}]")
-            for line, rule in sorted(found - expected):
-                problems.append(f"spurious finding: line {line} [{rule}]")
-            rules_covered |= {rule for _, rule in expected}
-        if problems:
+    fixture_count = 0
+    covered = set()
+    for fixture_dir, marker_re, run_family in FIXTURE_FAMILIES:
+        names = sorted(n for n in os.listdir(fixture_dir)
+                       if n.endswith(LEXICAL_EXTENSIONS))
+        if not names:
+            print(f"FAIL no fixtures under {_rel(fixture_dir)}")
             failures += 1
-            print(f"FAIL {name}")
-            for p in problems:
-                print(f"  {p}")
-        else:
-            print(f"ok   {name} "
-                  f"({len(expected) if expected else 0} expected)")
-    missing_rules = set(checks.ALL_RULES) - rules_covered
-    if missing_rules:
+        for name in names:
+            path = os.path.join(fixture_dir, name)
+            rel = _rel(path)
+            raw, error = lexical.read_source(path, rel)
+            found = ({(error.line, error.rule)} if error else
+                     {(f.line, f.rule) for f in run_family(path, rel, raw)})
+            expected = {(idx + 1, m.group(1))
+                        for idx, line in enumerate(raw or ())
+                        for m in marker_re.finditer(line)}
+            problems = [f"missed expected: line {line} [{rule}]"
+                        for line, rule in sorted(expected - found)]
+            problems += [f"spurious finding: line {line} [{rule}]"
+                         for line, rule in sorted(found - expected)]
+            if name.startswith("good_") and expected:
+                problems.append("good_ fixture must not carry markers")
+            if name.startswith("bad_"):
+                if not expected:
+                    problems.append("bad_ fixture has no markers")
+                covered |= {rule for _, rule in expected}
+            fixture_count += 1
+            if problems:
+                failures += 1
+                print(f"FAIL {rel}")
+                for problem in problems:
+                    print(f"  {problem}")
+    missing = set(RULES) - covered
+    if missing:
         failures += 1
         print("FAIL coverage: no bad_ fixture exercises: "
-              + ", ".join(sorted(missing_rules)))
-    failures += _self_test_libclang(names)
+              + ", ".join(sorted(missing)))
     if failures:
         print(f"zerodb-analyzer self-test: FAIL ({failures} problem(s))")
         return 1
-    print(f"zerodb-analyzer self-test: PASS ({len(names)} fixtures, "
-          f"all {len(checks.ALL_RULES)} rules covered)")
+    print(f"zerodb-analyzer self-test: PASS ({fixture_count} fixtures, "
+          f"all {len(RULES)} rules covered)")
     return 0
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="zerodb_analyzer.py",
-        description="whole-program static analysis (determinism, "
-                    "lock-order, lifetime, layering, dataflow)")
+        description="static analysis: per-file repo invariants and "
+                    "whole-program checks (determinism, lock-order, "
+                    "lifetime, layering, dataflow)")
     parser.add_argument("files", nargs="*",
-                        help="analyze only these files (default: src/ tree)")
-    parser.add_argument("-p", "--compdb",
-                        default=os.path.join(REPO_ROOT, "build",
-                                             "compile_commands.json"),
-                        help="compile_commands.json for the libclang "
-                             "frontend (default: build/)")
-    parser.add_argument("--frontend", choices=("auto", "libclang", "text"),
-                        default="auto")
+                        help="analyze only these files (default: the tree)")
     parser.add_argument("--self-test", action="store_true",
-                        help="run the fixture suite (textual frontend)")
-    parser.add_argument("--dot", metavar="PATH",
-                        help="write the lock-order graph as graphviz DOT "
-                             "(default: build/lock_order.dot when build/ "
-                             "exists)")
+                        help="run the fixture suite")
     parser.add_argument("--sarif", metavar="PATH",
                         help="write findings as a SARIF 2.1.0 log (CI "
                              "uploads this as the analyze artifact)")
@@ -242,18 +149,19 @@ def main(argv=None):
                              "finding so CI annotates offending lines")
     parser.add_argument("--changed-only", action="store_true",
                         help="fast path: report only findings in files "
-                             "changed vs --base or in functions the "
-                             "call graph connects (either direction) to "
-                             "a changed file; the whole tree is still "
-                             "parsed so cross-TU checks stay sound")
+                             "changed vs --base or, for the whole-program "
+                             "rules, in functions the call graph connects "
+                             "(either direction) to a changed file; the "
+                             "whole tree is still parsed so cross-TU "
+                             "checks stay sound")
     parser.add_argument("--base", default="HEAD",
                         help="git ref --changed-only diffs against "
                              "(default: HEAD)")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress the per-finding listing")
     args = parser.parse_args(argv)
 
     if args.self_test:
+        if args.files:
+            parser.error("--self-test takes no file arguments")
         return self_test()
     if args.changed_only and args.files:
         parser.error("--changed-only takes no file arguments")
@@ -261,13 +169,12 @@ def main(argv=None):
     changed_rels = None
     if args.changed_only:
         changed_rels = {_rel(path) for path in source_files.changed_files(
-            REPO_ROOT, (SCAN_ROOT,), EXTENSIONS, args.base,
+            REPO_ROOT, LEXICAL_ROOTS, LEXICAL_EXTENSIONS, args.base,
             "zerodb-analyzer")}
         if not changed_rels:
             print("zerodb-analyzer: no changed analyzable files")
             if args.sarif:
-                sarif_out.write_sarif(args.sarif, [],
-                                      rules=checks.ALL_RULES)
+                sarif_out.write_sarif(args.sarif, [], rules=RULES)
             return 0
 
     if args.files:
@@ -279,60 +186,49 @@ def main(argv=None):
                 return 2
             paths.append(os.path.abspath(f))
     else:
-        paths = source_files.tree_files(REPO_ROOT, (SCAN_ROOT,), EXTENSIONS)
+        paths = source_files.tree_files(REPO_ROOT, LEXICAL_ROOTS,
+                                        LEXICAL_EXTENSIONS)
         if not paths:
-            print(f"zerodb-analyzer: nothing under {SCAN_ROOT}/",
+            print("zerodb-analyzer: nothing under "
+                  + ", ".join(f"{root}/" for root in LEXICAL_ROOTS),
                   file=sys.stderr)
             return 2
 
-    try:
-        files, used = _parse(paths, args.frontend, args.compdb)
-    except clangparse.FrontendUnavailable as error:
-        print(f"zerodb-analyzer: SKIPPED (libclang frontend requested but "
-              f"unavailable: {error})")
-        if args.sarif:
-            # Keep the CI artifact contract: an empty-but-valid log.
-            sarif_out.write_sarif(args.sarif, [], rules=checks.ALL_RULES)
-        return 0
-    if args.frontend == "auto" and used == "text":
-        print("zerodb-analyzer: note: libclang unavailable, using the "
-              "textual frontend", file=sys.stderr)
+    lexical_found = []
+    program_files = {}
+    for path in paths:
+        rel = _rel(path)
+        raw, error = lexical.read_source(path, rel)
+        if error:
+            lexical_found.append(error)
+            continue
+        lexical_found.extend(lexical.check_file(
+            rel, raw, library=rel.startswith("src/")))
+        if args.files or (rel.startswith("src/")
+                          and rel.endswith(PROGRAM_EXTENSIONS)):
+            program_files[rel] = textparse.parse_file(path, rel, raw)
+    program_found = checks.run_all(program_files)
 
-    findings, edges, cyclic = checks.run_all(files)
-
-    scanned = len(files)
     if changed_rels is not None:
-        relevant = _relevant_rels(files, changed_rels)
-        findings = [f for f in findings if f.rel in relevant]
-
-    dot_path = args.dot
-    if dot_path is None and not args.files and \
-            os.path.isdir(os.path.join(REPO_ROOT, "build")):
-        dot_path = os.path.join(REPO_ROOT, "build", "lock_order.dot")
-    if dot_path:
-        _write_dot(dot_path, edges, cyclic)
+        relevant = _relevant_rels(program_files, changed_rels)
+        lexical_found = [f for f in lexical_found if f.rel in changed_rels]
+        program_found = [f for f in program_found if f.rel in relevant]
+    findings = sorted(lexical_found + program_found,
+                      key=lambda f: (f.rel, f.line, f.rule))
 
     if args.sarif:
-        sarif_out.write_sarif(args.sarif, findings,
-                              rules=checks.ALL_RULES)
+        sarif_out.write_sarif(args.sarif, findings, rules=RULES)
     if args.github:
         for line in sarif_out.github_annotations(findings):
             print(line)
-
-    if not args.quiet:
-        for finding in findings:
-            print(finding)
-    locks_note = (f"{len(edges)} lock-order edge(s), "
-                  f"{len(cyclic)} in cycles")
+    for finding in findings:
+        print(finding)
     scope_note = ""
     if changed_rels is not None:
         scope_note = (f" (changed-only vs {args.base}: "
                       f"{len(changed_rels)} changed file(s))")
     print(f"zerodb-analyzer: {len(findings)} finding(s) across "
-          f"{scanned} file(s) [frontend: {used}; {locks_note}]"
-          + scope_note
-          + (f"; wrote {os.path.relpath(dot_path, os.getcwd())}"
-             if dot_path else "")
+          f"{len(paths)} file(s)" + scope_note
           + (f"; wrote {os.path.relpath(args.sarif, os.getcwd())}"
              if args.sarif else ""))
     return 1 if findings else 0

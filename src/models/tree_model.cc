@@ -90,7 +90,12 @@ Status TreeMessagePassingModel::SaveWeights(const std::string& path) const {
 }
 
 Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
-  std::vector<nn::Tensor> tensors = Parameters();
+  // Load into zero-initialized copies and validate them before anything
+  // live changes: a rejected file leaves weights and norms untouched.
+  std::vector<nn::Tensor> live = Parameters();
+  std::vector<nn::Tensor> tensors;
+  tensors.reserve(live.size() + 3);
+  for (const nn::Tensor& p : live) tensors.push_back(nn::Tensor::ZerosLike(p));
   nn::Tensor feature_mean = nn::Tensor::Zeros(1, config_.feature_dim);
   nn::Tensor feature_std = nn::Tensor::Zeros(1, config_.feature_dim);
   nn::Tensor target = nn::Tensor::Zeros(1, 2);
@@ -98,6 +103,19 @@ Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
   tensors.push_back(feature_std);
   tensors.push_back(target);
   ZDB_RETURN_NOT_OK(nn::LoadParameters(tensors, path));
+  // FeatureNorm::Fit clamps every std to >= 1e-6; a zero (or negative) std
+  // would turn Apply's division into inf/NaN features.
+  for (float s : feature_std.data()) {
+    if (!(s > 0.0f)) {
+      return Status::InvalidArgument("non-positive feature std in " + path);
+    }
+  }
+  if (!(target.data()[1] > 0.0f)) {
+    return Status::InvalidArgument("non-positive target std in " + path);
+  }
+  for (size_t i = 0; i < live.size(); ++i) {
+    live[i].mutable_data() = tensors[i].data();
+  }
   feature_norm_.Set(feature_mean.data(), feature_std.data());
   target_norm_.Set(target.data()[0], target.data()[1]);
   InvalidateGraphCache();

@@ -1,6 +1,7 @@
 #include "nn/serialize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -73,6 +74,11 @@ Status LoadParameters(std::vector<Tensor> parameters,
     in.read(reinterpret_cast<char*>(staged[i].data()),
             static_cast<std::streamsize>(parameter.size() * sizeof(float)));
     if (!in) return truncated;
+    if (!std::all_of(staged[i].begin(), staged[i].end(),
+                     [](float v) { return std::isfinite(v); })) {
+      return Status::InvalidArgument(
+          StrFormat("non-finite value in parameter %zu: %s", i, path.c_str()));
+    }
   }
   if (in.peek() != std::ifstream::traits_type::eof()) {
     return Status::InvalidArgument("trailing bytes after parameters: " + path);

@@ -17,8 +17,9 @@ Status SaveParameters(const std::vector<Tensor>& parameters,
                       const std::string& path);
 
 /// Loads parameters saved by SaveParameters into the given tensors in order.
-/// Fails if the count or any shape mismatches, or if the file is truncated or
-/// has trailing bytes. All or nothing: on failure no tensor is changed.
+/// Fails if the count or any shape mismatches, if any value is NaN or
+/// infinite, or if the file is truncated or has trailing bytes. All or
+/// nothing: on failure no tensor is changed.
 Status LoadParameters(std::vector<Tensor> parameters, const std::string& path);
 
 }  // namespace zerodb::nn

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "datagen/corpus.h"
 #include "models/scaled_cost_model.h"
@@ -259,6 +263,32 @@ TEST_F(ExtensionsTest, TruncatedWeightFileLeavesModelUnchanged) {
     ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes.substr(0, length)));
   }
   ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes + '\0'));  // trailing byte
+
+  // Well-formed files with a bad value: each tensor is rows, cols (uint64)
+  // then rows * cols floats, after the magic and the tensor count. The last
+  // two tensors are the feature std row and the target (mean, std) pair.
+  std::vector<size_t> value_offsets;
+  for (size_t offset = 16; offset < bytes.size();) {
+    uint64_t rows = 0;
+    uint64_t cols = 0;
+    std::memcpy(&rows, bytes.data() + offset, sizeof(rows));
+    std::memcpy(&cols, bytes.data() + offset + 8, sizeof(cols));
+    value_offsets.push_back(offset + 16);
+    offset += 16 + rows * cols * sizeof(float);
+  }
+  ASSERT_GE(value_offsets.size(), 4u);
+  auto with_float = [&](size_t offset, float value) {
+    std::string content = bytes;
+    std::memcpy(content.data() + offset, &value, sizeof(value));
+    return content;
+  };
+  const size_t weight = value_offsets.front();
+  const size_t feature_std = value_offsets[value_offsets.size() - 2];
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(
+      with_float(weight, std::numeric_limits<float>::quiet_NaN())));
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(
+      with_float(weight, std::numeric_limits<float>::infinity())));
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(with_float(feature_std, 0.0f)));
 
   // The exact file still loads, and does move the predictions.
   write_file(bytes);
