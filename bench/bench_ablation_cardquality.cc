@@ -79,7 +79,7 @@ int Run(const BenchOptions& options) {
               "of concerns pays off).\n");
 
   return MaybeWriteBenchMetrics(
-      options, "bench_ablation_cardquality", context.scale.name, context.imdb,
+      options, "bench_ablation_cardquality", context.scale.name,
       {{"zero_shot_estimated", &context.zero_shot_estimated->train_result()},
        {"zero_shot_exact", &context.zero_shot_exact->train_result()}},
       context.zero_shot_estimated.get());

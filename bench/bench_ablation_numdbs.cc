@@ -71,8 +71,7 @@ int Run(const BenchOptions& options) {
               "generalizes.\n");
 
   return MaybeWriteBenchMetrics(options, "bench_ablation_numdbs", scale.name,
-                                imdb, {{"zero_shot_all_dbs",
-                                        &last_train_result}});
+                                {{"zero_shot_all_dbs", &last_train_result}});
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include "models/scaled_cost_model.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/prom.h"
 #include "obs/trace_event.h"
 #include "optimizer/optimizer.h"
 #include "train/dataset.h"
@@ -32,16 +31,13 @@ namespace zerodb::bench {
 /// Command-line options shared by every bench_* binary.
 struct BenchOptions {
   /// When non-empty, the bench writes one JSON metrics artifact here on
-  /// exit: global registry counters/histograms, a per-operator span tree of
-  /// a sample query, and per-epoch loss curves of any model trained.
+  /// exit: global registry counters/histograms and per-epoch loss curves of
+  /// any model trained.
   std::string metrics_out;
   /// When non-empty, the bench records a cross-thread timeline (global
   /// TraceEventRecorder) and writes Chrome trace-event JSON here on exit —
   /// loadable in chrome://tracing or ui.perfetto.dev.
   std::string trace_out;
-  /// When non-empty, the bench writes the global registry in Prometheus text
-  /// exposition format here on exit.
-  std::string prom_out;
   /// Global-pool size (--threads=N). 0 keeps the default (ZERODB_THREADS
   /// env, else hardware_concurrency).
   size_t threads = 0;
@@ -62,15 +58,14 @@ inline size_t ApplyThreadsFlag(const std::string& value) {
 }
 
 /// Parses bench flags (--metrics_out=<path>, --trace_out=<path>,
-/// --prom_out=<path>, --threads=<N>), exiting with usage on unknown
-/// arguments. Requesting a metrics or Prometheus artifact enables the global
-/// MetricsRegistry; requesting a trace installs + enables the global
-/// TraceEventRecorder, so the instrumented layers start recording.
+/// --threads=<N>), exiting with usage on unknown arguments. Requesting a
+/// metrics artifact enables the global MetricsRegistry; requesting a trace
+/// installs + enables the global TraceEventRecorder, so the instrumented
+/// layers start recording.
 inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions options;
   const std::string prefix = "--metrics_out=";
   const std::string trace_prefix = "--trace_out=";
-  const std::string prom_prefix = "--prom_out=";
   const std::string threads_prefix = "--threads=";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -82,10 +77,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       options.trace_out = arg.substr(trace_prefix.size());
     } else if (arg == "--trace_out" && i + 1 < argc) {
       options.trace_out = argv[++i];
-    } else if (arg.rfind(prom_prefix, 0) == 0) {
-      options.prom_out = arg.substr(prom_prefix.size());
-    } else if (arg == "--prom_out" && i + 1 < argc) {
-      options.prom_out = argv[++i];
     } else if (arg.rfind(threads_prefix, 0) == 0) {
       options.threads = ApplyThreadsFlag(arg.substr(threads_prefix.size()));
     } else if (arg == "--threads" && i + 1 < argc) {
@@ -93,12 +84,12 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown argument: %s\nusage: %s [--metrics_out=<path>] "
-                   "[--trace_out=<path>] [--prom_out=<path>] [--threads=<N>]\n",
+                   "[--trace_out=<path>] [--threads=<N>]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
   }
-  if (!options.metrics_out.empty() || !options.prom_out.empty()) {
+  if (!options.metrics_out.empty()) {
     obs::MetricsRegistry::Global().set_enabled(true);
   }
   if (!options.trace_out.empty()) {
@@ -107,41 +98,18 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   return options;
 }
 
-/// Plans + executes one generated query on `env` into a throwaway recorder
-/// and returns its trace-event JSON (one "exec" event per physical operator).
-inline StatusOr<obs::JsonValue> TraceSampleQuery(
-    const datagen::DatabaseEnv& env, uint64_t seed = 20220101) {
-  workload::QueryGenerator generator(&env, workload::TrainingWorkloadConfig(),
-                                     seed);
-  optimizer::Planner planner(env.db.get(), &env.stats);
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    plan::QuerySpec query = generator.Next();
-    auto plan = planner.Plan(query);
-    if (!plan.ok()) continue;
-    obs::TraceEventRecorder recorder;
-    exec::ExecutorOptions exec_options;
-    exec_options.recorder = &recorder;
-    exec::Executor executor(env.db.get(), exec_options);
-    auto result = executor.Execute(&*plan);
-    if (!result.ok()) continue;
-    return recorder.ToJson();
-  }
-  return Status::Internal("no executable sample query found on " +
-                          env.db->name());
-}
-
 /// One named training run to embed in the artifact (pointer may be null).
 using NamedTrainResult = std::pair<std::string, const train::TrainResult*>;
 
 /// Writes the bench's observability artifacts: the JSON metrics artifact
-/// (--metrics_out: registry dump + sample-query trace on `env` + training
-/// loss curves + the estimator's quality section), the Prometheus text
-/// exposition (--prom_out) and the cross-thread timeline (--trace_out).
-/// Each flag is handled independently. Returns the process exit code (0, or
-/// 1 when any write failed), so mains can `return MaybeWriteBenchMetrics(...)`.
+/// (--metrics_out: registry dump + training loss curves + the estimator's
+/// quality section) and the cross-thread timeline (--trace_out, which holds
+/// every executed query's operator events). Each flag is handled
+/// independently. Returns the process exit code (0, or 1 when any write
+/// failed), so mains can `return MaybeWriteBenchMetrics(...)`.
 inline int MaybeWriteBenchMetrics(
     const BenchOptions& options, const std::string& bench_name,
-    const char* scale_name, const datagen::DatabaseEnv& env,
+    const char* scale_name,
     const std::vector<NamedTrainResult>& training_runs = {},
     const zeroshot::ZeroShotEstimator* estimator = nullptr) {
   int exit_code = 0;
@@ -152,13 +120,6 @@ inline int MaybeWriteBenchMetrics(
     if (estimator != nullptr) {
       artifact.SetQualityMonitor(estimator->quality_monitor());
     }
-    StatusOr<obs::JsonValue> trace = TraceSampleQuery(env);
-    if (trace.ok()) {
-      artifact.AddTrace("sample_query:" + env.db->name(), std::move(*trace));
-    } else {
-      std::fprintf(stderr, "[metrics] sample trace failed: %s\n",
-                   trace.status().ToString().c_str());
-    }
     for (const auto& [name, result] : training_runs) {
       if (result != nullptr) artifact.AddTrainingRun(name, result->history);
     }
@@ -167,17 +128,6 @@ inline int MaybeWriteBenchMetrics(
       std::fprintf(stderr, "[metrics] wrote %s\n", options.metrics_out.c_str());
     } else {
       std::fprintf(stderr, "[metrics] write failed: %s\n",
-                   status.ToString().c_str());
-      exit_code = 1;
-    }
-  }
-  if (!options.prom_out.empty()) {
-    Status status =
-        obs::WritePrometheusTo(obs::MetricsRegistry::Global(), options.prom_out);
-    if (status.ok()) {
-      std::fprintf(stderr, "[metrics] wrote %s\n", options.prom_out.c_str());
-    } else {
-      std::fprintf(stderr, "[metrics] prometheus write failed: %s\n",
                    status.ToString().c_str());
       exit_code = 1;
     }

@@ -106,7 +106,7 @@ int Run(const BenchOptions& options) {
               queries - model_beats_optimizer - optimizer_beats_model);
 
   return MaybeWriteBenchMetrics(
-      options, "bench_ext_queryopt", context.scale.name, imdb,
+      options, "bench_ext_queryopt", context.scale.name,
       {{"zero_shot_estimated", &context.zero_shot_estimated->train_result()}},
       context.zero_shot_estimated.get());
 }

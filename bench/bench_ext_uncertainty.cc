@@ -83,7 +83,7 @@ int Run(const BenchOptions& options) {
                                &member_results[m]);
   }
   return MaybeWriteBenchMetrics(options, "bench_ext_uncertainty", scale.name,
-                                imdb, training_runs);
+                                training_runs);
 }
 
 }  // namespace

@@ -440,8 +440,8 @@ BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 }  // namespace zerodb
 
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags it
-// does not know, so --metrics_out, --trace_out, --prom_out and --threads are
-// stripped from argv before Initialize.
+// does not know, so --metrics_out, --trace_out and --threads are stripped
+// from argv before Initialize.
 int main(int argc, char** argv) {
   zerodb::bench::BenchOptions options;
   std::vector<char*> passthrough;
@@ -456,10 +456,6 @@ int main(int argc, char** argv) {
       options.trace_out = arg.substr(std::string("--trace_out=").size());
     } else if (arg == "--trace_out" && i + 1 < argc) {
       options.trace_out = argv[++i];
-    } else if (arg.rfind("--prom_out=", 0) == 0) {
-      options.prom_out = arg.substr(std::string("--prom_out=").size());
-    } else if (arg == "--prom_out" && i + 1 < argc) {
-      options.prom_out = argv[++i];
     } else if (arg.rfind("--threads=", 0) == 0) {
       options.threads = zerodb::bench::ApplyThreadsFlag(
           arg.substr(std::string("--threads=").size()));
@@ -469,7 +465,7 @@ int main(int argc, char** argv) {
       passthrough.push_back(argv[i]);
     }
   }
-  if (!options.metrics_out.empty() || !options.prom_out.empty()) {
+  if (!options.metrics_out.empty()) {
     zerodb::obs::MetricsRegistry::Global().set_enabled(true);
   }
   if (!options.trace_out.empty()) {
@@ -483,12 +479,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  if (options.metrics_out.empty() && options.trace_out.empty() &&
-      options.prom_out.empty()) {
+  if (options.metrics_out.empty() && options.trace_out.empty()) {
     return 0;
   }
   zerodb::MicroState& micro = zerodb::State();
   return zerodb::bench::MaybeWriteBenchMetrics(
-      options, "bench_micro", "micro", micro.env,
+      options, "bench_micro", "micro",
       {{"micro_model", &micro.train_result}});
 }

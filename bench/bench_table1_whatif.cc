@@ -108,7 +108,7 @@ int Run(const BenchOptions& options) {
   PrintRule(92);
 
   return MaybeWriteBenchMetrics(
-      options, "bench_table1_whatif", context.scale.name, context.imdb,
+      options, "bench_table1_whatif", context.scale.name,
       {{"zero_shot_estimated", &context.zero_shot_estimated->train_result()},
        {"zero_shot_exact", &context.zero_shot_exact->train_result()}},
       context.zero_shot_estimated.get());

@@ -70,7 +70,7 @@ inline int RunFigure4(workload::BenchmarkWorkload which,
   return MaybeWriteBenchMetrics(
       options,
       std::string("bench_fig4_") + workload::BenchmarkWorkloadName(which),
-      context.scale.name, context.imdb,
+      context.scale.name,
       {{"zero_shot_estimated", &context.zero_shot_estimated->train_result()},
        {"zero_shot_exact", &context.zero_shot_exact->train_result()}},
       context.zero_shot_estimated.get());

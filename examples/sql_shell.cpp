@@ -6,7 +6,7 @@
 //   $ ./sql_shell                       # interactive
 //   $ echo "SELECT COUNT(*) FROM title;" | ./sql_shell
 //
-// Commands: \d (schema), \metrics (Prometheus dump), \trace <path> (write
+// Commands: \d (schema), \metrics (registry JSON), \trace <path> (write
 // the last query's operator timeline), \help, \q (quit). Anything else is
 // parsed as SQL.
 
@@ -19,7 +19,7 @@
 #include "common/math_util.h"
 #include "datagen/corpus.h"
 #include "exec/executor.h"
-#include "obs/prom.h"
+#include "obs/metrics.h"
 #include "obs/quality.h"
 #include "obs/trace_event.h"
 #include "optimizer/optimizer.h"
@@ -61,9 +61,9 @@ void PrintBatch(const exec::RowBatch& batch, size_t limit = 10) {
 void PrintHelp() {
   std::printf(
       "  \\d              show the schema of the connected database\n"
-      "  \\metrics        dump the live metrics registry (Prometheus text\n"
-      "                  exposition format: executor, planner, zero-shot and\n"
-      "                  quality.* prediction-quality series)\n"
+      "  \\metrics        dump the live metrics registry as JSON (executor,\n"
+      "                  planner, zero-shot and quality.* prediction-quality\n"
+      "                  series; the --metrics_out \"metrics\" layout)\n"
       "  \\trace <path>   write the last query's operator timeline (one event\n"
       "                  per operator, work counters as args) as Chrome\n"
       "                  trace-event JSON (open in chrome://tracing or\n"
@@ -124,8 +124,8 @@ int main() {
       continue;
     }
     if (line == "\\metrics") {
-      std::fputs(obs::RenderPrometheus(obs::MetricsRegistry::Global()).c_str(),
-                 stdout);
+      std::printf("%s\n",
+                  obs::MetricsRegistry::Global().ToJson().Dump(2).c_str());
       continue;
     }
     if (line.rfind("\\trace", 0) == 0) {

@@ -58,8 +58,8 @@ BANNED_CLOCK_SUFFIX = "_clock::now"
 # produced artifact depend on hash-table layout. Commutative sinks
 # (counter Add, set insert, numeric min/max) are deliberately absent.
 SINK_RE = re.compile(
-    r"\b(?:ToJson|Append|Set|push_back|emplace_back|RenderPrometheus|"
-    r"WriteTo|Serialize|AppendTo|Write)\s*\(|<<|\+=")
+    r"\b(?:ToJson|Append|Set|push_back|emplace_back|WriteTo|Serialize|"
+    r"AppendTo|Write)\s*\(|<<|\+=")
 
 UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
 

@@ -5,7 +5,8 @@
       --baseline BENCH_micro.json [--threshold 0.25] [--github-annotations]
 
 Reports per-benchmark real_time_ms and wall_clock_s movements between the
-two summaries (schema v2 or v3; see bench_summary.py). Regressions beyond
+two summaries (schema v5, or any older schema with the same benchmark rows;
+see bench_summary.py). Regressions beyond
 the threshold are printed — and, with --github-annotations, emitted as
 `::warning::` workflow annotations so they show up on the PR — but the exit
 code stays 0. Counters present in only one summary (a new or retired
@@ -61,7 +62,7 @@ def load_summary(path, *, required):
 
 
 def benchmark_times(summary):
-    """{name: real_time_ms} from a schema-v2 summary; tolerant of malformed
+    """{name: real_time_ms} from a summary's rows; tolerant of malformed
     entries (they are skipped, not fatal — the baseline may predate
     validation)."""
     out = {}

@@ -3,71 +3,50 @@
 
 Inputs
   --micro <path>       google-benchmark JSON (bench_micro --benchmark_out=...)
-  --metrics name=path  a bench --metrics_out artifact to mine for pool.*
-                       utilization and quality.* prediction-quality series
-                       (repeatable)
   --wall name=seconds  whole-bench wall-clock measured by the caller
                        (repeatable)
   --out <path>         where to write the summary (default BENCH_micro.json)
   --commit <sha>       recorded verbatim (default $GITHUB_SHA, else "local")
 
-Output schema (schema_version 4), validated before writing — an invalid
+Output schema (schema_version 5), validated before writing — an invalid
 summary exits non-zero so CI fails instead of uploading garbage:
 
   {
-    "schema_version": 4,
+    "schema_version": 5,
     "commit": str,
-    "host": {"threads": int},
+    "host": {"nproc": int,             # google-benchmark context.num_cpus
+             "cpu_model": str | null}, # /proc/cpuinfo "model name"
     "benchmarks": [
       {"name": str, "real_time_ms": float, "cpu_time_ms": float,
-       "iterations": int}            # median across repeated entries
-    ],
-    "speedups": {                    # serial-vs-parallel pairs, by family
-      "BM_CorpusGeneration": {"serial_ms": float, "parallel_ms": float,
-                               "threads": int, "speedup": float}
-    },
-    "forward_batch": {               # batched-inference throughput, from
-      "plans_per_sec": {str: float}, # BM_ForwardBatch/batch:N real_time
-      "speedup_32v1": float | None   # plans/sec at batch 32 over batch 1
-    },
-    "train": {                       # training-path throughput, from the
-      "plans_per_sec": {str: float}, # BM_TrainEpoch/threads:N/pooled:1
-                                     # user counters (plans trained per
-                                     # second of process CPU time)
-      "allocs_per_batch": {          # nn-layer heap events per minibatch
-        "pooled": float | None,      # arena path (threads:1/pooled:1)
-        "fresh": float | None        # fresh-allocation path (pooled:0)
-      },
-      "alloc_reduction": float | None  # fresh / pooled
-    },
-    "cache": {str: {                 # prediction cache, per metrics artifact
-      "hits": int, "misses": int, "evictions": int, "invalidations": int,
-      "hit_rate": float | None}},    # hits / (hits + misses)
-    "wall_clock_s": {str: float},
-    "pool": {str: {"tasks_scheduled": int, "tasks_run": int,
-                    "parallel_for_calls": int,
-                    "steal_latency_us_p50": float | None,
-                    "steal_latency_us_p95": float | None}},
-    "quality": {str: {"samples": int, "drift_events": int,
-                       "qerror_p50": float | None,
-                       "qerror_p95": float | None,
-                       "qerror_max": float | None}}
+       "iterations": int,
+       "counters": {str: float}}     # numeric user counters
+    ],                               # (median across repeated entries)
+    "wall_clock_s": {str: float}
   }
 
-The perf trajectory lives in this one committed file: CI regenerates it on
-every push and uploads it as an artifact, so regressions show up as diffs.
+The summary holds measured rows only. Ratios between rows (thread or batch
+speedups) are recomputed from them; serving-path cache, pool and q-error
+figures come from the end-to-end benchmark (perfbench/) per workload.
 """
 
 import argparse
 import json
 import os
-import re
 import statistics
 import sys
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _TIME_UNIT_TO_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+# Fields google-benchmark writes on every run entry. Any other numeric field
+# is a user counter (state.counters, SetItemsProcessed, ...).
+_RUN_FIELDS = frozenset({
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "aggregate_name", "aggregate_unit",
+    "label", "error_occurred", "error_message",
+})
 
 
 def fail(message):
@@ -83,8 +62,13 @@ def load_json(path):
         fail(f"cannot read {path}: {error}")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def summarize_micro(micro):
-    """Median-aggregates google-benchmark entries by benchmark name."""
+    """Median-aggregates google-benchmark entries (timings and user
+    counters) by benchmark name."""
     if not isinstance(micro, dict):
         fail("google-benchmark JSON must be an object, got "
              f"{type(micro).__name__}")
@@ -110,6 +94,10 @@ def summarize_micro(micro):
                     "real_time_ms": float(entry["real_time"]) * scale,
                     "cpu_time_ms": float(entry["cpu_time"]) * scale,
                     "iterations": int(entry.get("iterations", 0)),
+                    "counters": {
+                        key: float(value) for key, value in entry.items()
+                        if key not in _RUN_FIELDS and is_number(value)
+                    },
                 }
             )
         except (KeyError, TypeError, ValueError) as error:
@@ -117,6 +105,7 @@ def summarize_micro(micro):
     benchmarks = []
     for name in sorted(by_name):
         runs = by_name[name]
+        counter_names = sorted({key for r in runs for key in r["counters"]})
         benchmarks.append(
             {
                 "name": name,
@@ -127,172 +116,35 @@ def summarize_micro(micro):
                     r["cpu_time_ms"] for r in runs
                 ),
                 "iterations": max(r["iterations"] for r in runs),
+                "counters": {
+                    key: statistics.median(
+                        r["counters"][key] for r in runs
+                        if key in r["counters"]
+                    )
+                    for key in counter_names
+                },
             }
         )
     return benchmarks
 
 
-def find_speedups(benchmarks):
-    """Pairs <family>/threads:1 with the largest <family>/threads:N."""
-    families = {}
-    pattern = re.compile(r"^(?P<family>[^/]+)/threads:(?P<threads>\d+)")
-    for bench in benchmarks:
-        match = pattern.match(bench["name"])
-        if not match:
-            continue
-        family = families.setdefault(match.group("family"), {})
-        family[int(match.group("threads"))] = bench["real_time_ms"]
-    speedups = {}
-    for family, by_threads in families.items():
-        if 1 not in by_threads or len(by_threads) < 2:
-            continue
-        parallel_threads = max(t for t in by_threads if t != 1)
-        serial_ms = by_threads[1]
-        parallel_ms = by_threads[parallel_threads]
-        speedups[family] = {
-            "serial_ms": serial_ms,
-            "parallel_ms": parallel_ms,
-            "threads": parallel_threads,
-            "speedup": serial_ms / parallel_ms if parallel_ms > 0 else 0.0,
-        }
-    return speedups
-
-
-def find_forward_batch(benchmarks):
-    """Batched-inference throughput: BM_ForwardBatch/batch:N measures one
-    ForwardBatch call over N plans, so plans/sec = N / real_time. The
-    headline ratio is plans/sec at batch 32 over batch 1 — how much the
-    batched serving path amortizes per-call overhead."""
-    pattern = re.compile(r"^BM_ForwardBatch/batch:(?P<batch>\d+)$")
-    plans_per_sec = {}
-    for bench in benchmarks:
-        match = pattern.match(bench["name"])
-        if not match or bench["real_time_ms"] <= 0:
-            continue
-        batch = int(match.group("batch"))
-        plans_per_sec[str(batch)] = batch / (bench["real_time_ms"] / 1e3)
-    speedup = None
-    if "1" in plans_per_sec and "32" in plans_per_sec \
-            and plans_per_sec["1"] > 0:
-        speedup = plans_per_sec["32"] / plans_per_sec["1"]
-    return {"plans_per_sec": plans_per_sec, "speedup_32v1": speedup}
-
-
-def find_train(micro):
-    """Training-path throughput from BM_TrainEpoch's user counters, read
-    from the raw google-benchmark entries (summarize_micro keeps only the
-    timing triple). plans_per_sec comes from the pooled rows per thread
-    count; allocs_per_batch contrasts the threads:1 pooled row against the
-    threads:1 fresh-allocation (pooled:0) reference row."""
-    entries = micro.get("benchmarks") if isinstance(micro, dict) else None
-    if not isinstance(entries, list):
-        entries = []
-    pattern = re.compile(
-        r"^BM_TrainEpoch/threads:(?P<threads>\d+)/pooled:(?P<pooled>\d+)")
-    plans_per_sec = {}
-    allocs = {"pooled": None, "fresh": None}
-    for entry in entries:
-        if not isinstance(entry, dict) or entry.get("run_type") == "aggregate":
-            continue
-        match = pattern.match(entry.get("name") or "")
-        if not match:
-            continue
-        threads = match.group("threads")
-        pooled = match.group("pooled") != "0"
-        pps = entry.get("plans_per_sec")
-        if pooled and isinstance(pps, (int, float)) and pps > 0:
-            plans_per_sec[threads] = float(pps)
-        if threads == "1":
-            apb = entry.get("allocs_per_batch")
-            if isinstance(apb, (int, float)) and apb >= 0:
-                allocs["pooled" if pooled else "fresh"] = float(apb)
-    reduction = None
-    if allocs["pooled"] and allocs["fresh"]:
-        reduction = allocs["fresh"] / allocs["pooled"]
-    return {
-        "plans_per_sec": plans_per_sec,
-        "allocs_per_batch": allocs,
-        "alloc_reduction": reduction,
-    }
-
-
-def extract_cache_stats(artifact):
-    """Prediction-cache traffic from a metrics artifact's cache.* counters.
-    Returns None when the artifact predates the cache (no counters)."""
-    metrics = _as_dict(_as_dict(artifact).get("metrics"))
-    counters = _as_dict(metrics.get("counters"))
-    if not any(key.startswith("cache.") for key in counters):
-        return None
-    hits = _count(counters, "cache.hit")
-    misses = _count(counters, "cache.miss")
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "evictions": _count(counters, "cache.evict"),
-        "invalidations": _count(counters, "cache.invalidation"),
-        "hit_rate": hits / total if total > 0 else None,
-    }
-
-
-def _as_dict(value):
-    """Defensive accessor for metrics artifacts: malformed sections read as
-    empty instead of raising AttributeError mid-summary."""
-    return value if isinstance(value, dict) else {}
-
-
-def _count(mapping, key):
-    value = mapping.get(key, 0)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        fail(f"{key} must be numeric, got {value!r}")
-    return int(value)
-
-
-def extract_pool_stats(artifact):
-    metrics = _as_dict(_as_dict(artifact).get("metrics"))
-    counters = _as_dict(metrics.get("counters"))
-    steal = _as_dict(metrics.get("histograms")).get("pool.steal_latency_us")
-    steal = steal if isinstance(steal, dict) else {}
-    return {
-        "tasks_scheduled": _count(counters, "pool.tasks_scheduled"),
-        "tasks_run": _count(counters, "pool.tasks_run"),
-        "parallel_for_calls": _count(counters, "pool.parallel_for_calls"),
-        "steal_latency_us_p50": _maybe_float(steal.get("p50")),
-        "steal_latency_us_p95": _maybe_float(steal.get("p95")),
-    }
-
-
-def extract_quality_stats(artifact):
-    """Folds the prediction-quality monitor section (or, failing that, the
-    raw quality.* metrics) into per-bench q-error quantiles. Returns None
-    when the artifact carries no quality data at all."""
-    quality = _as_dict(artifact).get("quality")
-    if isinstance(quality, dict):
-        qerror = _as_dict(quality.get("qerror"))
-        drift = _as_dict(quality.get("drift"))
-        return {
-            "samples": _count(quality, "samples"),
-            "drift_events": _count(drift, "events"),
-            "qerror_p50": _maybe_float(qerror.get("p50")),
-            "qerror_p95": _maybe_float(qerror.get("p95")),
-            "qerror_max": _maybe_float(qerror.get("max")),
-        }
-    metrics = _as_dict(_as_dict(artifact).get("metrics"))
-    histogram = _as_dict(metrics.get("histograms")).get("quality.qerror")
-    if not isinstance(histogram, dict):
-        return None
-    counters = _as_dict(metrics.get("counters"))
-    return {
-        "samples": _count(counters, "quality.samples"),
-        "drift_events": _count(counters, "quality.drift_events"),
-        "qerror_p50": _maybe_float(histogram.get("p50")),
-        "qerror_p95": _maybe_float(histogram.get("p95")),
-        "qerror_max": _maybe_float(histogram.get("max")),
-    }
-
-
-def _maybe_float(value):
-    return float(value) if isinstance(value, (int, float)) else None
+def host_facts(micro):
+    """{"nproc", "cpu_model"} of the host that ran the benchmarks."""
+    context = micro.get("context")
+    nproc = context.get("num_cpus") if isinstance(context, dict) else None
+    if not isinstance(nproc, int) or isinstance(nproc, bool) or nproc < 1:
+        fail("google-benchmark JSON has no positive context.num_cpus")
+    cpu_model = None
+    try:
+        with open("/proc/cpuinfo", "r", encoding="utf-8") as f:
+            for line in f:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    cpu_model = value.strip()
+                    break
+    except OSError:
+        pass
+    return {"nproc": nproc, "cpu_model": cpu_model}
 
 
 def validate(summary):
@@ -305,10 +157,12 @@ def validate(summary):
     expect(summary.get("schema_version") == SCHEMA_VERSION, "schema_version")
     expect(isinstance(summary.get("commit"), str), "commit must be a string")
     host = summary.get("host")
-    expect(
-        isinstance(host, dict) and isinstance(host.get("threads"), int),
-        "host.threads must be an int",
-    )
+    expect(isinstance(host, dict), "host must be a dict")
+    nproc = host.get("nproc")
+    expect(isinstance(nproc, int) and nproc >= 1, "host.nproc must be an int")
+    cpu_model = host.get("cpu_model")
+    expect(cpu_model is None or isinstance(cpu_model, str),
+           "host.cpu_model must be a string or null")
     benchmarks = summary.get("benchmarks")
     expect(
         isinstance(benchmarks, list) and benchmarks,
@@ -319,7 +173,7 @@ def validate(summary):
         for key in ("real_time_ms", "cpu_time_ms"):
             value = bench.get(key)
             expect(
-                isinstance(value, (int, float)) and value >= 0,
+                is_number(value) and value >= 0,
                 f"{bench.get('name')}: {key}",
             )
         expect(
@@ -327,89 +181,22 @@ def validate(summary):
             and bench["iterations"] >= 0,
             f"{bench.get('name')}: iterations",
         )
-    expect(isinstance(summary.get("speedups"), dict), "speedups must be a dict")
-    for family, pair in summary["speedups"].items():
-        for key in ("serial_ms", "parallel_ms", "speedup"):
-            expect(
-                isinstance(pair.get(key), (int, float)),
-                f"speedups.{family}.{key}",
-            )
-        expect(isinstance(pair.get("threads"), int), f"speedups.{family}.threads")
+        counters = bench.get("counters")
+        expect(
+            isinstance(counters, dict)
+            and all(isinstance(k, str) and is_number(v)
+                    for k, v in counters.items()),
+            f"{bench.get('name')}: counters",
+        )
     expect(
         isinstance(summary.get("wall_clock_s"), dict),
         "wall_clock_s must be a dict",
     )
     for name, seconds in summary["wall_clock_s"].items():
         expect(
-            isinstance(seconds, (int, float)) and seconds >= 0,
+            is_number(seconds) and seconds >= 0,
             f"wall_clock_s.{name}",
         )
-    forward_batch = summary.get("forward_batch")
-    expect(isinstance(forward_batch, dict), "forward_batch must be a dict")
-    throughput = forward_batch.get("plans_per_sec")
-    expect(isinstance(throughput, dict), "forward_batch.plans_per_sec")
-    for batch, value in throughput.items():
-        expect(
-            isinstance(batch, str) and batch.isdigit()
-            and isinstance(value, (int, float)) and value > 0,
-            f"forward_batch.plans_per_sec[{batch!r}]",
-        )
-    speedup = forward_batch.get("speedup_32v1")
-    expect(
-        speedup is None or (isinstance(speedup, (int, float)) and speedup > 0),
-        "forward_batch.speedup_32v1",
-    )
-    train = summary.get("train")
-    expect(isinstance(train, dict), "train must be a dict")
-    train_throughput = train.get("plans_per_sec")
-    expect(isinstance(train_throughput, dict), "train.plans_per_sec")
-    for threads, value in train_throughput.items():
-        expect(
-            isinstance(threads, str) and threads.isdigit()
-            and isinstance(value, (int, float)) and value > 0,
-            f"train.plans_per_sec[{threads!r}]",
-        )
-    train_allocs = train.get("allocs_per_batch")
-    expect(isinstance(train_allocs, dict), "train.allocs_per_batch")
-    for key in ("pooled", "fresh"):
-        value = train_allocs.get(key)
-        expect(
-            value is None or (isinstance(value, (int, float)) and value >= 0),
-            f"train.allocs_per_batch.{key}",
-        )
-    reduction = train.get("alloc_reduction")
-    expect(
-        reduction is None
-        or (isinstance(reduction, (int, float)) and reduction > 0),
-        "train.alloc_reduction",
-    )
-    expect(isinstance(summary.get("cache"), dict), "cache must be a dict")
-    for name, stats in summary["cache"].items():
-        for key in ("hits", "misses", "evictions", "invalidations"):
-            expect(
-                isinstance(stats.get(key), int) and stats[key] >= 0,
-                f"cache.{name}.{key}",
-            )
-        rate = stats.get("hit_rate")
-        expect(
-            rate is None
-            or (isinstance(rate, (int, float)) and 0.0 <= rate <= 1.0),
-            f"cache.{name}.hit_rate",
-        )
-    expect(isinstance(summary.get("pool"), dict), "pool must be a dict")
-    expect(isinstance(summary.get("quality"), dict), "quality must be a dict")
-    for name, stats in summary["quality"].items():
-        for key in ("samples", "drift_events"):
-            expect(
-                isinstance(stats.get(key), int) and stats[key] >= 0,
-                f"quality.{name}.{key}",
-            )
-        for key in ("qerror_p50", "qerror_p95", "qerror_max"):
-            value = stats.get(key)
-            expect(
-                value is None or isinstance(value, (int, float)),
-                f"quality.{name}.{key}",
-            )
 
 
 def parse_pairs(pairs, value_type, flag):
@@ -428,7 +215,6 @@ def parse_pairs(pairs, value_type, flag):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--micro", required=True)
-    parser.add_argument("--metrics", action="append", default=[])
     parser.add_argument("--wall", action="append", default=[])
     parser.add_argument("--out", default="BENCH_micro.json")
     parser.add_argument(
@@ -438,87 +224,19 @@ def main():
 
     micro = load_json(args.micro)
     benchmarks = summarize_micro(micro)
-    artifacts = {
-        name: load_json(path)
-        for name, path in parse_pairs(args.metrics, str, "--metrics").items()
-    }
-    pool = {
-        name: extract_pool_stats(artifact)
-        for name, artifact in artifacts.items()
-    }
-    quality = {}
-    for name, artifact in artifacts.items():
-        stats = extract_quality_stats(artifact)
-        if stats is not None:
-            quality[name] = stats
-    cache = {}
-    for name, artifact in artifacts.items():
-        stats = extract_cache_stats(artifact)
-        if stats is not None:
-            cache[name] = stats
     summary = {
         "schema_version": SCHEMA_VERSION,
         "commit": args.commit,
-        "host": {"threads": os.cpu_count() or 1},
+        "host": host_facts(micro),
         "benchmarks": benchmarks,
-        "speedups": find_speedups(benchmarks),
-        "forward_batch": find_forward_batch(benchmarks),
-        "train": find_train(micro),
-        "cache": cache,
         "wall_clock_s": parse_pairs(args.wall, float, "--wall"),
-        "pool": pool,
-        "quality": quality,
     }
     validate(summary)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"bench_summary: wrote {args.out}")
-    for family, pair in summary["speedups"].items():
-        print(
-            f"bench_summary: {family}: {pair['serial_ms']:.1f} ms serial vs "
-            f"{pair['parallel_ms']:.1f} ms at {pair['threads']} threads "
-            f"({pair['speedup']:.2f}x)"
-        )
-    batch_speedup = summary["forward_batch"]["speedup_32v1"]
-    if batch_speedup is not None:
-        per_sec = summary["forward_batch"]["plans_per_sec"]
-        print(
-            f"bench_summary: forward batch: {per_sec['1']:.0f} plans/s "
-            f"serial vs {per_sec['32']:.0f} plans/s at batch 32 "
-            f"({batch_speedup:.2f}x)"
-        )
-    train = summary["train"]
-    if train["plans_per_sec"]:
-        rates = ", ".join(
-            f"{value:.0f} plans/s at {threads} thread(s)"
-            for threads, value in sorted(train["plans_per_sec"].items())
-        )
-        reduction = train["alloc_reduction"]
-        print(
-            f"bench_summary: train: {rates}; allocs/batch "
-            f"pooled={train['allocs_per_batch']['pooled']} "
-            f"fresh={train['allocs_per_batch']['fresh']} "
-            f"({f'{reduction:.1f}x fewer' if reduction else 'n/a'})"
-        )
-    for name, stats in summary["cache"].items():
-        rate = stats["hit_rate"]
-        print(
-            f"bench_summary: {name}: cache "
-            f"{stats['hits']} hit(s) / {stats['misses']} miss(es), "
-            f"hit rate {f'{rate:.2f}' if rate is not None else 'n/a'}, "
-            f"{stats['evictions']} eviction(s)"
-        )
-    for name, stats in summary["quality"].items():
-        p50 = stats["qerror_p50"]
-        p95 = stats["qerror_p95"]
-        print(
-            f"bench_summary: {name}: quality q-error p50="
-            f"{p50 if p50 is not None else 'n/a'} p95="
-            f"{p95 if p95 is not None else 'n/a'} over "
-            f"{stats['samples']} samples, {stats['drift_events']} drift "
-            "event(s)"
-        )
+    print(f"bench_summary: wrote {args.out} ({len(benchmarks)} rows, "
+          f"{summary['host']['nproc']} cpu(s))")
 
 
 if __name__ == "__main__":

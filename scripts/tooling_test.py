@@ -9,7 +9,10 @@ tooling crash, not as the input's fault).
 
 Covered:
   bench_summary.py   malformed / empty / non-object google-benchmark JSON,
-                     entries missing real_time, malformed --metrics artifacts
+                     entries missing real_time or context.num_cpus; an
+                     unknown flag (--metrics) is a usage error; v5 output
+                     (host facts, per-row median counters, no derived
+                     sections) passes bench_compare against the baseline
   trace_validate.py  truncated JSON, wrong top-level shape, event missing ts
   bench_compare.py   missing baseline tolerated; regression detection and
                      non-fatal exit; corrupt baseline tolerated; one-sided
@@ -85,6 +88,7 @@ def write(tmp, name, text):
 
 def micro_json(tmp, name="micro.json", real_time=1000.0):
     return write(tmp, name, json.dumps({
+        "context": {"num_cpus": 2},
         "benchmarks": [{"name": "BM_X", "real_time": real_time,
                         "cpu_time": real_time, "iterations": 3,
                         "time_unit": "us"}]}))
@@ -129,91 +133,97 @@ def test_bench_summary(tmp):
         run_script("bench_summary.py", "--micro", non_dict_entry,
                    "--out", out))
 
-    # Malformed --metrics artifact sections read as empty, not as a crash.
-    bad_metrics = write(tmp, "badmetrics.json",
-                        '{"metrics": "not-a-dict", "quality": []}')
-    result = run_script("bench_summary.py", "--micro", micro_json(tmp),
-                        "--metrics", f"weird={bad_metrics}", "--out", out)
-    check("bench_summary tolerates malformed metrics artifact",
-          result.returncode == 0 and os.path.isfile(out),
-          (result.stdout + result.stderr).strip()[:200])
-    check("bench_summary malformed artifact: no traceback",
-          "Traceback" not in result.stdout + result.stderr)
+    no_context = write(tmp, "nocontext.json", json.dumps(
+        {"benchmarks": [{"name": "BM_X", "real_time": 1.0, "cpu_time": 1.0,
+                         "iterations": 1, "time_unit": "ns"}]}))
+    expect_clean_failure(
+        "bench_summary missing context.num_cpus",
+        run_script("bench_summary.py", "--micro", no_context, "--out", out))
 
-    # Sanity: the happy path still works and validates.
+    # --metrics is not a flag: a usage error (exit 2), not a traceback.
+    expect_clean_failure(
+        "bench_summary rejects --metrics",
+        run_script("bench_summary.py", "--micro", micro_json(tmp),
+                   "--metrics", "micro=metrics.json", "--out", out),
+        want_exit=2)
+
+    # Happy path: schema v5 holds host facts and measured rows only.
     result = run_script("bench_summary.py", "--micro", micro_json(tmp),
                         "--out", out)
     with open(out, encoding="utf-8") as f:
         summary = json.load(f)
     check("bench_summary happy path",
           result.returncode == 0
-          and summary["schema_version"] == 4
-          and summary["benchmarks"][0]["name"] == "BM_X")
-
-    # Schema v3: BM_ForwardBatch series fold into plans/sec + the 32-vs-1
-    # speedup, and cache.* counters fold into a hit-rate section.
-    batched = write(tmp, "batched.json", json.dumps({"benchmarks": [
-        {"name": "BM_ForwardBatch/batch:1", "real_time": 25.0,
-         "cpu_time": 25.0, "iterations": 100, "time_unit": "us"},
-        {"name": "BM_ForwardBatch/batch:32", "real_time": 400.0,
-         "cpu_time": 400.0, "iterations": 100, "time_unit": "us"}]}))
-    cache_metrics = write(tmp, "cache_metrics.json", json.dumps({
-        "metrics": {"counters": {"cache.hit": 30, "cache.miss": 10,
-                                 "cache.evict": 2,
-                                 "cache.invalidation": 1}}}))
-    result = run_script("bench_summary.py", "--micro", batched,
-                        "--metrics", f"micro={cache_metrics}", "--out", out)
-    with open(out, encoding="utf-8") as f:
-        summary = json.load(f)
-    per_sec = summary["forward_batch"]["plans_per_sec"]
-    check("bench_summary forward_batch plans/sec and speedup",
-          result.returncode == 0
-          and round(per_sec["1"]) == 40000      # 1 plan / 25us
-          and round(per_sec["32"]) == 80000     # 32 plans / 400us
-          and abs(summary["forward_batch"]["speedup_32v1"] - 2.0) < 1e-9,
+          and summary["schema_version"] == 5
+          and summary["benchmarks"][0]["name"] == "BM_X"
+          and summary["benchmarks"][0]["counters"] == {},
           (result.stdout + result.stderr).strip()[:300])
-    check("bench_summary cache hit-rate section",
-          summary["cache"]["micro"]["hits"] == 30
-          and summary["cache"]["micro"]["evictions"] == 2
-          and abs(summary["cache"]["micro"]["hit_rate"] - 0.75) < 1e-9)
-    # Schema v4: BM_TrainEpoch user counters fold into the train section —
-    # plans/sec per thread count from the pooled rows, allocs/batch from the
-    # threads:1 pooled-vs-fresh pair.
-    train_micro = write(tmp, "train.json", json.dumps({"benchmarks": [
-        {"name": "BM_TrainEpoch/threads:1/pooled:1/process_time/real_time",
-         "real_time": 40.0, "cpu_time": 40.0, "iterations": 5,
-         "time_unit": "ms", "plans_per_sec": 12800.0,
-         "allocs_per_batch": 25.0},
-        {"name": "BM_TrainEpoch/threads:4/pooled:1/process_time/real_time",
-         "real_time": 42.0, "cpu_time": 42.0, "iterations": 5,
-         "time_unit": "ms", "plans_per_sec": 12000.0,
-         "allocs_per_batch": 30.0},
-        {"name": "BM_TrainEpoch/threads:1/pooled:0/process_time/real_time",
-         "real_time": 44.0, "cpu_time": 44.0, "iterations": 5,
-         "time_unit": "ms", "plans_per_sec": 11000.0,
-         "allocs_per_batch": 500.0}]}))
-    result = run_script("bench_summary.py", "--micro", train_micro,
+    host = summary["host"]
+    check("bench_summary host facts present and typed",
+          set(host) == {"nproc", "cpu_model"}
+          and host["nproc"] == 2
+          and (host["cpu_model"] is None
+               or isinstance(host["cpu_model"], str)), repr(host))
+    removed = {"speedups", "forward_batch", "train", "cache", "pool",
+               "quality"}
+    check("bench_summary writes no derived sections",
+          not removed & set(summary), repr(sorted(summary)))
+
+    # User counters ride on their row, median-aggregated across repeats;
+    # aggregate rows and google-benchmark's own fields are not counters.
+    def train_row(plans_per_sec, **extra):
+        return {"name": "BM_TrainEpoch/threads:1", "run_type": "iteration",
+                "real_time": 40.0, "cpu_time": 40.0, "iterations": 5,
+                "time_unit": "ms", "threads": 1, "repetitions": 3,
+                "error_occurred": False, "plans_per_sec": plans_per_sec,
+                **extra}
+    repeated = write(tmp, "repeated.json", json.dumps({
+        "context": {"num_cpus": 4},
+        "benchmarks": [
+            train_row(10.0, allocs_per_batch=25.0),
+            train_row(30.0, allocs_per_batch=27.0),
+            train_row(20.0),
+            {**train_row(999.0), "run_type": "aggregate",
+             "aggregate_name": "mean"}]}))
+    result = run_script("bench_summary.py", "--micro", repeated,
                         "--out", out)
     with open(out, encoding="utf-8") as f:
         summary = json.load(f)
-    train = summary["train"]
-    check("bench_summary train section",
+    check("bench_summary carries median counters per row",
           result.returncode == 0
-          and round(train["plans_per_sec"]["1"]) == 12800
-          and round(train["plans_per_sec"]["4"]) == 12000
-          and train["allocs_per_batch"]["pooled"] == 25.0
-          and train["allocs_per_batch"]["fresh"] == 500.0
-          and abs(train["alloc_reduction"] - 20.0) < 1e-9,
+          and summary["benchmarks"][0]["counters"]
+          == {"allocs_per_batch": 26.0, "plans_per_sec": 20.0},
           (result.stdout + result.stderr).strip()[:300])
 
-    no_cache = write(tmp, "no_cache_metrics.json", json.dumps({
-        "metrics": {"counters": {"pool.tasks_run": 4}}}))
-    result = run_script("bench_summary.py", "--micro", batched,
-                        "--metrics", f"micro={no_cache}", "--out", out)
-    with open(out, encoding="utf-8") as f:
-        summary = json.load(f)
-    check("bench_summary cache section omits artifacts without counters",
-          result.returncode == 0 and summary["cache"] == {})
+    # The committed baseline is a v5 file bench_compare gates against: a
+    # fresh summary holding the same rows passes CI's hard gate.
+    with open(os.path.join(REPO_ROOT, "BENCH_micro.json"),
+              encoding="utf-8") as f:
+        baseline = json.load(f)
+    same_rows = write(tmp, "same_rows.json", json.dumps({
+        "context": {"num_cpus": 1},
+        "benchmarks": [
+            {"name": row["name"], "real_time": row["real_time_ms"],
+             "cpu_time": row["cpu_time_ms"],
+             "iterations": row["iterations"], "time_unit": "ms",
+             **row["counters"]}
+            for row in baseline["benchmarks"]]}))
+    walls = [f"--wall={name}={seconds!r}"
+             for name, seconds in baseline["wall_clock_s"].items()]
+    run_script("bench_summary.py", "--micro", same_rows, *walls,
+               "--out", out)
+    result = run_script(
+        "bench_compare.py", "--fresh", out,
+        "--baseline", os.path.join(REPO_ROOT, "BENCH_micro.json"),
+        "--fail-on", "0.35", "--allowlist",
+        "BM_ForwardBatch,BM_PredictCacheLookup,BM_MatMul,"
+        "BM_ZeroShotFeaturization,BM_TrainEpoch,BM_BackwardFused")
+    check("bench_compare accepts a v5 summary against the baseline",
+          baseline["schema_version"] == 5
+          and result.returncode == 0
+          and "0 gated regression(s)" in result.stdout
+          and "0 one-sided" in result.stdout,
+          (result.stdout + result.stderr).strip()[:300])
 
 
 def test_trace_validate(tmp):

@@ -34,11 +34,6 @@ JsonValue MetricsArtifact::ToJson() const {
     out.Set("labels", std::move(labels));
   }
   if (registry_ != nullptr) out.Set("metrics", registry_->ToJson());
-  if (!traces_.empty()) {
-    JsonValue traces = JsonValue::Object();
-    for (const auto& [name, trace] : traces_) traces.Set(name, trace);
-    out.Set("traces", std::move(traces));
-  }
   if (!training_.empty()) {
     JsonValue training = JsonValue::Object();
     for (const auto& [name, history] : training_) {

@@ -17,19 +17,19 @@ class PredictionQualityMonitor;
 /// Writes `text` to `path` crash-safely: the bytes land in `<path>.tmp`
 /// first and replace `path` via atomic rename, so a reader (or a crash mid
 /// write) sees either the old artifact or the new one — never a torn file.
-/// Every artifact writer in this module (JSON, Prometheus, traces) goes
-/// through here.
+/// Every artifact writer in this module (metrics JSON, traces) goes through
+/// here.
 Status WriteFileAtomic(const std::string& path, const std::string& text);
 
 /// One run's observability output, assembled by benches (--metrics_out) and
 /// any other caller that wants a single machine-readable artifact: registry
-/// metrics + query traces + training loss curves + free-form labels.
+/// metrics + training loss curves + quality state + free-form labels.
+/// Timelines are not embedded; they go to their own file (--trace_out).
 ///
 /// Layout:
 /// {
 ///   "name": "...", "labels": {...},
 ///   "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
-///   "traces": {"<trace name>": <trace-event JSON>, ...},
 ///   "training": {"<run name>": [{epoch,...}, ...], ...},
 ///   "quality": {"samples": ..., "qerror": {...}, "drift": {...}}
 /// }
@@ -42,10 +42,6 @@ class MetricsArtifact {
   }
   /// The registry whose metrics are dumped (nullptr = omit section).
   void SetRegistry(const MetricsRegistry* registry) { registry_ = registry; }
-  /// Embeds a timeline (TraceEventRecorder::ToJson) under "traces".
-  void AddTrace(std::string name, JsonValue trace) {
-    traces_.emplace_back(std::move(name), std::move(trace));
-  }
   void AddTrainingRun(std::string name, std::vector<EpochStat> history) {
     training_.emplace_back(std::move(name), std::move(history));
   }
@@ -65,7 +61,6 @@ class MetricsArtifact {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> labels_;
   const MetricsRegistry* registry_ = nullptr;
-  std::vector<std::pair<std::string, JsonValue>> traces_;
   std::vector<std::pair<std::string, std::vector<EpochStat>>> training_;
   const PredictionQualityMonitor* quality_ = nullptr;
 };

@@ -1,10 +1,7 @@
 #include "obs/json.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
@@ -112,7 +109,8 @@ void AppendNumber(std::string* out, double value) {
   char buf[32];
   // Cannot truncate: %.17g of a finite double is at most 24 chars.
   (void)std::snprintf(buf, sizeof(buf), "%.17g", value);
-  // Ensure the token re-parses as a double (keep a '.', 'e' or similar).
+  // Keep the token a JSON double (a '.', 'e' or similar), so readers do
+  // not take it for an integer.
   if (std::strpbrk(buf, ".eEnN") == nullptr) std::strcat(buf, ".0");
   *out += buf;
 }
@@ -176,231 +174,6 @@ std::string JsonValue::Dump(int indent) const {
   std::string out;
   DumpTo(&out, indent, 0);
   return out;
-}
-
-namespace {
-
-/// Recursive-descent JSON parser. Depth-limited so hostile inputs cannot
-/// blow the stack.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  StatusOr<JsonValue> ParseDocument() {
-    ZDB_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after JSON value");
-    }
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument("JSON parse error at offset " +
-                                   std::to_string(pos_) + ": " + message);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(const char* literal) {
-    size_t len = std::strlen(literal);
-    if (text_.compare(pos_, len, literal) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  StatusOr<JsonValue> ParseValue(int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') {
-      ZDB_ASSIGN_OR_RETURN(std::string s, ParseString());
-      return JsonValue(std::move(s));
-    }
-    if (ConsumeLiteral("true")) return JsonValue(true);
-    if (ConsumeLiteral("false")) return JsonValue(false);
-    if (ConsumeLiteral("null")) return JsonValue();
-    return ParseNumber();
-  }
-
-  StatusOr<JsonValue> ParseObject(int depth) {
-    ZDB_CHECK(Consume('{'));
-    JsonValue object = JsonValue::Object();
-    SkipWhitespace();
-    if (Consume('}')) return object;
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key");
-      }
-      ZDB_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipWhitespace();
-      if (!Consume(':')) return Error("expected ':' after object key");
-      ZDB_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      object.Set(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return object;
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  StatusOr<JsonValue> ParseArray(int depth) {
-    ZDB_CHECK(Consume('['));
-    JsonValue array = JsonValue::Array();
-    SkipWhitespace();
-    if (Consume(']')) return array;
-    while (true) {
-      ZDB_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      array.Append(std::move(value));
-      SkipWhitespace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return array;
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  StatusOr<std::string> ParseString() {
-    ZDB_CHECK(Consume('"'));
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) return Error("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Error("unterminated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          ZDB_ASSIGN_OR_RETURN(uint32_t code, ParseHex4());
-          // Combine surrogate pairs.
-          if (code >= 0xD800 && code <= 0xDBFF && pos_ + 1 < text_.size() &&
-              text_[pos_] == '\\' && text_[pos_ + 1] == 'u') {
-            pos_ += 2;
-            ZDB_ASSIGN_OR_RETURN(uint32_t low, ParseHex4());
-            if (low >= 0xDC00 && low <= 0xDFFF) {
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-          }
-          AppendUtf8(&out, code);
-          break;
-        }
-        default:
-          return Error("invalid escape character");
-      }
-    }
-  }
-
-  StatusOr<uint32_t> ParseHex4() {
-    if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
-      else return Error("invalid hex digit in \\u escape");
-    }
-    return value;
-  }
-
-  static void AppendUtf8(std::string* out, uint32_t code) {
-    if (code < 0x80) {
-      out->push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  StatusOr<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (Consume('-')) {}
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    bool integral = true;
-    if (Consume('.')) {
-      integral = false;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return Error("invalid number");
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      long long value = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end != nullptr && *end == '\0') {
-        return JsonValue(static_cast<int64_t>(value));
-      }
-      // Fall through to double on overflow.
-    }
-    char* end = nullptr;
-    double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return Error("invalid number");
-    return JsonValue(value);
-  }
-
-  // Borrowed from JsonValue::Parse's argument; the parser is a stack-local
-  // inside that one call and never escapes it.
-  const std::string& text_;  // zerodb-lint: allow(lifetime-member)
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-StatusOr<JsonValue> JsonValue::Parse(const std::string& text) {
-  Parser parser(text);
-  return parser.ParseDocument();
 }
 
 }  // namespace zerodb::obs

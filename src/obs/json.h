@@ -7,16 +7,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
-
 namespace zerodb::obs {
 
 /// A minimal JSON document model used by the observability exporters: every
 /// metrics artifact (registry dump, query trace, training telemetry) is
-/// built as a JsonValue and serialized with Dump(). Parse() is the inverse,
-/// used by tests (round-trip) and by tooling that reads BENCH_*.json
-/// trajectory files back in. Object keys preserve insertion order so
-/// artifacts diff cleanly across runs.
+/// built as a JsonValue and serialized with Dump(). The read accessors
+/// (Find/at/As*) let callers and tests inspect a tree before it is dumped.
+/// Object keys preserve insertion order so artifacts diff cleanly across
+/// runs.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -62,9 +60,6 @@ class JsonValue {
 
   /// Serializes; indent > 0 pretty-prints with that many spaces per level.
   std::string Dump(int indent = 0) const;
-
-  /// Parses a complete JSON document (trailing garbage is an error).
-  static StatusOr<JsonValue> Parse(const std::string& text);
 
  private:
   explicit JsonValue(Kind kind) : kind_(kind) {}

@@ -204,39 +204,4 @@ JsonValue MetricsRegistry::ToJson() const {
   return out;
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  MutexLock lock(&mu_);
-  MetricsSnapshot snapshot;
-  snapshot.counters.reserve(counters_.size());
-  for (const auto& entry : counters_) {
-    snapshot.counters.emplace_back(entry.name, entry.metric->value());
-  }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& entry : gauges_) {
-    snapshot.gauges.emplace_back(entry.name, entry.metric->value());
-  }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& entry : histograms_) {
-    const Histogram& histogram = *entry.metric;
-    HistogramSnapshot h;
-    h.name = entry.name;
-    h.bounds = histogram.bounds();
-    h.buckets.reserve(h.bounds.size() + 1);
-    for (size_t i = 0; i <= h.bounds.size(); ++i) {
-      h.buckets.push_back(histogram.bucket_count(i));
-    }
-    h.count = histogram.count();
-    h.sum = histogram.sum();
-    snapshot.histograms.push_back(std::move(h));
-  }
-  auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
-  std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
-  std::sort(snapshot.histograms.begin(), snapshot.histograms.end(),
-            [](const HistogramSnapshot& a, const HistogramSnapshot& b) {
-              return a.name < b.name;
-            });
-  return snapshot;
-}
-
 }  // namespace zerodb::obs

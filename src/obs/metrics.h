@@ -95,24 +95,6 @@ class Histogram {
   const std::atomic<bool>* enabled_;
 };
 
-/// Point-in-time copy of one histogram's state (bounds + per-bucket counts
-/// including the +inf overflow bucket), used by exporters that need more
-/// than the summary JSON — the Prometheus renderer in particular.
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<double> bounds;    ///< ascending upper bounds
-  std::vector<int64_t> buckets;  ///< bounds.size() + 1; last is +inf
-  int64_t count = 0;
-  double sum = 0.0;
-};
-
-/// Point-in-time copy of a registry's metrics, names sorted.
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, int64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
-};
-
 /// Thread-safe, name-keyed registry of counters, gauges and histograms.
 /// Metric objects are created on first request and live as long as the
 /// registry; call sites cache the returned pointers so the hot path never
@@ -146,11 +128,6 @@ class MetricsRegistry {
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}} with names
   /// sorted for stable artifacts.
   JsonValue ToJson() const ZDB_EXCLUDES(mu_);
-
-  /// Name-sorted copy of every metric's current value (counter/gauge reads
-  /// are relaxed; concurrent writers may land between buckets and count, so
-  /// a snapshot taken mid-run is approximate, never torn).
-  MetricsSnapshot Snapshot() const ZDB_EXCLUDES(mu_);
 
  private:
   template <typename T>

@@ -24,7 +24,6 @@ PredictionQualityMonitor::PredictionQualityMonitor(Options options)
   ewma_gauge_ = registry->GetGauge(prefix + ".ewma_qerror");
   samples_counter_ = registry->GetCounter(prefix + ".samples");
   drift_events_counter_ = registry->GetCounter(prefix + ".drift_events");
-  window_.reserve(std::max<size_t>(options_.window, 1));
 }
 
 void PredictionQualityMonitor::Record(double predicted_ms, double actual_ms) {
@@ -38,14 +37,6 @@ void PredictionQualityMonitor::Record(double predicted_ms, double actual_ms) {
   MutexLock lock(&mu_);
   ++samples_;
   max_qerror_ = std::max(max_qerror_, qerr);
-
-  const size_t cap = std::max<size_t>(options_.window, 1);
-  if (window_.size() < cap) {
-    window_.emplace_back(predicted_ms, actual_ms);
-  } else {
-    window_[window_next_] = {predicted_ms, actual_ms};
-    window_next_ = (window_next_ + 1) % cap;
-  }
 
   if (!reference_frozen_) {
     warmup_logs_.push_back(log_qerr);

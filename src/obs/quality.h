@@ -30,16 +30,13 @@ namespace zerodb::obs {
 /// O(1) per sample and biased toward recent behaviour; alpha = 0.05 weights
 /// roughly the last ~40 samples.
 ///
-/// Thread-safe: the ring window and scalar state sit behind an annotated
+/// Thread-safe: the warm-up and scalar state sit behind an annotated
 /// Mutex (Record is not on any per-tuple hot path — one call per executed
 /// query); `drifting()` is a lock-free atomic read for cheap call sites like
 /// the what-if advisor.
 class PredictionQualityMonitor {
  public:
   struct Options {
-    /// Rolling window of (predicted_ms, actual_ms) pairs kept for ToJson and
-    /// windowed statistics.
-    size_t window = 512;
     /// Samples used to freeze the warm-up reference median before the drift
     /// detector arms itself.
     size_t min_samples = 32;
@@ -69,8 +66,8 @@ class PredictionQualityMonitor {
       delete;
 
   /// Records one serving-time observation. Non-positive actuals are ignored
-  /// (no ground truth). Updates the q-error histogram, window, EWMA and
-  /// drift state.
+  /// (no ground truth). Updates the q-error histogram, EWMA and drift
+  /// state.
   void Record(double predicted_ms, double actual_ms) ZDB_EXCLUDES(mu_);
 
   /// True while the EWMA q-error level exceeds the warm-up reference by more
@@ -109,8 +106,6 @@ class PredictionQualityMonitor {
   std::atomic<bool> drifting_{false};
 
   mutable Mutex mu_;
-  std::vector<std::pair<double, double>> window_ ZDB_GUARDED_BY(mu_);
-  size_t window_next_ ZDB_GUARDED_BY(mu_) = 0;
   std::vector<double> warmup_logs_ ZDB_GUARDED_BY(mu_);
   double reference_log_ ZDB_GUARDED_BY(mu_) = 0.0;
   bool reference_frozen_ ZDB_GUARDED_BY(mu_) = false;

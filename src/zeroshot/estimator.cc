@@ -112,17 +112,6 @@ ZeroShotEstimator ZeroShotEstimator::TrainFromRecords(
   return estimator;
 }
 
-void ZeroShotEstimator::MaybeInvalidateOnDrift() {
-  if (quality_ == nullptr) return;
-  const int64_t events = quality_->drift_events();
-  if (events > seen_drift_events_) {
-    seen_drift_events_ = events;
-    ZDB_LOG(Warning) << "estimator: drift event detected; invalidating "
-                     << cache_->size() << " cached predictions";
-    cache_->Invalidate();
-  }
-}
-
 std::vector<Millis> ZeroShotEstimator::PredictMs(
     const std::vector<const train::QueryRecord*>& records) {
   ZDB_CHECK(model_ != nullptr);
@@ -131,7 +120,6 @@ std::vector<Millis> ZeroShotEstimator::PredictMs(
   metrics.predictions->Add(static_cast<int64_t>(records.size()));
   obs::ScopedTimer timer(metrics.registry.enabled() ? metrics.predict_us
                                                     : nullptr);
-  MaybeInvalidateOnDrift();
   std::vector<Millis> predicted(records.size());
   std::vector<uint64_t> miss_keys;
   std::vector<size_t> miss_positions;

@@ -97,9 +97,9 @@ class ZeroShotEstimator {
   /// after Train/TrainFromRecords.
   const PredictCache* predict_cache() const { return cache_.get(); }
 
-  /// Drops every cached prediction. Runs automatically whenever the
-  /// quality monitor reports a new drift event; call it manually after any
-  /// out-of-band weight change (LoadWeights-style swaps).
+  /// Drops every cached prediction. Call it after any out-of-band weight
+  /// change (LoadWeights-style swaps through model()); a drift event changes
+  /// no weight, so it does not invalidate.
   void InvalidatePredictionCache() { cache_->Invalidate(); }
 
   models::ZeroShotCostModel& model() { return *model_; }
@@ -111,17 +111,11 @@ class ZeroShotEstimator {
  private:
   ZeroShotEstimator() = default;
 
-  /// Invalidates the cache when the drift detector fired since the last
-  /// check — stale predictions from a drifting model must not outlive the
-  /// signal that flagged them.
-  void MaybeInvalidateOnDrift();
-
   std::unique_ptr<models::ZeroShotCostModel> model_;
   train::TrainResult train_result_;
   std::vector<train::QueryRecord> training_records_;
   std::unique_ptr<obs::PredictionQualityMonitor> quality_;
   std::unique_ptr<PredictCache> cache_;
-  int64_t seen_drift_events_ = 0;
 };
 
 /// Collects the zero-shot training set: `queries_per_database` labeled

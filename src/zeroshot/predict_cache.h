@@ -49,9 +49,9 @@ class PredictCache {
   /// entry when over capacity.
   void Insert(uint64_t key, Millis predicted) ZDB_EXCLUDES(mu_);
 
-  /// Drops every entry. Called on model retrain and on a new drift event
-  /// from the PredictionQualityMonitor — cached predictions are only as
-  /// trustworthy as the weights that produced them.
+  /// Drops every entry. Called after an out-of-band weight change (via
+  /// ZeroShotEstimator::InvalidatePredictionCache) — cached predictions are
+  /// only as trustworthy as the weights that produced them.
   void Invalidate() ZDB_EXCLUDES(mu_);
 
   size_t size() const ZDB_EXCLUDES(mu_);

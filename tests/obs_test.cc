@@ -12,7 +12,6 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/prom.h"
 #include "obs/quality.h"
 #include "obs/telemetry.h"
 #include "obs/trace_event.h"
@@ -50,53 +49,6 @@ TEST(JsonTest, ObjectPreservesInsertionOrderAndSetOverwrites) {
   ASSERT_NE(object.Find("apple"), nullptr);
   EXPECT_EQ(object.Find("apple")->AsInt(), 2);
   EXPECT_EQ(object.Find("missing"), nullptr);
-}
-
-TEST(JsonTest, ParseRoundTrip) {
-  JsonValue object = JsonValue::Object();
-  object.Set("name", "q\u00e9ry");
-  object.Set("count", int64_t{123});
-  object.Set("ratio", 0.25);
-  object.Set("flag", true);
-  object.Set("nothing", JsonValue());
-  JsonValue array = JsonValue::Array();
-  array.Append(1);
-  array.Append("two");
-  array.Append(3.5);
-  object.Set("list", std::move(array));
-
-  for (int indent : {0, 2}) {
-    auto parsed = JsonValue::Parse(object.Dump(indent));
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed->Dump(), object.Dump());
-  }
-}
-
-TEST(JsonTest, ParseDistinguishesIntAndDouble) {
-  auto parsed = JsonValue::Parse("[3, 3.0, 1e2]");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->at(0).kind(), JsonValue::Kind::kInt);
-  EXPECT_EQ(parsed->at(1).kind(), JsonValue::Kind::kDouble);
-  EXPECT_EQ(parsed->at(2).kind(), JsonValue::Kind::kDouble);
-  EXPECT_EQ(parsed->at(0).AsInt(), 3);
-  EXPECT_DOUBLE_EQ(parsed->at(2).AsDouble(), 100.0);
-}
-
-TEST(JsonTest, ParseUnicodeEscapes) {
-  auto parsed = JsonValue::Parse("\"a\\u00e9b\\ud83d\\ude00c\"");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->AsString(),
-            "a\xc3\xa9"
-            "b\xf0\x9f\x98\x80"
-            "c");
-}
-
-TEST(JsonTest, ParseErrors) {
-  EXPECT_FALSE(JsonValue::Parse("").ok());
-  EXPECT_FALSE(JsonValue::Parse("{").ok());
-  EXPECT_FALSE(JsonValue::Parse("[1,]").ok());
-  EXPECT_FALSE(JsonValue::Parse("{\"a\":1} trailing").ok());
-  EXPECT_FALSE(JsonValue::Parse("'single'").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -210,43 +162,15 @@ TEST(MetricsTest, HistogramQuantileEdgeCases) {
   EXPECT_GE(overflow->Quantile(0.01), 100.0);
 }
 
-TEST(MetricsTest, SnapshotCopiesStateAndSortsNames) {
-  MetricsRegistry registry(/*enabled=*/true);
-  registry.GetCounter("z.counter")->Add(2);
-  registry.GetCounter("a.counter")->Add(1);
-  registry.GetGauge("g")->Set(1.5);
-  Histogram* histogram = registry.GetHistogram("h", {10.0, 20.0});
-  histogram->Observe(5.0);
-  histogram->Observe(25.0);
-
-  MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.counters.size(), 2u);
-  EXPECT_EQ(snapshot.counters[0].first, "a.counter");
-  EXPECT_EQ(snapshot.counters[1].first, "z.counter");
-  EXPECT_EQ(snapshot.counters[1].second, 2);
-  ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snapshot.gauges[0].second, 1.5);
-  ASSERT_EQ(snapshot.histograms.size(), 1u);
-  const HistogramSnapshot& h = snapshot.histograms[0];
-  EXPECT_EQ(h.name, "h");
-  ASSERT_EQ(h.bounds.size(), 2u);
-  ASSERT_EQ(h.buckets.size(), 3u);  // 2 bounds + overflow
-  EXPECT_EQ(h.buckets[0], 1);      // 5.0 <= 10
-  EXPECT_EQ(h.buckets[1], 0);
-  EXPECT_EQ(h.buckets[2], 1);      // 25.0 > 20 (overflow)
-  EXPECT_EQ(h.count, 2);
-  EXPECT_DOUBLE_EQ(h.sum, 30.0);
-  // The snapshot is a copy: later writes do not retroactively change it.
-  histogram->Observe(1.0);
-  EXPECT_EQ(h.count, 2);
-}
-
 TEST(MetricsTest, RegistryToJson) {
   MetricsRegistry registry(/*enabled=*/true);
   registry.GetCounter("b.counter")->Add(3);
   registry.GetCounter("a.counter")->Add(1);
   registry.GetGauge("gauge")->Set(2.5);
   registry.GetHistogram("hist")->Observe(7.0);
+  Histogram* bounded = registry.GetHistogram("bounded", {10.0, 20.0});
+  bounded->Observe(5.0);
+  bounded->Observe(25.0);
   JsonValue json = registry.ToJson();
   // Names are sorted for stable artifacts.
   const JsonValue* counters = json.Find("counters");
@@ -256,10 +180,28 @@ TEST(MetricsTest, RegistryToJson) {
   EXPECT_EQ(counters->members()[1].first, "b.counter");
   EXPECT_EQ(counters->Find("b.counter")->AsInt(), 3);
   EXPECT_DOUBLE_EQ(json.Find("gauges")->Find("gauge")->AsDouble(), 2.5);
-  const JsonValue* hist = json.Find("histograms")->Find("hist");
+  const JsonValue* histograms = json.Find("histograms");
+  ASSERT_EQ(histograms->members().size(), 2u);
+  EXPECT_EQ(histograms->members()[0].first, "bounded");
+  const JsonValue* hist = histograms->Find("hist");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->Find("count")->AsInt(), 1);
   EXPECT_DOUBLE_EQ(hist->Find("sum")->AsDouble(), 7.0);
+
+  // Per-bucket counts; empty buckets are omitted and the overflow bucket
+  // is labelled "inf".
+  const JsonValue* h = histograms->Find("bounded");
+  EXPECT_EQ(h->Find("count")->AsInt(), 2);
+  EXPECT_DOUBLE_EQ(h->Find("sum")->AsDouble(), 30.0);
+  const JsonValue* buckets = h->Find("buckets");
+  ASSERT_EQ(buckets->size(), 2u);
+  EXPECT_DOUBLE_EQ(buckets->at(0).Find("le")->AsDouble(), 10.0);  // 5 <= 10
+  EXPECT_EQ(buckets->at(0).Find("count")->AsInt(), 1);
+  EXPECT_EQ(buckets->at(1).Find("le")->AsString(), "inf");  // 25 > 20
+  EXPECT_EQ(buckets->at(1).Find("count")->AsInt(), 1);
+  // The dump is a copy: later writes do not retroactively change it.
+  bounded->Observe(1.0);
+  EXPECT_EQ(h->Find("count")->AsInt(), 2);
 }
 
 TEST(MetricsTest, ScopedTimerRecords) {
@@ -473,6 +415,21 @@ TEST(ExecutorTraceTest, SeedWorkloadEventsMatchStats) {
 // ---------------------------------------------------------------------------
 // Training telemetry + artifact
 
+// Reads a whole file written by a WriteTo, then deletes it.
+std::string ReadFileAndRemove(const std::string& path) {
+  std::string text;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return text;
+  char buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    text.append(buffer, n);
+  }
+  std::fclose(file);
+  std::remove(path.c_str());
+  return text;
+}
+
 TEST(TelemetryTest, HistorySerializesEveryEpoch) {
   std::vector<EpochStat> history = {{1, 2.0, 2.5, 1e-3, 0.7},
                                     {2, 1.5, 2.0, 1e-3, 0.6}};
@@ -489,39 +446,21 @@ TEST(ArtifactTest, WriteToProducesParseableJson) {
   MetricsRegistry registry(/*enabled=*/true);
   registry.GetCounter("events")->Add(4);
 
-  TraceEventRecorder recorder;
-  { TimelineScope scope("SeqScan", "exec", &recorder); }
-
   MetricsArtifact artifact("unit_test");
   artifact.AddLabel("scale", "tiny");
   artifact.SetRegistry(&registry);
-  artifact.AddTrace("query", recorder.ToJson());
   artifact.AddTrainingRun("model", {{1, 2.0, 2.5, 1e-3, 0.7}});
 
   std::string path = ::testing::TempDir() + "/obs_artifact.json";
   ASSERT_TRUE(artifact.WriteTo(path).ok());
+  const JsonValue json = artifact.ToJson();
+  EXPECT_EQ(ReadFileAndRemove(path), json.Dump(/*indent=*/2) + "\n");
 
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(file);
-  std::remove(path.c_str());
-
-  auto parsed = JsonValue::Parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->Find("name")->AsString(), "unit_test");
-  EXPECT_EQ(parsed->Find("labels")->Find("scale")->AsString(), "tiny");
-  EXPECT_EQ(
-      parsed->Find("metrics")->Find("counters")->Find("events")->AsInt(), 4);
-  const JsonValue* query = parsed->Find("traces")->Find("query");
-  ASSERT_NE(query, nullptr);
-  EXPECT_NE(query->Find("traceEvents"), nullptr);
-  const JsonValue* run = parsed->Find("training")->Find("model");
+  EXPECT_EQ(json.Find("name")->AsString(), "unit_test");
+  EXPECT_EQ(json.Find("labels")->Find("scale")->AsString(), "tiny");
+  EXPECT_EQ(json.Find("metrics")->Find("counters")->Find("events")->AsInt(), 4);
+  EXPECT_EQ(json.Find("traces"), nullptr);  // timelines go to --trace_out
+  const JsonValue* run = json.Find("training")->Find("model");
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->size(), 1u);
   EXPECT_EQ(run->at(0).Find("epoch")->AsInt(), 1);
@@ -674,69 +613,9 @@ TEST(TraceEventTest, WriteToProducesLoadableJsonAndNoTempFile) {
   EXPECT_EQ(tmp, nullptr);
   if (tmp != nullptr) std::fclose(tmp);
 
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(file);
-  std::remove(path.c_str());
-
-  auto parsed = JsonValue::Parse(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_NE(parsed->Find("traceEvents"), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus exposition
-
-TEST(PromTest, SanitizesNames) {
-  EXPECT_EQ(PrometheusName("pool.tasks_run"), "pool_tasks_run");
-  EXPECT_EQ(PrometheusName("a-b c:d"), "a_b_c:d");
-  EXPECT_EQ(PrometheusName("9lives"), "_9lives");
-  EXPECT_EQ(PrometheusName(""), "_");
-}
-
-TEST(PromTest, RendersCountersGaugesAndCumulativeHistograms) {
-  MetricsRegistry registry(/*enabled=*/true);
-  registry.GetCounter("exec.queries")->Add(3);
-  registry.GetGauge("pool.global_threads")->Set(4.0);
-  Histogram* histogram = registry.GetHistogram("lat.us", {1.0, 10.0});
-  histogram->Observe(0.5);   // bucket le=1
-  histogram->Observe(5.0);   // bucket le=10
-  histogram->Observe(5.5);   // bucket le=10
-  histogram->Observe(100.0); // +inf
-
-  std::string text = RenderPrometheus(registry);
-  EXPECT_NE(text.find("# TYPE exec_queries counter\nexec_queries 3\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE pool_global_threads gauge\n"
-                      "pool_global_threads 4\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE lat_us histogram\n"), std::string::npos);
-  // Buckets are cumulative, ending in an +Inf bucket equal to _count.
-  EXPECT_NE(text.find("lat_us_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"10\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_sum 111\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_us_count 4\n"), std::string::npos);
-}
-
-TEST(PromTest, WritePrometheusToIsCrashSafe) {
-  MetricsRegistry registry(/*enabled=*/true);
-  registry.GetCounter("c")->Add(1);
-  std::string path = ::testing::TempDir() + "/prom_test.prom";
-  ASSERT_TRUE(WritePrometheusTo(registry, path).ok());
-  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp != nullptr) std::fclose(tmp);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  std::fclose(file);
-  std::remove(path.c_str());
+  const JsonValue json = recorder.ToJson();
+  EXPECT_EQ(ReadFileAndRemove(path), json.Dump(/*indent=*/1) + "\n");
+  EXPECT_NE(json.Find("traceEvents"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
