@@ -249,9 +249,8 @@ void BM_ZeroShotTrainStep(benchmark::State& state) {
   std::vector<const train::QueryRecord*> batch(view.begin(),
                                                view.begin() + 32);
   nn::Adam optimizer(micro.model->Parameters(), 1e-4f);
-  Rng rng(4);
   for (auto _ : state) {
-    nn::Tensor loss = micro.model->LossOnBatch(batch, true, &rng);
+    nn::Tensor loss = micro.model->LossOnBatch(batch);
     optimizer.ZeroGrad();
     loss.Backward();
     optimizer.Step();

@@ -529,7 +529,6 @@ _GROWTH_METHODS = ("push_back", "emplace_back", "insert", "resize")
 _POOL_API_PREFIXES = ("GraphArena::", "BufferPool")
 _POOL_API_NAMES = frozenset({
     "AcquirePooledFloats", "AcquirePooledIndices",
-    "ReleasePooledFloats", "ReleasePooledIndices",
     "MakeNode", "MakeOpResult",
 })
 

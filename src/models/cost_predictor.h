@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/units.h"
 #include "nn/tensor.h"
 #include "models/record.h"
@@ -36,10 +35,9 @@ class NeuralCostModel : public CostPredictor {
   virtual void Prepare(
       const std::vector<const QueryRecord*>& records) = 0;
 
-  /// Forward + loss on a batch. `training` enables dropout (rng required).
+  /// Forward + loss on a batch.
   virtual nn::Tensor LossOnBatch(
-      const std::vector<const QueryRecord*>& batch, bool training,
-      Rng* rng) = 0;
+      const std::vector<const QueryRecord*>& batch) = 0;
 
   /// All trainable parameters.
   virtual std::vector<nn::Tensor> Parameters() const = 0;

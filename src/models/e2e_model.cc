@@ -9,7 +9,6 @@ TreeModelConfig E2ECostModel::MakeConfig(const Options& options) {
   config.feature_dim = featurize::E2EFeaturizer::kFeatureDim;
   config.num_encoders = 1;
   config.hidden_dim = options.hidden_dim;
-  config.dropout = options.dropout;
   config.init_seed = options.init_seed;
   return config;
 }

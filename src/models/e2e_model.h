@@ -17,7 +17,6 @@ class E2ECostModel : public TreeMessagePassingModel {
  public:
   struct Options {
     size_t hidden_dim = 64;
-    float dropout = 0.0f;
     uint64_t init_seed = 2;
   };
 

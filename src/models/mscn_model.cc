@@ -9,13 +9,11 @@ namespace zerodb::models {
 
 namespace {
 
-nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
-                            float dropout) {
+nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out) {
   nn::MlpConfig config;
   config.in_features = in;
   config.hidden_sizes = {hidden};
   config.out_features = out;
-  config.dropout = dropout;
   return config;
 }
 
@@ -24,18 +22,13 @@ nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
 MscnCostModel::MscnCostModel(const Options& options) : options_(options) {
   Rng rng(options.init_seed);
   const size_t h = options.hidden_dim;
-  table_encoder_ = nn::Mlp(
-      MakeMlpConfig(featurize::MscnFeaturizer::kTableDim, h, h,
-                    options.dropout),
-      &rng);
-  join_encoder_ = nn::Mlp(
-      MakeMlpConfig(featurize::MscnFeaturizer::kJoinDim, h, h, options.dropout),
-      &rng);
+  table_encoder_ =
+      nn::Mlp(MakeMlpConfig(featurize::MscnFeaturizer::kTableDim, h, h), &rng);
+  join_encoder_ =
+      nn::Mlp(MakeMlpConfig(featurize::MscnFeaturizer::kJoinDim, h, h), &rng);
   predicate_encoder_ = nn::Mlp(
-      MakeMlpConfig(featurize::MscnFeaturizer::kPredicateDim, h, h,
-                    options.dropout),
-      &rng);
-  output_ = nn::Mlp(MakeMlpConfig(3 * h, h, 1, options.dropout), &rng);
+      MakeMlpConfig(featurize::MscnFeaturizer::kPredicateDim, h, h), &rng);
+  output_ = nn::Mlp(MakeMlpConfig(3 * h, h, 1), &rng);
 }
 
 std::vector<nn::Tensor> MscnCostModel::Parameters() const {
@@ -74,7 +67,7 @@ void MscnCostModel::Prepare(
 nn::Tensor MscnCostModel::PoolSet(
     const std::vector<featurize::MscnSets>& batch,
     const std::vector<std::vector<float>> featurize::MscnSets::*member,
-    size_t element_dim, const nn::Mlp& encoder, bool training, Rng* rng) {
+    size_t element_dim, const nn::Mlp& encoder) {
   const size_t batch_size = batch.size();
   std::vector<float> elements;
   std::vector<uint32_t> owners;
@@ -96,32 +89,26 @@ nn::Tensor MscnCostModel::PoolSet(
   }
   nn::Tensor input =
       nn::Tensor::FromData(owners.size(), element_dim, std::move(elements));
-  nn::Tensor encoded = encoder.Forward(input, training, rng);
+  nn::Tensor encoded = encoder.Forward(input);
   nn::Tensor summed = nn::RowScatterAdd(encoded, owners, batch_size);
   return nn::ScaleRows(summed, inverse_counts);
 }
 
-nn::Tensor MscnCostModel::Forward(const std::vector<featurize::MscnSets>& batch,
-                                  bool training, Rng* rng) {
-  nn::Tensor tables =
-      PoolSet(batch, &featurize::MscnSets::tables,
-              featurize::MscnFeaturizer::kTableDim, table_encoder_, training,
-              rng);
-  nn::Tensor joins =
-      PoolSet(batch, &featurize::MscnSets::joins,
-              featurize::MscnFeaturizer::kJoinDim, join_encoder_, training,
-              rng);
-  nn::Tensor predicates =
-      PoolSet(batch, &featurize::MscnSets::predicates,
-              featurize::MscnFeaturizer::kPredicateDim, predicate_encoder_,
-              training, rng);
-  return output_.Forward(nn::ConcatCols({tables, joins, predicates}), training,
-                         rng);
+nn::Tensor MscnCostModel::Forward(
+    const std::vector<featurize::MscnSets>& batch) {
+  nn::Tensor tables = PoolSet(batch, &featurize::MscnSets::tables,
+                              featurize::MscnFeaturizer::kTableDim,
+                              table_encoder_);
+  nn::Tensor joins = PoolSet(batch, &featurize::MscnSets::joins,
+                             featurize::MscnFeaturizer::kJoinDim, join_encoder_);
+  nn::Tensor predicates = PoolSet(batch, &featurize::MscnSets::predicates,
+                                  featurize::MscnFeaturizer::kPredicateDim,
+                                  predicate_encoder_);
+  return output_.Forward(nn::ConcatCols({tables, joins, predicates}));
 }
 
 nn::Tensor MscnCostModel::LossOnBatch(
-    const std::vector<const QueryRecord*>& batch, bool training,
-    Rng* rng) {
+    const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
   std::vector<featurize::MscnSets> featurized;
   std::vector<float> targets;
@@ -132,7 +119,7 @@ nn::Tensor MscnCostModel::LossOnBatch(
     targets.push_back(static_cast<float>(target_norm_.Normalize(
         Millis(record->runtime_ms).ToLog())));
   }
-  nn::Tensor predictions = Forward(featurized, training, rng);
+  nn::Tensor predictions = Forward(featurized);
   const size_t batch_size = targets.size();
   nn::Tensor target_tensor =
       nn::Tensor::FromData(batch_size, 1, std::move(targets));
@@ -148,7 +135,7 @@ std::vector<Millis> MscnCostModel::PredictMs(
   for (const QueryRecord* record : records) {
     featurized.push_back(featurizer_.Featurize(record->query, *record->env));
   }
-  nn::Tensor predictions = Forward(featurized, /*training=*/false, nullptr);
+  nn::Tensor predictions = Forward(featurized);
   std::vector<Millis> out;
   out.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {

@@ -20,7 +20,6 @@ class MscnCostModel : public NeuralCostModel {
  public:
   struct Options {
     size_t hidden_dim = 64;
-    float dropout = 0.0f;
     uint64_t init_seed = 3;
   };
 
@@ -29,8 +28,8 @@ class MscnCostModel : public NeuralCostModel {
   std::string Name() const override { return "MSCN"; }
 
   void Prepare(const std::vector<const QueryRecord*>& records) override;
-  nn::Tensor LossOnBatch(const std::vector<const QueryRecord*>& batch,
-                         bool training, Rng* rng) override;
+  nn::Tensor LossOnBatch(
+      const std::vector<const QueryRecord*>& batch) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
   std::vector<nn::Tensor> Parameters() const override;
@@ -38,14 +37,12 @@ class MscnCostModel : public NeuralCostModel {
   std::unique_ptr<NeuralCostModel> CloneReplica() const override;
 
  private:
-  nn::Tensor Forward(const std::vector<featurize::MscnSets>& batch,
-                     bool training, Rng* rng);
+  nn::Tensor Forward(const std::vector<featurize::MscnSets>& batch);
 
   /// Encodes one set type across the batch and mean-pools per query.
   nn::Tensor PoolSet(const std::vector<featurize::MscnSets>& batch,
                      const std::vector<std::vector<float>> featurize::MscnSets::*member,
-                     size_t element_dim, const nn::Mlp& encoder, bool training,
-                     Rng* rng);
+                     size_t element_dim, const nn::Mlp& encoder);
 
   Options options_;
   featurize::MscnFeaturizer featurizer_;

@@ -21,13 +21,11 @@ namespace {
 constexpr size_t kGraphCacheCapacity = 8192;
 
 nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
-                            size_t hidden_layers, float dropout) {
+                            size_t hidden_layers) {
   nn::MlpConfig config;
   config.in_features = in;
   config.hidden_sizes.assign(hidden_layers, hidden);
   config.out_features = out;
-  config.hidden_activation = nn::Activation::kRelu;
-  config.dropout = dropout;
   return config;
 }
 
@@ -51,15 +49,14 @@ TreeMessagePassingModel::TreeMessagePassingModel(const TreeModelConfig& config)
   for (size_t e = 0; e < config.num_encoders; ++e) {
     encoders_.emplace_back(
         MakeMlpConfig(config.feature_dim, config.hidden_dim, config.hidden_dim,
-                      config.encoder_layers, config.dropout),
+                      config.encoder_layers),
         &rng);
   }
-  combine_ = nn::Mlp(
-      MakeMlpConfig(2 * config.hidden_dim, config.hidden_dim,
-                    config.hidden_dim, config.combine_layers, config.dropout),
-      &rng);
+  combine_ = nn::Mlp(MakeMlpConfig(2 * config.hidden_dim, config.hidden_dim,
+                                   config.hidden_dim, config.combine_layers),
+                     &rng);
   readout_ = nn::Mlp(MakeMlpConfig(config.hidden_dim, config.hidden_dim, 1,
-                                   config.readout_layers, config.dropout),
+                                   config.readout_layers),
                      &rng);
 }
 
@@ -193,8 +190,7 @@ const featurize::PlanGraph* TreeMessagePassingModel::FeaturizeNormalizedCached(
 }
 
 nn::Tensor TreeMessagePassingModel::Forward(
-    const std::vector<const featurize::PlanGraph*>& graphs, bool training,
-    Rng* rng) {
+    const std::vector<const featurize::PlanGraph*>& graphs) {
   ZDB_CHECK(!graphs.empty());
   const size_t hidden = config_.hidden_dim;
 
@@ -244,7 +240,7 @@ nn::Tensor TreeMessagePassingModel::Forward(
     std::copy(s.features.begin(), s.features.end(), packed.begin());
     nn::Tensor input = nn::Tensor::FromData(
         s.positions.size(), config_.feature_dim, std::move(packed));
-    nn::Tensor encoded = encoders_[e].Forward(input, training, rng);
+    nn::Tensor encoded = encoders_[e].Forward(input);
     encodings = nn::RowScatterAddTo(std::move(encodings), encoded,
                                     PooledIndexCopy(s.positions));
   }
@@ -284,8 +280,8 @@ nn::Tensor TreeMessagePassingModel::Forward(
             nn::RowGather(hidden_states, PooledIndexCopy(s.child_ids)),
             PooledIndexCopy(s.child_parents), s.level_ids.size());
       }
-      level_hidden = combine_.Forward(
-          nn::ConcatCols({level_encodings, child_sum}), training, rng);
+      level_hidden =
+          combine_.Forward(nn::ConcatCols({level_encodings, child_sum}));
     }
     hidden_states = nn::RowScatterAddTo(std::move(hidden_states), level_hidden,
                                         PooledIndexCopy(s.level_ids));
@@ -293,7 +289,7 @@ nn::Tensor TreeMessagePassingModel::Forward(
 
   // Root readout.
   nn::Tensor roots = nn::RowGather(hidden_states, std::move(root_ids));
-  nn::Tensor predictions = readout_.Forward(roots, training, rng);
+  nn::Tensor predictions = readout_.Forward(roots);
   ZDB_DCHECK_OK(
       nn::ValidateShape(predictions, graphs.size(), 1, "tree model readout"));
   ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
@@ -301,8 +297,7 @@ nn::Tensor TreeMessagePassingModel::Forward(
 }
 
 nn::Tensor TreeMessagePassingModel::LossOnBatch(
-    const std::vector<const QueryRecord*>& batch, bool training,
-    Rng* rng) {
+    const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
   overflow_graphs_.clear();
   scratch_.batch_graphs.clear();
@@ -312,7 +307,7 @@ nn::Tensor TreeMessagePassingModel::LossOnBatch(
     targets[i] = static_cast<float>(target_norm_.Normalize(
         Millis(batch[i]->runtime_ms).ToLog()));
   }
-  nn::Tensor predictions = Forward(scratch_.batch_graphs, training, rng);
+  nn::Tensor predictions = Forward(scratch_.batch_graphs);
   nn::Tensor target_tensor =
       nn::Tensor::FromData(batch.size(), 1, std::move(targets));
   return nn::HuberLoss(predictions, target_tensor, 1.0f);
@@ -337,7 +332,7 @@ std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
   // edges, no backward contexts), which is most of the per-op cost at small
   // batch sizes and lets intermediates free as soon as they are consumed.
   nn::InferenceModeGuard inference;
-  nn::Tensor predictions = Forward(graph_ptrs, /*training=*/false, nullptr);
+  nn::Tensor predictions = Forward(graph_ptrs);
   std::vector<Millis> out;
   out.reserve(records.size());
   for (size_t i = 0; i < records.size(); ++i) {

@@ -23,7 +23,6 @@ struct TreeModelConfig {
   size_t encoder_layers = 2;   ///< hidden layers in each node encoder MLP
   size_t combine_layers = 2;   ///< hidden layers in the combine MLP
   size_t readout_layers = 2;   ///< hidden layers in the readout MLP
-  float dropout = 0.0f;
   uint64_t init_seed = 1;
 };
 
@@ -41,8 +40,8 @@ class TreeMessagePassingModel : public NeuralCostModel {
   explicit TreeMessagePassingModel(const TreeModelConfig& config);
 
   void Prepare(const std::vector<const QueryRecord*>& records) override;
-  nn::Tensor LossOnBatch(const std::vector<const QueryRecord*>& batch,
-                         bool training, Rng* rng) override;
+  nn::Tensor LossOnBatch(
+      const std::vector<const QueryRecord*>& batch) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
   /// The serving path: one featurize + one forward pass for all records,
@@ -76,8 +75,7 @@ class TreeMessagePassingModel : public NeuralCostModel {
  private:
   /// Batched forward pass over the graphs; returns (B, 1) normalized
   /// log-runtime predictions.
-  nn::Tensor Forward(const std::vector<const featurize::PlanGraph*>& graphs,
-                     bool training, Rng* rng);
+  nn::Tensor Forward(const std::vector<const featurize::PlanGraph*>& graphs);
 
   featurize::PlanGraph FeaturizeNormalized(
       const QueryRecord& record) const;

@@ -10,7 +10,6 @@ TreeModelConfig ZeroShotCostModel::MakeConfig(const Options& options) {
   config.feature_dim = featurize::ZeroShotFeaturizer::kFeatureDim;
   config.num_encoders = plan::kNumPhysicalOpTypes;
   config.hidden_dim = options.hidden_dim;
-  config.dropout = options.dropout;
   config.init_seed = options.init_seed;
   return config;
 }

@@ -18,7 +18,6 @@ class ZeroShotCostModel : public TreeMessagePassingModel {
     featurize::CardinalityMode cardinality_mode =
         featurize::CardinalityMode::kEstimated;
     size_t hidden_dim = 64;
-    float dropout = 0.0f;
     uint64_t init_seed = 1;
   };
 

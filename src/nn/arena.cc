@@ -237,18 +237,6 @@ std::vector<uint32_t> AcquirePooledIndices(size_t n) {
   return std::vector<uint32_t>(n);
 }
 
-void ReleasePooledFloats(std::vector<float>&& buffer) {
-  if (GraphArena* arena = tl_active_arena) {
-    arena->ReleaseFloats(std::move(buffer));
-  }
-}
-
-void ReleasePooledIndices(std::vector<uint32_t>&& buffer) {
-  if (GraphArena* arena = tl_active_arena) {
-    arena->ReleaseIndices(std::move(buffer));
-  }
-}
-
 bool ArenaEnabled() {
   switch (g_arena_override) {
     case ArenaOverride::kOn:

@@ -91,9 +91,6 @@ class GraphArena {
   std::vector<float> AcquireFloats(size_t n) { return floats_.Acquire(n); }
   std::vector<uint32_t> AcquireIndices(size_t n) { return indices_.Acquire(n); }
   void ReleaseFloats(std::vector<float>&& v) { floats_.Release(std::move(v)); }
-  void ReleaseIndices(std::vector<uint32_t>&& v) {
-    indices_.Release(std::move(v));
-  }
 
   /// Pooled parents vectors (shared_ptr copies are cheap; the vector's heap
   /// block is what this recycles).
@@ -149,11 +146,6 @@ GraphArena* ActiveArena();
 /// to the pool on Reset.
 std::vector<float> AcquirePooledFloats(size_t n);
 std::vector<uint32_t> AcquirePooledIndices(size_t n);
-
-/// Returns a pooled buffer to the active arena (no-op beyond freeing when
-/// none is installed). For scratch that does not ride inside a graph node.
-void ReleasePooledFloats(std::vector<float>&& buffer);
-void ReleasePooledIndices(std::vector<uint32_t>&& buffer);
 
 /// False when the ZERODB_ARENA environment variable is "off" (or a test
 /// override is in place): the trainer then skips arena construction and

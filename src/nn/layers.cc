@@ -7,23 +7,6 @@
 
 namespace zerodb::nn {
 
-Tensor ApplyActivation(const Tensor& x, Activation activation) {
-  switch (activation) {
-    case Activation::kNone:
-      return x;
-    case Activation::kRelu:
-      return Relu(x);
-    case Activation::kLeakyRelu:
-      return LeakyRelu(x);
-    case Activation::kSigmoid:
-      return Sigmoid(x);
-    case Activation::kTanh:
-      return Tanh(x);
-  }
-  ZDB_CHECK(false) << "unknown activation";
-  return x;
-}
-
 Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
     : in_features_(in_features), out_features_(out_features) {
   ZDB_CHECK_GT(in_features, 0u);
@@ -62,25 +45,14 @@ Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
   layers_.emplace_back(in, config.out_features, rng);
 }
 
-Tensor Mlp::Forward(const Tensor& x, bool training, Rng* rng) const {
+Tensor Mlp::Forward(const Tensor& x) const {
   ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
   ZDB_DCHECK_OK(ValidateFinite(x, "Mlp::Forward input"));
   Tensor current = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
+    // ReLU rides inside the fused dense kernel on every hidden layer.
     const bool is_output = (i + 1 == layers_.size());
-    const Activation activation =
-        is_output ? config_.output_activation : config_.hidden_activation;
-    // ReLU rides inside the fused dense kernel (one pass over the output
-    // instead of three); other activations apply as a separate op.
-    if (activation == Activation::kRelu) {
-      current = layers_[i].Forward(current, /*fuse_relu=*/true);
-    } else {
-      current = ApplyActivation(layers_[i].Forward(current), activation);
-    }
-    if (!is_output && config_.dropout > 0.0f && training) {
-      ZDB_CHECK(rng != nullptr) << "dropout requires an rng";
-      current = Dropout(current, config_.dropout, rng, training);
-    }
+    current = layers_[i].Forward(current, /*fuse_relu=*/!is_output);
   }
   ZDB_DCHECK_OK(ValidateFinite(current, "Mlp::Forward output"));
   return current;

@@ -10,11 +10,6 @@
 
 namespace zerodb::nn {
 
-enum class Activation { kNone, kRelu, kLeakyRelu, kSigmoid, kTanh };
-
-/// Applies the named activation to a tensor.
-Tensor ApplyActivation(const Tensor& x, Activation activation);
-
 /// Fully-connected layer y = x W + b with Kaiming-uniform initialization.
 class Linear {
  public:
@@ -47,21 +42,16 @@ struct MlpConfig {
   size_t in_features = 0;
   std::vector<size_t> hidden_sizes;  // one entry per hidden layer
   size_t out_features = 0;
-  Activation hidden_activation = Activation::kRelu;
-  Activation output_activation = Activation::kNone;
-  float dropout = 0.0f;  // applied after each hidden activation
 };
 
-/// Multilayer perceptron built from Linear layers.
+/// Multilayer perceptron built from Linear layers: ReLU after every hidden
+/// layer, a linear output layer.
 class Mlp {
  public:
   Mlp() = default;
   Mlp(const MlpConfig& config, Rng* rng);
 
-  /// Forward pass. `training` enables dropout; rng may be null when
-  /// dropout == 0 or training == false.
-  Tensor Forward(const Tensor& x, bool training = false,
-                 Rng* rng = nullptr) const;
+  Tensor Forward(const Tensor& x) const;
 
   std::vector<Tensor> Parameters() const;
 

@@ -219,34 +219,6 @@ void BackwardAdd(Node* node) {
   }
 }
 
-void BackwardSub(Node* node) {
-  Node* a_node = node->parents[0].get();
-  Node* b_node = node->parents[1].get();
-  const size_t count = node->size();
-  if (WantsGrad(*a_node)) {
-    for (size_t i = 0; i < count; ++i) a_node->grad[i] += node->grad[i];
-  }
-  if (WantsGrad(*b_node)) {
-    for (size_t i = 0; i < count; ++i) b_node->grad[i] -= node->grad[i];
-  }
-}
-
-void BackwardMul(Node* node) {
-  Node* a_node = node->parents[0].get();
-  Node* b_node = node->parents[1].get();
-  const size_t count = node->size();
-  if (WantsGrad(*a_node)) {
-    for (size_t i = 0; i < count; ++i) {
-      a_node->grad[i] += node->grad[i] * b_node->values[i];
-    }
-  }
-  if (WantsGrad(*b_node)) {
-    for (size_t i = 0; i < count; ++i) {
-      b_node->grad[i] += node->grad[i] * a_node->values[i];
-    }
-  }
-}
-
 void BackwardScale(Node* node) {
   Node* x_node = node->parents[0].get();
   if (!WantsGrad(*x_node)) return;
@@ -263,47 +235,6 @@ void BackwardRelu(Node* node) {
   const size_t count = node->size();
   for (size_t i = 0; i < count; ++i) {
     if (x_node->values[i] > 0.0f) x_node->grad[i] += node->grad[i];
-  }
-}
-
-void BackwardLeakyRelu(Node* node) {
-  Node* x_node = node->parents[0].get();
-  if (!WantsGrad(*x_node)) return;
-  const size_t count = node->size();
-  const float negative_slope = node->f0;
-  for (size_t i = 0; i < count; ++i) {
-    float slope = x_node->values[i] > 0.0f ? 1.0f : negative_slope;
-    x_node->grad[i] += node->grad[i] * slope;
-  }
-}
-
-void BackwardSigmoid(Node* node) {
-  Node* x_node = node->parents[0].get();
-  if (!WantsGrad(*x_node)) return;
-  const size_t count = node->size();
-  for (size_t i = 0; i < count; ++i) {
-    const float out = node->values[i];
-    x_node->grad[i] += node->grad[i] * out * (1.0f - out);
-  }
-}
-
-void BackwardTanh(Node* node) {
-  Node* x_node = node->parents[0].get();
-  if (!WantsGrad(*x_node)) return;
-  const size_t count = node->size();
-  for (size_t i = 0; i < count; ++i) {
-    const float out = node->values[i];
-    x_node->grad[i] += node->grad[i] * (1.0f - out * out);
-  }
-}
-
-void BackwardDropout(Node* node) {
-  Node* x_node = node->parents[0].get();
-  if (!WantsGrad(*x_node)) return;
-  const size_t count = node->size();
-  const std::vector<float>& mask = node->aux_floats;
-  for (size_t i = 0; i < count; ++i) {
-    x_node->grad[i] += node->grad[i] * mask[i];
   }
 }
 
@@ -384,49 +315,6 @@ void BackwardConcatCols(Node* node) {
   }
 }
 
-void BackwardConcatRows(Node* node) {
-  const size_t n = node->cols;
-  size_t row_offset = 0;
-  for (const auto& parent : node->parents) {
-    const size_t count = parent->rows * n;
-    if (WantsGrad(*parent)) {
-      for (size_t i = 0; i < count; ++i) {
-        parent->grad[i] += node->grad[row_offset * n + i];
-      }
-    }
-    row_offset += parent->rows;
-  }
-}
-
-void BackwardLayerNorm(Node* node) {
-  Node* x_node = node->parents[0].get();
-  if (!WantsGrad(*x_node)) return;
-  const size_t m = node->rows;
-  const size_t n = node->cols;
-  const std::vector<float>& inv_std = node->aux_floats;
-  // dL/dx_j = s * (dy_j - mean(dy) - y_j * mean(dy * y)), with
-  // y the normalized output and s the inverse stddev.
-  for (size_t i = 0; i < m; ++i) {
-    const float s = inv_std[i];
-    double mean_dy = 0.0;
-    double mean_dy_y = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      const float dy = node->grad[i * n + j];
-      const float y = node->values[i * n + j];
-      mean_dy += dy;
-      mean_dy_y += static_cast<double>(dy) * y;
-    }
-    mean_dy /= static_cast<double>(n);
-    mean_dy_y /= static_cast<double>(n);
-    for (size_t j = 0; j < n; ++j) {
-      const float dy = node->grad[i * n + j];
-      const float y = node->values[i * n + j];
-      x_node->grad[i * n + j] +=
-          static_cast<float>(s * (dy - mean_dy - y * mean_dy_y));
-    }
-  }
-}
-
 void BackwardMseLoss(Node* node) {
   Node* pred = node->parents[0].get();
   Node* target = node->parents[1].get();
@@ -467,22 +355,10 @@ void RunNodeBackward(Node* node) {
       return BackwardLinearFused(node);
     case BackwardTag::kAdd:
       return BackwardAdd(node);
-    case BackwardTag::kSub:
-      return BackwardSub(node);
-    case BackwardTag::kMul:
-      return BackwardMul(node);
     case BackwardTag::kScale:
       return BackwardScale(node);
     case BackwardTag::kRelu:
       return BackwardRelu(node);
-    case BackwardTag::kLeakyRelu:
-      return BackwardLeakyRelu(node);
-    case BackwardTag::kSigmoid:
-      return BackwardSigmoid(node);
-    case BackwardTag::kTanh:
-      return BackwardTanh(node);
-    case BackwardTag::kDropout:
-      return BackwardDropout(node);
     case BackwardTag::kRowGather:
       return BackwardRowGather(node);
     case BackwardTag::kRowScatterAdd:
@@ -493,10 +369,6 @@ void RunNodeBackward(Node* node) {
       return BackwardScaleRows(node);
     case BackwardTag::kConcatCols:
       return BackwardConcatCols(node);
-    case BackwardTag::kConcatRows:
-      return BackwardConcatRows(node);
-    case BackwardTag::kLayerNorm:
-      return BackwardLayerNorm(node);
     case BackwardTag::kMseLoss:
       return BackwardMseLoss(node);
     case BackwardTag::kHuberLoss:
@@ -574,36 +446,17 @@ Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
   return out;
 }
 
-namespace {
-
-Tensor ElementwiseBinary(const Tensor& a, const Tensor& b, const char* name,
-                         BackwardTag tag, float (*fwd)(float, float)) {
+Tensor Add(const Tensor& a, const Tensor& b) {
   ZDB_CHECK_EQ(a.rows(), b.rows());
   ZDB_CHECK_EQ(a.cols(), b.cols());
   const size_t count = a.size();
-  Tensor out = MakeOpResult(a.rows(), a.cols(), name, tag, {&a, &b});
+  Tensor out = MakeOpResult(a.rows(), a.cols(), "add", BackwardTag::kAdd,
+                            {&a, &b});
   auto& out_data = out.mutable_data();
   for (size_t i = 0; i < count; ++i) {
-    out_data[i] = fwd(a.data()[i], b.data()[i]);
+    out_data[i] = a.data()[i] + b.data()[i];
   }
   return out;
-}
-
-}  // namespace
-
-Tensor Add(const Tensor& a, const Tensor& b) {
-  return ElementwiseBinary(a, b, "add", BackwardTag::kAdd,
-                           [](float x, float y) { return x + y; });
-}
-
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return ElementwiseBinary(a, b, "sub", BackwardTag::kSub,
-                           [](float x, float y) { return x - y; });
-}
-
-Tensor Mul(const Tensor& a, const Tensor& b) {
-  return ElementwiseBinary(a, b, "mul", BackwardTag::kMul,
-                           [](float x, float y) { return x * y; });
 }
 
 Tensor Scale(const Tensor& x, float factor) {
@@ -616,23 +469,8 @@ Tensor Scale(const Tensor& x, float factor) {
   return out;
 }
 
-namespace {
-
-Tensor ElementwiseUnary(const Tensor& x, const char* name, BackwardTag tag,
-                        float (*fwd)(float)) {
-  const size_t count = x.size();
-  Tensor out = MakeOpResult(x.rows(), x.cols(), name, tag, {&x});
-  auto& out_data = out.mutable_data();
-  for (size_t i = 0; i < count; ++i) out_data[i] = fwd(x.data()[i]);
-  return out;
-}
-
-}  // namespace
-
 Tensor Relu(const Tensor& x) {
-  // Dedicated forward (not ElementwiseUnary): the select compiles to a
-  // branch-free vector max, and the hot path skips the indirect fwd call
-  // per element.
+  // The select compiles to a branch-free vector max.
   const size_t count = x.size();
   Tensor out =
       MakeOpResult(x.rows(), x.cols(), "relu", BackwardTag::kRelu, {&x});
@@ -641,49 +479,6 @@ Tensor Relu(const Tensor& x) {
   for (size_t i = 0; i < count; ++i) {
     out_ptr[i] = x_ptr[i] > 0.0f ? x_ptr[i] : 0.0f;
   }
-  return out;
-}
-
-Tensor LeakyRelu(const Tensor& x, float negative_slope) {
-  const size_t count = x.size();
-  Tensor out = MakeOpResult(x.rows(), x.cols(), "leaky_relu",
-                            BackwardTag::kLeakyRelu, {&x});
-  out.node()->f0 = negative_slope;
-  auto& out_data = out.mutable_data();
-  for (size_t i = 0; i < count; ++i) {
-    float v = x.data()[i];
-    out_data[i] = v > 0.0f ? v : negative_slope * v;
-  }
-  return out;
-}
-
-Tensor Sigmoid(const Tensor& x) {
-  return ElementwiseUnary(x, "sigmoid", BackwardTag::kSigmoid, [](float v) {
-    return 1.0f / (1.0f + std::exp(-v));
-  });
-}
-
-Tensor Tanh(const Tensor& x) {
-  return ElementwiseUnary(x, "tanh", BackwardTag::kTanh,
-                          [](float v) { return std::tanh(v); });
-}
-
-Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training) {
-  ZDB_CHECK(p >= 0.0f && p < 1.0f);
-  if (!training || p == 0.0f) return x;
-  const size_t count = x.size();
-  // Build the mask up front so forward and backward agree. It rides in the
-  // node's pooled aux buffer — no shared_ptr allocation per dropout op.
-  std::vector<float> mask = AcquirePooledFloats(count);
-  const float keep_scale = 1.0f / (1.0f - p);
-  for (size_t i = 0; i < count; ++i) {
-    mask[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
-  }
-  Tensor out =
-      MakeOpResult(x.rows(), x.cols(), "dropout", BackwardTag::kDropout, {&x});
-  auto& out_data = out.mutable_data();
-  for (size_t i = 0; i < count; ++i) out_data[i] = x.data()[i] * mask[i];
-  out.node()->aux_floats = std::move(mask);
   return out;
 }
 
@@ -798,64 +593,6 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     }
     col_offset += part_cols;
   }
-  return out;
-}
-
-Tensor ConcatRows(const std::vector<Tensor>& parts) {
-  ZDB_CHECK(!parts.empty());
-  const size_t n = parts[0].cols();
-  size_t total_rows = 0;
-  for (const Tensor& part : parts) {
-    ZDB_CHECK_EQ(part.cols(), n);
-    total_rows += part.rows();
-  }
-  Tensor out = MakeOpResult(total_rows, n, "concat_rows",
-                            BackwardTag::kConcatRows, parts);
-  auto& out_data = out.mutable_data();
-  size_t row_offset = 0;
-  for (const Tensor& part : parts) {
-    const size_t count = part.size();
-    for (size_t i = 0; i < count; ++i) {
-      out_data[row_offset * n + i] = part.data()[i];
-    }
-    row_offset += part.rows();
-  }
-  return out;
-}
-
-Tensor LayerNorm(const Tensor& x, float epsilon) {
-  const size_t m = x.rows();
-  const size_t n = x.cols();
-  ZDB_CHECK_GT(n, 0u);
-  // Precompute per-row mean and inverse stddev; backward reuses the inverse
-  // stddev (stored in the node's pooled aux buffer), the mean is forward-only
-  // scratch.
-  std::vector<float> mean = AcquirePooledFloats(m);
-  std::vector<float> inv_std = AcquirePooledFloats(m);
-  const auto& x_data = x.data();
-  for (size_t i = 0; i < m; ++i) {
-    double sum = 0.0;
-    for (size_t j = 0; j < n; ++j) sum += x_data[i * n + j];
-    double mu = sum / static_cast<double>(n);
-    double var = 0.0;
-    for (size_t j = 0; j < n; ++j) {
-      double d = x_data[i * n + j] - mu;
-      var += d * d;
-    }
-    var /= static_cast<double>(n);
-    mean[i] = static_cast<float>(mu);
-    inv_std[i] = static_cast<float>(1.0 / std::sqrt(var + epsilon));
-  }
-  Tensor out =
-      MakeOpResult(m, n, "layer_norm", BackwardTag::kLayerNorm, {&x});
-  auto& out_data = out.mutable_data();
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      out_data[i * n + j] = (x_data[i * n + j] - mean[i]) * inv_std[i];
-    }
-  }
-  ReleasePooledFloats(std::move(mean));
-  out.node()->aux_floats = std::move(inv_std);
   return out;
 }
 

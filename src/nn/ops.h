@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
 #include "nn/tensor.h"
 
 namespace zerodb::nn {
@@ -28,30 +27,11 @@ Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
 /// Elementwise sum of same-shape tensors.
 Tensor Add(const Tensor& a, const Tensor& b);
 
-/// Elementwise difference a - b of same-shape tensors.
-Tensor Sub(const Tensor& a, const Tensor& b);
-
-/// Elementwise product of same-shape tensors.
-Tensor Mul(const Tensor& a, const Tensor& b);
-
 /// Multiplies every element by a constant.
 Tensor Scale(const Tensor& x, float factor);
 
 /// Rectified linear unit.
 Tensor Relu(const Tensor& x);
-
-/// Leaky ReLU with the given negative slope.
-Tensor LeakyRelu(const Tensor& x, float negative_slope = 0.01f);
-
-/// Elementwise sigmoid.
-Tensor Sigmoid(const Tensor& x);
-
-/// Elementwise tanh.
-Tensor Tanh(const Tensor& x);
-
-/// Inverted dropout: during training, zeroes each element with probability p
-/// and scales survivors by 1/(1-p); identity when `training` is false.
-Tensor Dropout(const Tensor& x, float p, Rng* rng, bool training);
 
 /// Gathers rows: out[i] = x[indices[i]]. Backward scatter-adds.
 Tensor RowGather(const Tensor& x, std::vector<uint32_t> indices);
@@ -78,13 +58,6 @@ Tensor ScaleRows(const Tensor& x, std::vector<float> factors);
 
 /// Concatenates along columns: shapes (m,n1),(m,n2) -> (m,n1+n2).
 Tensor ConcatCols(const std::vector<Tensor>& parts);
-
-/// Concatenates along rows: shapes (m1,n),(m2,n) -> (m1+m2,n).
-Tensor ConcatRows(const std::vector<Tensor>& parts);
-
-/// Row-wise layer normalization: each row is standardized to zero mean and
-/// unit variance (no learned affine; compose with Linear for that).
-Tensor LayerNorm(const Tensor& x, float epsilon = 1e-5f);
 
 /// Mean squared error between (n,1) predictions and constant (n,1) targets,
 /// as a scalar (1,1) tensor.

@@ -6,52 +6,9 @@
 
 namespace zerodb::nn {
 
-void Optimizer::ZeroGrad() {
-  for (Tensor& parameter : parameters_) parameter.ZeroGrad();
-}
-
-double Optimizer::ClipGradNorm(double max_norm) {
-  ZDB_CHECK_GT(max_norm, 0.0);
-  double total_sq = 0.0;
-  for (const Tensor& parameter : parameters_) {
-    for (float g : parameter.grad()) total_sq += static_cast<double>(g) * g;
-  }
-  double norm = std::sqrt(total_sq);
-  if (norm > max_norm) {
-    const float scale = static_cast<float>(max_norm / (norm + 1e-12));
-    for (Tensor& parameter : parameters_) {
-      for (float& g : parameter.mutable_grad()) g *= scale;
-    }
-  }
-  return norm;
-}
-
-Sgd::Sgd(std::vector<Tensor> parameters, float learning_rate, float momentum)
-    : Optimizer(std::move(parameters)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  velocity_.reserve(parameters_.size());
-  for (const Tensor& parameter : parameters_) {
-    velocity_.emplace_back(parameter.size(), 0.0f);
-  }
-}
-
-void Sgd::Step() {
-  for (size_t p = 0; p < parameters_.size(); ++p) {
-    auto& data = parameters_[p].mutable_data();
-    const auto& grad = parameters_[p].grad();
-    ZDB_CHECK_EQ(data.size(), grad.size());
-    auto& velocity = velocity_[p];
-    for (size_t i = 0; i < data.size(); ++i) {
-      velocity[i] = momentum_ * velocity[i] + grad[i];
-      data[i] -= learning_rate_ * velocity[i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> parameters, float learning_rate, float beta1,
            float beta2, float epsilon, float weight_decay)
-    : Optimizer(std::move(parameters)),
+    : parameters_(std::move(parameters)),
       learning_rate_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),
@@ -84,6 +41,26 @@ void Adam::Step() {
       data[i] -= corrected_lr * m[i] / (std::sqrt(v[i]) + epsilon_);
     }
   }
+}
+
+void Adam::ZeroGrad() {
+  for (Tensor& parameter : parameters_) parameter.ZeroGrad();
+}
+
+double Adam::ClipGradNorm(double max_norm) {
+  ZDB_CHECK_GT(max_norm, 0.0);
+  double total_sq = 0.0;
+  for (const Tensor& parameter : parameters_) {
+    for (float g : parameter.grad()) total_sq += static_cast<double>(g) * g;
+  }
+  double norm = std::sqrt(total_sq);
+  if (norm > max_norm) {
+    const float scale = static_cast<float>(max_norm / (norm + 1e-12));
+    for (Tensor& parameter : parameters_) {
+      for (float& g : parameter.mutable_grad()) g *= scale;
+    }
+  }
+  return norm;
 }
 
 }  // namespace zerodb::nn

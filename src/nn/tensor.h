@@ -23,21 +23,13 @@ enum class BackwardTag : uint8_t {
   kAddBias,
   kLinearFused,
   kAdd,
-  kSub,
-  kMul,
   kScale,
   kRelu,
-  kLeakyRelu,
-  kSigmoid,
-  kTanh,
-  kDropout,
   kRowGather,
   kRowScatterAdd,
   kRowScatterAddTo,
   kScaleRows,
   kConcatCols,
-  kConcatRows,
-  kLayerNorm,
   kMseLoss,
   kHuberLoss,
 };
@@ -58,16 +50,15 @@ struct Node {
   bool requires_grad = false;
 
   /// Backward dispatch tag plus small POD context. f0 carries the op scalar
-  /// (Scale factor, LeakyRelu slope, Huber delta); u0 carries an op flag
+  /// (Scale factor, Huber delta); u0 carries an op flag
   /// (LinearFused: 1 when ReLU is fused). Shapes are recovered from this
   /// node and its parents.
   BackwardTag tag = BackwardTag::kLeaf;
   float f0 = 0.0f;
   uint32_t u0 = 0;
 
-  /// Per-op auxiliary data that used to live in backward closures: dropout
-  /// keep-masks, ScaleRows factors and LayerNorm inverse stddevs in
-  /// aux_floats; gather/scatter row indices in aux_indices.
+  /// Per-op auxiliary data that used to live in backward closures: ScaleRows
+  /// factors in aux_floats; gather/scatter row indices in aux_indices.
   std::vector<float> aux_floats;
   std::vector<uint32_t> aux_indices;
 
@@ -157,7 +148,7 @@ class Tensor {
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     std::initializer_list<const Tensor*> parents);
 
-/// Variadic-parent form (ConcatCols/ConcatRows).
+/// Variadic-parent form (ConcatCols).
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     const std::vector<Tensor>& parents);
 

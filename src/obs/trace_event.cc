@@ -20,7 +20,7 @@ int CurrentThreadKey() {
 
 std::atomic<uint64_t> g_next_recorder_serial{1};
 
-thread_local std::string* t_thread_trace_name = nullptr;
+thread_local std::string t_thread_trace_name;
 
 /// One-entry cache: the last (recorder serial, buffer) this thread touched.
 /// Serial (not pointer) keyed, so a recorder reallocated at the same address
@@ -34,12 +34,7 @@ thread_local BufferCache t_buffer_cache;
 }  // namespace
 
 void SetCurrentThreadTraceName(std::string name) {
-  if (t_thread_trace_name == nullptr) {
-    // Leaked once per thread naming itself; threads are pooled and bounded.
-    // zerodb-lint: allow(naked-new): deliberate per-thread leak, see above
-    t_thread_trace_name = new std::string();
-  }
-  *t_thread_trace_name = std::move(name);
+  t_thread_trace_name = std::move(name);
 }
 
 std::atomic<TraceEventRecorder*> TraceEventRecorder::global_{nullptr};
@@ -72,8 +67,8 @@ TraceEventRecorder::TrackBuffer* TraceEventRecorder::BufferForThisThread() {
     if (buffer == nullptr) {
       auto owned = std::make_unique<TrackBuffer>();
       owned->tid = next_tid_++;
-      owned->name = t_thread_trace_name != nullptr && !t_thread_trace_name->empty()
-                        ? *t_thread_trace_name
+      owned->name = !t_thread_trace_name.empty()
+                        ? t_thread_trace_name
                         : "thread-" + std::to_string(owned->tid);
       buffer = owned.get();
       buffers_.emplace_back(key, std::move(owned));
@@ -198,9 +193,7 @@ TraceEventRecorder* TraceEventRecorder::InstallGlobal() {
   TraceEventRecorder* expected = nullptr;
   if (global_.compare_exchange_strong(expected, recorder,
                                       std::memory_order_acq_rel)) {
-    if (t_thread_trace_name == nullptr || t_thread_trace_name->empty()) {
-      SetCurrentThreadTraceName("main");
-    }
+    if (t_thread_trace_name.empty()) SetCurrentThreadTraceName("main");
   }
   recorder->set_enabled(true);
   // Tracing without metrics is common in tests; make sure pool workers get

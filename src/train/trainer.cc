@@ -50,17 +50,14 @@ struct ShardExecutor {
 /// is recycled via Reset once the gradients are copied out.
 void RunShard(ShardExecutor* exec,
               const std::vector<const QueryRecord*>& batch, size_t shard_begin,
-              size_t shard_end, size_t batch_size, uint64_t shard_seed,
-              ShardResult* out) {
+              size_t shard_end, size_t batch_size, ShardResult* out) {
   exec->shard.assign(batch.begin() + static_cast<ptrdiff_t>(shard_begin),
                      batch.begin() + static_cast<ptrdiff_t>(shard_end));
   nn::ArenaGuard guard(exec->arena.get());
   for (nn::Tensor& p : exec->params) p.ZeroGrad();
-  Rng shard_rng(shard_seed);
   {
     // Inner scope: every Tensor handle into the arena must die before Reset.
-    nn::Tensor loss =
-        exec->model->LossOnBatch(exec->shard, /*training=*/true, &shard_rng);
+    nn::Tensor loss = exec->model->LossOnBatch(exec->shard);
     ZDB_DCHECK_OK(nn::ValidateShape(loss, 1, 1, "trainer forward: shard loss"));
     ZDB_DCHECK_OK(nn::ValidateFinite(loss, "trainer forward: shard loss"));
     nn::Tensor scaled =
@@ -162,13 +159,11 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   obs::Histogram* epoch_us = registry.GetHistogram("train.epoch_us");
 
   // Per-batch working state, hoisted out of the loops so batch N reuses
-  // batch N-1's capacity: the batch view, the pre-drawn shard seeds, and the
-  // shard result slots (kept at max_shards so the final partial batch never
-  // shrinks — and re-grows — the gradient buffers inside).
+  // batch N-1's capacity: the batch view and the shard result slots (kept at
+  // max_shards so the final partial batch never shrinks — and re-grows — the
+  // gradient buffers inside).
   std::vector<const QueryRecord*> batch;
   batch.reserve(options.batch_size);
-  std::vector<uint64_t> shard_seeds;
-  shard_seeds.reserve(max_shards);
   std::vector<ShardResult> shard_results(max_shards);
 
   for (size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
@@ -189,13 +184,11 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       const size_t num_shards =
           (batch_size + kShardRecords - 1) / kShardRecords;
 
-      // Every shard's dropout seed is drawn here, in ascending shard order,
-      // from the trainer Rng — never from inside a worker — so the stream of
-      // draws is the same for any thread count.
-      shard_seeds.resize(num_shards);
-      for (uint64_t& shard_seed : shard_seeds) {
-        shard_seed = rng.NextUint64();
-      }
+      // Advance the trainer Rng once per shard. Nothing reads these draws,
+      // but they are part of the Rng stream the next epoch's shuffle comes
+      // from: skipping them would reorder every later epoch and change every
+      // pinned loss history and trained model.
+      for (size_t s = 0; s < num_shards; ++s) rng.NextUint64();
 
       // Static shard mapping: executor e of `used` runs shards
       // [e * num_shards / used, (e + 1) * num_shards / used). Shard results
@@ -216,7 +209,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
           const size_t shard_end =
               std::min(batch_size, shard_begin + kShardRecords);
           RunShard(&shard_executors[e], batch, shard_begin, shard_end,
-                   batch_size, shard_seeds[s], &shard_results[s]);
+                   batch_size, &shard_results[s]);
         }
       };
       ParallelFor(shard_pool, 0, used, /*grain=*/1,
@@ -258,8 +251,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     double val_loss = result.final_train_loss;
     if (!validation.empty()) {
       nn::InferenceModeGuard inference;
-      val_loss =
-          model->LossOnBatch(validation, /*training=*/false, nullptr).item();
+      val_loss = model->LossOnBatch(validation).item();
     }
 
     obs::EpochStat stat;

@@ -23,8 +23,7 @@ struct TrainerOptions {
   /// the global ThreadPool (hardware_concurrency unless overridden via
   /// ZERODB_THREADS / --threads); 1 = serial. Any value yields bit-identical
   /// loss histories: every mini-batch is split into fixed 8-record shards
-  /// whose partial gradients are reduced in ascending shard order, and each
-  /// shard draws its dropout Rng from a seed pre-drawn in shard order — the
+  /// whose partial gradients are reduced in ascending shard order — the
   /// arithmetic never depends on which thread ran which shard.
   ///
   /// Each shard executor (the caller's model or a CloneReplica) owns a

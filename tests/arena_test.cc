@@ -142,7 +142,9 @@ TEST(GraphArenaTest, PooledMatchesFreshBitwise) {
     Tensor v = Tensor::Parameter(3, 1, std::vector<float>(3, 0.4f));
     Tensor x = Tensor::FromData(5, 6, std::move(input));
     Tensor h = LinearFused(x, w, b, /*fuse_relu=*/true);
-    Tensor d = Dropout(h, 0.5f, &rng, /*training=*/true);
+    std::vector<float> factors = AcquirePooledFloats(5);
+    for (float& f : factors) f = static_cast<float>(rng.UniformDouble(0, 2));
+    Tensor d = ScaleRows(h, std::move(factors));
     Tensor loss = MseLoss(MatMul(d, v), Tensor::Zeros(5, 1));
     loss.Backward();
     std::vector<float> out = loss.data();
@@ -168,17 +170,22 @@ TEST(GraphArenaTest, PooledMatchesFreshBitwise) {
 }
 
 TEST(GraphArenaTest, PooledBuffersRideInsideNodes) {
-  // Dropout masks / gather indices move into aux buffers and return to the
-  // pool on Reset — the second epoch's acquisitions are all hits.
+  // ScaleRows factors / gather indices move into aux buffers and return to
+  // the pool on Reset — the second epoch's acquisitions are all hits.
   GraphArena arena;
   auto epoch = [&]() {
     ArenaGuard guard(&arena);
     {
-      Rng rng(3);
       Tensor x = Tensor::Parameter(4, 4, std::vector<float>(16, 1.0f));
       Tensor v = Tensor::Parameter(4, 1, std::vector<float>(4, 0.2f));
-      Tensor d = Dropout(x, 0.25f, &rng, /*training=*/true);
-      Tensor g = RowGather(d, {2u, 0u, 1u, 3u});
+      std::vector<float> factors = AcquirePooledFloats(4);
+      for (size_t i = 0; i < factors.size(); ++i) factors[i] = 0.5f * (i + 1);
+      Tensor d = ScaleRows(x, std::move(factors));
+      std::vector<uint32_t> order = AcquirePooledIndices(4);
+      for (size_t i = 0; i < order.size(); ++i) {
+        order[i] = static_cast<uint32_t>((i + 2) % 4);
+      }
+      Tensor g = RowGather(d, std::move(order));
       Tensor loss = MseLoss(MatMul(g, v), Tensor::Zeros(4, 1));
       loss.Backward();
     }
@@ -293,7 +300,11 @@ TEST(ArenaStressTest, EightThreadReplicaArenas) {
           Tensor v = Tensor::Parameter(8, 1, std::vector<float>(8, 0.1f));
           Tensor x = Tensor::Full(16, 8, 0.5f);
           Tensor h = LinearFused(x, w, b, /*fuse_relu=*/true);
-          Tensor d = Dropout(h, 0.1f, &rng, /*training=*/true);
+          std::vector<float> factors = AcquirePooledFloats(16);
+          for (float& f : factors) {
+            f = static_cast<float>(rng.UniformDouble(0, 2));
+          }
+          Tensor d = ScaleRows(h, std::move(factors));
           Tensor loss = MseLoss(MatMul(d, v), Tensor::Zeros(16, 1));
           loss.Backward();
           if (loss.data().empty() || w.grad().empty()) failures.fetch_add(1);

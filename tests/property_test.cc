@@ -195,34 +195,43 @@ TEST_P(AutogradProperty, RandomCompositeGraphGradients) {
   nn::Tensor x = nn::Tensor::FromData(2, in_dim, x_data);
   nn::Tensor target = nn::Tensor::FromData(2, 1, {0.3f, -0.2f});
 
-  // A randomized chain of unary ops on top of x @ w.
+  // A randomized chain of the ops the cost models are built from, on top of
+  // x @ w; the loss alternates between MSE and Huber across seeds.
+  nn::Tensor v = nn::Tensor::FromData(
+      hidden, hidden, {0.6f, -0.3f, 0.2f, 0.1f, -0.4f, 0.5f, 0.3f, -0.2f,
+                       0.1f, 0.2f, -0.5f, 0.4f, 0.3f, -0.1f, 0.2f, 0.6f});
+  nn::Tensor bias = nn::Tensor::FromData(1, hidden, {0.1f, -0.1f, 0.2f, 0.05f});
   const uint64_t recipe = rng.NextUint64();
+  const bool huber = GetParam() % 2 == 1;
   auto forward = [&]() {
     nn::Tensor h = nn::MatMul(x, w);
     uint64_t bits = recipe;
     for (int step = 0; step < 3; ++step) {
-      switch (bits % 5) {
+      switch (bits % 6) {
         case 0:
-          h = nn::Tanh(h);
+          h = nn::Relu(h);
           break;
         case 1:
-          h = nn::Sigmoid(h);
+          h = nn::LinearFused(h, v, bias, /*relu=*/false);
           break;
         case 2:
-          h = nn::LeakyRelu(h, 0.1f);
+          h = nn::LinearFused(h, v, bias, /*relu=*/true);
           break;
         case 3:
-          h = nn::LayerNorm(h);
+          h = nn::RowGather(h, {1, 0});
+          break;
+        case 4:
+          h = nn::ScaleRows(h, {1.5f, -0.7f});
           break;
         default:
           h = nn::Scale(h, 0.8f);
           break;
       }
-      bits /= 5;
+      bits /= 6;
     }
     nn::Tensor column = nn::MatMul(
         h, nn::Tensor::FromData(hidden, 1, {0.5f, -0.5f, 0.25f, 1.0f}));
-    return nn::MseLoss(column, target);
+    return huber ? nn::HuberLoss(column, target) : nn::MseLoss(column, target);
   };
 
   nn::Tensor loss = forward();

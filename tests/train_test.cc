@@ -178,65 +178,38 @@ TEST_F(TrainTest, ThreadCountDoesNotChangeLossHistory) {
   }
 }
 
-TEST_F(TrainTest, ThreadCountDoesNotChangeLossHistoryWithDropout) {
-  // Dropout draws from per-shard Rngs whose seeds are pre-drawn in shard
-  // order — the stochastic path must stay thread-count independent too.
-  models::ZeroShotCostModel::Options model_options;
-  model_options.hidden_dim = 16;
-  model_options.init_seed = 6;
-  model_options.dropout = 0.2f;
-  models::ZeroShotCostModel model_serial(model_options);
-  models::ZeroShotCostModel model_parallel(model_options);
-  auto view = MakeView(*records_);
-  TrainerOptions options;
-  options.max_epochs = 3;
-  options.seed = 11;
-  options.num_threads = 1;
-  TrainResult serial = TrainModel(&model_serial, view, options);
-  options.num_threads = 4;
-  TrainResult parallel = TrainModel(&model_parallel, view, options);
-  ExpectSameHistory(serial, parallel);
-}
-
 TEST_F(TrainTest, PooledMemoryDoesNotChangeLossHistory) {
   // Neither the arena nor the static executor-to-shard mapping changes the
-  // arithmetic: every arena on/off × thread-count combination — with and
-  // without the stochastic dropout path — produces the loss history of the
-  // serial arena-on run bit for bit. batch_size 40 is 5 shards, so 2 and 3
-  // executors split a batch unevenly; 108 training records end each epoch
-  // on a partial batch (28 records, 4 shards).
+  // arithmetic: every arena on/off × thread-count combination produces the
+  // loss history of the serial arena-on run bit for bit. batch_size 40 is 5
+  // shards, so 2 and 3 executors split a batch unevenly; 108 training
+  // records end each epoch on a partial batch (28 records, 4 shards).
   auto view = MakeView(*records_);
   for (size_t batch_size : {size_t(32), size_t(40)}) {
-    for (float dropout : {0.0f, 0.1f, 0.2f}) {
-      TrainResult reference;
-      bool have_reference = false;
-      for (bool arena : {true, false}) {
-        nn::SetArenaEnabledForTest(arena);
-        for (size_t threads : {size_t(1), size_t(2), size_t(3), size_t(4)}) {
-          models::ZeroShotCostModel::Options model_options;
-          model_options.hidden_dim = 16;
-          model_options.init_seed = 6;
-          model_options.dropout = dropout;
-          models::ZeroShotCostModel model(model_options);
-          TrainerOptions options;
-          options.max_epochs = 3;
-          options.batch_size = batch_size;
-          options.seed = 11;
-          options.num_threads = threads;
-          TrainResult result = TrainModel(&model, view, options);
-          if (!have_reference) {
-            reference = result;
-            have_reference = true;
-          } else {
-            SCOPED_TRACE(testing::Message()
-                         << "batch " << batch_size << " dropout " << dropout
-                         << " arena " << arena << " threads " << threads);
-            ExpectSameHistory(reference, result);
-          }
+    TrainResult reference;
+    bool have_reference = false;
+    for (bool arena : {true, false}) {
+      nn::SetArenaEnabledForTest(arena);
+      for (size_t threads : {size_t(1), size_t(2), size_t(3), size_t(4)}) {
+        auto model = MakeTinyModel(6);
+        TrainerOptions options;
+        options.max_epochs = 3;
+        options.batch_size = batch_size;
+        options.seed = 11;
+        options.num_threads = threads;
+        TrainResult result = TrainModel(&model, view, options);
+        if (!have_reference) {
+          reference = result;
+          have_reference = true;
+        } else {
+          SCOPED_TRACE(testing::Message() << "batch " << batch_size
+                                          << " arena " << arena << " threads "
+                                          << threads);
+          ExpectSameHistory(reference, result);
         }
       }
-      nn::ClearArenaEnabledOverrideForTest();
     }
+    nn::ClearArenaEnabledOverrideForTest();
   }
 }
 
