@@ -13,9 +13,13 @@ The package splits into these layers:
                  scanner that fills the IR
   checks.py      the whole-program checks (determinism audit,
                  lock-order cycles, lifetime, layering, plus the
-                 dataflow.py rules) over the merged IR
+                 dataflow.py rules over the callgraph.py call graph)
+                 over the merged IR
+  suppress.py    the `zerodb-lint: allow(...)` syntax both families share
 
-Entry point: scripts/zerodb_analyzer.py.
+Entry point: scripts/zerodb_analyzer.py, which walks the tree, runs the
+fixture self-test and prints the one text report (plus `::error`
+annotations under GitHub Actions).
 """
 
 __all__ = ["lexical", "ir", "textparse", "checks"]

@@ -375,32 +375,6 @@ class CallGraph:
                 names.add(call.name)
         return names
 
-    def reachable_names(self, seed_names, undirected=False):
-        """Function names reachable from `seed_names` along call edges.
-        With undirected=True, caller and callee edges both count (used by
-        --changed-only to find everything a change can influence)."""
-        callers_of = {}
-        if undirected:
-            for func in self.functions:
-                for callee in self.callees_of(func):
-                    callers_of.setdefault(callee, set()).add(func.name)
-        seen = set()
-        frontier = [n for n in seed_names if n in self.by_name]
-        while frontier:
-            name = frontier.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for func in self.by_name.get(name, []):
-                for callee in self.callees_of(func):
-                    if callee not in seen:
-                        frontier.append(callee)
-            if undirected:
-                for caller in callers_of.get(name, ()):
-                    if caller not in seen:
-                        frontier.append(caller)
-        return seen
-
 
 def build(files):
     """{rel: FileIR} -> CallGraph over every function in every file."""

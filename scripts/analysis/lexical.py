@@ -22,12 +22,12 @@ Rules (all suppressible on a given line — or the line above it — with
                     owned (same line must contain unique_ptr/make_unique/
                     shared_ptr) and is not the `static X* x = new X`
                     leak-singleton idiom.
-  discarded-status  (a) `(void)fn(...)` casts with no nearby comment saying
+  discarded-status  `(void)fn(...)` casts with no nearby comment saying
                     why the discard is sound — Status and StatusOr are
-                    class-level [[nodiscard]], so every cast is a deliberate
-                    override that needs a justification; (b) the
-                    [[nodiscard]] markers themselves must stay present in
-                    src/common/status.h.
+                    class-level [[nodiscard]] (the compile-fail ctests
+                    status_nodiscard/statusor_nodiscard pin that), so every
+                    cast is a deliberate override that needs a
+                    justification.
   include-hygiene   files using ZDB_ thread-safety annotation macros must
                     directly include common/thread_annotations.h (or
                     common/sync.h); files using Mutex/MutexLock/CondVar must
@@ -78,12 +78,6 @@ ANNOTATION_INCLUDE_RE = re.compile(
     r'#include\s+"common/(?:thread_annotations|sync)\.h"'
 )
 SYNC_INCLUDE_RE = re.compile(r'#include\s+"common/sync\.h"')
-
-NODISCARD_MARKERS = (
-    "class [[nodiscard]] Status",
-    "class [[nodiscard]] StatusOr",
-)
-
 
 def read_source(path, rel):
     """Returns (lines, None), or (None, io Finding) when the file cannot be
@@ -171,12 +165,4 @@ def check_file(rel, raw, library):
                    "uses Mutex/MutexLock/CondVar without directly including "
                    '"common/sync.h"')
 
-    if rel == "src/common/status.h":
-        text = "\n".join(raw)
-        for marker in NODISCARD_MARKERS:
-            if marker not in text:
-                findings.append(Finding(
-                    rel, 1, "discarded-status",
-                    f"missing `{marker}`: the tree-wide no-discarded-Status "
-                    "guarantee rests on the class-level [[nodiscard]]"))
     return findings

@@ -2,29 +2,29 @@
 """Compare a freshly generated bench summary against the committed baseline.
 
   scripts/bench_compare.py --fresh BENCH_fresh.json \
-      --baseline BENCH_micro.json [--threshold 0.25] [--github-annotations]
+      --baseline BENCH_micro.json [--threshold 0.25]
 
 Reports per-benchmark real_time_ms and wall_clock_s movements between the
 two summaries (schema v5, or any older schema with the same benchmark rows;
-see bench_summary.py). Regressions beyond
-the threshold are printed — and, with --github-annotations, emitted as
-`::warning::` workflow annotations so they show up on the PR — but the exit
-code stays 0. Counters present in only one summary (a new or retired
-benchmark) are skipped with a note (`::notice` under --github-annotations)
-rather than silently dropped. Exit 0 despite regressions because
-micro-benchmarks on shared CI runners are too noisy to gate merges on —
-the annotation is the signal.
+see bench_summary.py). Regressions beyond the threshold are printed — and,
+under GitHub Actions (GITHUB_ACTIONS=true), also emitted as `::warning::`
+workflow annotations so they show up on the PR — but the exit code stays 0.
+Counters present in only one summary (a new or retired benchmark) are
+skipped with a note (plus a `::notice` under GitHub Actions) rather than
+silently dropped. Exit 0 despite regressions because micro-benchmarks on
+shared CI runners are too noisy to gate merges on — the annotation is the
+signal.
 
 --fail-on RATIO turns the soft report into a hard gate for the series
 named by --allowlist (comma-separated, repeatable; each entry matches a
 benchmark family by substring, so `BM_ForwardBatch` covers every
 `BM_ForwardBatch/batch:N`). An allowlisted series that slows down by more
-than RATIO fails the run: `::error` annotations under
---github-annotations and exit code 3. Series outside the allowlist keep
-the warning-only behavior — the allowlist names the counters judged
-stable enough to gate merges on. --fail-on without --allowlist gates
-every series. Exit 1 is reserved for unusable input (missing/invalid
-fresh summary), 2 for usage errors, 3 for a tripped gate.
+than RATIO fails the run: exit code 3, plus `::error` annotations under
+GitHub Actions. Series outside the allowlist keep the warning-only behavior
+— the allowlist names the counters judged stable enough to gate merges on.
+--fail-on without --allowlist gates every series. Exit 1 is reserved for
+unusable input (missing/invalid fresh summary), 2 for usage errors, 3 for a
+tripped gate.
 
 A missing baseline is not an error (first run on a fresh branch): the
 script prints a note and exits 0.
@@ -140,8 +140,6 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="relative slowdown that counts as a "
                              "regression (default 0.25 = +25%%)")
-    parser.add_argument("--github-annotations", action="store_true",
-                        help="emit ::warning:: lines for regressions")
     parser.add_argument("--fail-on", type=float, default=None,
                         help="relative slowdown beyond which allowlisted "
                              "series fail the run (exit 3); e.g. 0.35")
@@ -167,6 +165,7 @@ def main():
               "compare (first run?)")
         return 0
 
+    annotate = os.environ.get("GITHUB_ACTIONS") == "true"
     base_commit = baseline.get("commit", "?")
     gated, regressions, improvements, common, one_sided = compare(
         fresh, baseline, args.threshold, fail_on=args.fail_on,
@@ -178,14 +177,14 @@ def main():
                    f"(+{delta * 100.0:.0f}% vs baseline {base_commit}, "
                    f"gate {args.fail_on * 100.0:.0f}%)")
         print(f"bench_compare: GATED REGRESSION {message}")
-        if args.github_annotations:
+        if annotate:
             print(f"::error title=bench gate::{message}")
     for kind, name, before, after, delta in regressions:
         u = unit[kind]
         message = (f"{name}: {before:.2f}{u} -> {after:.2f}{u} "
                    f"(+{delta * 100.0:.0f}% vs baseline {base_commit})")
         print(f"bench_compare: REGRESSION {message}")
-        if args.github_annotations:
+        if annotate:
             # One annotation per regression; non-fatal by design (exit 0).
             print(f"::warning title=bench regression::{message}")
     for kind, name, before, after, delta in improvements:
@@ -196,7 +195,7 @@ def main():
         message = (f"{name} ({kind}) exists only in the {side} summary "
                    f"(new or retired series); skipped")
         print(f"bench_compare: skipped {message}")
-        if args.github_annotations:
+        if annotate:
             print(f"::notice title=bench one-sided counter::{message}")
     print(f"bench_compare: {common} series compared, "
           f"{len(gated)} gated regression(s), "

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lint + sanitized build + test runs. Usage:
-#   scripts/check.sh            # zerodb-analyzer, then ASan AND TSan runs
+# Sanitized build + test runs (the static gates live in scripts/lint.sh).
+# Usage:
+#   scripts/check.sh            # ASan AND TSan runs
 #   scripts/check.sh address    # one sanitizer: address
 #   scripts/check.sh thread     # one sanitizer: thread (TSan)
 #   scripts/check.sh undefined  # UBSan, -fno-sanitize-recover (UB aborts)
@@ -9,17 +10,6 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
-# Static analysis (per-file repo invariants + whole-program checks) and
-# tooling tests gate every check run (fail on violations; only skipped when
-# python3 itself is missing).
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/zerodb_analyzer.py --self-test
-  python3 scripts/zerodb_analyzer.py
-  python3 scripts/tooling_test.py
-else
-  echo "check.sh: zerodb-analyzer SKIPPED (python3 not installed)" >&2
-fi
 
 # Compiler cache when available (CI restores .ccache across runs; local
 # rebuilds of the three sanitizer trees benefit just as much).

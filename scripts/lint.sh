@@ -6,10 +6,9 @@
 #   scripts/lint.sh src/nn      # zerodb-analyzer + clang-tidy over one
 #                               # subtree (the analyzer always scans the tree)
 #
-# ZERODB_LINT_BASE=<ref> switches zerodb-analyzer to its --changed-only
-# fast path against that ref (pre-commit loop; it still parses the whole
-# tree so cross-TU checks stay sound, but reports only findings the changed
-# files can influence via the call graph).
+# This is the one place the static gates run: the analyzer self-test, its
+# tree scan and tooling_test.py run here once (CI's lint job), never in
+# scripts/check.sh, which only runs sanitizers.
 #
 # Exits non-zero on any finding. When an *optional external* tool is not
 # installed (clang-tidy/clang-format in minimal containers that only ship
@@ -35,7 +34,7 @@ find_tool() {
   fi
   local versioned
   versioned="$(compgen -c "$base-" 2> /dev/null | grep -E "^$base-[0-9]+$" \
-               | sort -t- -k3 -rn | head -1 || true)"
+               | sort -rV | head -1 || true)"
   if [[ -n "$versioned" ]]; then
     echo "$versioned"
     return 0
@@ -66,14 +65,8 @@ fi
 if command -v python3 > /dev/null 2>&1; then
   echo "lint.sh: zerodb-analyzer self-test"
   python3 scripts/zerodb_analyzer.py --self-test
-  if [[ -n "${ZERODB_LINT_BASE-}" ]]; then
-    echo "lint.sh: zerodb-analyzer changed-only scan (base $ZERODB_LINT_BASE)"
-    python3 scripts/zerodb_analyzer.py --changed-only \
-      --base "$ZERODB_LINT_BASE"
-  else
-    echo "lint.sh: zerodb-analyzer tree scan"
-    python3 scripts/zerodb_analyzer.py
-  fi
+  echo "lint.sh: zerodb-analyzer tree scan"
+  python3 scripts/zerodb_analyzer.py
 
   # --- tooling negative-path tests: bench_summary / trace_validate /
   # bench_compare must reject malformed inputs cleanly (no tracebacks).

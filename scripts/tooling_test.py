@@ -22,17 +22,17 @@ Covered:
   zerodb_analyzer.py a non-UTF-8 file is an `io` finding (exit 1); a
                      missing path exits 2; a per-file (stdout-io) and a
                      whole-program (nondet-call) finding under src/ land in
-                     one SARIF report
+                     one text report; `::error` annotations appear only
+                     under GITHUB_ACTIONS=true, one escaped line per
+                     finding; the tree walk filters roots and extensions
   analysis/suppress  `zerodb-lint: allow(...)` parsing unit tests (shared
                      by the per-file and the whole-program rules)
-  analysis/files     tree walk and --changed-only file selection of
-                     zerodb_analyzer.py on a scratch git repo; a bad base
-                     ref exits 2 with a diagnostic
-  analysis/sarif     SARIF writer and ::error emitter survive malformed
-                     findings (bad IR) and an empty run — no tracebacks
 
-Run: scripts/tooling_test.py   (exit 0 pass, 1 fail). Wired into lint.sh /
-check.sh and the CI lint job.
+Scripts run with GITHUB_ACTIONS removed from their environment unless a
+test sets it, so results are the same locally and in CI.
+
+Run: scripts/tooling_test.py   (exit 0 pass, 1 fail). Wired into lint.sh
+and so into the CI lint job.
 """
 
 import json
@@ -44,7 +44,8 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__))))
 
-from analysis import files, sarif, suppress  # noqa: E402
+import zerodb_analyzer  # noqa: E402
+from analysis import ir, suppress  # noqa: E402
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(REPO_ROOT, "scripts")
@@ -53,10 +54,14 @@ _failures = []
 _checks = 0
 
 
-def run_script(script, *argv):
+def run_script(script, *argv, github_actions=False, scripts=SCRIPTS):
+    """Runs scripts/<script>; GITHUB_ACTIONS=true only when asked for."""
+    env = {k: v for k, v in os.environ.items() if k != "GITHUB_ACTIONS"}
+    if github_actions:
+        env["GITHUB_ACTIONS"] = "true"
     return subprocess.run(
-        [sys.executable, os.path.join(SCRIPTS, script), *argv],
-        capture_output=True, text=True, check=False)
+        [sys.executable, os.path.join(scripts, script), *argv],
+        capture_output=True, text=True, check=False, env=env)
 
 
 def check(label, condition, detail=""):
@@ -276,7 +281,7 @@ def test_bench_compare(tmp):
           (result.stdout + result.stderr).strip()[:200])
 
     result = run_script("bench_compare.py", "--fresh", fresh,
-                        "--baseline", base, "--github-annotations")
+                        "--baseline", base, github_actions=True)
     check("bench_compare flags regression non-fatally",
           result.returncode == 0
           and result.stdout.count("REGRESSION") == 2
@@ -295,7 +300,7 @@ def test_bench_compare(tmp):
                         "cpu_time_ms": 5.0, "iterations": 1}],
         "wall_clock_s": {"bench_micro": 10.0}}))
     result = run_script("bench_compare.py", "--fresh", renamed,
-                        "--baseline", base, "--github-annotations")
+                        "--baseline", base, github_actions=True)
     check("bench_compare one-sided counters skipped with ::notice",
           result.returncode == 0
           and result.stdout.count("::notice") == 2
@@ -320,8 +325,8 @@ def test_bench_compare(tmp):
     # with exit 3 and an ::error annotation. fresh's BM_X is +100% over
     # base; the wall clock series is not allowlisted so it stays a warning.
     result = run_script("bench_compare.py", "--fresh", fresh,
-                        "--baseline", base, "--github-annotations",
-                        "--fail-on", "0.35", "--allowlist", "BM_X")
+                        "--baseline", base, "--fail-on", "0.35",
+                        "--allowlist", "BM_X", github_actions=True)
     check("bench_compare gate trips on allowlisted regression",
           result.returncode == 3
           and "GATED REGRESSION" in result.stdout
@@ -330,8 +335,8 @@ def test_bench_compare(tmp):
           (result.stdout + result.stderr).strip()[:300])
 
     result = run_script("bench_compare.py", "--fresh", fresh,
-                        "--baseline", base, "--github-annotations",
-                        "--fail-on", "0.35", "--allowlist", "BM_Other")
+                        "--baseline", base, "--fail-on", "0.35",
+                        "--allowlist", "BM_Other", github_actions=True)
     check("bench_compare gate ignores non-allowlisted series",
           result.returncode == 0
           and "GATED" not in result.stdout
@@ -394,20 +399,47 @@ def test_analyzer(tmp):
           "#include <cstdlib>\n#include <iostream>\n"
           "int Draw() { return rand(); }\n"
           "void Show(int v) { std::cout << v; }\n")
-    log_path = os.path.join(tmp, "both.sarif")
-    result = subprocess.run(
-        [sys.executable, os.path.join(repo, "scripts", "zerodb_analyzer.py"),
-         "--sarif", log_path],
-        capture_output=True, text=True, check=False)
-    rule_ids = set()
-    if os.path.isfile(log_path):
-        with open(log_path, encoding="utf-8") as f:
-            results = json.load(f)["runs"][0]["results"]
-        rule_ids = {r["ruleId"] for r in results}
-    check("analyzer: both rule families share one SARIF report",
+    def annotations(result):
+        return [line for line in result.stdout.splitlines()
+                if line.startswith("::")]
+
+    result = run_script("zerodb_analyzer.py",
+                        scripts=os.path.join(repo, "scripts"))
+    check("analyzer: both rule families share one text report",
           result.returncode == 1
-          and rule_ids == {"stdout-io", "nondet-call"},
-          f"exit {result.returncode}, rules {sorted(rule_ids)}")
+          and "src/plan/bad.cc:4: [stdout-io]" in result.stdout
+          and "src/plan/bad.cc:3: [nondet-call]" in result.stdout
+          and not annotations(result),
+          f"exit {result.returncode}: {result.stdout.strip()[:300]}")
+
+    result = run_script("zerodb_analyzer.py", github_actions=True,
+                        scripts=os.path.join(repo, "scripts"))
+    prefixes = [line.split("::", 2)[1] for line in annotations(result)]
+    check("analyzer: GITHUB_ACTIONS=true adds one ::error per finding",
+          result.returncode == 1 and prefixes == [
+              "error file=src/plan/bad.cc,line=3,"
+              "title=zerodb-analyzer%3A nondet-call",
+              "error file=src/plan/bad.cc,line=4,"
+              "title=zerodb-analyzer%3A stdout-io"],
+          result.stdout.strip()[:300])
+    annotation = zerodb_analyzer.github_annotation(
+        ir.Finding("src/a,b.cc", 1, "unit-mix", "100% off\nline2"))
+    check("analyzer: ::error escapes properties and message",
+          annotation == "::error file=src/a%2Cb.cc,line=1,"
+          "title=zerodb-analyzer%3A unit-mix::100%25 off%0Aline2",
+          annotation)
+
+    tree_repo = os.path.join(tmp, "tree_repo")
+    for rel in ("src/b/y.cc", "src/a/x.h", "src/a/notes.txt", "tests/t.cc",
+                "docs/d.cc"):
+        os.makedirs(os.path.dirname(os.path.join(tree_repo, rel)),
+                    exist_ok=True)
+        write(tree_repo, rel, "// " + rel + "\n")
+    tree = [os.path.relpath(p, tree_repo)
+            for p in zerodb_analyzer.tree_files(
+                tree_repo, ("src", "tests"), (".h", ".cc"))]
+    check("analyzer: tree walk filters roots/extensions in sorted order",
+          tree == ["src/a/x.h", "src/b/y.cc", "tests/t.cc"], str(tree))
 
 
 def test_suppress():
@@ -441,106 +473,6 @@ def test_suppress():
           and not suppress.suppressed([], 0, "unit-mix"))
 
 
-def test_files(tmp):
-    repo = os.path.join(tmp, "files_repo")
-    for rel in ("src/b/y.cc", "src/a/x.h", "src/a/notes.txt", "tests/t.cc",
-                "docs/d.cc"):
-        os.makedirs(os.path.dirname(os.path.join(repo, rel)), exist_ok=True)
-        write(repo, rel, "// " + rel + "\n")
-
-    roots, exts = ("src", "tests"), (".h", ".cc")
-    tree = [os.path.relpath(p, repo)
-            for p in files.tree_files(repo, roots, exts)]
-    check("files: tree walk filters roots/extensions in sorted order",
-          tree == ["src/a/x.h", "src/b/y.cc", "tests/t.cc"], str(tree))
-
-    def git(*argv):
-        subprocess.run(["git", "-C", repo, "-c", "user.name=t",
-                        "-c", "user.email=t@t", *argv],
-                       capture_output=True, check=True)
-
-    git("init", "-q")
-    git("add", "-A")
-    git("commit", "-q", "-m", "base")
-    write(repo, "src/a/x.h", "// changed\n")      # modified
-    os.remove(os.path.join(repo, "src/b/y.cc"))    # deleted: skipped
-    write(repo, "tests/new.cc", "// new\n")        # untracked
-    write(repo, "docs/d.cc", "// changed\n")      # outside the roots
-    write(repo, "src/a/notes.txt", "changed\n")    # wrong extension
-    changed = [os.path.relpath(p, repo)
-               for p in files.changed_files(repo, roots, exts, "HEAD", "t")]
-    check("files: changed = modified + untracked, inside roots/extensions",
-          changed == ["src/a/x.h", "tests/new.cc"], str(changed))
-
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]);"
-         "from analysis import files;"
-         "files.changed_files(sys.argv[2], ('src',), ('.cc',),"
-         " 'no-such-ref', 'probe')",
-         SCRIPTS, repo],
-        capture_output=True, text=True, check=False)
-    expect_clean_failure("files: bad base ref", result, want_exit=2)
-    check("files: diagnostic names the tool",
-          result.stderr.startswith("probe: git diff"), result.stderr[:200])
-
-
-class _FakeFinding:
-    def __init__(self, rel, line, rule, message):
-        self.rel = rel
-        self.line = line
-        self.rule = rule
-        self.message = message
-
-
-def test_sarif(tmp):
-    # Empty run (e.g. an empty call graph produced zero findings): a valid
-    # log with the rule table intact, not a crash or an empty file.
-    path = os.path.join(tmp, "empty.sarif")
-    sarif.write_sarif(path, [], rules=("unit-mix", "hot-alloc"))
-    with open(path, encoding="utf-8") as f:
-        log = json.load(f)
-    run = log["runs"][0]
-    check("sarif: empty run is a valid 2.1.0 log",
-          log["version"] == "2.1.0" and run["results"] == []
-          and {r["id"] for r in run["tool"]["driver"]["rules"]}
-          == {"unit-mix", "hot-alloc"})
-
-    # Malformed findings (IR handed garbage lines/fields) are dropped,
-    # never raised: the reporter must not mask the analysis result.
-    findings = [
-        _FakeFinding("src/a.cc", 3, "unit-mix", "real finding"),
-        _FakeFinding("src/b.cc", "not-a-line", "unit-mix", "bad line"),
-        _FakeFinding("", 1, "unit-mix", "empty path"),
-        _FakeFinding("src/c.cc", -7, "hot-alloc", "clamped line"),
-        None,
-        _FakeFinding("src/d.cc", 2, "", "empty rule"),
-    ]
-    try:
-        doc = sarif.to_sarif(findings)
-        annotations = list(sarif.github_annotations(findings))
-        crashed = False
-    except Exception:  # noqa: BLE001 - the absence of this is the test
-        crashed = True
-        doc, annotations = {}, []
-    results = doc.get("runs", [{}])[0].get("results", []) if not crashed \
-        else []
-    check("sarif: malformed findings dropped, valid kept",
-          not crashed and len(results) == 2
-          and results[0]["locations"][0]["physicalLocation"]
-          ["region"]["startLine"] == 3
-          and results[1]["locations"][0]["physicalLocation"]
-          ["region"]["startLine"] == 1)
-    check("sarif: annotations skip malformed, escape properly",
-          len(annotations) == 2
-          and annotations[0].startswith("::error file=src/a.cc,line=3,")
-          and "%3A" in annotations[0])
-
-    newline_msg = [_FakeFinding("src/a.cc", 1, "unit-mix", "line1\nline2")]
-    check("sarif: newline in message escaped for ::error",
-          "%0A" in next(iter(sarif.github_annotations(newline_msg))))
-
-
 def main():
     with tempfile.TemporaryDirectory(prefix="zerodb-tooling-") as tmp:
         test_bench_summary(tmp)
@@ -548,8 +480,6 @@ def main():
         test_bench_compare(tmp)
         test_analyzer(tmp)
         test_suppress()
-        test_files(tmp)
-        test_sarif(tmp)
     if _failures:
         print(f"tooling_test: FAIL ({len(_failures)}/{_checks} checks): "
               + ", ".join(_failures))

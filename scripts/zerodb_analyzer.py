@@ -20,10 +20,12 @@ is reported as `io` and skipped by both.
 Usage:
   scripts/zerodb_analyzer.py                  # whole tree
   scripts/zerodb_analyzer.py FILE...          # these files only
-  scripts/zerodb_analyzer.py --changed-only   # findings a change vs --base
-                                              # can influence
   scripts/zerodb_analyzer.py --self-test      # fixtures under
                                               # scripts/lint_fixtures/
+
+Findings print as text, one per line. Under GitHub Actions
+(GITHUB_ACTIONS=true) each finding is followed by an `::error` workflow
+command so the run annotates the offending line.
 
 Exit codes: 0 clean, 1 findings / self-test failure, 2 usage error.
 """
@@ -34,9 +36,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from analysis import callgraph, checks, ir, lexical, textparse  # noqa: E402
-from analysis import files as source_files  # noqa: E402
-from analysis import sarif as sarif_out  # noqa: E402
+from analysis import checks, ir, lexical, textparse  # noqa: E402
 
 REPO_ROOT = os.path.realpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
@@ -70,17 +70,35 @@ def _rel(path):
         os.sep, "/")
 
 
-def _relevant_rels(files, changed_rels):
-    """Changed files plus every file holding a function the call graph
-    connects to a changed file's functions in either direction — the set
-    whose cross-TU findings a change can influence."""
-    graph = callgraph.build(files)
-    seeds = [f.name for f in graph.functions if f.rel in changed_rels]
-    reachable = graph.reachable_names(seeds, undirected=True)
-    relevant = set(changed_rels)
-    relevant.update(f.rel for f in graph.functions
-                    if f.name in reachable)
-    return relevant
+def tree_files(repo_root, roots, extensions):
+    """Absolute paths of every file under `roots` (relative to `repo_root`)
+    whose name ends in one of `extensions`, in sorted walk order."""
+    out = []
+    for root in roots:
+        for dirpath, dirs, names in os.walk(os.path.join(repo_root, root)):
+            dirs.sort()
+            for name in sorted(names):
+                if name.endswith(extensions):
+                    out.append(os.path.join(dirpath, name))
+    return out
+
+
+def _escape_property(text):
+    # GitHub workflow-command property escaping.
+    return (text.replace("%", "%25").replace("\r", "%0D")
+            .replace("\n", "%0A").replace(":", "%3A").replace(",", "%2C"))
+
+
+def _escape_data(text):
+    return text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
+
+
+def github_annotation(finding):
+    """The `::error` workflow command that annotates `finding`'s line."""
+    return (f"::error file={_escape_property(finding.rel)},"
+            f"line={finding.line},"
+            f"title={_escape_property('zerodb-analyzer: ' + finding.rule)}::"
+            f"{_escape_data(finding.message)}")
 
 
 def self_test():
@@ -141,41 +159,12 @@ def main(argv=None):
                         help="analyze only these files (default: the tree)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the fixture suite")
-    parser.add_argument("--sarif", metavar="PATH",
-                        help="write findings as a SARIF 2.1.0 log (CI "
-                             "uploads this as the analyze artifact)")
-    parser.add_argument("--github", action="store_true",
-                        help="emit one ::error workflow command per "
-                             "finding so CI annotates offending lines")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="fast path: report only findings in files "
-                             "changed vs --base or, for the whole-program "
-                             "rules, in functions the call graph connects "
-                             "(either direction) to a changed file; the "
-                             "whole tree is still parsed so cross-TU "
-                             "checks stay sound")
-    parser.add_argument("--base", default="HEAD",
-                        help="git ref --changed-only diffs against "
-                             "(default: HEAD)")
     args = parser.parse_args(argv)
 
     if args.self_test:
         if args.files:
             parser.error("--self-test takes no file arguments")
         return self_test()
-    if args.changed_only and args.files:
-        parser.error("--changed-only takes no file arguments")
-
-    changed_rels = None
-    if args.changed_only:
-        changed_rels = {_rel(path) for path in source_files.changed_files(
-            REPO_ROOT, LEXICAL_ROOTS, LEXICAL_EXTENSIONS, args.base,
-            "zerodb-analyzer")}
-        if not changed_rels:
-            print("zerodb-analyzer: no changed analyzable files")
-            if args.sarif:
-                sarif_out.write_sarif(args.sarif, [], rules=RULES)
-            return 0
 
     if args.files:
         paths = []
@@ -186,8 +175,7 @@ def main(argv=None):
                 return 2
             paths.append(os.path.abspath(f))
     else:
-        paths = source_files.tree_files(REPO_ROOT, LEXICAL_ROOTS,
-                                        LEXICAL_EXTENSIONS)
+        paths = tree_files(REPO_ROOT, LEXICAL_ROOTS, LEXICAL_EXTENSIONS)
         if not paths:
             print("zerodb-analyzer: nothing under "
                   + ", ".join(f"{root}/" for root in LEXICAL_ROOTS),
@@ -209,28 +197,16 @@ def main(argv=None):
             program_files[rel] = textparse.parse_file(path, rel, raw)
     program_found = checks.run_all(program_files)
 
-    if changed_rels is not None:
-        relevant = _relevant_rels(program_files, changed_rels)
-        lexical_found = [f for f in lexical_found if f.rel in changed_rels]
-        program_found = [f for f in program_found if f.rel in relevant]
     findings = sorted(lexical_found + program_found,
                       key=lambda f: (f.rel, f.line, f.rule))
 
-    if args.sarif:
-        sarif_out.write_sarif(args.sarif, findings, rules=RULES)
-    if args.github:
-        for line in sarif_out.github_annotations(findings):
-            print(line)
+    annotate = os.environ.get("GITHUB_ACTIONS") == "true"
     for finding in findings:
         print(finding)
-    scope_note = ""
-    if changed_rels is not None:
-        scope_note = (f" (changed-only vs {args.base}: "
-                      f"{len(changed_rels)} changed file(s))")
+        if annotate:
+            print(github_annotation(finding))
     print(f"zerodb-analyzer: {len(findings)} finding(s) across "
-          f"{len(paths)} file(s)" + scope_note
-          + (f"; wrote {os.path.relpath(args.sarif, os.getcwd())}"
-             if args.sarif else ""))
+          f"{len(paths)} file(s)")
     return 1 if findings else 0
 
 

@@ -31,7 +31,7 @@ const char* StatusCodeName(StatusCode code);
 /// [[nodiscard]] on the class makes silently dropping any returned Status a
 /// compile error tree-wide (-Werror): handle it, ZDB_CHECK_OK it, or cast
 /// to void with a comment saying why the discard is sound
-/// (scripts/zerodb_lint.py rule discarded-status audits the casts).
+/// (scripts/zerodb_analyzer.py rule discarded-status audits the casts).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

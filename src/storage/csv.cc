@@ -1,5 +1,7 @@
 #include "storage/csv.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,8 +27,9 @@ Status ParseRow(const std::string& line, size_t line_number,
     switch (column_schema.type) {
       case catalog::DataType::kInt64: {
         char* end = nullptr;
+        errno = 0;
         long long value = std::strtoll(cell.c_str(), &end, 10);
-        if (end == cell.c_str() || *end != '\0') {
+        if (end == cell.c_str() || *end != '\0' || errno == ERANGE) {
           return Status::InvalidArgument(
               StrFormat("line %zu: bad int64 '%s'", line_number,
                         cell.c_str()));
@@ -37,7 +40,9 @@ Status ParseRow(const std::string& line, size_t line_number,
       case catalog::DataType::kDouble: {
         char* end = nullptr;
         double value = std::strtod(cell.c_str(), &end);
-        if (end == cell.c_str() || *end != '\0') {
+        // NaN and inf would reach the std::sort calls in stats/ and
+        // storage/index.cc, where NaN breaks strict weak ordering.
+        if (end == cell.c_str() || *end != '\0' || !std::isfinite(value)) {
           return Status::InvalidArgument(
               StrFormat("line %zu: bad double '%s'", line_number,
                         cell.c_str()));

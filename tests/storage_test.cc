@@ -254,6 +254,17 @@ TEST(CsvTest, RejectsBadInput) {
   EXPECT_FALSE(LoadCsvFromString("id,age,height,city\n0,30,tall,berlin\n",
                                  PeopleSchema())
                    .ok());
+  // Out-of-range int64 and non-finite doubles.
+  for (const char* row : {"99999999999999999999999,30,1.7,berlin",
+                          "0,30,nan,berlin", "0,30,inf,berlin",
+                          "0,30,1e999,berlin"}) {
+    StatusOr<Table> loaded = LoadCsvFromString(
+        std::string("id,age,height,city\n") + row + "\n", PeopleSchema());
+    ASSERT_FALSE(loaded.ok()) << row;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << row;
+    EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
+        << loaded.status().message();
+  }
   // Missing file.
   EXPECT_EQ(LoadCsv("/nonexistent/file.csv", PeopleSchema()).status().code(),
             StatusCode::kIOError);
