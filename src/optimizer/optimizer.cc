@@ -85,6 +85,30 @@ bool Planner::HasIndex(const std::string& table, size_t column_index) const {
   return false;
 }
 
+bool IndexMayChangePlan(const storage::Database& db,
+                        const plan::QuerySpec& query, const std::string& table,
+                        size_t column_index) {
+  // Mirrors the two HasIndex call sites: filter leaves in PlanScan and join
+  // columns in the index nested-loop join candidate.
+  for (const plan::FilterSpec& filter : query.filters) {
+    if (filter.table != table) continue;
+    for (size_t slot : filter.predicate.ReferencedSlots()) {
+      if (slot == column_index) return true;
+    }
+  }
+  const storage::Table* t = db.FindTable(table);
+  if (t == nullptr) return false;
+  for (const plan::JoinSpec& join : query.joins) {
+    if ((join.left_table == table &&
+         t->schema().FindColumn(join.left_column) == column_index) ||
+        (join.right_table == table &&
+         t->schema().FindColumn(join.right_column) == column_index)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 int64_t Planner::IndexHeight(const std::string& table) const {
   const stats::TableStats& table_stats = stats_->GetTable(table);
   double rows = std::max<double>(2.0, static_cast<double>(table_stats.num_rows));

@@ -84,6 +84,22 @@ class Planner {
   obs::Histogram* plan_us_;
 };
 
+/// True if an index (real or hypothetical) on table.column_index can change
+/// the plan Planner::Plan chooses for `query`. The planner consults indexes
+/// at exactly two Planner::HasIndex call sites in optimizer.cc:
+///   - PlanScan: HasIndex(table, leaf->slot()) for a filter comparison on the
+///     scanned table;
+///   - the index nested-loop join candidate: HasIndex(inner table, its join
+///     column).
+/// So only an index on a column that `query` filters or joins on can matter;
+/// any other index leaves the plan, and its fingerprint, unchanged. The
+/// what-if advisor prices each query once per relevant index subset on the
+/// strength of this, so a new HasIndex call site must widen it
+/// (PlannerTest.IrrelevantIndexesLeavePlanUnchanged fails otherwise).
+bool IndexMayChangePlan(const storage::Database& db,
+                        const plan::QuerySpec& query, const std::string& table,
+                        size_t column_index);
+
 /// Finds the slot of (table, column_index) in an output schema; CHECK-fails
 /// if absent (planner invariant).
 size_t FindSlot(const std::vector<plan::OutputColumn>& schema,

@@ -51,22 +51,20 @@ class IndexAdvisor {
                         Options options = Options());
 
   /// Candidate columns: every attribute column referenced by a predicate
-  /// plus every join column of the workload.
+  /// plus every join column of the workload's valid queries
+  /// (QuerySpec::Validate); the planner rejects the others outright.
   std::vector<IndexCandidate> EnumerateCandidates(
       const datagen::DatabaseEnv& env,
       const std::vector<plan::QuerySpec>& workload) const;
 
   /// Greedy selection: repeatedly add the hypothetical index with the best
-  /// predicted improvement.
+  /// predicted improvement. Within one call each query is planned and priced
+  /// once per subset of the trial indexes that can change its plan
+  /// (optimizer::IndexMayChangePlan); invalid queries contribute nothing.
   AdvisorResult Recommend(const datagen::DatabaseEnv& env,
                           const std::vector<plan::QuerySpec>& workload);
 
  private:
-  /// Predicted total workload runtime under a set of hypothetical indexes.
-  Millis PredictWorkloadMs(const datagen::DatabaseEnv& env,
-                           const std::vector<plan::QuerySpec>& workload,
-                           const std::vector<IndexCandidate>& indexes);
-
   zeroshot::ZeroShotEstimator* estimator_;
   Options options_;
 };

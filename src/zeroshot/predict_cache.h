@@ -26,9 +26,11 @@ struct PredictCacheOptions {
 /// Thread-safe LRU map from 64-bit plan fingerprints
 /// (plan::FingerprintPlan mixed with database identity — see
 /// ZeroShotEstimator) to predicted runtimes. Sits in front of the model's
-/// forward pass on the serving path: the what-if advisor's greedy search
-/// re-prices mostly-identical (query, index set) plans every round, and a
-/// hit turns a ~100us forward pass into a hash probe.
+/// forward pass on the serving path, where a hit turns a ~100us forward pass
+/// into a hash probe. The what-if advisor already plans each (query,
+/// relevant index subset) only once per Recommend, but many relevant indexes
+/// leave the chosen plan unchanged, so about half of those plans still hit
+/// here; queries repeated across calls hit as well.
 ///
 /// All state sits behind one annotated Mutex — every operation is a few
 /// pointer moves, so a striped design would buy nothing at the call rates

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "datagen/corpus.h"
 #include "exec/executor.h"
 #include "optimizer/optimizer.h"
+#include "plan/fingerprint.h"
 #include "runtime/simulator.h"
 #include "workload/benchmarks.h"
 #include "workload/generator.h"
@@ -210,6 +214,73 @@ TEST(PlannerTest, EstimatesAreAnnotated) {
       EXPECT_GT(node.est_cost, 0.0);
     });
   }
+}
+
+TEST(PlannerTest, IrrelevantIndexesLeavePlanUnchanged) {
+  // IndexMayChangePlan must admit every index the planner can consult: with
+  // every index it rejects added as hypothetical, each plan keeps its
+  // fingerprint. Fails if the planner starts consulting indexes somewhere new.
+  auto env = MakeEnv();
+  Planner plain(env.db.get(), &env.stats);
+  workload::QueryGenerator generator(&env,
+                                     workload::TrainingWorkloadConfig(), 23);
+  size_t other_table = 0;
+  size_t scanned_non_predicate = 0;
+  size_t group_or_aggregate = 0;
+  size_t plans_changed_by_relevant = 0;
+  for (int i = 0; i < 40; ++i) {
+    QuerySpec query = generator.Next();
+    PlannerOptions irrelevant;
+    PlannerOptions relevant;
+    for (const storage::Table& table : env.db->tables()) {
+      const bool scanned =
+          std::find(query.tables.begin(), query.tables.end(), table.name()) !=
+          query.tables.end();
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        const HypotheticalIndex index{table.name(), c};
+        if (IndexMayChangePlan(*env.db, query, table.name(), c)) {
+          relevant.hypothetical_indexes.push_back(index);
+          continue;
+        }
+        irrelevant.hypothetical_indexes.push_back(index);
+        if (!scanned) {
+          ++other_table;
+          continue;
+        }
+        ++scanned_non_predicate;
+        const std::string& column = table.schema().column(c).name;
+        for (const plan::GroupBySpec& g : query.group_by) {
+          if (g.table == table.name() && g.column == column) {
+            ++group_or_aggregate;
+          }
+        }
+        for (const plan::AggregateSpec& agg : query.aggregates) {
+          if (agg.table == table.name() && agg.column == column) {
+            ++group_or_aggregate;
+          }
+        }
+      }
+    }
+    auto base = plain.Plan(query);
+    ASSERT_TRUE(base.ok()) << query.ToSql(*env.db);
+    auto with_irrelevant =
+        Planner(env.db.get(), &env.stats, CostParams(), irrelevant).Plan(query);
+    ASSERT_TRUE(with_irrelevant.ok());
+    EXPECT_EQ(plan::FingerprintPlan(*with_irrelevant),
+              plan::FingerprintPlan(*base))
+        << query.ToSql(*env.db);
+    auto with_relevant =
+        Planner(env.db.get(), &env.stats, CostParams(), relevant).Plan(query);
+    ASSERT_TRUE(with_relevant.ok());
+    if (plan::FingerprintPlan(*with_relevant) != plan::FingerprintPlan(*base)) {
+      ++plans_changed_by_relevant;
+    }
+  }
+  EXPECT_GT(other_table, 0u);
+  EXPECT_GT(scanned_non_predicate, 0u);
+  EXPECT_GT(group_or_aggregate, 0u);
+  // The fingerprint does see index choices.
+  EXPECT_GT(plans_changed_by_relevant, 0u);
 }
 
 TEST(FindSlotTest, LocatesColumns) {

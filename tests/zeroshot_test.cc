@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "datagen/corpus.h"
+#include "obs/json.h"
+#include "obs/trace_event.h"
 #include "train/metrics.h"
 #include "whatif/index_advisor.h"
 #include "workload/benchmarks.h"
+#include "workload/generator.h"
 #include "zeroshot/estimator.h"
 
 namespace zerodb::zeroshot {
@@ -143,6 +148,163 @@ TEST_F(ZeroShotTest, AdvisorSkipsExistingIndexes) {
     EXPECT_FALSE(candidate.table == "title" && candidate.column == "votes");
   }
   imdb_->db->DropAllIndexes();
+}
+
+// Same (table, column_index) list, same totals to the bit.
+void ExpectSameAdvice(const whatif::AdvisorResult& a,
+                      const whatif::AdvisorResult& b) {
+  ASSERT_EQ(a.chosen.size(), b.chosen.size());
+  for (size_t i = 0; i < a.chosen.size(); ++i) {
+    EXPECT_EQ(a.chosen[i].table, b.chosen[i].table) << "index " << i;
+    EXPECT_EQ(a.chosen[i].column_index, b.chosen[i].column_index)
+        << "index " << i;
+  }
+  EXPECT_EQ(a.baseline_total_ms.value(), b.baseline_total_ms.value());
+  EXPECT_EQ(a.final_total_ms.value(), b.final_total_ms.value());
+}
+
+TEST_F(ZeroShotTest, AdvisorSkipsInvalidQueries) {
+  // An unknown join column or an out-of-range filter slot must not crash
+  // candidate enumeration: the planner rejects such queries, so they change
+  // nothing about the advice.
+  size_t votes_col =
+      *imdb_->db->FindTable("title")->schema().FindColumn("votes");
+  plan::QuerySpec valid;
+  valid.tables = {"title"};
+  valid.filters = {plan::FilterSpec{
+      "title", plan::Predicate::Compare(votes_col, plan::CompareOp::kEq,
+                                        12345)}};
+  valid.aggregates = {plan::AggregateSpec{plan::AggFunc::kCount, "", ""}};
+  plan::QuerySpec unknown_join_column;
+  unknown_join_column.tables = {"title", "cast_info"};
+  unknown_join_column.joins = {
+      plan::JoinSpec{"cast_info", "no_such_column", "title", "id"}};
+  plan::QuerySpec bad_slot;
+  bad_slot.tables = {"title"};
+  bad_slot.filters = {plan::FilterSpec{
+      "title", plan::Predicate::Compare(999, plan::CompareOp::kEq, 1)}};
+
+  whatif::IndexAdvisor advisor(estimator_);
+  estimator_->InvalidatePredictionCache();
+  whatif::AdvisorResult alone = advisor.Recommend(*imdb_, {valid});
+  estimator_->InvalidatePredictionCache();
+  whatif::AdvisorResult mixed =
+      advisor.Recommend(*imdb_, {unknown_join_column, valid, bad_slot});
+  ASSERT_FALSE(alone.chosen.empty());
+  ExpectSameAdvice(mixed, alone);
+  EXPECT_EQ(advisor.EnumerateCandidates(*imdb_, {unknown_join_column, valid,
+                                                 bad_slot})
+                .size(),
+            advisor.EnumerateCandidates(*imdb_, {valid}).size());
+}
+
+TEST_F(ZeroShotTest, AdvisorMatchesRepriceEverything) {
+  // Differential test of the advisor's per-(query, relevant index subset)
+  // memo against the greedy it replaces, which re-prices the whole workload
+  // for every trial index set. Same chosen indexes, totals equal to the bit.
+  workload::WorkloadConfig config;  // perfbench's whatif-advise shape
+  config.min_tables = 1;
+  config.max_tables = 3;
+  config.min_predicates = 1;
+  config.max_predicates = 3;
+  config.range_predicate_prob = 0.3;
+  whatif::IndexAdvisor advisor(estimator_);
+  const whatif::IndexAdvisorOptions options;
+
+  size_t workloads_with_choices = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    workload::QueryGenerator generator(imdb_, config, seed);
+    std::vector<plan::QuerySpec> workload;
+    for (int i = 0; i < 12; ++i) workload.push_back(generator.Next());
+
+    estimator_->InvalidatePredictionCache();
+    whatif::AdvisorResult memoized = advisor.Recommend(*imdb_, workload);
+
+    estimator_->InvalidatePredictionCache();
+    auto price = [&](const std::vector<whatif::IndexCandidate>& indexes) {
+      optimizer::PlannerOptions planner_options;
+      for (const whatif::IndexCandidate& index : indexes) {
+        planner_options.hypothetical_indexes.push_back(
+            optimizer::HypotheticalIndex{index.table, index.column_index});
+      }
+      Millis total;
+      for (const StatusOr<Millis>& ms : estimator_->EstimateQueryBatchMs(
+               *imdb_, workload, planner_options)) {
+        if (ms.ok()) total += *ms;
+      }
+      return total;
+    };
+    const double min_improvement = memoized.quality_degraded
+                                       ? options.degraded_min_improvement
+                                       : options.min_improvement;
+    whatif::AdvisorResult reference;
+    reference.baseline_total_ms = price({});
+    Millis current = reference.baseline_total_ms;
+    std::vector<whatif::IndexCandidate> remaining =
+        advisor.EnumerateCandidates(*imdb_, workload);
+    while (reference.chosen.size() < options.max_indexes &&
+           !remaining.empty()) {
+      Millis best_ms = current;
+      size_t best_index = remaining.size();
+      for (size_t c = 0; c < remaining.size(); ++c) {
+        std::vector<whatif::IndexCandidate> trial = reference.chosen;
+        trial.push_back(remaining[c]);
+        Millis ms = price(trial);
+        if (ms < best_ms) {
+          best_ms = ms;
+          best_index = c;
+        }
+      }
+      if (best_index == remaining.size() ||
+          current / std::max(best_ms, Millis(1e-9)) < min_improvement) {
+        break;
+      }
+      reference.chosen.push_back(remaining[best_index]);
+      remaining.erase(remaining.begin() + static_cast<long>(best_index));
+      current = best_ms;
+    }
+    reference.final_total_ms = current;
+
+    SCOPED_TRACE("workload seed " + std::to_string(seed));
+    ExpectSameAdvice(memoized, reference);
+    if (!reference.chosen.empty()) ++workloads_with_choices;
+  }
+  // The comparison must exercise the greedy rounds, not just the baseline.
+  EXPECT_GT(workloads_with_choices, 10u);
+}
+
+TEST_F(ZeroShotTest, AdvisorTimelineEventCountsSkippedWork) {
+  workload::QueryGenerator generator(
+      imdb_, workload::TrainingWorkloadConfig(), 37);
+  std::vector<plan::QuerySpec> workload;
+  for (int i = 0; i < 12; ++i) workload.push_back(generator.Next());
+  whatif::IndexAdvisor advisor(estimator_);
+  obs::TraceEventRecorder* recorder = obs::TraceEventRecorder::InstallGlobal();
+  recorder->set_enabled(true);
+  whatif::AdvisorResult result = advisor.Recommend(*imdb_, workload);
+  recorder->set_enabled(false);
+  EXPECT_LE(result.final_total_ms, result.baseline_total_ms);
+
+  const obs::JsonValue trace = recorder->ToJson();
+  const obs::JsonValue* events = trace.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const obs::JsonValue* args = nullptr;
+  for (size_t i = 0; i < events->size(); ++i) {
+    if (events->at(i).Find("name")->AsString() == "whatif.recommend") {
+      ASSERT_EQ(args, nullptr) << "one event per Recommend call";
+      args = events->at(i).Find("args");
+    }
+  }
+  ASSERT_NE(args, nullptr);
+  const double trial_sets = args->Find("trial_sets")->AsDouble();
+  const double planned = args->Find("queries_planned")->AsDouble();
+  const double memo_hits = args->Find("memo_hits")->AsDouble();
+  EXPECT_EQ(args->Find("candidates")->AsDouble(),
+            static_cast<double>(
+                advisor.EnumerateCandidates(*imdb_, workload).size()));
+  EXPECT_GT(trial_sets, 1.0);
+  EXPECT_EQ(planned + memo_hits, trial_sets * 12.0);
+  EXPECT_GT(memo_hits, planned);
 }
 
 TEST_F(ZeroShotTest, ExactModeRejectsEstimateQuery) {
