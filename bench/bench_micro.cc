@@ -260,6 +260,34 @@ void BM_ZeroShotTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_ZeroShotTrainStep);
 
+// The trainer's per-batch optimizer step (the train.step timeline event:
+// ClipGradNorm + Adam::Step) over the default zero-shot model's parameter
+// set, isolated from forward, backward and the shard reduction. The
+// gradients stay fixed, so no iteration clips and the moments never decay
+// into subnormals.
+void BM_AdamStep(benchmark::State& state) {
+  models::ZeroShotCostModel model{models::ZeroShotCostModel::Options()};
+  std::vector<nn::Tensor> params = model.Parameters();
+  Rng rng(23);
+  size_t count = 0;
+  for (nn::Tensor& param : params) {
+    for (float& g : param.mutable_grad()) {
+      g = static_cast<float>(rng.UniformDouble(-1e-3, 1e-3));
+    }
+    count += param.size();
+  }
+  nn::Adam optimizer(params, 1e-3f, 0.9f, 0.999f, 1e-8f, 1e-5f);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.ClipGradNorm(10.0));
+    optimizer.Step();
+    benchmark::DoNotOptimize(params.front().data().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["params"] = static_cast<double>(count);
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(count));
+}
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMicrosecond);
+
 // One serving-time feedback sample: q-error + histogram + EWMA drift update.
 // This is per executed query, so "cheap" here means < 1us; it also seeds the
 // quality.* metrics that bench_summary.py folds into BENCH_micro.json.

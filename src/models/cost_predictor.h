@@ -1,6 +1,7 @@
 #ifndef ZERODB_MODELS_COST_PREDICTOR_H_
 #define ZERODB_MODELS_COST_PREDICTOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,6 +60,18 @@ class NeuralCostModel : public CostPredictor {
   /// backward passes never touch shared gradient buffers; replicas are
   /// re-synced from the trained model's parameter values every step.
   virtual std::unique_ptr<NeuralCostModel> CloneReplica() const = 0;
+
+  /// Counts weight commits: a finished train::TrainModel run, LoadWeights,
+  /// CopyTreeStateFrom. Serving caches mix it into their keys, so a cached
+  /// prediction never outlives the weights that produced it. Writes to
+  /// parameter values through Parameters() do not count.
+  uint64_t generation() const { return generation_; }
+
+  /// Records a weight commit (see generation()).
+  void BumpGeneration() { ++generation_; }
+
+ private:
+  uint64_t generation_ = 0;
 };
 
 }  // namespace zerodb::models

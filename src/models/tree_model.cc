@@ -116,6 +116,7 @@ Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
   feature_norm_.Set(feature_mean.data(), feature_std.data());
   target_norm_.Set(target.data()[0], target.data()[1]);
   InvalidateGraphCache();
+  BumpGeneration();
   return Status::OK();
 }
 
@@ -131,6 +132,7 @@ void TreeMessagePassingModel::CopyTreeStateFrom(
   feature_norm_ = other.feature_norm_;
   target_norm_ = other.target_norm_;
   InvalidateGraphCache();
+  BumpGeneration();
 }
 
 void TreeMessagePassingModel::Prepare(

@@ -2,11 +2,21 @@
 #define ZERODB_NN_OPTIMIZER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/tensor.h"
 
 namespace zerodb::nn {
+
+/// Sums shard-partial gradients into `out` in ascending shard order:
+/// out[j] = ((0.0f + partials[0][j]) + partials[1][j]) + ..., exactly the
+/// floats a zeroed buffer followed by one `+=` pass per shard produces, in a
+/// single vectorized pass. Every partial must hold out.size() floats.
+/// Returns false when any sum is NaN or infinite (the sums are written
+/// either way), so a finite-gradient check costs no second pass.
+[[nodiscard]] bool SumShardGradients(std::span<const float* const> partials,
+                                     std::span<float> out);
 
 /// Adam (Kingma & Ba) with bias correction over a fixed parameter set; the
 /// paper's models train with it.
@@ -19,15 +29,29 @@ class Adam {
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;
 
-  /// Applies one update from the accumulated gradients.
+  /// Applies one update from the accumulated gradients, first scaling each
+  /// gradient by the pending ClipGradNorm factor (if any) and storing the
+  /// clipped value back — one pass over every parameter.
   void Step();
 
   /// Clears all parameter gradients; call after Step.
   void ZeroGrad();
 
-  /// Clips the global L2 norm of all gradients to `max_norm`; returns the
+  /// Computes the global L2 norm of all gradients (a double sum of squares
+  /// in parameter order) and, when it exceeds `max_norm`, clips the
+  /// gradients to it: the next Step multiplies every gradient by the float
+  /// factor max_norm / (norm + 1e-12) inside its update pass. Returns the
   /// pre-clipping norm. A stabilizer for the message-passing nets.
   double ClipGradNorm(double max_norm);
+
+  /// The running first / second moment of parameter `p` (read-only; Step
+  /// is the only writer).
+  const std::vector<float>& first_moment(size_t p) const {
+    return first_moment_[p];
+  }
+  const std::vector<float>& second_moment(size_t p) const {
+    return second_moment_[p];
+  }
 
  private:
   std::vector<Tensor> parameters_;
@@ -37,6 +61,8 @@ class Adam {
   float epsilon_;
   float weight_decay_;
   int64_t step_count_ = 0;
+  /// Set by ClipGradNorm, consumed (and reset to 1) by the next Step.
+  float clip_scale_ = 1.0f;
   std::vector<std::vector<float>> first_moment_;
   std::vector<std::vector<float>> second_moment_;
 };

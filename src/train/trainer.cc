@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -105,7 +106,8 @@ TrainResult TrainModel(models::NeuralCostModel* model,
 
   // Shard-parallel gradient setup. Replicas are cloned after Prepare so they
   // carry the fitted normalization; parameter values are re-synced from the
-  // caller's model before every batch (Step changes them).
+  // caller's model at the start of every batch's replica task (Step changes
+  // them).
   size_t want_threads = options.num_threads;
   if (want_threads == 0) want_threads = ThreadPool::Global()->num_threads();
   const size_t max_shards =
@@ -159,12 +161,13 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   obs::Histogram* epoch_us = registry.GetHistogram("train.epoch_us");
 
   // Per-batch working state, hoisted out of the loops so batch N reuses
-  // batch N-1's capacity: the batch view and the shard result slots (kept at
+  // batch N-1's capacity: the batch view, the shard result slots (kept at
   // max_shards so the final partial batch never shrinks — and re-grows — the
-  // gradient buffers inside).
+  // gradient buffers inside) and one parameter's shard partials.
   std::vector<const QueryRecord*> batch;
   batch.reserve(options.batch_size);
   std::vector<ShardResult> shard_results(max_shards);
+  std::vector<const float*> partials(max_shards);
 
   for (size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     obs::ScopedTimer epoch_timer(registry.enabled() ? epoch_us : nullptr);
@@ -194,13 +197,16 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       // [e * num_shards / used, (e + 1) * num_shards / used). Shard results
       // land in per-shard slots, so the mapping never reaches the arithmetic.
       const size_t used = std::min(executors, num_shards);
-      // Replicas re-read the parameters the last Step produced.
-      for (size_t e = 1; e < used; ++e) {
-        for (size_t i = 0; i < main_params.size(); ++i) {
-          shard_executors[e].params[i].mutable_data() = main_params[i].data();
-        }
-      }
       auto run_executor = [&](size_t e) {
+        if (e > 0) {
+          // A replica re-reads the parameters the last Step produced inside
+          // its own task, off the caller's critical path. Concurrent readers
+          // only: nothing writes main_params' values until the join.
+          obs::TimelineScope sync_scope("train.sync", "train");
+          for (size_t i = 0; i < main_params.size(); ++i) {
+            shard_executors[e].params[i].mutable_data() = main_params[i].data();
+          }
+        }
         for (size_t s = e * num_shards / used; s < (e + 1) * num_shards / used;
              ++s) {
           obs::TimelineScope shard_scope("train.shard", "train");
@@ -221,21 +227,36 @@ TrainResult TrainModel(models::NeuralCostModel* model,
 
       // Fixed-order reduction: shard partials land on the caller's model in
       // ascending shard order, making the batch gradient (and loss) exactly
-      // reproducible for any thread count.
-      optimizer.ZeroGrad();
+      // reproducible for any thread count. One pass per parameter overwrites
+      // its gradient (no separate zeroing) and flags non-finite sums; only
+      // then does the full validator run, to name the bad element.
       double batch_loss = 0.0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        batch_loss += shard_results[s].loss;
+      {
+        obs::TimelineScope reduce_scope("train.reduce", "train");
+        bool finite = true;
+        for (size_t s = 0; s < num_shards; ++s) {
+          batch_loss += shard_results[s].loss;
+        }
         for (size_t i = 0; i < main_params.size(); ++i) {
           std::vector<float>& grad = main_params[i].mutable_grad();
-          const std::vector<float>& partial = shard_results[s].grads[i];
-          for (size_t j = 0; j < grad.size(); ++j) grad[j] += partial[j];
+          for (size_t s = 0; s < num_shards; ++s) {
+            ZDB_DCHECK_EQ(shard_results[s].grads[i].size(), grad.size());
+            partials[s] = shard_results[s].grads[i].data();
+          }
+          finite &= nn::SumShardGradients(
+              std::span<const float* const>(partials.data(), num_shards),
+              grad);
+        }
+        if (!finite) {
+          ZDB_DCHECK_OK(
+              nn::ValidateFiniteGradients(main_params, "trainer backward"));
         }
       }
-      ZDB_DCHECK_OK(nn::ValidateFiniteGradients(model->Parameters(),
-                                                "trainer backward"));
-      grad_norm_sum += optimizer.ClipGradNorm(options.grad_clip_norm);
-      optimizer.Step();
+      {
+        obs::TimelineScope step_scope("train.step", "train");
+        grad_norm_sum += optimizer.ClipGradNorm(options.grad_clip_norm);
+        optimizer.Step();
+      }
       epoch_loss += batch_loss;
       ++batches;
     }
@@ -250,6 +271,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     // same arithmetic either way, and nothing calls Backward on it.
     double val_loss = result.final_train_loss;
     if (!validation.empty()) {
+      obs::TimelineScope validate_scope("train.validate", "train");
       nn::InferenceModeGuard inference;
       val_loss = model->LossOnBatch(validation).item();
     }
@@ -275,6 +297,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     }
   }
   restore(best_weights);
+  model->BumpGeneration();
   result.best_validation_loss = best_val;
   return result;
 }

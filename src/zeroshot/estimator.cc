@@ -37,9 +37,11 @@ struct EstimatorMetrics {
 // records keep env pointers by the same contract — so the address is
 // stable for the cache's lifetime; the name guards against an env being
 // destroyed and another reallocated at the same address across runs of a
-// bench loop.
-uint64_t CacheKey(const train::QueryRecord& record) {
+// bench loop. The model generation retires every entry a weight commit
+// (retraining, LoadWeights through model()) made stale.
+uint64_t CacheKey(const train::QueryRecord& record, uint64_t generation) {
   uint64_t key = plan::FingerprintPlan(record.plan);
+  key = plan::FingerprintCombine(key, generation);
   key = plan::FingerprintCombine(
       key, static_cast<uint64_t>(reinterpret_cast<uintptr_t>(record.env)));
   return plan::FingerprintCombine(key,
@@ -127,8 +129,9 @@ std::vector<Millis> ZeroShotEstimator::PredictMs(
   miss_keys.reserve(records.size());
   miss_positions.reserve(records.size());
   miss_records.reserve(records.size());
+  const uint64_t generation = model_->generation();
   for (size_t i = 0; i < records.size(); ++i) {
-    const uint64_t key = CacheKey(*records[i]);
+    const uint64_t key = CacheKey(*records[i], generation);
     if (std::optional<Millis> hit = cache_->Lookup(key)) {
       predicted[i] = *hit;
       continue;

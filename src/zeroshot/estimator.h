@@ -31,8 +31,8 @@ struct ZeroShotConfig {
   uint64_t seed = 7;
 
   /// Serving: predictions are memoized by plan fingerprint + database
-  /// identity; each PredictMs call prices all of its cache misses in one
-  /// batched ForwardBatch pass.
+  /// identity + model generation; each PredictMs call prices all of its
+  /// cache misses in one batched ForwardBatch pass.
   PredictCacheOptions cache;
 };
 
@@ -97,9 +97,11 @@ class ZeroShotEstimator {
   /// after Train/TrainFromRecords.
   const PredictCache* predict_cache() const { return cache_.get(); }
 
-  /// Drops every cached prediction. Call it after any out-of-band weight
-  /// change (LoadWeights-style swaps through model()); a drift event changes
-  /// no weight, so it does not invalidate.
+  /// Drops every cached prediction. Weight commits through model()
+  /// (LoadWeights) need no call: the cache key carries the model's
+  /// generation. Call it after writing parameter values directly, or to
+  /// measure the uncached path; a drift event changes no weight, so it does
+  /// not invalidate.
   void InvalidatePredictionCache() { cache_->Invalidate(); }
 
   models::ZeroShotCostModel& model() { return *model_; }

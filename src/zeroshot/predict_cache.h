@@ -24,8 +24,8 @@ struct PredictCacheOptions {
 };
 
 /// Thread-safe LRU map from 64-bit plan fingerprints
-/// (plan::FingerprintPlan mixed with database identity — see
-/// ZeroShotEstimator) to predicted runtimes. Sits in front of the model's
+/// (plan::FingerprintPlan mixed with database identity and the model
+/// generation — see ZeroShotEstimator) to predicted runtimes. Sits in front of the model's
 /// forward pass on the serving path, where a hit turns a ~100us forward pass
 /// into a hash probe. The what-if advisor already plans each (query,
 /// relevant index subset) only once per Recommend, but many relevant indexes
@@ -51,9 +51,9 @@ class PredictCache {
   /// entry when over capacity.
   void Insert(uint64_t key, Millis predicted) ZDB_EXCLUDES(mu_);
 
-  /// Drops every entry. Called after an out-of-band weight change (via
-  /// ZeroShotEstimator::InvalidatePredictionCache) — cached predictions are
-  /// only as trustworthy as the weights that produced them.
+  /// Drops every entry (via ZeroShotEstimator::InvalidatePredictionCache).
+  /// Weight commits do not need it — the estimator's keys carry the model
+  /// generation — but direct writes to parameter values do.
   void Invalidate() ZDB_EXCLUDES(mu_);
 
   size_t size() const ZDB_EXCLUDES(mu_);

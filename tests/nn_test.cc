@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -293,8 +297,186 @@ TEST(OptimizerTest, ClipGradNorm) {
   Adam optimizer({p}, 0.001f);
   double norm = optimizer.ClipGradNorm(1.0);
   EXPECT_NEAR(norm, 5.0, 1e-6);
+  // The next Step applies the clip inside its update pass and stores the
+  // clipped gradient back.
+  optimizer.Step();
   EXPECT_NEAR(p.grad()[0], 0.6f, 1e-5);
   EXPECT_NEAR(p.grad()[1], 0.8f, 1e-5);
+}
+
+TEST(OptimizerTest, SumShardGradientsFlagsNonFiniteSums) {
+  const float big = std::numeric_limits<float>::max();
+  std::vector<float> a = {1.0f, big, 2.0f};
+  std::vector<float> b = {1.0f, big, 3.0f};  // big + big overflows to inf
+  std::vector<float> out(3);
+  std::vector<const float*> one = {a.data()};
+  EXPECT_TRUE(SumShardGradients(one, out));
+  std::vector<const float*> two = {a.data(), b.data()};
+  EXPECT_FALSE(SumShardGradients(two, out));
+  EXPECT_EQ(out[2], 5.0f);  // every sum is written either way
+  b[1] = std::numeric_limits<float>::quiet_NaN();
+  a[1] = 0.0f;
+  EXPECT_FALSE(SumShardGradients(two, out));
+}
+
+// The scalar batch tail the trainer ran before SumShardGradients and the
+// fused clip: zeroed gradients plus one `+=` pass per shard, ClipGradNorm
+// scaling the gradients in place, then Adam::Step's per-element update.
+// This file builds with the default flags, so these loops stay as written.
+struct ReferenceTail {
+  std::vector<std::vector<float>> data, grad, m, v;
+  int64_t steps = 0;
+};
+
+void ReferenceReduce(
+    const std::vector<std::vector<std::vector<float>>>& partials,
+    ReferenceTail* tail) {
+  for (std::vector<float>& grad : tail->grad) {
+    std::fill(grad.begin(), grad.end(), 0.0f);
+  }
+  for (const auto& shard : partials) {
+    for (size_t p = 0; p < tail->grad.size(); ++p) {
+      for (size_t j = 0; j < tail->grad[p].size(); ++j) {
+        tail->grad[p][j] += shard[p][j];
+      }
+    }
+  }
+}
+
+double ReferenceClipGradNorm(ReferenceTail* tail, double max_norm) {
+  double total_sq = 0.0;
+  for (const std::vector<float>& grad : tail->grad) {
+    for (float g : grad) total_sq += static_cast<double>(g) * g;
+  }
+  double norm = std::sqrt(total_sq);
+  if (norm > max_norm) {
+    const float scale = static_cast<float>(max_norm / (norm + 1e-12));
+    for (std::vector<float>& grad : tail->grad) {
+      for (float& g : grad) g *= scale;
+    }
+  }
+  return norm;
+}
+
+void ReferenceAdamStep(ReferenceTail* tail, float learning_rate, float beta1,
+                       float beta2, float epsilon, float weight_decay) {
+  ++tail->steps;
+  const double bias1 = 1.0 - std::pow(beta1, static_cast<double>(tail->steps));
+  const double bias2 = 1.0 - std::pow(beta2, static_cast<double>(tail->steps));
+  const float corrected_lr =
+      static_cast<float>(learning_rate * std::sqrt(bias2) / bias1);
+  for (size_t p = 0; p < tail->data.size(); ++p) {
+    std::vector<float>& data = tail->data[p];
+    const std::vector<float>& grad = tail->grad[p];
+    std::vector<float>& m = tail->m[p];
+    std::vector<float>& v = tail->v[p];
+    for (size_t i = 0; i < data.size(); ++i) {
+      float g = grad[i] + weight_decay * data[i];
+      m[i] = beta1 * m[i] + (1.0f - beta1) * g;
+      v[i] = beta2 * v[i] + (1.0f - beta2) * g * g;
+      data[i] -= corrected_lr * m[i] / (std::sqrt(v[i]) + epsilon);
+    }
+  }
+}
+
+// Gradient-like values with the awkward cases mixed in: signed zeros,
+// subnormals and values near the smallest normal.
+std::vector<float> TailTestValues(Rng* rng, size_t n) {
+  std::vector<float> values(n);
+  for (float& value : values) {
+    const float sign = rng->Bernoulli(0.5) ? -1.0f : 1.0f;
+    switch (rng->UniformInt(0, 5)) {
+      case 0:
+        value = sign * 0.0f;
+        break;
+      case 1:
+        value = sign * std::numeric_limits<float>::denorm_min() *
+                static_cast<float>(rng->UniformInt(1, 1 << 20));
+        break;
+      case 2:
+        value = sign * std::numeric_limits<float>::min() *
+                static_cast<float>(rng->UniformDouble(0.5, 2.0));
+        break;
+      default:
+        value = static_cast<float>(rng->Normal(0.0, 0.5));
+        break;
+    }
+  }
+  return values;
+}
+
+// Bitwise, not ==: -0.0f == +0.0f, and the reduction must keep the sign
+// the zeroed-buffer arithmetic produces.
+void ExpectBitwiseEqual(const std::vector<float>& actual,
+                        const std::vector<float>& expected,
+                        const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(actual[i]),
+              std::bit_cast<uint32_t>(expected[i]))
+        << what << "[" << i << "]: " << actual[i] << " vs " << expected[i];
+  }
+}
+
+TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
+  const std::vector<size_t> sizes = {1, 3, 4, 5, 7, 8, 9, 31, 33, 4099};
+  const float learning_rate = 1e-3f;
+  const float weight_decay = 1e-5f;
+  for (size_t shards = 1; shards <= 5; ++shards) {
+    for (bool clip : {false, true}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, clip " << clip);
+      // The summed gradients' norm is in the tens: 1e-3 always clips, 1e6
+      // never does.
+      const double max_norm = clip ? 1e-3 : 1e6;
+      Rng rng(100 * shards + (clip ? 1 : 0));
+      std::vector<Tensor> params;
+      ReferenceTail reference;
+      for (size_t n : sizes) {
+        std::vector<float> init = TailTestValues(&rng, n);
+        params.push_back(Tensor::Parameter(1, n, init));
+        reference.data.push_back(init);
+        reference.grad.emplace_back(n, 0.0f);
+        reference.m.emplace_back(n, 0.0f);
+        reference.v.emplace_back(n, 0.0f);
+      }
+      Adam adam(params, learning_rate, 0.9f, 0.999f, 1e-8f, weight_decay);
+      for (int step = 0; step < 4; ++step) {
+        // partials[shard][parameter]
+        std::vector<std::vector<std::vector<float>>> partials(shards);
+        for (auto& shard : partials) {
+          for (size_t n : sizes) shard.push_back(TailTestValues(&rng, n));
+        }
+        std::vector<const float*> pointers(shards);
+        for (size_t p = 0; p < params.size(); ++p) {
+          for (size_t s = 0; s < shards; ++s) {
+            pointers[s] = partials[s][p].data();
+          }
+          ASSERT_TRUE(SumShardGradients(pointers, params[p].mutable_grad()));
+        }
+        ReferenceReduce(partials, &reference);
+        for (size_t p = 0; p < params.size(); ++p) {
+          ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "reduced");
+        }
+        const double norm = adam.ClipGradNorm(max_norm);
+        const double reference_norm =
+            ReferenceClipGradNorm(&reference, max_norm);
+        EXPECT_EQ(std::bit_cast<uint64_t>(norm),
+                  std::bit_cast<uint64_t>(reference_norm));
+        EXPECT_EQ(norm > max_norm, clip);
+        adam.Step();
+        ReferenceAdamStep(&reference, learning_rate, 0.9f, 0.999f, 1e-8f,
+                          weight_decay);
+        for (size_t p = 0; p < params.size(); ++p) {
+          SCOPED_TRACE(testing::Message() << "step " << step << " parameter "
+                                          << p);
+          ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "grad");
+          ExpectBitwiseEqual(params[p].data(), reference.data[p], "weight");
+          ExpectBitwiseEqual(adam.first_moment(p), reference.m[p], "m");
+          ExpectBitwiseEqual(adam.second_moment(p), reference.v[p], "v");
+        }
+      }
+    }
+  }
 }
 
 TEST(OptimizerTest, ZeroGradClears) {

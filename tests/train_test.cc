@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <string>
+
 #include "common/thread_pool.h"
 #include "datagen/corpus.h"
 #include "models/zeroshot_model.h"
 #include "nn/arena.h"
+#include "nn/ops.h"
+#include "obs/json.h"
+#include "obs/trace_event.h"
 #include "train/dataset.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
@@ -212,6 +219,131 @@ TEST_F(TrainTest, PooledMemoryDoesNotChangeLossHistory) {
     nn::ClearArenaEnabledOverrideForTest();
   }
 }
+
+// Per-name counts of the complete events a recorder holds, plus each
+// event's (tid, start, end) so nesting can be checked.
+struct TraceSpan {
+  double tid = 0.0;
+  double begin = 0.0;
+  double end = 0.0;
+};
+std::map<std::string, std::vector<TraceSpan>> SpansByName(
+    const obs::TraceEventRecorder& recorder) {
+  std::map<std::string, std::vector<TraceSpan>> spans;
+  const obs::JsonValue trace = recorder.ToJson();
+  const obs::JsonValue* events = trace.Find("traceEvents");
+  for (size_t i = 0; events != nullptr && i < events->size(); ++i) {
+    const obs::JsonValue& event = events->at(i);
+    if (event.Find("ph")->AsString() != "X") continue;
+    const double ts = event.Find("ts")->AsDouble();
+    spans[event.Find("name")->AsString()].push_back(
+        {event.Find("tid")->AsDouble(), ts,
+         ts + event.Find("dur")->AsDouble()});
+  }
+  return spans;
+}
+
+// True when `child` lies inside one of `parents` on the same thread.
+bool NestedIn(const TraceSpan& child, const std::vector<TraceSpan>& parents) {
+  for (const TraceSpan& parent : parents) {
+    if (parent.tid == child.tid && parent.begin <= child.begin &&
+        child.end <= parent.end) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST_F(TrainTest, TracedTrainingEmitsBatchTailEvents) {
+  obs::TraceEventRecorder* recorder = obs::TraceEventRecorder::InstallGlobal();
+  // The global recorder outlives the test; count only the events it adds.
+  auto before = SpansByName(*recorder);
+  auto model = MakeTinyModel(8);
+  TrainerOptions options;
+  options.max_epochs = 2;
+  options.early_stop_patience = 100;
+  options.num_threads = 4;
+  recorder->set_enabled(true);
+  TrainResult result = TrainModel(&model, MakeView(*records_), options);
+  recorder->set_enabled(false);
+  ASSERT_EQ(result.epochs_run, 2u);
+
+  auto spans = SpansByName(*recorder);
+  auto added = [&](const char* name) {
+    return spans[name].size() - before[name].size();
+  };
+  const size_t batches = added("train.batch");
+  ASSERT_GT(batches, 0u);
+  ASSERT_EQ(added("train.epoch"), 2u);
+  // One reduce and one step per batch, on the caller inside its batch; one
+  // validation pass per epoch, inside the epoch.
+  EXPECT_EQ(added("train.reduce"), batches);
+  EXPECT_EQ(added("train.step"), batches);
+  EXPECT_EQ(added("train.validate"), 2u);
+  for (const char* name : {"train.reduce", "train.step"}) {
+    for (const TraceSpan& span : spans[name]) {
+      EXPECT_TRUE(NestedIn(span, spans["train.batch"])) << name;
+    }
+  }
+  for (const TraceSpan& span : spans["train.validate"]) {
+    EXPECT_TRUE(NestedIn(span, spans["train.epoch"]));
+  }
+}
+
+#ifndef NDEBUG
+
+// A one-weight model whose loss is finite but whose gradient is NaN on one
+// record: relu(x * w) at x = -inf is 0, while dL/dw = x * relu'(x * w) =
+// -inf * 0 = NaN. Only the shard holding that record produces a NaN partial.
+class PoisonedGradientModel final : public models::NeuralCostModel {
+ public:
+  explicit PoisonedGradientModel(const QueryRecord* poisoned)
+      : poisoned_(poisoned), weight_(nn::Tensor::Parameter(1, 1, {0.5f})) {}
+
+  std::string Name() const override { return "poisoned-gradient"; }
+  std::vector<Millis> PredictMs(
+      const std::vector<const QueryRecord*>& records) override {
+    return std::vector<Millis>(records.size(), Millis(1.0));
+  }
+  void Prepare(const std::vector<const QueryRecord*>&) override {}
+  nn::Tensor LossOnBatch(
+      const std::vector<const QueryRecord*>& batch) override {
+    std::vector<float> inputs;
+    for (const QueryRecord* record : batch) {
+      inputs.push_back(record == poisoned_
+                           ? -std::numeric_limits<float>::infinity()
+                           : 1.0f);
+    }
+    const size_t rows = batch.size();
+    nn::Tensor hidden = nn::Relu(
+        nn::MatMul(nn::Tensor::FromData(rows, 1, inputs), weight_));
+    return nn::MatMul(nn::Tensor::FromData(1, rows, std::vector<float>(rows, 1.0f)),
+                      hidden);
+  }
+  std::vector<nn::Tensor> Parameters() const override { return {weight_}; }
+  std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
+    return std::make_unique<PoisonedGradientModel>(poisoned_);
+  }
+
+ private:
+  const QueryRecord* poisoned_;
+  nn::Tensor weight_;
+};
+
+using TrainDeathTest = TrainTest;
+
+TEST_F(TrainDeathTest, NaNInOneShardPartialAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto view = MakeView(*records_);
+  PoisonedGradientModel model(view[17]);
+  TrainerOptions options;
+  options.max_epochs = 1;
+  options.validation_fraction = 0.0;
+  options.num_threads = 4;
+  EXPECT_DEATH(TrainModel(&model, view, options), "non-finite gradient");
+}
+
+#endif  // NDEBUG
 
 }  // namespace
 }  // namespace zerodb::train

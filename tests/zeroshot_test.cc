@@ -322,6 +322,56 @@ TEST_F(ZeroShotTest, ExactModeRejectsEstimateQuery) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// Guard for the prediction cache's model-generation key: a LoadWeights
+// through model() must change the next estimate without any explicit
+// InvalidatePredictionCache() call, and loading the original weights back
+// must restore it. Two small estimators, so the suite's shared one keeps
+// its weights.
+TEST_F(ZeroShotTest, LoadWeightsThroughModelChangesEstimate) {
+  ZeroShotConfig config;
+  config.queries_per_database = 40;
+  config.trainer.max_epochs = 2;
+  std::vector<datagen::DatabaseEnv> tiny_corpus =
+      datagen::MakeTrainingCorpus(5, 2, 0.05);
+  ZeroShotEstimator served = ZeroShotEstimator::Train(tiny_corpus, config);
+  config.seed = 8;
+  ZeroShotEstimator other = ZeroShotEstimator::Train(tiny_corpus, config);
+  const std::string served_path =
+      testing::TempDir() + "/zdb_generation_served.bin";
+  const std::string other_path =
+      testing::TempDir() + "/zdb_generation_other.bin";
+  ASSERT_TRUE(served.model().SaveWeights(served_path).ok());
+  ASSERT_TRUE(other.model().SaveWeights(other_path).ok());
+
+  workload::QueryGenerator generator(
+      imdb_, workload::TrainingWorkloadConfig(), 23);
+  const plan::QuerySpec query = generator.Next();
+  auto original = served.EstimateQueryMs(*imdb_, query);
+  auto expected_other = other.EstimateQueryMs(*imdb_, query);
+  ASSERT_TRUE(original.ok());
+  ASSERT_TRUE(expected_other.ok());
+  ASSERT_GT(std::abs(original->value() - expected_other->value()),
+            1e-3 * original->value());
+  // Cached now: a repeat is a hit.
+  const int64_t hits = served.predict_cache()->hits();
+  ASSERT_EQ(served.EstimateQueryMs(*imdb_, query)->value(), original->value());
+  ASSERT_EQ(served.predict_cache()->hits(), hits + 1);
+
+  // The weight file stores the target normalization as floats, so a loaded
+  // model matches its source to float precision, not bit for bit; the two
+  // models' estimates differ far more than that.
+  ASSERT_TRUE(served.model().LoadWeights(other_path).ok());
+  auto swapped = served.EstimateQueryMs(*imdb_, query);
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_NEAR(swapped->value(), expected_other->value(),
+              1e-5 * expected_other->value());
+
+  ASSERT_TRUE(served.model().LoadWeights(served_path).ok());
+  auto restored = served.EstimateQueryMs(*imdb_, query);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_NEAR(restored->value(), original->value(), 1e-5 * original->value());
+}
+
 TEST_F(ZeroShotTest, BatchedForwardMatchesSerial) {
   // The batched serving path must be a pure packing optimization: pricing a
   // workload in one ForwardBatch call and pricing each record alone must
