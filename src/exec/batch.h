@@ -11,21 +11,18 @@ namespace zerodb::exec {
 /// A materialized intermediate result: column-major numeric data (int64 and
 /// dictionary codes widened to double; exact up to 2^53, far beyond any key
 /// domain used here) plus the provenance schema.
+///
+/// `columns` has one entry per schema slot, so slot positions never shift,
+/// but only the slots some parent operator reads are materialized (each with
+/// `rows` values); the rest stay empty. The row count is therefore explicit
+/// rather than taken from a column.
 struct RowBatch {
   std::vector<plan::OutputColumn> schema;
   std::vector<std::vector<double>> columns;  // one vector per schema entry
+  size_t rows = 0;
 
-  size_t num_rows() const { return columns.empty() ? 0 : columns[0].size(); }
+  size_t num_rows() const { return rows; }
   size_t num_columns() const { return columns.size(); }
-
-  /// Gathers one row as a slot-value vector (for predicate evaluation).
-  void GetRow(size_t row, std::vector<double>* out) const {
-    // Callers reuse one buffer across rows: this resize allocates on the
-    // first call only and is amortized-free thereafter.
-    // zerodb-lint: allow(hot-alloc)
-    out->resize(columns.size());
-    for (size_t c = 0; c < columns.size(); ++c) (*out)[c] = columns[c][row];
-  }
 };
 
 /// Per-operator work counters collected during execution. These are the
@@ -45,6 +42,8 @@ struct OperatorStats {
   int64_t sort_rows = 0;
   int64_t group_count = 0;       ///< distinct groups (hash aggregate)
   int64_t output_bytes = 0;      ///< output_rows * tuple width
+
+  bool operator==(const OperatorStats&) const = default;
 };
 
 }  // namespace zerodb::exec

@@ -18,29 +18,62 @@ namespace {
 using plan::PhysicalNode;
 using plan::PhysicalOpType;
 
-// Extracts one base-table column as doubles.
-std::vector<double> MaterializeColumn(const storage::Table& table,
-                                      size_t column_index) {
-  const storage::Column& column = table.column(column_index);
-  const size_t n = column.size();
-  std::vector<double> data(n);
-  if (column.type() == catalog::DataType::kDouble) {
-    const auto& raw = column.doubles();
-    std::copy(raw.begin(), raw.end(), data.begin());
-  } else {
-    const auto& raw = column.ints();
-    for (size_t i = 0; i < n; ++i) data[i] = static_cast<double>(raw[i]);
-  }
-  return data;
-}
-
-// Gathers selected rows of a full column.
+// Gathers selected rows of a batch column.
 std::vector<double> GatherColumn(const std::vector<double>& column,
                                  const std::vector<uint32_t>& row_ids) {
-  std::vector<double> out;
-  out.reserve(row_ids.size());
-  for (uint32_t row : row_ids) out.push_back(column[row]);
+  std::vector<double> out(row_ids.size());
+  for (size_t i = 0; i < row_ids.size(); ++i) out[i] = column[row_ids[i]];
   return out;
+}
+
+// Gathers selected rows of a base-table column straight from its typed
+// storage buffer, widening int64 and dictionary codes to double per row.
+std::vector<double> GatherTableColumn(const storage::Column& column,
+                                      const std::vector<uint32_t>& row_ids) {
+  std::vector<double> out(row_ids.size());
+  if (column.type() == catalog::DataType::kDouble) {
+    const double* raw = column.doubles().data();
+    for (size_t i = 0; i < row_ids.size(); ++i) out[i] = raw[row_ids[i]];
+  } else {
+    const int64_t* raw = column.ints().data();
+    for (size_t i = 0; i < row_ids.size(); ++i) {
+      out[i] = static_cast<double>(raw[row_ids[i]]);
+    }
+  }
+  return out;
+}
+
+// A whole base-table column, widened to double.
+std::vector<double> WidenTableColumn(const storage::Column& column) {
+  if (column.type() == catalog::DataType::kDouble) return column.doubles();
+  const std::vector<int64_t>& raw = column.ints();
+  return std::vector<double>(raw.begin(), raw.end());
+}
+
+// The column an operator reads at `slot`. The slot must be in the schema and
+// materialized, so a needed-slot set that missed it fails here, once per
+// operator, instead of reading an empty vector.
+const std::vector<double>& ReadColumn(const RowBatch& batch, size_t slot) {
+  ZDB_CHECK_LT(slot, batch.num_columns());
+  ZDB_CHECK_EQ(batch.columns[slot].size(), batch.num_rows())
+      << "slot " << slot << " is not materialized";
+  return batch.columns[slot];
+}
+
+// An output batch of `rows` rows over `schema` with no column materialized.
+RowBatch EmptyBatch(std::vector<plan::OutputColumn> schema, size_t rows) {
+  RowBatch batch;
+  batch.columns.resize(schema.size());
+  batch.schema = std::move(schema);
+  batch.rows = rows;
+  return batch;
+}
+
+std::vector<plan::OutputColumn> ConcatSchemas(
+    std::vector<plan::OutputColumn> left,
+    const std::vector<plan::OutputColumn>& right) {
+  left.insert(left.end(), right.begin(), right.end());
+  return left;
 }
 
 // Builds the schema entries for all columns of a table.
@@ -53,32 +86,86 @@ std::vector<plan::OutputColumn> TableSchemaColumns(const storage::Table& table) 
   return schema;
 }
 
-// Evaluates a predicate over a table row by filling only referenced slots.
-class TablePredicateEvaluator {
- public:
-  TablePredicateEvaluator(const storage::Table& table,
-                          const plan::Predicate& predicate)
-      : predicate_(predicate), row_(table.num_columns(), 0.0) {
-    for (size_t slot : predicate.ReferencedSlots()) {
-      referenced_.emplace_back(slot, MaterializeColumn(table, slot));
+// Fills out->columns[first + c] with rows `row_ids` of every column c of
+// `from` whose output slot `first + c` is needed.
+void GatherBatchColumns(const RowBatch& from,
+                        const std::vector<uint32_t>& row_ids,
+                        const std::vector<bool>& needed, size_t first,
+                        RowBatch* out) {
+  for (size_t c = 0; c < from.num_columns(); ++c) {
+    if (needed[first + c]) {
+      out->columns[first + c] = GatherColumn(ReadColumn(from, c), row_ids);
     }
-    leaves_ = static_cast<int64_t>(predicate.NumComparisons());
+  }
+}
+
+// The same for the columns of a base table.
+void GatherTableColumns(const storage::Table& table,
+                        const std::vector<uint32_t>& row_ids,
+                        const std::vector<bool>& needed, size_t first,
+                        RowBatch* out) {
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    if (needed[first + c]) {
+      out->columns[first + c] = GatherTableColumn(table.column(c), row_ids);
+    }
+  }
+}
+
+// Evaluates a predicate row by row, filling only the slots it references
+// straight from their columns: a base table's typed buffers (scans and the
+// IndexNLJoin residual) or a batch's columns (Filter), read in place.
+class PredicateEvaluator {
+ public:
+  PredicateEvaluator(const plan::Predicate& predicate,
+                     const storage::Table& table)
+      : predicate_(&predicate),
+        row_(table.num_columns(), 0.0),
+        leaves_(static_cast<int64_t>(predicate.NumComparisons())) {
+    for (size_t slot : predicate.ReferencedSlots()) {
+      ZDB_CHECK_LT(slot, table.num_columns());
+      const storage::Column& column = table.column(slot);
+      if (column.type() == catalog::DataType::kDouble) {
+        sources_.push_back(Source{slot, nullptr, column.doubles().data()});
+      } else {
+        sources_.push_back(Source{slot, column.ints().data(), nullptr});
+      }
+    }
+  }
+
+  PredicateEvaluator(const plan::Predicate& predicate, const RowBatch& batch)
+      : predicate_(&predicate),
+        row_(batch.num_columns(), 0.0),
+        leaves_(static_cast<int64_t>(predicate.NumComparisons())) {
+    for (size_t slot : predicate.ReferencedSlots()) {
+      sources_.push_back(Source{slot, nullptr, ReadColumn(batch, slot).data()});
+    }
   }
 
   bool Matches(size_t row) {
-    for (auto& [slot, data] : referenced_) row_[slot] = data[row];
-    return predicate_.Evaluate(row_);
+    for (const Source& source : sources_) {
+      row_[source.slot] = source.doubles != nullptr
+                              ? source.doubles[row]
+                              : static_cast<double>(source.ints[row]);
+    }
+    return predicate_->Evaluate(row_);
   }
 
   int64_t leaves() const { return leaves_; }
 
  private:
-  // Borrowed from the PhysicalPlan being executed, which strictly outlives
-  // this per-scan evaluator (both live inside one Execute call).
-  const plan::Predicate& predicate_;  // zerodb-lint: allow(lifetime-member)
-  std::vector<std::pair<size_t, std::vector<double>>> referenced_;
+  // One referenced slot and its column; exactly one buffer is set.
+  struct Source {
+    size_t slot;
+    const int64_t* ints;
+    const double* doubles;
+  };
+  // Borrowed from the PhysicalPlan being executed and its database, which
+  // strictly outlive this per-operator evaluator (all live inside one
+  // Execute call).
+  const plan::Predicate* predicate_;
+  std::vector<Source> sources_;
   std::vector<double> row_;
-  int64_t leaves_ = 0;
+  int64_t leaves_;
 };
 
 struct DoubleHash {
@@ -92,7 +179,122 @@ struct DoubleHash {
   }
 };
 
+using NeededMap = std::unordered_map<const PhysicalNode*, std::vector<bool>>;
+
+// Sizes every node's needed-slot mask to its output column count, all
+// unset, children first. Returns the node's column count.
+StatusOr<size_t> SizeMasks(const PhysicalNode& node,
+                           const storage::Database& db, NeededMap* needed) {
+  size_t count = 0;
+  switch (node.type) {
+    case PhysicalOpType::kSeqScan:
+    case PhysicalOpType::kIndexScan: {
+      ZDB_ASSIGN_OR_RETURN(const storage::Table* table,
+                           db.GetTable(node.table_name));
+      count = table->num_columns();
+      break;
+    }
+    case PhysicalOpType::kFilter:
+    case PhysicalOpType::kSort:
+    case PhysicalOpType::kHashJoin:
+    case PhysicalOpType::kNestedLoopJoin:
+      for (const auto& child : node.children) {
+        ZDB_ASSIGN_OR_RETURN(size_t child_count,
+                             SizeMasks(*child, db, needed));
+        count += child_count;
+      }
+      break;
+    case PhysicalOpType::kIndexNLJoin: {
+      ZDB_ASSIGN_OR_RETURN(const storage::Table* inner,
+                           db.GetTable(node.table_name));
+      ZDB_ASSIGN_OR_RETURN(count, SizeMasks(*node.children[0], db, needed));
+      count += inner->num_columns();
+      break;
+    }
+    case PhysicalOpType::kHashAggregate:
+    case PhysicalOpType::kSimpleAggregate:
+      ZDB_RETURN_NOT_OK(SizeMasks(*node.children[0], db, needed).status());
+      count = node.group_by_slots.size() + node.aggregates.size();
+      break;
+  }
+  (*needed)[&node].assign(count, false);
+  return count;
+}
+
+void MarkSlot(std::vector<bool>* mask, size_t slot) {
+  ZDB_CHECK_LT(slot, mask->size());
+  (*mask)[slot] = true;
+}
+
+// Sets in each child's mask the slots `node` reads from it: the slots its
+// own parent reads that pass through `node`, plus the operator's own inputs.
+// Top-down, so a node's mask is final before its children are visited.
+void MarkReads(const PhysicalNode& node, NeededMap* needed) {
+  const std::vector<bool>& out = needed->at(&node);
+  auto child_mask = [&](size_t i) {
+    return &needed->at(node.children[i].get());
+  };
+  switch (node.type) {
+    case PhysicalOpType::kSeqScan:
+    case PhysicalOpType::kIndexScan:
+      return;
+    case PhysicalOpType::kFilter: {
+      std::vector<bool>* in = child_mask(0);
+      *in = out;
+      if (node.predicate.has_value()) {
+        for (size_t slot : node.predicate->ReferencedSlots()) {
+          MarkSlot(in, slot);
+        }
+      }
+      break;
+    }
+    case PhysicalOpType::kSort: {
+      std::vector<bool>* in = child_mask(0);
+      *in = out;
+      for (size_t slot : node.sort_slots) MarkSlot(in, slot);
+      break;
+    }
+    case PhysicalOpType::kHashJoin:
+    case PhysicalOpType::kNestedLoopJoin: {
+      std::vector<bool>* left = child_mask(0);
+      std::vector<bool>* right = child_mask(1);
+      const auto split = out.begin() + static_cast<ptrdiff_t>(left->size());
+      std::copy(out.begin(), split, left->begin());
+      std::copy(split, out.end(), right->begin());
+      MarkSlot(left, node.left_key_slot);
+      MarkSlot(right, node.right_key_slot);
+      break;
+    }
+    case PhysicalOpType::kIndexNLJoin: {
+      std::vector<bool>* outer = child_mask(0);
+      std::copy(out.begin(),
+                out.begin() + static_cast<ptrdiff_t>(outer->size()),
+                outer->begin());
+      MarkSlot(outer, node.left_key_slot);
+      break;
+    }
+    case PhysicalOpType::kHashAggregate:
+    case PhysicalOpType::kSimpleAggregate: {
+      std::vector<bool>* in = child_mask(0);
+      for (size_t slot : node.group_by_slots) MarkSlot(in, slot);
+      for (const plan::AggregateExpr& agg : node.aggregates) {
+        if (agg.input_slot.has_value()) MarkSlot(in, *agg.input_slot);
+      }
+      break;
+    }
+  }
+  for (const auto& child : node.children) MarkReads(*child, needed);
+}
+
 }  // namespace
+
+// What Execute derives from a plan before any operator runs.
+struct Executor::PlanFacts {
+  /// Output tuple width in bytes, for OperatorStats::output_bytes.
+  std::unordered_map<const PhysicalNode*, int64_t> width_bytes;
+  /// Per output slot: does the node's parent read it? All set at the root.
+  NeededMap needed;
+};
 
 // Mirrors every work counter of one operator onto its timeline event.
 void AttachStats(obs::TimelineScope* event, const OperatorStats& stats) {
@@ -137,8 +339,18 @@ StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
   ZDB_DCHECK_OK(plan::ValidatePlan(*plan->root, *db_));
   queries_executed_->Add(1);
   obs::ScopedTimer timer(registry_->enabled() ? query_us_ : nullptr);
+  // Before any operator runs, decide which columns each one materializes:
+  // the root's whole output, every other node's only what its parent reads.
+  PlanFacts facts;
+  const PhysicalNode& root = *plan->root;
+  ZDB_RETURN_NOT_OK(SizeMasks(root, *db_, &facts.needed).status());
+  std::vector<bool>& root_mask = facts.needed.at(&root);
+  root_mask.assign(root_mask.size(), true);
+  MarkReads(root, &facts.needed);
+  root.ComputeOutputWidths(*db_, &facts.width_bytes);
   ExecutionResult result;
-  ZDB_ASSIGN_OR_RETURN(result.output, ExecuteNode(plan->root.get(), &result));
+  ZDB_ASSIGN_OR_RETURN(result.output,
+                       ExecuteNode(plan->root.get(), facts, &result));
   // Post-condition: the true cardinalities just recorded must respect the
   // relational bounds (filters shrink, sorts preserve, joins stay under the
   // cross product), so every query execution doubles as a verification run.
@@ -147,6 +359,7 @@ StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
 }
 
 StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
+                                         const PlanFacts& facts,
                                          ExecutionResult* result) {
   // The event opens before the child recursion in the switch, so child
   // events nest inside it; event and histogram time cover the whole subtree.
@@ -155,48 +368,45 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
                                   ? options_.recorder
                                   : obs::TraceEventRecorder::Global());
   obs::ScopedTimer timer(registry_->enabled() ? operator_us_ : nullptr);
+  const std::vector<bool>& needed = facts.needed.at(node);
+  auto child = [&](size_t i) {
+    return ExecuteNode(node->children[i].get(), facts, result);
+  };
   OperatorStats stats;
   StatusOr<RowBatch> batch_or = [&]() -> StatusOr<RowBatch> {
     switch (node->type) {
       case PhysicalOpType::kSeqScan:
-        return ExecSeqScan(node, &stats);
+        return ExecSeqScan(node, needed, &stats);
       case PhysicalOpType::kIndexScan:
-        return ExecIndexScan(node, &stats);
+        return ExecIndexScan(node, needed, &stats);
       case PhysicalOpType::kFilter: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch child,
-                             ExecuteNode(node->children[0].get(), result));
-        return ExecFilter(node, std::move(child), &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch input, child(0));
+        return ExecFilter(node, needed, std::move(input), &stats);
       }
       case PhysicalOpType::kHashJoin: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch left,
-                             ExecuteNode(node->children[0].get(), result));
-        ZDB_ASSIGN_OR_RETURN(RowBatch right,
-                             ExecuteNode(node->children[1].get(), result));
-        return ExecHashJoin(node, std::move(left), std::move(right), &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch left, child(0));
+        ZDB_ASSIGN_OR_RETURN(RowBatch right, child(1));
+        return ExecHashJoin(node, needed, std::move(left), std::move(right),
+                            &stats);
       }
       case PhysicalOpType::kNestedLoopJoin: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch left,
-                             ExecuteNode(node->children[0].get(), result));
-        ZDB_ASSIGN_OR_RETURN(RowBatch right,
-                             ExecuteNode(node->children[1].get(), result));
-        return ExecNestedLoopJoin(node, std::move(left), std::move(right),
-                                  &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch left, child(0));
+        ZDB_ASSIGN_OR_RETURN(RowBatch right, child(1));
+        return ExecNestedLoopJoin(node, needed, std::move(left),
+                                  std::move(right), &stats);
       }
       case PhysicalOpType::kIndexNLJoin: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch outer,
-                             ExecuteNode(node->children[0].get(), result));
-        return ExecIndexNLJoin(node, std::move(outer), &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch outer, child(0));
+        return ExecIndexNLJoin(node, needed, std::move(outer), &stats);
       }
       case PhysicalOpType::kSort: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch child,
-                             ExecuteNode(node->children[0].get(), result));
-        return ExecSort(node, std::move(child), &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch input, child(0));
+        return ExecSort(node, needed, std::move(input), &stats);
       }
       case PhysicalOpType::kHashAggregate:
       case PhysicalOpType::kSimpleAggregate: {
-        ZDB_ASSIGN_OR_RETURN(RowBatch child,
-                             ExecuteNode(node->children[0].get(), result));
-        return ExecAggregate(node, std::move(child), &stats);
+        ZDB_ASSIGN_OR_RETURN(RowBatch input, child(0));
+        return ExecAggregate(node, std::move(input), &stats);
       }
     }
     return Status::Internal("unknown operator");
@@ -208,7 +418,7 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
     return Status::OutOfRange("intermediate result exceeds row cap");
   }
   stats.output_rows = static_cast<int64_t>(batch.num_rows());
-  stats.output_bytes = stats.output_rows * node->OutputWidthBytes(*db_);
+  stats.output_bytes = stats.output_rows * facts.width_bytes.at(node);
   node->true_cardinality = static_cast<double>(stats.output_rows);
   result->stats[node] = stats;
   operators_executed_->Add(1);
@@ -222,6 +432,7 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
 }
 
 StatusOr<RowBatch> Executor::ExecSeqScan(PhysicalNode* node,
+                                         const std::vector<bool>& needed,
                                          OperatorStats* s) {
   ZDB_ASSIGN_OR_RETURN(const storage::Table* table,
                        db_->GetTable(node->table_name));
@@ -230,30 +441,27 @@ StatusOr<RowBatch> Executor::ExecSeqScan(PhysicalNode* node,
   s->input_rows_left = static_cast<int64_t>(n);
   s->pages_read = table->NumPages();
 
-  std::vector<uint32_t> selected;
-  if (node->predicate.has_value()) {
-    TablePredicateEvaluator evaluator(*table, *node->predicate);
-    s->predicate_evals = evaluator.leaves() * static_cast<int64_t>(n);
-    selected.reserve(n);  // worst case: every row matches
-    for (size_t row = 0; row < n; ++row) {
-      if (evaluator.Matches(row)) selected.push_back(static_cast<uint32_t>(row));
+  if (!node->predicate.has_value()) {  // every row: no row list to gather by
+    RowBatch batch = EmptyBatch(TableSchemaColumns(*table), n);
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      if (needed[c]) batch.columns[c] = WidenTableColumn(table->column(c));
     }
-  } else {
-    selected.resize(n);
-    std::iota(selected.begin(), selected.end(), 0u);
+    return batch;
   }
-
-  RowBatch batch;
-  batch.schema = TableSchemaColumns(*table);
-  batch.columns.reserve(table->num_columns());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    std::vector<double> full = MaterializeColumn(*table, c);
-    batch.columns.push_back(GatherColumn(full, selected));
+  PredicateEvaluator evaluator(*node->predicate, *table);
+  s->predicate_evals = evaluator.leaves() * static_cast<int64_t>(n);
+  std::vector<uint32_t> selected;
+  selected.reserve(n);  // worst case: every row matches
+  for (size_t row = 0; row < n; ++row) {
+    if (evaluator.Matches(row)) selected.push_back(static_cast<uint32_t>(row));
   }
+  RowBatch batch = EmptyBatch(TableSchemaColumns(*table), selected.size());
+  GatherTableColumns(*table, selected, needed, 0, &batch);
   return batch;
 }
 
 StatusOr<RowBatch> Executor::ExecIndexScan(PhysicalNode* node,
+                                           const std::vector<bool>& needed,
                                            OperatorStats* s) {
   ZDB_ASSIGN_OR_RETURN(const storage::Table* table,
                        db_->GetTable(node->table_name));
@@ -275,7 +483,7 @@ StatusOr<RowBatch> Executor::ExecIndexScan(PhysicalNode* node,
 
   std::vector<uint32_t> selected;
   if (node->predicate.has_value()) {
-    TablePredicateEvaluator evaluator(*table, *node->predicate);
+    PredicateEvaluator evaluator(*node->predicate, *table);
     s->predicate_evals =
         evaluator.leaves() * static_cast<int64_t>(matched.size());
     selected.reserve(matched.size());  // worst case: every match passes
@@ -286,49 +494,36 @@ StatusOr<RowBatch> Executor::ExecIndexScan(PhysicalNode* node,
     selected = std::move(matched);
   }
 
-  RowBatch batch;
-  batch.schema = TableSchemaColumns(*table);
-  batch.columns.reserve(table->num_columns());
-  for (size_t c = 0; c < table->num_columns(); ++c) {
-    std::vector<double> full = MaterializeColumn(*table, c);
-    batch.columns.push_back(GatherColumn(full, selected));
-  }
+  RowBatch batch = EmptyBatch(TableSchemaColumns(*table), selected.size());
+  GatherTableColumns(*table, selected, needed, 0, &batch);
   return batch;
 }
 
-StatusOr<RowBatch> Executor::ExecFilter(PhysicalNode* node, RowBatch child,
-                                        OperatorStats* s) {
+StatusOr<RowBatch> Executor::ExecFilter(PhysicalNode* node,
+                                        const std::vector<bool>& needed,
+                                        RowBatch child, OperatorStats* s) {
   ZDB_CHECK(node->predicate.has_value());
   const size_t n = child.num_rows();
   s->input_rows_left = static_cast<int64_t>(n);
-  s->predicate_evals =
-      static_cast<int64_t>(node->predicate->NumComparisons()) *
-      static_cast<int64_t>(n);
 
+  PredicateEvaluator evaluator(*node->predicate, child);
+  s->predicate_evals = evaluator.leaves() * static_cast<int64_t>(n);
   std::vector<uint32_t> selected;
   selected.reserve(n);  // worst case: every row passes
-  std::vector<double> row;
   for (size_t i = 0; i < n; ++i) {
-    child.GetRow(i, &row);
-    if (node->predicate->Evaluate(row)) {
-      selected.push_back(static_cast<uint32_t>(i));
-    }
+    if (evaluator.Matches(i)) selected.push_back(static_cast<uint32_t>(i));
   }
-  RowBatch batch;
-  batch.schema = child.schema;
-  batch.columns.reserve(child.num_columns());
-  for (const auto& column : child.columns) {
-    batch.columns.push_back(GatherColumn(column, selected));
-  }
+  RowBatch batch = EmptyBatch(std::move(child.schema), selected.size());
+  GatherBatchColumns(child, selected, needed, 0, &batch);
   return batch;
 }
 
-StatusOr<RowBatch> Executor::ExecHashJoin(PhysicalNode* node, RowBatch left,
-                                          RowBatch right, OperatorStats* s) {
-  ZDB_CHECK_LT(node->left_key_slot, left.num_columns());
-  ZDB_CHECK_LT(node->right_key_slot, right.num_columns());
-  const auto& build_keys = left.columns[node->left_key_slot];
-  const auto& probe_keys = right.columns[node->right_key_slot];
+StatusOr<RowBatch> Executor::ExecHashJoin(PhysicalNode* node,
+                                          const std::vector<bool>& needed,
+                                          RowBatch left, RowBatch right,
+                                          OperatorStats* s) {
+  const auto& build_keys = ReadColumn(left, node->left_key_slot);
+  const auto& probe_keys = ReadColumn(right, node->right_key_slot);
   s->input_rows_left = static_cast<int64_t>(left.num_rows());
   s->input_rows_right = static_cast<int64_t>(right.num_rows());
   s->hash_build_rows = s->input_rows_left;
@@ -358,27 +553,20 @@ StatusOr<RowBatch> Executor::ExecHashJoin(PhysicalNode* node, RowBatch left,
     }
   }
 
-  RowBatch batch;
-  batch.schema = left.schema;
-  batch.schema.insert(batch.schema.end(), right.schema.begin(),
-                      right.schema.end());
-  batch.columns.reserve(left.num_columns() + right.num_columns());
-  for (const auto& column : left.columns) {
-    batch.columns.push_back(GatherColumn(column, left_sel));
-  }
-  for (const auto& column : right.columns) {
-    batch.columns.push_back(GatherColumn(column, right_sel));
-  }
+  RowBatch batch =
+      EmptyBatch(ConcatSchemas(std::move(left.schema), right.schema),
+                 left_sel.size());
+  GatherBatchColumns(left, left_sel, needed, 0, &batch);
+  GatherBatchColumns(right, right_sel, needed, left.num_columns(), &batch);
   return batch;
 }
 
 StatusOr<RowBatch> Executor::ExecNestedLoopJoin(PhysicalNode* node,
+                                                const std::vector<bool>& needed,
                                                 RowBatch left, RowBatch right,
                                                 OperatorStats* s) {
-  ZDB_CHECK_LT(node->left_key_slot, left.num_columns());
-  ZDB_CHECK_LT(node->right_key_slot, right.num_columns());
-  const auto& left_keys = left.columns[node->left_key_slot];
-  const auto& right_keys = right.columns[node->right_key_slot];
+  const auto& left_keys = ReadColumn(left, node->left_key_slot);
+  const auto& right_keys = ReadColumn(right, node->right_key_slot);
   s->input_rows_left = static_cast<int64_t>(left.num_rows());
   s->input_rows_right = static_cast<int64_t>(right.num_rows());
   s->predicate_evals = s->input_rows_left * s->input_rows_right;
@@ -401,21 +589,16 @@ StatusOr<RowBatch> Executor::ExecNestedLoopJoin(PhysicalNode* node,
     }
   }
 
-  RowBatch batch;
-  batch.schema = left.schema;
-  batch.schema.insert(batch.schema.end(), right.schema.begin(),
-                      right.schema.end());
-  batch.columns.reserve(left.num_columns() + right.num_columns());
-  for (const auto& column : left.columns) {
-    batch.columns.push_back(GatherColumn(column, left_sel));
-  }
-  for (const auto& column : right.columns) {
-    batch.columns.push_back(GatherColumn(column, right_sel));
-  }
+  RowBatch batch =
+      EmptyBatch(ConcatSchemas(std::move(left.schema), right.schema),
+                 left_sel.size());
+  GatherBatchColumns(left, left_sel, needed, 0, &batch);
+  GatherBatchColumns(right, right_sel, needed, left.num_columns(), &batch);
   return batch;
 }
 
 StatusOr<RowBatch> Executor::ExecIndexNLJoin(PhysicalNode* node,
+                                             const std::vector<bool>& needed,
                                              RowBatch outer,
                                              OperatorStats* s) {
   ZDB_ASSIGN_OR_RETURN(const storage::Table* inner,
@@ -425,14 +608,13 @@ StatusOr<RowBatch> Executor::ExecIndexNLJoin(PhysicalNode* node,
   if (index == nullptr) {
     return Status::NotFound("no index for INLJ on " + node->table_name);
   }
-  ZDB_CHECK_LT(node->left_key_slot, outer.num_columns());
-  const auto& outer_keys = outer.columns[node->left_key_slot];
+  const auto& outer_keys = ReadColumn(outer, node->left_key_slot);
   s->input_rows_left = static_cast<int64_t>(outer.num_rows());
   s->index_probes = s->input_rows_left;
 
-  std::optional<TablePredicateEvaluator> residual;
+  std::optional<PredicateEvaluator> residual;
   if (node->predicate.has_value()) {
-    residual.emplace(*inner, *node->predicate);
+    residual.emplace(*node->predicate, *inner);
   }
 
   std::vector<uint32_t> outer_sel;
@@ -461,46 +643,37 @@ StatusOr<RowBatch> Executor::ExecIndexNLJoin(PhysicalNode* node,
   // Random heap fetches on the inner side.
   s->pages_read = index->EstimatedHeight() * s->index_probes + s->index_entries;
 
-  RowBatch batch;
-  batch.schema = outer.schema;
-  batch.schema.reserve(outer.schema.size() + inner->num_columns());
-  batch.columns.reserve(outer.num_columns() + inner->num_columns());
-  for (size_t c = 0; c < inner->num_columns(); ++c) {
-    batch.schema.push_back(plan::OutputColumn{inner->name(), c, false});
-  }
-  for (const auto& column : outer.columns) {
-    batch.columns.push_back(GatherColumn(column, outer_sel));
-  }
-  for (size_t c = 0; c < inner->num_columns(); ++c) {
-    std::vector<double> full = MaterializeColumn(*inner, c);
-    batch.columns.push_back(GatherColumn(full, inner_sel));
-  }
+  RowBatch batch = EmptyBatch(
+      ConcatSchemas(std::move(outer.schema), TableSchemaColumns(*inner)),
+      outer_sel.size());
+  GatherBatchColumns(outer, outer_sel, needed, 0, &batch);
+  GatherTableColumns(*inner, inner_sel, needed, outer.num_columns(), &batch);
   return batch;
 }
 
-StatusOr<RowBatch> Executor::ExecSort(PhysicalNode* node, RowBatch child,
-                                      OperatorStats* s) {
+StatusOr<RowBatch> Executor::ExecSort(PhysicalNode* node,
+                                      const std::vector<bool>& needed,
+                                      RowBatch child, OperatorStats* s) {
   const size_t n = child.num_rows();
   s->input_rows_left = static_cast<int64_t>(n);
   s->sort_rows = static_cast<int64_t>(n);
 
+  std::vector<const double*> keys;
+  keys.reserve(node->sort_slots.size());
+  for (size_t slot : node->sort_slots) {
+    keys.push_back(ReadColumn(child, slot).data());
+  }
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    for (size_t slot : node->sort_slots) {
-      double va = child.columns[slot][a];
-      double vb = child.columns[slot][b];
-      if (va != vb) return va < vb;
+    for (const double* key : keys) {
+      if (key[a] != key[b]) return key[a] < key[b];
     }
     return a < b;  // stable tie-break
   });
 
-  RowBatch batch;
-  batch.schema = child.schema;
-  batch.columns.reserve(child.num_columns());
-  for (const auto& column : child.columns) {
-    batch.columns.push_back(GatherColumn(column, order));
-  }
+  RowBatch batch = EmptyBatch(std::move(child.schema), n);
+  GatherBatchColumns(child, order, needed, 0, &batch);
   return batch;
 }
 
@@ -516,6 +689,13 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
     double max = -std::numeric_limits<double>::infinity();
   };
   const size_t num_aggs = node->aggregates.size();
+  // Each aggregate's input column, checked once here rather than per row;
+  // nullptr for COUNT(*).
+  std::vector<const double*> inputs(num_aggs, nullptr);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const std::optional<size_t>& slot = node->aggregates[a].input_slot;
+    if (slot.has_value()) inputs[a] = ReadColumn(child, *slot).data();
+  }
 
   auto finalize = [&](const AggState& state, const plan::AggregateExpr& agg) {
     switch (agg.func) {
@@ -535,30 +715,39 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
     return 0.0;
   };
 
-  auto update = [&](AggState* state, const plan::AggregateExpr& agg,
-                    size_t row) {
+  auto update = [&](AggState* state, const double* input, size_t row) {
     ++state->count;
-    if (agg.input_slot.has_value()) {
-      ZDB_CHECK_LT(*agg.input_slot, child.num_columns());
-      double v = child.columns[*agg.input_slot][row];
+    if (input != nullptr) {
+      double v = input[row];
       state->sum += v;
       state->min = std::min(state->min, v);
       state->max = std::max(state->max, v);
     }
   };
 
-  RowBatch batch;
-  batch.schema = node->OutputSchema(*db_);
+  // Output schema: the group-by columns' provenance, then one synthetic
+  // column per aggregate (PhysicalNode::OutputSchema, from the child's).
+  std::vector<plan::OutputColumn> schema;
+  schema.reserve(node->group_by_slots.size() + num_aggs);
+  std::vector<const double*> group_columns;
+  group_columns.reserve(node->group_by_slots.size());
+  for (size_t slot : node->group_by_slots) {
+    group_columns.push_back(ReadColumn(child, slot).data());
+    schema.push_back(child.schema[slot]);
+  }
+  for (size_t a = 0; a < num_aggs; ++a) {
+    schema.push_back(plan::OutputColumn{"", a, true});
+  }
 
   if (node->type == PhysicalOpType::kSimpleAggregate) {
     std::vector<AggState> states(num_aggs);
     for (size_t row = 0; row < n; ++row) {
       for (size_t a = 0; a < num_aggs; ++a) {
-        update(&states[a], node->aggregates[a], row);
+        update(&states[a], inputs[a], row);
       }
     }
     s->group_count = 1;
-    batch.columns.resize(num_aggs);
+    RowBatch batch = EmptyBatch(std::move(schema), 1);
     for (size_t a = 0; a < num_aggs; ++a) {
       batch.columns[a].assign(1, finalize(states[a], node->aggregates[a]));
     }
@@ -579,14 +768,14 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
   };
   std::unordered_map<std::vector<double>, std::vector<AggState>, VectorHash>
       groups;
-  std::vector<double> key(node->group_by_slots.size());
+  std::vector<double> key(group_columns.size());
   for (size_t row = 0; row < n; ++row) {
-    for (size_t g = 0; g < node->group_by_slots.size(); ++g) {
-      key[g] = child.columns[node->group_by_slots[g]][row];
+    for (size_t g = 0; g < group_columns.size(); ++g) {
+      key[g] = group_columns[g][row];
     }
     auto [it, inserted] = groups.try_emplace(key, num_aggs);
     for (size_t a = 0; a < num_aggs; ++a) {
-      update(&it->second[a], node->aggregates[a], row);
+      update(&it->second[a], inputs[a], row);
     }
   }
   s->group_count = static_cast<int64_t>(groups.size());
@@ -608,7 +797,7 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
                   b->first.end());
             });
 
-  batch.columns.assign(node->group_by_slots.size() + num_aggs, {});
+  RowBatch batch = EmptyBatch(std::move(schema), ordered.size());
   for (size_t c = 0; c < batch.columns.size(); ++c) {
     batch.columns[c].reserve(ordered.size());
   }

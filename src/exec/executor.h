@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "exec/batch.h"
@@ -39,10 +40,18 @@ struct ExecutorOptions {
 };
 
 /// Executes physical plans against an in-memory database. Operators
-/// materialize their outputs column-at-a-time; every operator also records
-/// OperatorStats and writes its true output cardinality into the plan node
-/// (`true_cardinality`), which is how "exact cardinality" featurization gets
-/// its inputs.
+/// materialize their outputs column-at-a-time, one operator at a time
+/// (children first); every operator also records OperatorStats and writes its
+/// true output cardinality into the plan node (`true_cardinality`), which is
+/// how "exact cardinality" featurization gets its inputs.
+///
+/// Needed-slot contract (DESIGN.md "Executor"): before any operator runs,
+/// Execute computes top-down, for every node, the output slots its parent
+/// reads. The root's output is always complete. An inner batch keeps its full
+/// schema and slot positions but materializes only the slots its parent
+/// reads; the others stay empty and the row count is explicit
+/// (RowBatch::rows). Counters never depend on which columns are carried:
+/// `output_bytes` comes from the schema width.
 ///
 /// Thread-compatible, not thread-safe (DESIGN.md "Concurrency discipline"):
 /// one Executor serves one thread at a time — Execute mutates the plan in
@@ -61,22 +70,39 @@ class Executor {
   StatusOr<ExecutionResult> Execute(plan::PhysicalPlan* plan);
 
  private:
+  // Per-node facts derived from the plan before any operator runs
+  // (executor.cc).
+  struct PlanFacts;
   StatusOr<RowBatch> ExecuteNode(plan::PhysicalNode* node,
+                                 const PlanFacts& facts,
                                  ExecutionResult* result);
 
-  StatusOr<RowBatch> ExecSeqScan(plan::PhysicalNode* node, OperatorStats* s);
-  StatusOr<RowBatch> ExecIndexScan(plan::PhysicalNode* node, OperatorStats* s);
-  StatusOr<RowBatch> ExecFilter(plan::PhysicalNode* node, RowBatch child,
-                                OperatorStats* s);
-  StatusOr<RowBatch> ExecHashJoin(plan::PhysicalNode* node, RowBatch left,
-                                  RowBatch right, OperatorStats* s);
+  // Each operator materializes only the output slots flagged in `needed`:
+  // the slots its parent reads.
+  StatusOr<RowBatch> ExecSeqScan(plan::PhysicalNode* node,
+                                 const std::vector<bool>& needed,
+                                 OperatorStats* s);
+  StatusOr<RowBatch> ExecIndexScan(plan::PhysicalNode* node,
+                                   const std::vector<bool>& needed,
+                                   OperatorStats* s);
+  StatusOr<RowBatch> ExecFilter(plan::PhysicalNode* node,
+                                const std::vector<bool>& needed,
+                                RowBatch child, OperatorStats* s);
+  StatusOr<RowBatch> ExecHashJoin(plan::PhysicalNode* node,
+                                  const std::vector<bool>& needed,
+                                  RowBatch left, RowBatch right,
+                                  OperatorStats* s);
   StatusOr<RowBatch> ExecNestedLoopJoin(plan::PhysicalNode* node,
+                                        const std::vector<bool>& needed,
                                         RowBatch left, RowBatch right,
                                         OperatorStats* s);
-  StatusOr<RowBatch> ExecIndexNLJoin(plan::PhysicalNode* node, RowBatch outer,
-                                     OperatorStats* s);
-  StatusOr<RowBatch> ExecSort(plan::PhysicalNode* node, RowBatch child,
+  StatusOr<RowBatch> ExecIndexNLJoin(plan::PhysicalNode* node,
+                                     const std::vector<bool>& needed,
+                                     RowBatch outer, OperatorStats* s);
+  StatusOr<RowBatch> ExecSort(plan::PhysicalNode* node,
+                              const std::vector<bool>& needed, RowBatch child,
                               OperatorStats* s);
+  // Aggregates always materialize their whole (small) output.
   StatusOr<RowBatch> ExecAggregate(plan::PhysicalNode* node, RowBatch child,
                                    OperatorStats* s);
 

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+
+#include "common/rng.h"
+#include "datagen/corpus.h"
 #include "exec/executor.h"
+#include "optimizer/optimizer.h"
 #include "plan/physical.h"
 #include "storage/database.h"
+#include "workload/benchmarks.h"
 
 namespace zerodb::exec {
 namespace {
@@ -13,6 +20,8 @@ using catalog::TableSchema;
 using plan::AggFunc;
 using plan::AggregateExpr;
 using plan::CompareOp;
+using plan::PhysicalNode;
+using plan::PhysicalOpType;
 using plan::PhysicalPlan;
 using plan::Predicate;
 
@@ -378,6 +387,292 @@ TEST(ExecutorTest, StatsForUnknownNodeAborts) {
   auto orphan = plan::MakeSeqScan("orders", std::nullopt);
   EXPECT_DEATH(result->StatsFor(*orphan), "no stats recorded");
 }
+
+// ---------------------------------------------------------------------------
+// Needed-slot pruning against the unpruned path. Every operator but an
+// aggregate passes all of its input columns through, so only an aggregate
+// reads fewer columns than its input carries. The reference runs each
+// aggregate's child subtree as a plan of its own: its root needs every
+// column, which is the full gather. A test-local aggregate then runs over
+// that output.
+
+bool IsAggregate(const PhysicalNode& node) {
+  return node.type == PhysicalOpType::kHashAggregate ||
+         node.type == PhysicalOpType::kSimpleAggregate;
+}
+
+std::vector<const PhysicalNode*> PreOrder(const PhysicalNode& root) {
+  std::vector<const PhysicalNode*> nodes;
+  root.Visit([&](const PhysicalNode& node) { nodes.push_back(&node); });
+  return nodes;
+}
+
+// The executor's aggregate semantics over a complete input: groups emitted
+// in ascending key order, empty MIN/MAX/AVG finalize to 0.
+RowBatch LocalAggregate(const PhysicalNode& node, const RowBatch& input,
+                        const storage::Database& db, OperatorStats* stats) {
+  struct State {
+    int64_t count = 0;
+    double sum = 0.0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  };
+  std::map<std::vector<double>, std::vector<State>> groups;
+  if (node.type == PhysicalOpType::kSimpleAggregate) {
+    groups[{}].resize(node.aggregates.size());
+  }
+  for (size_t row = 0; row < input.num_rows(); ++row) {
+    std::vector<double> key;
+    for (size_t slot : node.group_by_slots) {
+      key.push_back(input.columns[slot][row]);
+    }
+    std::vector<State>& states = groups[key];
+    states.resize(node.aggregates.size());
+    for (size_t a = 0; a < node.aggregates.size(); ++a) {
+      State& state = states[a];
+      ++state.count;
+      if (!node.aggregates[a].input_slot.has_value()) continue;
+      const double v = input.columns[*node.aggregates[a].input_slot][row];
+      state.sum += v;
+      state.min = std::min(state.min, v);
+      state.max = std::max(state.max, v);
+    }
+  }
+  RowBatch out;
+  out.schema = node.OutputSchema(db);
+  out.columns.resize(out.schema.size());
+  out.rows = groups.size();
+  for (const auto& [key, states] : groups) {
+    for (size_t g = 0; g < key.size(); ++g) out.columns[g].push_back(key[g]);
+    for (size_t a = 0; a < states.size(); ++a) {
+      const State& state = states[a];
+      double value = 0.0;
+      switch (node.aggregates[a].func) {
+        case AggFunc::kCount:
+          value = static_cast<double>(state.count);
+          break;
+        case AggFunc::kSum:
+          value = state.sum;
+          break;
+        case AggFunc::kAvg:
+          value = state.count > 0
+                      ? state.sum / static_cast<double>(state.count)
+                      : 0.0;
+          break;
+        case AggFunc::kMin:
+          value = state.count > 0 ? state.min : 0.0;
+          break;
+        case AggFunc::kMax:
+          value = state.count > 0 ? state.max : 0.0;
+          break;
+      }
+      out.columns[key.size() + a].push_back(value);
+    }
+  }
+  *stats = OperatorStats();
+  stats->input_rows_left = static_cast<int64_t>(input.num_rows());
+  stats->group_count = static_cast<int64_t>(groups.size());
+  stats->output_rows = static_cast<int64_t>(out.rows);
+  stats->output_bytes = stats->output_rows * node.OutputWidthBytes(db);
+  return out;
+}
+
+// Appends the pre-order stats of `node`'s subtree, executed with a complete
+// root and no aggregate pruning its input, and returns the subtree's output.
+RowBatch RunUnpruned(const PhysicalNode& node, const storage::Database& db,
+                     std::vector<OperatorStats>* stats) {
+  if (IsAggregate(node)) {
+    const size_t at = stats->size();
+    stats->emplace_back();
+    RowBatch input = RunUnpruned(*node.children[0], db, stats);
+    return LocalAggregate(node, input, db, &(*stats)[at]);
+  }
+  PhysicalPlan subtree(node.Clone());
+  auto result = Executor(&db).Execute(&subtree);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return RowBatch();
+  const std::vector<const PhysicalNode*> original = PreOrder(node);
+  const std::vector<const PhysicalNode*> cloned = PreOrder(*subtree.root);
+  for (size_t i = 0; i < original.size(); ++i) {
+    if (!IsAggregate(*original[i])) {
+      stats->push_back(result->StatsFor(*cloned[i]));
+      continue;
+    }
+    const size_t before = stats->size();
+    RunUnpruned(*original[i], db, stats);
+    i += stats->size() - before - 1;  // skip the aggregate's subtree
+  }
+  return std::move(result->output);
+}
+
+void ExpectSameBatch(const RowBatch& actual, const RowBatch& expected) {
+  EXPECT_EQ(actual.num_rows(), expected.num_rows());
+  EXPECT_EQ(actual.columns, expected.columns);
+  ASSERT_EQ(actual.schema.size(), expected.schema.size());
+  for (size_t c = 0; c < actual.schema.size(); ++c) {
+    EXPECT_EQ(actual.schema[c].table, expected.schema[c].table);
+    EXPECT_EQ(actual.schema[c].column_index, expected.schema[c].column_index);
+    EXPECT_EQ(actual.schema[c].synthetic, expected.schema[c].synthetic);
+  }
+}
+
+// Executes `plan` and checks it against the unpruned reference: every
+// node's OperatorStats and the root output compare equal, and the root
+// output has every column materialized. Returns false if the plan hit an
+// execution error (the row cap), which the reference cannot mirror.
+bool ExpectMatchesUnpruned(const PhysicalPlan& plan,
+                           const storage::Database& db) {
+  PhysicalPlan pruned = plan.Clone();
+  auto result = Executor(&db).Execute(&pruned);
+  if (!result.ok()) return false;
+  SCOPED_TRACE(plan.root->ToString(db));
+  std::vector<OperatorStats> expected;
+  const RowBatch expected_output = RunUnpruned(*plan.root, db, &expected);
+  const std::vector<const PhysicalNode*> nodes = PreOrder(*pruned.root);
+  EXPECT_EQ(nodes.size(), expected.size());
+  for (size_t i = 0; i < std::min(nodes.size(), expected.size()); ++i) {
+    EXPECT_TRUE(result->StatsFor(*nodes[i]) == expected[i])
+        << "node " << i << " (" << plan::PhysicalOpName(nodes[i]->type)
+        << ")";
+  }
+  ExpectSameBatch(result->output, expected_output);
+  for (const std::vector<double>& column : result->output.columns) {
+    EXPECT_EQ(column.size(), result->output.num_rows());
+  }
+  return true;
+}
+
+TEST(NeededSlotsTest, RootWithoutAggregateIsComplete) {
+  storage::Database db = MakeDb();
+  ASSERT_TRUE(db.CreateIndex("orders", "user_id").ok());
+  Executor executor(&db);
+  PhysicalPlan plan(plan::MakeSort(
+      plan::MakeFilter(
+          plan::MakeIndexNLJoin(
+              plan::MakeHashJoin(plan::MakeSeqScan("users", std::nullopt),
+                                 plan::MakeSeqScan("orders", std::nullopt), 0,
+                                 1),
+              "orders", 0, 1, std::nullopt),
+          Predicate::Compare(4, CompareOp::kGe, 10.0)),
+      {7}));
+  auto result = executor.Execute(&plan);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->output.num_columns(), 8u);
+  ASSERT_GT(result->output.num_rows(), 0u);
+  for (const std::vector<double>& column : result->output.columns) {
+    EXPECT_EQ(column.size(), result->output.num_rows());
+  }
+}
+
+TEST(NeededSlotsTest, HandBuiltAggregatePlansMatchUnpruned) {
+  storage::Database db = MakeDb();
+  ASSERT_TRUE(db.CreateIndex("orders", "user_id").ok());
+  auto users_join_orders = [] {
+    return plan::MakeHashJoin(
+        plan::MakeSeqScan("users", Predicate::Compare(1, CompareOp::kGe, 30)),
+        plan::MakeSeqScan("orders", std::nullopt), 0, 1);
+  };
+  std::vector<PhysicalPlan> plans;
+  // The JoinOverAggregatePipeline shape: COUNT(*), SUM(orders.amt).
+  plans.emplace_back(plan::MakeSimpleAggregate(
+      users_join_orders(), {AggregateExpr{AggFunc::kCount, std::nullopt},
+                            AggregateExpr{AggFunc::kSum, 4}}));
+  // The GroupByOverJoin shape, with every aggregate function.
+  plans.emplace_back(plan::MakeHashAggregate(
+      plan::MakeHashJoin(plan::MakeSeqScan("users", std::nullopt),
+                         plan::MakeSeqScan("orders", std::nullopt), 0, 1),
+      {1}, {AggregateExpr{AggFunc::kCount, std::nullopt},
+            AggregateExpr{AggFunc::kAvg, 4}, AggregateExpr{AggFunc::kMin, 2},
+            AggregateExpr{AggFunc::kMax, 4}}));
+  // Every pass-through operator between the aggregate and the scans.
+  plans.emplace_back(plan::MakeHashAggregate(
+      plan::MakeSort(
+          plan::MakeFilter(
+              plan::MakeIndexNLJoin(
+                  plan::MakeNestedLoopJoin(
+                      plan::MakeSeqScan("users", std::nullopt),
+                      plan::MakeSeqScan(
+                          "orders", Predicate::Compare(2, CompareOp::kLt, 60)),
+                      0, 1),
+                  "orders", 0, 1, Predicate::Compare(2, CompareOp::kGe, 10)),
+              Predicate::Compare(7, CompareOp::kGt, 0.0)),
+          {4}),
+      {3, 6}, {AggregateExpr{AggFunc::kSum, 7}}));
+  // An aggregate below a join, and one above it.
+  plans.emplace_back(plan::MakeSimpleAggregate(
+      plan::MakeHashJoin(
+          plan::MakeHashAggregate(users_join_orders(), {0},
+                                  {AggregateExpr{AggFunc::kSum, 4}}),
+          plan::MakeSeqScan("users", std::nullopt), 0, 0),
+      {AggregateExpr{AggFunc::kMax, 1}, AggregateExpr{AggFunc::kSum, 3}}));
+  // An aggregate below a join at the root.
+  plans.emplace_back(plan::MakeNestedLoopJoin(
+      plan::MakeSeqScan("users", std::nullopt),
+      plan::MakeHashAggregate(users_join_orders(), {2},
+                              {AggregateExpr{AggFunc::kCount, std::nullopt}}),
+      0, 0));
+  for (const PhysicalPlan& plan : plans) {
+    EXPECT_TRUE(ExpectMatchesUnpruned(plan, db));
+  }
+}
+
+// The 60 seed-workload plans of ExecutorTraceTest.SeedWorkloadEventsMatchStats.
+TEST(NeededSlotsTest, SeedWorkloadPlansMatchUnpruned) {
+  datagen::DatabaseEnv env = datagen::MakeImdbEnv(17, 0.05);
+  optimizer::Planner planner(env.db.get(), &env.stats);
+  size_t executed = 0;
+  for (workload::BenchmarkWorkload benchmark :
+       {workload::BenchmarkWorkload::kScale,
+        workload::BenchmarkWorkload::kSynthetic,
+        workload::BenchmarkWorkload::kJobLight}) {
+    for (const plan::QuerySpec& query :
+         workload::MakeBenchmark(benchmark, env, /*count=*/20, /*seed=*/23)) {
+      auto plan = planner.Plan(query);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      if (ExpectMatchesUnpruned(*plan, *env.db)) ++executed;
+    }
+  }
+  EXPECT_EQ(executed, 60u);
+}
+
+// The generated queries of PlannerProperty, under every planner
+// configuration it compares (so index scans, index and nested-loop joins
+// all appear).
+class NeededSlotsProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(NeededSlotsProperty, GeneratedPlansMatchUnpruned) {
+  datagen::GeneratorConfig gen_config;
+  gen_config.min_rows = 200;
+  gen_config.max_rows = 2000;
+  storage::Database db =
+      datagen::GenerateRandomDatabase("prop", GetParam(), gen_config);
+  Rng index_rng(GetParam() ^ 1);
+  datagen::AddDefaultIndexes(&db, &index_rng, 0.5);
+  datagen::DatabaseEnv env = datagen::MakeEnv(std::move(db));
+  workload::QueryGenerator generator(&env, workload::TrainingWorkloadConfig(),
+                                     GetParam() ^ 2);
+  optimizer::PlannerOptions no_index;
+  no_index.enable_index_scan = false;
+  no_index.enable_index_nl_join = false;
+  optimizer::PlannerOptions no_nlj;
+  no_nlj.nlj_row_threshold = 0;
+  int executed = 0;
+  for (int trial = 0; trial < 15; ++trial) {
+    const plan::QuerySpec query = generator.Next();
+    for (const optimizer::PlannerOptions& options :
+         {optimizer::PlannerOptions(), no_index, no_nlj}) {
+      optimizer::Planner planner(env.db.get(), &env.stats,
+                                 optimizer::CostParams(), options);
+      auto plan = planner.Plan(query);
+      ASSERT_TRUE(plan.ok()) << query.ToSql(*env.db);
+      if (ExpectMatchesUnpruned(*plan, *env.db)) ++executed;
+    }
+  }
+  EXPECT_GE(executed, 15);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NeededSlotsProperty,
+                         ::testing::Values(7, 8, 9, 10));
 
 }  // namespace
 }  // namespace zerodb::exec
