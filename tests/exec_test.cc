@@ -567,6 +567,18 @@ TEST(NeededSlotsTest, RootWithoutAggregateIsComplete) {
 TEST(NeededSlotsTest, HandBuiltAggregatePlansMatchUnpruned) {
   storage::Database db = MakeDb();
   ASSERT_TRUE(db.CreateIndex("orders", "user_id").ok());
+  // payments(user_id, value): ±1e16 next to small values, so a
+  // floating-point SUM over them depends on row order and catches rows
+  // gathered out of order under an aggregate.
+  storage::Table payments(TableSchema(
+      "payments", {ColumnSchema{"user_id", DataType::kInt64, 8},
+                   ColumnSchema{"value", DataType::kDouble, 8}}));
+  for (int i = 0; i < 12; ++i) {
+    payments.column(0).AppendInt64(i % 5);
+    payments.column(1).AppendDouble(
+        i % 4 == 0 ? 1e16 : (i % 4 == 2 ? -1e16 : 0.5 + i));
+  }
+  ASSERT_TRUE(db.AddTable(std::move(payments)).ok());
   auto users_join_orders = [] {
     return plan::MakeHashJoin(
         plan::MakeSeqScan("users", Predicate::Compare(1, CompareOp::kGe, 30)),
@@ -605,6 +617,13 @@ TEST(NeededSlotsTest, HandBuiltAggregatePlansMatchUnpruned) {
                                   {AggregateExpr{AggFunc::kSum, 4}}),
           plan::MakeSeqScan("users", std::nullopt), 0, 0),
       {AggregateExpr{AggFunc::kMax, 1}, AggregateExpr{AggFunc::kSum, 3}}));
+  // An order-sensitive SUM over a Sort and a join.
+  plans.emplace_back(plan::MakeSimpleAggregate(
+      plan::MakeSort(plan::MakeHashJoin(
+                         plan::MakeSeqScan("users", std::nullopt),
+                         plan::MakeSeqScan("payments", std::nullopt), 0, 0),
+                     {1}),
+      {AggregateExpr{AggFunc::kSum, 3}, AggregateExpr{AggFunc::kAvg, 3}}));
   // An aggregate below a join at the root.
   plans.emplace_back(plan::MakeNestedLoopJoin(
       plan::MakeSeqScan("users", std::nullopt),
