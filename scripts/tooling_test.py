@@ -223,7 +223,7 @@ def test_bench_summary(tmp):
         "--fail-on", "0.35", "--allowlist",
         "BM_ForwardBatch,BM_PredictCacheLookup,BM_MatMul,"
         "BM_ZeroShotFeaturization,BM_TrainEpoch,BM_BackwardFused,"
-        "BM_HashJoinExecution")
+        "BM_HashJoinExecution,BM_PlannerLatency")
     check("bench_compare accepts a v5 summary against the baseline",
           baseline["schema_version"] == 5
           and result.returncode == 0

@@ -46,19 +46,6 @@ struct KeyRange {
 
 }  // namespace
 
-size_t FindSlot(const std::vector<plan::OutputColumn>& schema,
-                const std::string& table, size_t column_index) {
-  for (size_t slot = 0; slot < schema.size(); ++slot) {
-    if (!schema[slot].synthetic && schema[slot].table == table &&
-        schema[slot].column_index == column_index) {
-      return slot;
-    }
-  }
-  ZDB_CHECK(false) << "slot for " << table << "." << column_index
-                   << " not found in schema";
-  return 0;
-}
-
 Planner::Planner(const storage::Database* db,
                  const stats::DatabaseStats* stats, CostParams cost_params,
                  PlannerOptions options)
@@ -88,8 +75,8 @@ bool Planner::HasIndex(const std::string& table, size_t column_index) const {
 bool IndexMayChangePlan(const storage::Database& db,
                         const plan::QuerySpec& query, const std::string& table,
                         size_t column_index) {
-  // Mirrors the two HasIndex call sites: filter leaves in PlanScan and join
-  // columns in the index nested-loop join candidate.
+  // Mirrors the two places Plan calls HasIndex: filter leaves in PlanScan
+  // and the per-edge join-column precompute of the join search.
   for (const plan::FilterSpec& filter : query.filters) {
     if (filter.table != table) continue;
     for (size_t slot : filter.predicate.ReferencedSlots()) {
@@ -188,7 +175,96 @@ Planner::AccessPath Planner::PlanScan(const std::string& table,
   return best;
 }
 
+struct Planner::JoinSearch {
+  // The operator a descriptor picked; kScan marks a base table's access path.
+  enum class Kind : uint8_t { kScan, kHash, kNestedLoop, kIndexNL };
+  struct Table {
+    AccessPath access;
+    std::optional<Predicate> predicate;  // merged filters, nullopt if none
+    size_t num_columns = 0;
+    // Inner-side facts of the index nested-loop join candidate.
+    double num_rows = 0.0;
+    int64_t index_height = 0;
+    int64_t residual_leaves = 0;
+    size_t offset = 0;  // output position, written by BuildJoinTree
+  };
+  // A resolved equi-join edge; `*_indexed` is HasIndex on that side's (table,
+  // join column), false while index nested-loop joins are disabled.
+  struct Edge {
+    size_t left_table = 0;
+    size_t left_column = 0;
+    size_t right_table = 0;
+    size_t right_column = 0;
+    double selectivity = 0.0;
+    bool left_indexed = false;
+    bool right_indexed = false;
+  };
+  // The cheapest plan found so far for one table subset, as a descriptor:
+  // `sub` is the left (build / outer) side's subset, `edge` the crossing
+  // edge and `sub_has_left` whether `sub` holds that edge's left table.
+  struct Entry {
+    double cost = std::numeric_limits<double>::infinity();
+    bool valid = false;
+    Kind kind = Kind::kScan;
+    bool sub_has_left = false;
+    size_t sub = 0;
+    size_t edge = 0;
+  };
+
+  const std::vector<std::string>* table_names = nullptr;
+  std::vector<Table> tables;
+  std::vector<Edge> edges;
+  std::vector<double> card;   // per mask: estimated output rows
+  std::vector<size_t> width;  // per mask: output columns
+  std::vector<Entry> dp;
+};
+
+std::unique_ptr<PhysicalNode> Planner::BuildJoinTree(JoinSearch* search,
+                                                     size_t mask,
+                                                     size_t offset) {
+  using Kind = JoinSearch::Kind;
+  const JoinSearch::Entry& entry = search->dp[mask];
+  if (entry.kind == Kind::kScan) {
+    JoinSearch::Table& table = search->tables[__builtin_ctzll(mask)];
+    table.offset = offset;
+    return std::move(table.access.node);
+  }
+  const JoinSearch::Edge& edge = search->edges[entry.edge];
+  const size_t sub_t = entry.sub_has_left ? edge.left_table : edge.right_table;
+  const size_t sub_column =
+      entry.sub_has_left ? edge.left_column : edge.right_column;
+  const size_t rest_t = entry.sub_has_left ? edge.right_table : edge.left_table;
+  const size_t rest_column =
+      entry.sub_has_left ? edge.right_column : edge.left_column;
+  const size_t rest_offset = offset + search->width[entry.sub];
+
+  std::unique_ptr<PhysicalNode> left = BuildJoinTree(search, entry.sub, offset);
+  const size_t left_slot = search->tables[sub_t].offset - offset + sub_column;
+  std::unique_ptr<PhysicalNode> node;
+  if (entry.kind == Kind::kIndexNL) {
+    JoinSearch::Table& inner = search->tables[rest_t];
+    inner.offset = rest_offset;
+    node = plan::MakeIndexNLJoin(std::move(left),
+                                 (*search->table_names)[rest_t], left_slot,
+                                 rest_column, std::move(inner.predicate));
+  } else {
+    std::unique_ptr<PhysicalNode> right =
+        BuildJoinTree(search, mask ^ entry.sub, rest_offset);
+    const size_t right_slot =
+        search->tables[rest_t].offset - rest_offset + rest_column;
+    node = entry.kind == Kind::kHash
+               ? plan::MakeHashJoin(std::move(left), std::move(right),
+                                    left_slot, right_slot)
+               : plan::MakeNestedLoopJoin(std::move(left), std::move(right),
+                                          left_slot, right_slot);
+  }
+  node->est_cardinality = search->card[mask];
+  node->est_cost = entry.cost;
+  return node;
+}
+
 StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
+  using Kind = JoinSearch::Kind;
   plans_planned_->Add(1);
   obs::ScopedTimer timer(
       obs::MetricsRegistry::Global().enabled() ? plan_us_ : nullptr);
@@ -202,6 +278,8 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
         "join graph must be a tree (n-1 equi-join edges)");
   }
 
+  // Validate guarantees each FROM table appears once, so an ordinal names
+  // one table and one run of columns in every join's output.
   auto table_index = [&](const std::string& name) {
     for (size_t i = 0; i < num_tables; ++i) {
       if (query.tables[i] == name) return i;
@@ -210,29 +288,25 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
     return size_t{0};
   };
 
+  JoinSearch search;
+  search.table_names = &query.tables;
+  search.tables.resize(num_tables);
+
   // Merge per-table predicates.
-  std::vector<std::optional<Predicate>> predicates(num_tables);
   for (const plan::FilterSpec& filter : query.filters) {
-    size_t t = table_index(filter.table);
-    if (predicates[t].has_value()) {
-      std::vector<Predicate> both = {*predicates[t], filter.predicate};
-      predicates[t] = Predicate::And(std::move(both));
+    std::optional<Predicate>& predicate =
+        search.tables[table_index(filter.table)].predicate;
+    if (predicate.has_value()) {
+      std::vector<Predicate> both = {*predicate, filter.predicate};
+      predicate = Predicate::And(std::move(both));
     } else {
-      predicates[t] = filter.predicate;
+      predicate = filter.predicate;
     }
   }
 
   // Resolved join edges.
-  struct Edge {
-    size_t left_table;
-    size_t left_column;
-    size_t right_table;
-    size_t right_column;
-    double selectivity;
-  };
-  std::vector<Edge> edges;
   for (const plan::JoinSpec& join : query.joins) {
-    Edge edge;
+    JoinSearch::Edge edge;
     edge.left_table = table_index(join.left_table);
     edge.right_table = table_index(join.right_table);
     const storage::Table* left = db_->FindTable(join.left_table);
@@ -241,108 +315,101 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
     edge.right_column = *right->schema().FindColumn(join.right_column);
     edge.selectivity = estimator_.JoinSelectivity(
         join.left_table, edge.left_column, join.right_table, edge.right_column);
-    edges.push_back(edge);
+    if (options_.enable_index_nl_join) {
+      edge.left_indexed = HasIndex(join.left_table, edge.left_column);
+      edge.right_indexed = HasIndex(join.right_table, edge.right_column);
+    }
+    search.edges.push_back(edge);
   }
 
-  // Base access paths.
-  std::vector<AccessPath> base(num_tables);
+  // Base access paths and the per-table facts the DP reads.
   for (size_t t = 0; t < num_tables; ++t) {
-    base[t] = PlanScan(query.tables[t],
-                       predicates[t].has_value() ? &*predicates[t] : nullptr);
+    JoinSearch::Table& table = search.tables[t];
+    const std::string& name = query.tables[t];
+    const Predicate* predicate =
+        table.predicate.has_value() ? &*table.predicate : nullptr;
+    table.access = PlanScan(name, predicate);
+    table.num_columns = db_->FindTable(name)->num_columns();
+    table.num_rows = static_cast<double>(stats_->GetTable(name).num_rows);
+    table.index_height = IndexHeight(name);
+    table.residual_leaves =
+        predicate != nullptr ? static_cast<int64_t>(predicate->NumComparisons())
+                             : 0;
   }
 
-  // Estimated cardinality of a table subset: product of base cardinalities
-  // times the selectivity of internal join edges.
+  // Per-mask estimated cardinality (product of base cardinalities times the
+  // selectivity of internal join edges) and output width.
   const size_t full_mask = (size_t{1} << num_tables) - 1;
-  auto subset_card = [&](size_t mask) {
+  search.card.resize(full_mask + 1);
+  search.width.assign(full_mask + 1, 0);
+  for (size_t mask = 1; mask <= full_mask; ++mask) {
     double card = 1.0;
     for (size_t t = 0; t < num_tables; ++t) {
-      if (mask & (size_t{1} << t)) card *= base[t].cardinality;
+      if (mask & (size_t{1} << t)) card *= search.tables[t].access.cardinality;
     }
-    for (const Edge& edge : edges) {
+    for (const JoinSearch::Edge& edge : search.edges) {
       if ((mask & (size_t{1} << edge.left_table)) &&
           (mask & (size_t{1} << edge.right_table))) {
         card *= edge.selectivity;
       }
     }
-    return std::max(card, 1.0);
-  };
-
-  struct DpEntry {
-    std::unique_ptr<PhysicalNode> node;
-    double cost = std::numeric_limits<double>::infinity();
-    bool valid = false;
-  };
-  std::vector<DpEntry> dp(full_mask + 1);
-  for (size_t t = 0; t < num_tables; ++t) {
-    size_t mask = size_t{1} << t;
-    dp[mask].node = base[t].node->Clone();
-    dp[mask].cost = base[t].cost;
-    dp[mask].valid = true;
+    search.card[mask] = std::max(card, 1.0);
+    search.width[mask] = search.width[mask & (mask - 1)] +
+                         search.tables[__builtin_ctzll(mask)].num_columns;
   }
 
+  std::vector<JoinSearch::Entry>& dp = search.dp;
+  dp.resize(full_mask + 1);
+  for (size_t t = 0; t < num_tables; ++t) {
+    JoinSearch::Entry& entry = dp[size_t{1} << t];
+    entry.cost = search.tables[t].access.cost;
+    entry.valid = true;
+  }
+
+  // Join candidates considered / rejected, added to the counters once.
+  int64_t candidates = 0;
+  int64_t pruned = 0;
   for (size_t mask = 1; mask <= full_mask; ++mask) {
     if (__builtin_popcountll(mask) < 2) continue;
-    const double out_card = subset_card(mask);
+    const double out_card = search.card[mask];
     for (size_t sub = (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask) {
       const size_t rest = mask ^ sub;
       if (!dp[sub].valid || !dp[rest].valid) continue;
       // Find the crossing edge (tree join graph => at most one).
-      const Edge* crossing = nullptr;
+      size_t crossing = search.edges.size();
       bool sub_has_left = false;
-      for (const Edge& edge : edges) {
+      for (size_t e = 0; e < search.edges.size(); ++e) {
+        const JoinSearch::Edge& edge = search.edges[e];
         bool left_in_sub = (sub >> edge.left_table) & 1;
         bool right_in_sub = (sub >> edge.right_table) & 1;
         bool left_in_rest = (rest >> edge.left_table) & 1;
         bool right_in_rest = (rest >> edge.right_table) & 1;
         if ((left_in_sub && right_in_rest) || (right_in_sub && left_in_rest)) {
-          crossing = &edge;
+          crossing = e;
           sub_has_left = left_in_sub;
           break;
         }
       }
-      if (crossing == nullptr) continue;  // would be a cross product
+      if (crossing == search.edges.size()) continue;  // a cross product
+      const JoinSearch::Edge& edge = search.edges[crossing];
+      const double sub_card = search.card[sub];
+      const double rest_card = search.card[rest];
 
-      const double sub_card = subset_card(sub);
-      const double rest_card = subset_card(rest);
-      const std::string& sub_table = query.tables[sub_has_left
-                                                      ? crossing->left_table
-                                                      : crossing->right_table];
-      const size_t sub_column =
-          sub_has_left ? crossing->left_column : crossing->right_column;
-      const std::string& rest_table = query.tables[sub_has_left
-                                                       ? crossing->right_table
-                                                       : crossing->left_table];
-      const size_t rest_column =
-          sub_has_left ? crossing->right_column : crossing->left_column;
-
-      // Tallies one DP join candidate; rejected ones count as pruned.
-      auto consider = [&](double total) {
-        join_candidates_->Add(1);
-        bool accepted = total < dp[mask].cost;
-        if (!accepted) join_candidates_pruned_->Add(1);
-        return accepted;
+      // Tallies one DP join candidate; rejected ones count as pruned, an
+      // accepted one replaces the mask's descriptor.
+      auto consider = [&](double total, Kind kind) {
+        ++candidates;
+        if (!(total < dp[mask].cost)) {
+          ++pruned;
+          return;
+        }
+        dp[mask] = {total, true, kind, sub_has_left, sub, crossing};
       };
 
       // Candidate 1: hash join, build = sub side, probe = rest side.
       {
         double step = cost_model_.HashJoinCost(sub_card, rest_card, out_card);
-        double total = dp[sub].cost + dp[rest].cost + step;
-        if (consider(total)) {
-          auto left = dp[sub].node->Clone();
-          auto right = dp[rest].node->Clone();
-          size_t left_slot =
-              FindSlot(left->OutputSchema(*db_), sub_table, sub_column);
-          size_t right_slot =
-              FindSlot(right->OutputSchema(*db_), rest_table, rest_column);
-          auto node = plan::MakeHashJoin(std::move(left), std::move(right),
-                                         left_slot, right_slot);
-          node->est_cardinality = out_card;
-          node->est_cost = total;
-          dp[mask].node = std::move(node);
-          dp[mask].cost = total;
-          dp[mask].valid = true;
-        }
+        consider(dp[sub].cost + dp[rest].cost + step, Kind::kHash);
       }
 
       // Candidate 2: nested loop join for tiny inputs.
@@ -350,81 +417,49 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
           rest_card <= options_.nlj_row_threshold) {
         double step =
             cost_model_.NestedLoopJoinCost(sub_card, rest_card, out_card);
-        double total = dp[sub].cost + dp[rest].cost + step;
-        if (consider(total)) {
-          auto left = dp[sub].node->Clone();
-          auto right = dp[rest].node->Clone();
-          size_t left_slot =
-              FindSlot(left->OutputSchema(*db_), sub_table, sub_column);
-          size_t right_slot =
-              FindSlot(right->OutputSchema(*db_), rest_table, rest_column);
-          auto node = plan::MakeNestedLoopJoin(std::move(left), std::move(right),
-                                               left_slot, right_slot);
-          node->est_cardinality = out_card;
-          node->est_cost = total;
-          dp[mask].node = std::move(node);
-          dp[mask].cost = total;
-          dp[mask].valid = true;
-        }
+        consider(dp[sub].cost + dp[rest].cost + step, Kind::kNestedLoop);
       }
 
       // Candidate 3: index nested loop join when the rest side is a single
       // base table with an index on its join column.
-      if (options_.enable_index_nl_join &&
-          __builtin_popcountll(rest) == 1 &&
-          HasIndex(rest_table, rest_column)) {
-        const stats::TableStats& inner_stats = stats_->GetTable(rest_table);
-        size_t rest_t = sub_has_left ? crossing->right_table
-                                     : crossing->left_table;
-        const Predicate* inner_predicate =
-            predicates[rest_t].has_value() ? &*predicates[rest_t] : nullptr;
-        int64_t residual_leaves =
-            inner_predicate != nullptr
-                ? static_cast<int64_t>(inner_predicate->NumComparisons())
-                : 0;
+      if (options_.enable_index_nl_join && __builtin_popcountll(rest) == 1 &&
+          (sub_has_left ? edge.right_indexed : edge.left_indexed)) {
+        const JoinSearch::Table& inner =
+            search.tables[sub_has_left ? edge.right_table : edge.left_table];
         // Matches before the residual: outer rows * per-probe fanout.
-        double matched = sub_card * crossing->selectivity *
-                         static_cast<double>(inner_stats.num_rows);
+        double matched = sub_card * edge.selectivity * inner.num_rows;
         double step = cost_model_.IndexNLJoinCost(
-            sub_card, IndexHeight(rest_table), matched, residual_leaves,
+            sub_card, inner.index_height, matched, inner.residual_leaves,
             out_card);
-        double total = dp[sub].cost + step;  // inner scan cost not paid
-        if (consider(total)) {
-          auto outer = dp[sub].node->Clone();
-          size_t outer_slot =
-              FindSlot(outer->OutputSchema(*db_), sub_table, sub_column);
-          std::optional<Predicate> residual;
-          if (inner_predicate != nullptr) residual = *inner_predicate;
-          auto node = plan::MakeIndexNLJoin(std::move(outer), rest_table,
-                                            outer_slot, rest_column, residual);
-          node->est_cardinality = out_card;
-          node->est_cost = total;
-          dp[mask].node = std::move(node);
-          dp[mask].cost = total;
-          dp[mask].valid = true;
-        }
+        // The inner scan cost is not paid.
+        consider(dp[sub].cost + step, Kind::kIndexNL);
       }
     }
   }
 
+  join_candidates_->Add(candidates);
+  join_candidates_pruned_->Add(pruned);
+
   if (!dp[full_mask].valid) {
     return Status::Internal("planner failed to join all tables");
   }
-  std::unique_ptr<PhysicalNode> root = std::move(dp[full_mask].node);
+  std::unique_ptr<PhysicalNode> root = BuildJoinTree(&search, full_mask, 0);
   double total_cost = dp[full_mask].cost;
-  double current_card = subset_card(full_mask);
+  double current_card = search.card[full_mask];
 
-  // Aggregation on top.
+  // Aggregation on top; a column's slot in the join output is its table's
+  // offset plus its column index.
   if (!query.aggregates.empty() || !query.group_by.empty()) {
-    std::vector<plan::OutputColumn> schema = root->OutputSchema(*db_);
+    auto root_slot = [&](const std::string& table, const std::string& column) {
+      return search.tables[table_index(table)].offset +
+             *db_->FindTable(table)->schema().FindColumn(column);
+    };
     std::vector<plan::AggregateExpr> aggs;
     for (const plan::AggregateSpec& agg : query.aggregates) {
       plan::AggregateExpr expr;
       expr.func = agg.func;
       if (!agg.table.empty()) {
-        const storage::Table* table = db_->FindTable(agg.table);
-        expr.input_slot =
-            FindSlot(schema, agg.table, *table->schema().FindColumn(agg.column));
+        expr.input_slot = root_slot(agg.table, agg.column);
       }
       aggs.push_back(expr);
     }
@@ -438,9 +473,7 @@ StatusOr<PhysicalPlan> Planner::Plan(const QuerySpec& query) const {
     } else {
       std::vector<size_t> group_slots;
       for (const plan::GroupBySpec& g : query.group_by) {
-        const storage::Table* table = db_->FindTable(g.table);
-        group_slots.push_back(
-            FindSlot(schema, g.table, *table->schema().FindColumn(g.column)));
+        group_slots.push_back(root_slot(g.table, g.column));
       }
       double groups = estimator_.GroupCount(query.group_by, current_card);
       double step = cost_model_.AggregateCost(current_card, aggs.size(), groups);

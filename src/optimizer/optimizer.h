@@ -1,6 +1,7 @@
 #ifndef ZERODB_OPTIMIZER_OPTIMIZER_H_
 #define ZERODB_OPTIMIZER_OPTIMIZER_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +60,19 @@ class Planner {
     double cost = 0.0;
   };
 
+  /// One query's join search: the per-table and per-edge facts resolved
+  /// before the DP, the per-mask cardinalities and widths, and the DP's cost
+  /// descriptors. Defined in optimizer.cc.
+  struct JoinSearch;
+
+  /// Builds the winning join tree for `mask` from the DP descriptors, moving
+  /// each base access path into place. `offset` is the position of the
+  /// subtree's first output column in the whole join tree's output; the
+  /// offset of every table in `mask` is recorded in `search`.
+  static std::unique_ptr<plan::PhysicalNode> BuildJoinTree(JoinSearch* search,
+                                                           size_t mask,
+                                                           size_t offset);
+
   /// Best access path for one table under its pushed-down predicate.
   AccessPath PlanScan(const std::string& table,
                       const plan::Predicate* predicate) const;
@@ -85,12 +99,13 @@ class Planner {
 };
 
 /// True if an index (real or hypothetical) on table.column_index can change
-/// the plan Planner::Plan chooses for `query`. The planner consults indexes
-/// at exactly two Planner::HasIndex call sites in optimizer.cc:
+/// the plan Planner::Plan chooses for `query`. Planner::Plan consults indexes
+/// through Planner::HasIndex in exactly two places in optimizer.cc:
 ///   - PlanScan: HasIndex(table, leaf->slot()) for a filter comparison on the
 ///     scanned table;
-///   - the index nested-loop join candidate: HasIndex(inner table, its join
-///     column).
+///   - the join search's per-edge precompute: HasIndex on each side's (table,
+///     join column), which the index nested-loop join candidate reads for its
+///     inner side.
 /// So only an index on a column that `query` filters or joins on can matter;
 /// any other index leaves the plan, and its fingerprint, unchanged. The
 /// what-if advisor prices each query once per relevant index subset on the
@@ -99,11 +114,6 @@ class Planner {
 bool IndexMayChangePlan(const storage::Database& db,
                         const plan::QuerySpec& query, const std::string& table,
                         size_t column_index);
-
-/// Finds the slot of (table, column_index) in an output schema; CHECK-fails
-/// if absent (planner invariant).
-size_t FindSlot(const std::vector<plan::OutputColumn>& schema,
-                const std::string& table, size_t column_index);
 
 }  // namespace zerodb::optimizer
 

@@ -84,6 +84,12 @@ std::string QuerySpec::ToSql(const storage::Database& db) const {
 
 Status QuerySpec::Validate(const storage::Database& db) const {
   if (tables.empty()) return Status::InvalidArgument("query has no tables");
+  for (auto it = tables.begin(); it != tables.end(); ++it) {
+    if (std::find(tables.begin(), it, *it) != it) {
+      return Status::InvalidArgument("table appears more than once in FROM: " +
+                                     *it);
+    }
+  }
   for (const std::string& table_name : tables) {
     if (db.FindTable(table_name) == nullptr) {
       return Status::NotFound("table: " + table_name);

@@ -50,6 +50,9 @@ struct GroupBySpec {
 /// a few aggregates, optionally grouped. This is what the workload generator
 /// emits and what the optimizer turns into a physical plan.
 struct QuerySpec {
+  /// FROM tables, each named once: there are no self-joins, so a table name
+  /// identifies one input of the join graph (the planner's per-table output
+  /// offsets rely on this, and Validate rejects a repeat).
   std::vector<std::string> tables;
   std::vector<JoinSpec> joins;
   std::vector<FilterSpec> filters;
@@ -59,8 +62,9 @@ struct QuerySpec {
   /// Renders as SQL-ish text for logs and examples.
   std::string ToSql(const storage::Database& db) const;
 
-  /// Structural sanity checks against the database schema: tables exist,
-  /// join/aggregate columns exist, joins connect the table set.
+  /// Structural sanity checks against the database schema: tables are
+  /// distinct and exist, join/aggregate columns exist, joins connect the
+  /// table set.
   Status Validate(const storage::Database& db) const;
 };
 

@@ -22,8 +22,6 @@ struct EstimatorMetrics {
   obs::Counter* training_records =
       registry.GetCounter("zeroshot.training_records_collected");
   obs::Histogram* predict_us = registry.GetHistogram("zeroshot.predict_us");
-  obs::Histogram* plan_us =
-      registry.GetHistogram("zeroshot.estimate_plan_us");
 
   static EstimatorMetrics& Get() {
     static EstimatorMetrics* metrics = new EstimatorMetrics();
@@ -194,11 +192,7 @@ std::vector<StatusOr<Millis>> ZeroShotEstimator::EstimateQueryBatchMs(
   std::vector<size_t> positions;  // out[] index each record prices
   positions.reserve(queries.size());
   for (const plan::QuerySpec& query : queries) {
-    StatusOr<plan::PhysicalPlan> planned = [&] {
-      obs::ScopedTimer timer(metrics.registry.enabled() ? metrics.plan_us
-                                                        : nullptr);
-      return planner.Plan(query);
-    }();
+    StatusOr<plan::PhysicalPlan> planned = planner.Plan(query);
     if (!planned.ok()) {
       out.emplace_back(planned.status());
       continue;

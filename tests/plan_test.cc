@@ -129,6 +129,19 @@ TEST(QuerySpecTest, ValidateCatchesErrors) {
   EXPECT_FALSE(query.Validate(db).ok());  // unknown aggregate column
 }
 
+TEST(QuerySpecTest, ValidateRejectsRepeatedTable) {
+  // Rejected as a repeat, not as the disconnected join graph the
+  // connectivity check would otherwise report.
+  storage::Database db = MakeDb();
+  QuerySpec query;
+  query.tables = {"a", "b", "a"};
+  query.joins = {JoinSpec{"b", "a_id", "a", "id"},
+                 JoinSpec{"a", "x", "a", "id"}};
+  Status status = query.Validate(db);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "table appears more than once in FROM: a");
+}
+
 TEST(PhysicalPlanTest, OutputSchemas) {
   storage::Database db = MakeDb();
   auto scan_a = MakeSeqScan("a", std::nullopt);
