@@ -184,15 +184,14 @@ void BM_ZeroShotInferenceBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ZeroShotInferenceBatch);
 
-// The serving-path headline number: one inference-mode ForwardBatch over N
-// featurized plans, swept from single-plan serving (batch 1) to bulk
-// workload pricing (batch 64). items_per_second is plans/sec. Fitting
-// T(b) = F + L*b on this sweep: per-call overhead F is ~10us after op
-// fusion, but the per-plan floor L (~13us: featurization plus model FLOPs
-// at near single-core-peak GFLOP/s) dominates, capping the batch-32 vs
-// batch-1 ratio near 1.8x — fusion sped batch 1 up *more* than batch 32,
-// which lowers the ratio while raising absolute throughput at every batch
-// size (see DESIGN.md "Batched serving & prediction cache").
+// The serving-path headline number: one ForwardBatch over N plans, swept
+// from single-plan serving (batch 1) to bulk workload pricing (batch 64).
+// items_per_second is plans/sec. The tree models price each plan with the
+// tensor-free per-plan pass, so no per-call overhead is left to amortize:
+// fitting T(b) = F + L*b on this sweep gives F ~ 0 and L ~ 12.5us per plan
+// (about 4us of it featurization), and plans/sec is flat across batch
+// sizes. Numbers from BENCH_micro.json's 4-vCPU Xeon host; see DESIGN.md
+// "Batched serving & prediction cache".
 void BM_ForwardBatch(benchmark::State& state) {
   MicroState& micro = State();
   const size_t batch = static_cast<size_t>(state.range(0));

@@ -43,12 +43,12 @@ class NeuralCostModel : public CostPredictor {
   /// All trainable parameters.
   virtual std::vector<nn::Tensor> Parameters() const = 0;
 
-  /// Batched serving-path inference: prices every record in one forward
-  /// pass with autodiff graph capture disabled (nn::InferenceModeGuard), so
-  /// a whole candidate set amortizes per-op bookkeeping that PredictMs at
-  /// batch 1 pays in full. Semantically identical to PredictMs — same
-  /// values within float tolerance — just packed. The default delegates to
-  /// PredictMs for models without a dedicated batched path.
+  /// Serving-path inference: prices every record without recording an
+  /// autodiff graph, returning the same values PredictMs does. The tree
+  /// models (zero-shot, E2E) run a tensor-free per-plan pass that builds no
+  /// nn::Node and is bit-identical to their autodiff forward pass
+  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). The default
+  /// delegates to PredictMs for models without a dedicated serving path.
   virtual std::vector<Millis> ForwardBatch(
       const std::vector<const QueryRecord*>& records) {
     return PredictMs(records);

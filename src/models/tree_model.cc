@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -320,6 +321,54 @@ std::vector<Millis> TreeMessagePassingModel::PredictMs(
   return ForwardBatch(records);
 }
 
+float TreeMessagePassingModel::PredictNormalized(
+    const featurize::PlanGraph& graph) {
+  ZDB_CHECK(!graph.nodes.empty());
+  const size_t hidden = config_.hidden_dim;
+  const size_t count = graph.nodes.size();
+  InferenceScratch& s = inference_;
+  s.hidden.resize(count * hidden);
+  s.combine_input.resize(2 * hidden);
+  const std::span<float> encoding(s.combine_input.data(), hidden);
+  const std::span<float> child_sum(s.combine_input.data() + hidden, hidden);
+  // Children come after their parent in PlanGraph::nodes, so reverse index
+  // order settles every child's hidden row before its parent reads it.
+  for (size_t n = count; n-- > 0;) {
+    const featurize::PlanGraphNode& node = graph.nodes[n];
+    const std::span<float> state(s.hidden.data() + n * hidden, hidden);
+    encoders_[EncoderIdFor(node.op_type)].ForwardRow(node.features, encoding,
+                                                     &s.mlp);
+    // Forward scatter-adds every row into a zeroed matrix; 0.0f + x is that
+    // arithmetic (it would turn -0.0 into +0.0). The row kernel cannot yield
+    // -0.0 today, since its accumulators start at +0.0, so this keeps the
+    // pass equal to Forward by construction rather than by that property.
+    for (float& v : encoding) v = 0.0f + v;
+    if (node.level == 0) {
+      // Leaves: the hidden state is the node encoding.
+      std::copy(encoding.begin(), encoding.end(), state.begin());
+      continue;
+    }
+    // DeepSets: sum the children's hidden states in `children` order, then
+    // combine with the encoding.
+    std::fill(child_sum.begin(), child_sum.end(), 0.0f);
+    for (size_t child : node.children) {
+      ZDB_CHECK(child > n && child < count)
+          << "plan graph child " << child << " does not follow parent " << n;
+      const float* child_state = s.hidden.data() + child * hidden;
+      for (size_t j = 0; j < hidden; ++j) child_sum[j] += child_state[j];
+    }
+    combine_.ForwardRow(s.combine_input, state, &s.mlp);
+    for (float& v : state) v = 0.0f + v;
+  }
+  float prediction = 0.0f;
+  readout_.ForwardRow(
+      std::span<const float>(s.hidden.data() + graph.root() * hidden, hidden),
+      std::span<float>(&prediction, 1), &s.mlp);
+  ZDB_DCHECK_OK(nn::ValidateFinite(std::span<const float>(&prediction, 1),
+                                   "tree model readout"));
+  return prediction;
+}
+
 std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(target_norm_.fitted()) << "ForwardBatch before Prepare/training";
@@ -327,18 +376,10 @@ std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
   std::vector<featurize::PlanGraph> graphs = featurize::FeaturizeAll(
       records.size(),
       [&](size_t i) { return FeaturizeNormalized(*records[i]); });
-  std::vector<const featurize::PlanGraph*> graph_ptrs;
-  graph_ptrs.reserve(graphs.size());
-  for (const featurize::PlanGraph& graph : graphs) graph_ptrs.push_back(&graph);
-  // Inference mode: the forward pass builds no autodiff graph (no parent
-  // edges, no backward contexts), which is most of the per-op cost at small
-  // batch sizes and lets intermediates free as soon as they are consumed.
-  nn::InferenceModeGuard inference;
-  nn::Tensor predictions = Forward(graph_ptrs);
   std::vector<Millis> out;
   out.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    LogMillis log_ms = target_norm_.Denormalize(predictions.data()[i]);
+  for (const featurize::PlanGraph& graph : graphs) {
+    LogMillis log_ms = target_norm_.Denormalize(PredictNormalized(graph));
     out.push_back(Millis::FromLog(log_ms));
   }
   return out;

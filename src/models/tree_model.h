@@ -32,9 +32,11 @@ struct TreeModelConfig {
 /// parent's encoding through an MLP — until the root's hidden state is fed
 /// into a readout MLP that predicts (normalized log) runtime.
 ///
-/// Subclasses provide the featurizer; this class owns parameters, the
-/// batched forward pass (nodes grouped by encoder type, levels processed
-/// with gather/scatter), normalization, and prediction.
+/// Subclasses provide the featurizer; this class owns parameters,
+/// normalization and two forward passes over the same arithmetic: the
+/// batched autodiff pass training differentiates (nodes grouped by encoder
+/// type, levels processed with gather/scatter), and the tensor-free
+/// per-plan pass serving runs.
 class TreeMessagePassingModel : public NeuralCostModel {
  public:
   explicit TreeMessagePassingModel(const TreeModelConfig& config);
@@ -44,9 +46,12 @@ class TreeMessagePassingModel : public NeuralCostModel {
       const std::vector<const QueryRecord*>& batch) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
-  /// The serving path: one featurize + one forward pass for all records,
-  /// run under nn::InferenceModeGuard (no autodiff graph). PredictMs
-  /// forwards here, so both entry points return identical values.
+  /// The serving path: featurizes every record, then computes each plan
+  /// bottom-up from its PlanGraph rows into model-owned scratch
+  /// (PredictNormalized) — no Tensor, autodiff node, arena or gather/scatter
+  /// op. Every prediction is bit-identical to the autodiff Forward's
+  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). PredictMs forwards
+  /// here, so both entry points return identical values.
   std::vector<Millis> ForwardBatch(
       const std::vector<const QueryRecord*>& records) override;
   std::vector<nn::Tensor> Parameters() const override;
@@ -73,9 +78,20 @@ class TreeMessagePassingModel : public NeuralCostModel {
   virtual size_t EncoderIdFor(size_t op_type) const = 0;
 
  private:
-  /// Batched forward pass over the graphs; returns (B, 1) normalized
-  /// log-runtime predictions.
+  /// Differential tests reach both forward passes.
+  friend class TreeModelTestPeer;
+
+  /// Batched autodiff forward pass over the graphs; returns (B, 1)
+  /// normalized log-runtime predictions. LossOnBatch's path.
   nn::Tensor Forward(const std::vector<const featurize::PlanGraph*>& graphs);
+
+  /// The tensor-free pass for one plan: walks the nodes in reverse index
+  /// order (children follow parents), runs each node's encoder with
+  /// Mlp::ForwardRow, sums the children's hidden rows in `children` order
+  /// and combines, then reads out the root. Reproduces Forward's zeroed
+  /// scatter targets as 0.0f + x, so the normalized log-runtime it returns
+  /// equals Forward's row for this plan bit for bit.
+  float PredictNormalized(const featurize::PlanGraph& graph);
 
   featurize::PlanGraph FeaturizeNormalized(
       const QueryRecord& record) const;
@@ -126,6 +142,14 @@ class TreeMessagePassingModel : public NeuralCostModel {
     std::vector<uint32_t> child_parents;
   };
   ForwardScratch scratch_;
+
+  /// PredictNormalized's rows; same ownership rule as ForwardScratch.
+  struct InferenceScratch {
+    std::vector<float> hidden;         ///< (nodes, hidden) per plan
+    std::vector<float> combine_input;  ///< [encoding, child_sum]
+    std::vector<float> mlp;            ///< Mlp::ForwardRow ping-pong rows
+  };
+  InferenceScratch inference_;
 };
 
 }  // namespace zerodb::models

@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -56,6 +57,28 @@ Tensor Mlp::Forward(const Tensor& x) const {
   }
   ZDB_DCHECK_OK(ValidateFinite(current, "Mlp::Forward output"));
   return current;
+}
+
+void Mlp::ForwardRow(std::span<const float> x, std::span<float> out,
+                     std::vector<float>* scratch) const {
+  ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
+  ZDB_DCHECK_OK(ValidateFinite(x, "Mlp::ForwardRow input"));
+  size_t width = 0;
+  for (size_t hidden : config_.hidden_sizes) width = std::max(width, hidden);
+  if (scratch->size() < 2 * width) scratch->resize(2 * width);
+  std::span<const float> current = x;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Linear& layer = layers_[i];
+    const bool is_output = (i + 1 == layers_.size());
+    std::span<float> next =
+        is_output ? out
+                  : std::span<float>(scratch->data() + (i % 2) * width,
+                                     layer.out_features());
+    LinearRow(current, layer.weight(), layer.bias(), /*relu=*/!is_output,
+              next);
+    current = next;
+  }
+  ZDB_DCHECK_OK(ValidateFinite(out, "Mlp::ForwardRow output"));
 }
 
 std::vector<Tensor> Mlp::Parameters() const {

@@ -1,6 +1,7 @@
 #ifndef ZERODB_NN_LAYERS_H_
 #define ZERODB_NN_LAYERS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,13 @@ class Mlp {
   Mlp(const MlpConfig& config, Rng* rng);
 
   Tensor Forward(const Tensor& x) const;
+
+  /// Forward on one raw row, with no graph nodes: `x` holds in_features
+  /// floats and `out` receives out_features. Each layer runs LinearRow, so
+  /// `out` is bit-identical to the matching row of Forward. The hidden
+  /// activations ping-pong through `scratch`, which only ever grows.
+  void ForwardRow(std::span<const float> x, std::span<float> out,
+                  std::vector<float>* scratch) const;
 
   std::vector<Tensor> Parameters() const;
 

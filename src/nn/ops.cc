@@ -1,5 +1,6 @@
 #include "nn/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -24,8 +25,15 @@ inline bool WantsGrad(const Node& parent) { return parent.requires_grad; }
 // (OpsTest.MatMulBlockedMatchesReference pins this). The single-row form is
 // split out so LinearFused can apply bias+activation to each output row
 // while it is still in cache.
-void MatMulRowAccumulate(const float* a_row, size_t a_cols, const float* b,
-                         size_t b_cols, float* c_row) {
+//
+// kCols > 0 fixes the row width at compile time, so the j loops fully
+// unroll and `c_row` can live in registers for the whole k loop; 0 reads
+// the width from b_cols. Both run the same per-element expression in the
+// same order.
+template <size_t kCols>
+inline void RowAccumulate(const float* a_row, size_t a_cols, const float* b,
+                          size_t b_cols, float* c_row) {
+  const size_t cols = kCols > 0 ? kCols : b_cols;
   const size_t k_blocked = a_cols - a_cols % 4;
   size_t k = 0;
   for (; k < k_blocked; k += 4) {
@@ -34,20 +42,56 @@ void MatMulRowAccumulate(const float* a_row, size_t a_cols, const float* b,
     const float a2 = a_row[k + 2];
     const float a3 = a_row[k + 3];
     if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-    const float* b0 = b + k * b_cols;
-    const float* b1 = b0 + b_cols;
-    const float* b2 = b1 + b_cols;
-    const float* b3 = b2 + b_cols;
-    for (size_t j = 0; j < b_cols; ++j) {
+    const float* b0 = b + k * cols;
+    const float* b1 = b0 + cols;
+    const float* b2 = b1 + cols;
+    const float* b3 = b2 + cols;
+    for (size_t j = 0; j < cols; ++j) {
       c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
     }
   }
   for (; k < a_cols; ++k) {
     const float a_ik = a_row[k];
     if (a_ik == 0.0f) continue;
-    const float* b_row = b + k * b_cols;
-    for (size_t j = 0; j < b_cols; ++j) {
+    const float* b_row = b + k * cols;
+    for (size_t j = 0; j < cols; ++j) {
       c_row[j] += a_ik * b_row[j];
+    }
+  }
+}
+
+void MatMulRowAccumulate(const float* a_row, size_t a_cols, const float* b,
+                         size_t b_cols, float* c_row) {
+  constexpr size_t kHidden = 64;  // the tree models' hidden width
+  if (b_cols == kHidden) {
+    // A local accumulator the compiler can keep in registers (c_row may
+    // alias b as far as it knows, which forces a reload and store of the
+    // row per k-block).
+    float acc[kHidden];
+    std::copy(c_row, c_row + kHidden, acc);
+    RowAccumulate<kHidden>(a_row, a_cols, b, kHidden, acc);
+    std::copy(acc, acc + kHidden, c_row);
+    return;
+  }
+  RowAccumulate<0>(a_row, a_cols, b, b_cols, c_row);
+}
+
+// One dense-layer row: c_row (zero on entry) = a_row * b + bias, rectified
+// when `relu`. The bias is added after the full k-accumulation, so the row
+// equals Relu(AddBias(MatMul(...))) bit for bit. LinearFused runs it on each
+// of its rows and LinearRow on a single raw row, which is what keeps the
+// tensor-free serving pass bit-identical to the autodiff one.
+void DenseRow(const float* a_row, size_t a_cols, const float* b, size_t b_cols,
+              const float* bias, bool relu, float* c_row) {
+  MatMulRowAccumulate(a_row, a_cols, b, b_cols, c_row);
+  if (relu) {
+    for (size_t j = 0; j < b_cols; ++j) {
+      const float v = c_row[j] + bias[j];
+      c_row[j] = v > 0.0f ? v : 0.0f;
+    }
+  } else {
+    for (size_t j = 0; j < b_cols; ++j) {
+      c_row[j] += bias[j];
     }
   }
 }
@@ -430,20 +474,20 @@ Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
   const float* b_ptr = bias.data().data();
   float* out_ptr = out.mutable_data().data();
   for (size_t i = 0; i < m; ++i) {
-    float* out_row = out_ptr + i * n;
-    MatMulRowAccumulate(x_ptr + i * k, k, w_ptr, n, out_row);
-    if (relu) {
-      for (size_t j = 0; j < n; ++j) {
-        const float v = out_row[j] + b_ptr[j];
-        out_row[j] = v > 0.0f ? v : 0.0f;
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        out_row[j] += b_ptr[j];
-      }
-    }
+    DenseRow(x_ptr + i * k, k, w_ptr, n, b_ptr, relu, out_ptr + i * n);
   }
   return out;
+}
+
+void LinearRow(std::span<const float> x, const Tensor& weight,
+               const Tensor& bias, bool relu, std::span<float> out) {
+  ZDB_CHECK_EQ(x.size(), weight.rows());
+  ZDB_CHECK_EQ(out.size(), weight.cols());
+  ZDB_CHECK_EQ(bias.size(), weight.cols());
+  // LinearFused's rows start from MakeOpResult's zeroed buffer.
+  std::fill(out.begin(), out.end(), 0.0f);
+  DenseRow(x.data(), x.size(), weight.data().data(), out.size(),
+           bias.data().data(), relu, out.data());
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {

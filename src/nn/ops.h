@@ -2,6 +2,7 @@
 #define ZERODB_NN_OPS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "nn/tensor.h"
@@ -23,6 +24,13 @@ Tensor AddBias(const Tensor& x, const Tensor& bias);
 /// instead of three.
 Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
                    bool relu);
+
+/// One row of LinearFused over raw buffers, with no graph node: out =
+/// x (in) * weight (in, out) + bias, rectified when `relu`. Runs the same
+/// row kernel and epilogue on a zeroed `out`, so the result is bit-identical
+/// to the matching row of LinearFused. `out` must not overlap `x`.
+void LinearRow(std::span<const float> x, const Tensor& weight,
+               const Tensor& bias, bool relu, std::span<float> out);
 
 /// Elementwise sum of same-shape tensors.
 Tensor Add(const Tensor& a, const Tensor& b);

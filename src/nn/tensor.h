@@ -155,12 +155,14 @@ Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
 /// While alive on the current thread, every MakeOpResult produces a
 /// detached node: parents and backward tags are dropped and
 /// requires_grad is forced off, even when an input is a trainable
-/// parameter. That removes the autodiff bookkeeping — the dominant per-op
-/// cost of small-batch forward passes — and lets intermediate nodes free as
-/// soon as the ops consuming them finish. Backward() on anything computed
-/// under a guard fails its requires_grad check, so training code must never
-/// run inside one. Guards nest; the flag is thread-local, so pool workers
-/// are unaffected by a guard on the caller's thread.
+/// parameter. That removes the autodiff bookkeeping and lets intermediate
+/// nodes free as soon as the ops consuming them finish. The trainer's
+/// validation loss is its one user: serving bypasses tensors altogether
+/// (the tree models' tensor-free pass, Mlp::ForwardRow). Backward() on
+/// anything computed under a guard fails its requires_grad check, so
+/// training code must never run inside one. Guards nest; the flag is
+/// thread-local, so pool workers are unaffected by a guard on the caller's
+/// thread.
 class InferenceModeGuard {
  public:
   InferenceModeGuard();

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -78,6 +79,19 @@ namespace zerodb::nn {
       return Status::InvalidArgument(StrFormat(
           "%s: non-finite value %f at flat index %zu of (%zu, %zu)", context,
           static_cast<double>(values[i]), i, t.rows(), t.cols()));
+    }
+  }
+  return Status::OK();
+}
+
+/// No NaN/Inf in a raw row (the tensor-free inference pass).
+[[nodiscard]] inline Status ValidateFinite(std::span<const float> values,
+                                           const char* context) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) {
+      return Status::InvalidArgument(
+          StrFormat("%s: non-finite value %f at index %zu of %zu", context,
+                    static_cast<double>(values[i]), i, values.size()));
     }
   }
   return Status::OK();

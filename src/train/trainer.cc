@@ -48,7 +48,7 @@ struct ShardExecutor {
 /// scaled by shard_size / batch_size (so summing shard losses/gradients
 /// reconstructs the batch mean), then harvests the gradient buffers. The
 /// whole graph builds inside the executor's arena (when pooling is on) and
-/// is recycled via Reset once the gradients are copied out.
+/// is recycled via Reset once the gradients are swapped out.
 void RunShard(ShardExecutor* exec,
               const std::vector<const QueryRecord*>& batch, size_t shard_begin,
               size_t shard_end, size_t batch_size, ShardResult* out) {
@@ -67,11 +67,13 @@ void RunShard(ShardExecutor* exec,
     scaled.Backward();
     out->loss = static_cast<double>(scaled.item());
   }
-  out->grads.resize(exec->params.size());
+  ZDB_DCHECK_EQ(out->grads.size(), exec->params.size());
   for (size_t i = 0; i < exec->params.size(); ++i) {
-    // Copy-assign into the retained buffer: same parameter sizes every
-    // batch, so this reuses capacity instead of reallocating.
-    out->grads[i] = exec->params[i].grad();
+    // Swap, not copy: the parameter takes the slot's previous buffer (the
+    // same size, see TrainModel), which the next shard's ZeroGrad clears
+    // before Backward accumulates into it.
+    ZDB_DCHECK_EQ(out->grads[i].size(), exec->params[i].size());
+    out->grads[i].swap(exec->params[i].mutable_grad());
   }
   if (exec->arena != nullptr) exec->arena->Reset();
 }
@@ -167,6 +169,13 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   std::vector<const QueryRecord*> batch;
   batch.reserve(options.batch_size);
   std::vector<ShardResult> shard_results(max_shards);
+  // Full-size from the start: RunShard swaps these with the executors'
+  // gradient buffers, and the reduction writes the caller's gradients in
+  // place, so every buffer must always hold its parameter's size.
+  for (ShardResult& slot : shard_results) {
+    slot.grads.reserve(main_params.size());
+    for (const nn::Tensor& p : main_params) slot.grads.emplace_back(p.size());
+  }
   std::vector<const float*> partials(max_shards);
 
   for (size_t epoch = 0; epoch < options.max_epochs; ++epoch) {

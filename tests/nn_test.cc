@@ -418,65 +418,143 @@ void ExpectBitwiseEqual(const std::vector<float>& actual,
   }
 }
 
-TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
+// Magnitudes for the subnormal sweep: subnormals, signed zeros, values
+// just above FLT_MIN (whose 0.1x in Adam's m is subnormal) and values in
+// [2^-75, 2^-55] (whose 0.001 * g * g in Adam's v is subnormal or zero).
+std::vector<float> TinyTailValues(Rng* rng, size_t n) {
+  std::vector<float> values(n);
+  for (float& value : values) {
+    const float sign = rng->Bernoulli(0.5) ? -1.0f : 1.0f;
+    switch (rng->UniformInt(0, 3)) {
+      case 0:
+        value = sign * 0.0f;
+        break;
+      case 1:
+        value = sign * std::numeric_limits<float>::denorm_min() *
+                static_cast<float>(rng->UniformInt(1, 1 << 22));
+        break;
+      case 2:
+        value = sign * std::numeric_limits<float>::min() *
+                static_cast<float>(rng->UniformDouble(1.0, 8.0));
+        break;
+      default:
+        value = sign * std::ldexp(static_cast<float>(rng->UniformDouble(1.0, 2.0)),
+                                  static_cast<int>(rng->UniformInt(-75, -55)));
+        break;
+    }
+  }
+  return values;
+}
+
+// Subnormal counts seen in the fused tail's state after each Step.
+struct TailCoverage {
+  size_t grad = 0;
+  size_t m = 0;
+  size_t v = 0;
+};
+
+size_t CountSubnormal(const std::vector<float>& values) {
+  size_t count = 0;
+  for (float value : values) count += std::fpclassify(value) == FP_SUBNORMAL;
+  return count;
+}
+
+// Four steps of reduce + clip + Adam on parameters of awkward sizes, fused
+// path against the scalar reference, compared bit for bit after each stage.
+void ExpectTailMatchesReference(uint64_t seed, size_t shards, double max_norm,
+                                bool clip, float weight_decay,
+                                std::vector<float> (*draw)(Rng*, size_t),
+                                TailCoverage* coverage) {
   const std::vector<size_t> sizes = {1, 3, 4, 5, 7, 8, 9, 31, 33, 4099};
   const float learning_rate = 1e-3f;
-  const float weight_decay = 1e-5f;
+  Rng rng(seed);
+  std::vector<Tensor> params;
+  ReferenceTail reference;
+  for (size_t n : sizes) {
+    std::vector<float> init = draw(&rng, n);
+    params.push_back(Tensor::Parameter(1, n, init));
+    reference.data.push_back(init);
+    reference.grad.emplace_back(n, 0.0f);
+    reference.m.emplace_back(n, 0.0f);
+    reference.v.emplace_back(n, 0.0f);
+  }
+  Adam adam(params, learning_rate, 0.9f, 0.999f, 1e-8f, weight_decay);
+  for (int step = 0; step < 4; ++step) {
+    // partials[shard][parameter]
+    std::vector<std::vector<std::vector<float>>> partials(shards);
+    for (auto& shard : partials) {
+      for (size_t n : sizes) shard.push_back(draw(&rng, n));
+    }
+    std::vector<const float*> pointers(shards);
+    for (size_t p = 0; p < params.size(); ++p) {
+      for (size_t s = 0; s < shards; ++s) {
+        pointers[s] = partials[s][p].data();
+      }
+      ASSERT_TRUE(SumShardGradients(pointers, params[p].mutable_grad()));
+    }
+    ReferenceReduce(partials, &reference);
+    for (size_t p = 0; p < params.size(); ++p) {
+      ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "reduced");
+    }
+    const double norm = adam.ClipGradNorm(max_norm);
+    const double reference_norm = ReferenceClipGradNorm(&reference, max_norm);
+    EXPECT_EQ(std::bit_cast<uint64_t>(norm),
+              std::bit_cast<uint64_t>(reference_norm));
+    EXPECT_EQ(norm > max_norm, clip);
+    adam.Step();
+    ReferenceAdamStep(&reference, learning_rate, 0.9f, 0.999f, 1e-8f,
+                      weight_decay);
+    for (size_t p = 0; p < params.size(); ++p) {
+      SCOPED_TRACE(testing::Message() << "step " << step << " parameter "
+                                      << p);
+      ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "grad");
+      ExpectBitwiseEqual(params[p].data(), reference.data[p], "weight");
+      ExpectBitwiseEqual(adam.first_moment(p), reference.m[p], "m");
+      ExpectBitwiseEqual(adam.second_moment(p), reference.v[p], "v");
+      if (coverage != nullptr) {
+        coverage->grad += CountSubnormal(params[p].grad());
+        coverage->m += CountSubnormal(adam.first_moment(p));
+        coverage->v += CountSubnormal(adam.second_moment(p));
+      }
+    }
+  }
+}
+
+TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
   for (size_t shards = 1; shards <= 5; ++shards) {
     for (bool clip : {false, true}) {
       SCOPED_TRACE(testing::Message() << shards << " shards, clip " << clip);
       // The summed gradients' norm is in the tens: 1e-3 always clips, 1e6
       // never does.
-      const double max_norm = clip ? 1e-3 : 1e6;
-      Rng rng(100 * shards + (clip ? 1 : 0));
-      std::vector<Tensor> params;
-      ReferenceTail reference;
-      for (size_t n : sizes) {
-        std::vector<float> init = TailTestValues(&rng, n);
-        params.push_back(Tensor::Parameter(1, n, init));
-        reference.data.push_back(init);
-        reference.grad.emplace_back(n, 0.0f);
-        reference.m.emplace_back(n, 0.0f);
-        reference.v.emplace_back(n, 0.0f);
-      }
-      Adam adam(params, learning_rate, 0.9f, 0.999f, 1e-8f, weight_decay);
-      for (int step = 0; step < 4; ++step) {
-        // partials[shard][parameter]
-        std::vector<std::vector<std::vector<float>>> partials(shards);
-        for (auto& shard : partials) {
-          for (size_t n : sizes) shard.push_back(TailTestValues(&rng, n));
-        }
-        std::vector<const float*> pointers(shards);
-        for (size_t p = 0; p < params.size(); ++p) {
-          for (size_t s = 0; s < shards; ++s) {
-            pointers[s] = partials[s][p].data();
-          }
-          ASSERT_TRUE(SumShardGradients(pointers, params[p].mutable_grad()));
-        }
-        ReferenceReduce(partials, &reference);
-        for (size_t p = 0; p < params.size(); ++p) {
-          ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "reduced");
-        }
-        const double norm = adam.ClipGradNorm(max_norm);
-        const double reference_norm =
-            ReferenceClipGradNorm(&reference, max_norm);
-        EXPECT_EQ(std::bit_cast<uint64_t>(norm),
-                  std::bit_cast<uint64_t>(reference_norm));
-        EXPECT_EQ(norm > max_norm, clip);
-        adam.Step();
-        ReferenceAdamStep(&reference, learning_rate, 0.9f, 0.999f, 1e-8f,
-                          weight_decay);
-        for (size_t p = 0; p < params.size(); ++p) {
-          SCOPED_TRACE(testing::Message() << "step " << step << " parameter "
-                                          << p);
-          ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "grad");
-          ExpectBitwiseEqual(params[p].data(), reference.data[p], "weight");
-          ExpectBitwiseEqual(adam.first_moment(p), reference.m[p], "m");
-          ExpectBitwiseEqual(adam.second_moment(p), reference.v[p], "v");
+      ExpectTailMatchesReference(100 * shards + (clip ? 1 : 0), shards,
+                                 clip ? 1e-3 : 1e6, clip, 1e-5f,
+                                 TailTestValues, nullptr);
+    }
+  }
+  // The bit-identical route stays bit-identical where flush-to-zero or
+  // denormals-are-zero would diverge: a seeded sweep that drives the
+  // gradients, m and v subnormal. The tiny gradients' norm is far above
+  // 1e-30, so clipping to it scales them down by ~1e-18, deep into the
+  // subnormal range.
+  TailCoverage coverage;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (size_t shards : {1, 3}) {
+      for (bool clip : {false, true}) {
+        for (float weight_decay : {0.0f, 1e-5f}) {
+          SCOPED_TRACE(testing::Message()
+                       << "subnormal sweep seed " << seed << ", " << shards
+                       << " shards, clip " << clip << ", weight decay "
+                       << weight_decay);
+          ExpectTailMatchesReference(1000 + seed, shards, clip ? 1e-30 : 1e6,
+                                     clip, weight_decay, TinyTailValues,
+                                     &coverage);
         }
       }
     }
   }
+  EXPECT_GT(coverage.grad, 0u);
+  EXPECT_GT(coverage.m, 0u);
+  EXPECT_GT(coverage.v, 0u);
 }
 
 TEST(OptimizerTest, ZeroGradClears) {
@@ -571,6 +649,42 @@ TEST(OpsTest, MatMulBlockedMatchesReference) {
                        static_cast<double>(b_data[kk * n + j]);
         }
         EXPECT_NEAR(c.at(i, j), static_cast<float>(reference), 1e-4f)
+            << "k=" << k << " at (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(OpsTest, MatMulHiddenWidthPathMatchesGenericBitForBit) {
+  // The row kernel keeps a 64-wide output row in registers (the tree
+  // models' hidden width) and runs every other width through the generic
+  // loop. Both must compute each element with the same expression in the
+  // same order: columns 0..63 of a 65-wide product (generic) equal the
+  // 64-wide product (register path) bit for bit.
+  Rng rng(64);
+  for (size_t k : {1u, 3u, 4u, 7u, 64u, 66u, 128u, 131u}) {
+    const size_t m = 6;
+    std::vector<float> a_data(m * k);
+    for (float& v : a_data) v = static_cast<float>(rng.Normal());
+    // Zero 4-blocks (the skip path), a zero row and a lone signed zero.
+    for (size_t j = 0; j < std::min<size_t>(k, 8); ++j) a_data[j] = 0.0f;
+    for (size_t j = 0; j < k; ++j) a_data[2 * k + j] = 0.0f;
+    a_data[3 * k] = -0.0f;
+    std::vector<float> wide_data(k * 65);
+    std::vector<float> hidden_data(k * 64);
+    for (size_t row = 0; row < k; ++row) {
+      for (size_t j = 0; j < 65; ++j) {
+        wide_data[row * 65 + j] = static_cast<float>(rng.Normal());
+        if (j < 64) hidden_data[row * 64 + j] = wide_data[row * 65 + j];
+      }
+    }
+    Tensor a = Tensor::FromData(m, k, a_data);
+    Tensor hidden = MatMul(a, Tensor::FromData(k, 64, hidden_data));
+    Tensor wide = MatMul(a, Tensor::FromData(k, 65, wide_data));
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < 64; ++j) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(hidden.at(i, j)),
+                  std::bit_cast<uint32_t>(wide.at(i, j)))
             << "k=" << k << " at (" << i << "," << j << ")";
       }
     }
