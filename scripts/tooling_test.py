@@ -222,8 +222,9 @@ def test_bench_summary(tmp):
         "--baseline", os.path.join(REPO_ROOT, "BENCH_micro.json"),
         "--fail-on", "0.35", "--allowlist",
         "BM_ForwardBatch,BM_PredictCacheLookup,BM_MatMul,"
-        "BM_ZeroShotFeaturization,BM_ZeroShotInferenceSingle,BM_TrainEpoch,"
-        "BM_BackwardFused,BM_HashJoinExecution,BM_PlannerLatency")
+        "BM_ZeroShotFeaturization,BM_ZeroShotInferenceSingle,"
+        "BM_ZeroShotInferenceBatch,BM_TrainEpoch,BM_BackwardFused,"
+        "BM_HashJoinExecution,BM_PlannerLatency")
     check("bench_compare accepts a v5 summary against the baseline",
           baseline["schema_version"] == 5
           and result.returncode == 0

@@ -328,7 +328,6 @@ Executor::Executor(const storage::Database* db, ExecutorOptions options)
   queries_executed_ = registry_->GetCounter("exec.queries");
   operators_executed_ = registry_->GetCounter("exec.operators");
   rows_produced_ = registry_->GetCounter("exec.rows_produced");
-  operator_us_ = registry_->GetHistogram("exec.operator_us");
   query_us_ = registry_->GetHistogram("exec.query_us");
 }
 
@@ -362,12 +361,11 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
                                          const PlanFacts& facts,
                                          ExecutionResult* result) {
   // The event opens before the child recursion in the switch, so child
-  // events nest inside it; event and histogram time cover the whole subtree.
+  // events nest inside it; its time covers the whole subtree.
   obs::TimelineScope timeline(plan::PhysicalOpName(node->type), "exec",
                               options_.recorder != nullptr
                                   ? options_.recorder
                                   : obs::TraceEventRecorder::Global());
-  obs::ScopedTimer timer(registry_->enabled() ? operator_us_ : nullptr);
   const std::vector<bool>& needed = facts.needed.at(node);
   auto child = [&](size_t i) {
     return ExecuteNode(node->children[i].get(), facts, result);

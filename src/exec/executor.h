@@ -114,7 +114,6 @@ class Executor {
   obs::Counter* queries_executed_;
   obs::Counter* operators_executed_;
   obs::Counter* rows_produced_;
-  obs::Histogram* operator_us_;
   obs::Histogram* query_us_;
 };
 

@@ -28,7 +28,9 @@ class CostPredictor {
 };
 
 /// A gradient-trained cost model (the zero-shot model and the E2E / MSCN
-/// baselines). The Trainer drives this interface.
+/// baselines). The Trainer drives this interface; serving goes through
+/// PredictMs, which the tree models implement with their tensor-free
+/// per-plan pass (TreeMessagePassingModel::ForwardBatch).
 class NeuralCostModel : public CostPredictor {
  public:
   /// Fits feature and target normalization on the training records. Must be
@@ -42,17 +44,6 @@ class NeuralCostModel : public CostPredictor {
 
   /// All trainable parameters.
   virtual std::vector<nn::Tensor> Parameters() const = 0;
-
-  /// Serving-path inference: prices every record without recording an
-  /// autodiff graph, returning the same values PredictMs does. The tree
-  /// models (zero-shot, E2E) run a tensor-free per-plan pass that builds no
-  /// nn::Node and is bit-identical to their autodiff forward pass
-  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). The default
-  /// delegates to PredictMs for models without a dedicated serving path.
-  virtual std::vector<Millis> ForwardBatch(
-      const std::vector<const QueryRecord*>& records) {
-    return PredictMs(records);
-  }
 
   /// A same-architecture copy with its own parameter storage, holding the
   /// same parameter values and normalization state as this model. The

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "featurize/parallel.h"
 #include "nn/arena.h"
 #include "nn/ops.h"
 #include "nn/validate.h"
@@ -140,11 +139,12 @@ void TreeMessagePassingModel::Prepare(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(!records.empty());
   // Fit feature normalization over every node of every training plan, and
-  // target normalization over log runtimes. Featurization is the expensive
-  // part, and pure per-record — fan it out.
-  std::vector<featurize::PlanGraph> graphs = featurize::FeaturizeAll(
-      records.size(),
-      [&](size_t i) { return FeaturizeRecord(*records[i]); });
+  // target normalization over log runtimes.
+  std::vector<featurize::PlanGraph> graphs;
+  graphs.reserve(records.size());
+  for (const QueryRecord* record : records) {
+    graphs.push_back(FeaturizeRecord(*record));
+  }
   std::vector<const std::vector<float>*> rows;
   for (const featurize::PlanGraph& graph : graphs) {
     for (const featurize::PlanGraphNode& node : graph.nodes) {
@@ -244,7 +244,7 @@ nn::Tensor TreeMessagePassingModel::Forward(
     nn::Tensor input = nn::Tensor::FromData(
         s.positions.size(), config_.feature_dim, std::move(packed));
     nn::Tensor encoded = encoders_[e].Forward(input);
-    encodings = nn::RowScatterAddTo(std::move(encodings), encoded,
+    encodings = nn::RowScatterAddTo(encodings, encoded,
                                     PooledIndexCopy(s.positions));
   }
 
@@ -286,7 +286,7 @@ nn::Tensor TreeMessagePassingModel::Forward(
       level_hidden =
           combine_.Forward(nn::ConcatCols({level_encodings, child_sum}));
     }
-    hidden_states = nn::RowScatterAddTo(std::move(hidden_states), level_hidden,
+    hidden_states = nn::RowScatterAddTo(hidden_states, level_hidden,
                                         PooledIndexCopy(s.level_ids));
   }
 
@@ -372,15 +372,11 @@ float TreeMessagePassingModel::PredictNormalized(
 std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(target_norm_.fitted()) << "ForwardBatch before Prepare/training";
-  if (records.empty()) return {};
-  std::vector<featurize::PlanGraph> graphs = featurize::FeaturizeAll(
-      records.size(),
-      [&](size_t i) { return FeaturizeNormalized(*records[i]); });
   std::vector<Millis> out;
   out.reserve(records.size());
-  for (const featurize::PlanGraph& graph : graphs) {
-    LogMillis log_ms = target_norm_.Denormalize(PredictNormalized(graph));
-    out.push_back(Millis::FromLog(log_ms));
+  for (const QueryRecord* record : records) {
+    const float normalized = PredictNormalized(FeaturizeNormalized(*record));
+    out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
   }
   return out;
 }

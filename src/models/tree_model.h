@@ -44,16 +44,18 @@ class TreeMessagePassingModel : public NeuralCostModel {
   void Prepare(const std::vector<const QueryRecord*>& records) override;
   nn::Tensor LossOnBatch(
       const std::vector<const QueryRecord*>& batch) override;
+  /// Forwards to ForwardBatch.
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
-  /// The serving path: featurizes every record, then computes each plan
-  /// bottom-up from its PlanGraph rows into model-owned scratch
-  /// (PredictNormalized) — no Tensor, autodiff node, arena or gather/scatter
-  /// op. Every prediction is bit-identical to the autodiff Forward's
-  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). PredictMs forwards
-  /// here, so both entry points return identical values.
+  /// The serving path, one record at a time: featurize and normalize the
+  /// plan, compute it bottom-up from its PlanGraph rows into model-owned
+  /// scratch (PredictNormalized), then denormalize — no Tensor, autodiff
+  /// node, arena, gather/scatter op or thread pool. Each prediction depends
+  /// on its own record only and is bit-identical to the autodiff Forward's
+  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). The estimator and
+  /// benches call it on the concrete type.
   std::vector<Millis> ForwardBatch(
-      const std::vector<const QueryRecord*>& records) override;
+      const std::vector<const QueryRecord*>& records);
   std::vector<nn::Tensor> Parameters() const override;
 
   /// Persists weights + normalization statistics to a binary file. Load

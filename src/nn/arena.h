@@ -122,9 +122,9 @@ class GraphArena {
 
 /// Installs `arena` as the active arena for the current thread; MakeOpResult
 /// and the Tensor factories allocate from it while the guard is alive.
-/// Mirrors InferenceModeGuard: thread-local, nests (restores the previous
-/// active arena on destruction). A null arena is a no-op guard — callers can
-/// pass their "maybe pooled" pointer unconditionally.
+/// Thread-local and nesting: restores the previous active arena on
+/// destruction. A null arena is a no-op guard — callers can pass their
+/// "maybe pooled" pointer unconditionally.
 class ArenaGuard {
  public:
   explicit ArenaGuard(GraphArena* arena);

@@ -563,26 +563,12 @@ Tensor RowScatterAdd(const Tensor& x, std::vector<uint32_t> indices,
   return out;
 }
 
-Tensor RowScatterAddTo(Tensor base, const Tensor& x,
+Tensor RowScatterAddTo(const Tensor& base, const Tensor& x,
                        std::vector<uint32_t> indices) {
   ZDB_CHECK_EQ(indices.size(), x.rows());
   ZDB_CHECK_EQ(base.cols(), x.cols());
   const size_t n = x.cols();
   for (uint32_t index : indices) ZDB_CHECK_LT(index, base.rows());
-  if (InInferenceMode()) {
-    // Accumulate straight into base's buffer: with no autodiff graph there
-    // is no later reader of the pre-scatter value, and the caller contract
-    // (header) makes base ours to consume.
-    auto& base_data = base.mutable_data();
-    const auto& x_data = x.data();
-    for (size_t i = 0; i < indices.size(); ++i) {
-      const size_t dst = indices[i];
-      for (size_t j = 0; j < n; ++j) {
-        base_data[dst * n + j] += x_data[i * n + j];
-      }
-    }
-    return base;
-  }
   Tensor out = MakeOpResult(base.rows(), n, "row_scatter_add_to",
                             BackwardTag::kRowScatterAddTo, {&base, &x});
   auto& out_data = out.mutable_data();

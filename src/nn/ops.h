@@ -53,11 +53,8 @@ Tensor RowScatterAdd(const Tensor& x, std::vector<uint32_t> indices,
 /// Functionally Add(base, RowScatterAdd(x, indices, base.rows())) without
 /// materializing the zero-filled intermediate — the pattern the tree model
 /// uses to accumulate per-encoder and per-level rows into a shared
-/// (total_nodes, hidden) state. Under an InferenceModeGuard the rows are
-/// added into base's own buffer and `base` is returned, so an accumulation
-/// chain costs only the scattered writes; callers must treat `base` as
-/// consumed (reassign it to the result, keep no other live reference).
-Tensor RowScatterAddTo(Tensor base, const Tensor& x,
+/// (total_nodes, hidden) state.
+Tensor RowScatterAddTo(const Tensor& base, const Tensor& x,
                        std::vector<uint32_t> indices);
 
 /// Multiplies row i of x by factors[i] (constants, not differentiated).

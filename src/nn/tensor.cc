@@ -183,20 +183,6 @@ std::string Tensor::ShapeString() const {
 
 namespace {
 
-// Depth counter rather than a bool so guards nest (an inference-mode caller
-// may invoke a helper that installs its own guard).
-thread_local int inference_depth = 0;
-
-}  // namespace
-
-InferenceModeGuard::InferenceModeGuard() { ++inference_depth; }
-
-InferenceModeGuard::~InferenceModeGuard() { --inference_depth; }
-
-bool InInferenceMode() { return inference_depth > 0; }
-
-namespace {
-
 template <typename ParentIter>
 Tensor MakeOpResultImpl(size_t rows, size_t cols, const char* op,
                         BackwardTag tag, ParentIter begin, ParentIter end,
@@ -204,12 +190,6 @@ Tensor MakeOpResultImpl(size_t rows, size_t cols, const char* op,
   Tensor out = MakeNode(rows, cols);
   Node* node = out.node().get();
   node->op = op;
-  if (InInferenceMode()) {
-    // Detached result: the op's forward code still writes values, but the
-    // graph ends here — no parent edges to keep inputs alive, no backward
-    // tag to dispatch.
-    return out;
-  }
   bool requires_grad = false;
   for (ParentIter it = begin; it != end; ++it) {
     if ((*it)->requires_grad()) {

@@ -140,40 +140,15 @@ class Tensor {
 
 /// Creates a non-leaf node for an op result: zeroed values buffer, backward
 /// tag, parent edges. Gradient tracking is enabled iff any parent requires
-/// grad. Under an InferenceModeGuard the result is detached instead: no
-/// parents, tag reset to kLeaf, requires_grad = false. Under an ArenaGuard
-/// the node and its buffers come from the active arena. The op fills the
-/// node's POD context / aux buffers after this returns (only needed when
-/// the result requires grad).
+/// grad. Under an ArenaGuard the node and its buffers come from the active
+/// arena. The op fills the node's POD context / aux buffers after this
+/// returns (only needed when the result requires grad).
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     std::initializer_list<const Tensor*> parents);
 
 /// Variadic-parent form (ConcatCols).
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     const std::vector<Tensor>& parents);
-
-/// While alive on the current thread, every MakeOpResult produces a
-/// detached node: parents and backward tags are dropped and
-/// requires_grad is forced off, even when an input is a trainable
-/// parameter. That removes the autodiff bookkeeping and lets intermediate
-/// nodes free as soon as the ops consuming them finish. The trainer's
-/// validation loss is its one user: serving bypasses tensors altogether
-/// (the tree models' tensor-free pass, Mlp::ForwardRow). Backward() on
-/// anything computed under a guard fails its requires_grad check, so
-/// training code must never run inside one. Guards nest; the flag is
-/// thread-local, so pool workers are unaffected by a guard on the caller's
-/// thread.
-class InferenceModeGuard {
- public:
-  InferenceModeGuard();
-  ~InferenceModeGuard();
-
-  InferenceModeGuard(const InferenceModeGuard&) = delete;
-  InferenceModeGuard& operator=(const InferenceModeGuard&) = delete;
-};
-
-/// True while an InferenceModeGuard is alive on this thread.
-bool InInferenceMode();
 
 }  // namespace zerodb::nn
 

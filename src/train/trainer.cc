@@ -160,7 +160,6 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::Counter* epochs_counter = registry.GetCounter("train.epochs");
   obs::Counter* batches_counter = registry.GetCounter("train.batches");
-  obs::Histogram* epoch_us = registry.GetHistogram("train.epoch_us");
 
   // Per-batch working state, hoisted out of the loops so batch N reuses
   // batch N-1's capacity: the batch view, the shard result slots (kept at
@@ -179,7 +178,6 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   std::vector<const float*> partials(max_shards);
 
   for (size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
-    obs::ScopedTimer epoch_timer(registry.enabled() ? epoch_us : nullptr);
     obs::TimelineScope epoch_scope("train.epoch", "train");
     epoch_scope.AddArg("epoch", static_cast<double>(epoch + 1));
     rng.Shuffle(&training);
@@ -276,12 +274,11 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     batches_counter->Add(static_cast<int64_t>(batches));
 
     // Validation (falls back to train loss when no validation split). The
-    // inference guard skips autodiff bookkeeping — the loss value is the
-    // same arithmetic either way, and nothing calls Backward on it.
+    // loss records an autodiff graph like a training batch's; nothing calls
+    // Backward on it, and the graph frees once the value is read.
     double val_loss = result.final_train_loss;
     if (!validation.empty()) {
       obs::TimelineScope validate_scope("train.validate", "train");
-      nn::InferenceModeGuard inference;
       val_loss = model->LossOnBatch(validation).item();
     }
 

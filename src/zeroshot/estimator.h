@@ -32,7 +32,7 @@ struct ZeroShotConfig {
 
   /// Serving: predictions are memoized by plan fingerprint + database
   /// identity + model generation; each PredictMs call prices all of its
-  /// cache misses in one batched ForwardBatch pass.
+  /// cache misses in one ForwardBatch call.
   PredictCacheOptions cache;
 };
 

@@ -418,8 +418,7 @@ TEST_F(ModelsTest, TensorFreePassMatchesAutodiffBitForBit) {
         tensor_free.push_back(TreeModelTestPeer::TensorFree(model, graph));
       }
       // The autodiff pass batches plans together; every batch size must
-      // give each plan the same bits the per-plan pass does, with the graph
-      // recorded (training) and under the inference guard (validation).
+      // give each plan the same bits the per-plan pass does.
       for (size_t batch : batch_sizes) {
         for (size_t begin = 0; begin < graphs.size(); begin += batch) {
           std::vector<const featurize::PlanGraph*> chunk;
@@ -429,18 +428,11 @@ TEST_F(ModelsTest, TensorFreePassMatchesAutodiffBitForBit) {
           }
           const std::vector<float> recorded =
               TreeModelTestPeer::Autodiff(model, chunk);
-          std::vector<float> guarded;
-          {
-            nn::InferenceModeGuard inference;
-            guarded = TreeModelTestPeer::Autodiff(model, chunk);
-          }
           ASSERT_EQ(recorded.size(), chunk.size());
           for (size_t i = 0; i < chunk.size(); ++i) {
             ASSERT_TRUE(SameBits(tensor_free[begin + i], recorded[i]))
                 << set_name << " batch " << batch << " plan " << begin + i
                 << ": " << tensor_free[begin + i] << " vs " << recorded[i];
-            ASSERT_TRUE(SameBits(tensor_free[begin + i], guarded[i]))
-                << set_name << " batch " << batch << " plan " << begin + i;
           }
         }
       }

@@ -771,37 +771,5 @@ TEST(AutogradTest, RowScatterAddToGradient) {
   CheckGradients(w, loss_fn);
 }
 
-TEST(InferenceModeTest, ResultsAreDetached) {
-  Tensor w = Tensor::Parameter(3, 2, {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f});
-  Tensor bias = Tensor::FromData(1, 2, {0.1f, -0.1f});
-  Tensor x = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
-  Tensor attached = LinearFused(x, w, bias, /*relu=*/true);
-  EXPECT_TRUE(attached.requires_grad());
-  {
-    InferenceModeGuard inference;
-    EXPECT_TRUE(InInferenceMode());
-    Tensor detached = LinearFused(x, w, bias, /*relu=*/true);
-    EXPECT_FALSE(detached.requires_grad());
-    // Values are unaffected by the mode — only the graph is skipped.
-    for (size_t i = 0; i < detached.size(); ++i) {
-      EXPECT_EQ(detached.data()[i], attached.data()[i]);
-    }
-  }
-  EXPECT_FALSE(InInferenceMode());
-}
-
-TEST(InferenceModeTest, RowScatterAddToReusesBaseBuffer) {
-  InferenceModeGuard inference;
-  Tensor base = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  const float* buffer = base.data().data();
-  Tensor x = Tensor::FromData(1, 2, {10, 20});
-  Tensor out = RowScatterAddTo(std::move(base), x, {1});
-  // In-place contract: the accumulation happened in base's own buffer.
-  EXPECT_EQ(out.data().data(), buffer);
-  EXPECT_FLOAT_EQ(out.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(out.at(1, 0), 13.0f);
-  EXPECT_FLOAT_EQ(out.at(1, 1), 24.0f);
-}
-
 }  // namespace
 }  // namespace zerodb::nn

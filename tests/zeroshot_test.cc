@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 
@@ -373,10 +375,9 @@ TEST_F(ZeroShotTest, LoadWeightsThroughModelChangesEstimate) {
 }
 
 TEST_F(ZeroShotTest, BatchedForwardMatchesSerial) {
-  // The batched serving path must be a pure packing optimization: pricing a
-  // workload in one ForwardBatch call and pricing each record alone must
-  // agree. Per-row accumulation order is independent of batch composition,
-  // so the tolerance is tight.
+  // Pricing a workload in one ForwardBatch call and pricing each record
+  // alone must agree bit for bit: the serving pass computes every plan on
+  // its own, so batch composition cannot reach a prediction.
   auto queries = workload::MakeBenchmark(workload::BenchmarkWorkload::kSynthetic,
                                          *imdb_, 100, 9);
   auto eval = train::CollectRecords(*imdb_, queries, train::CollectOptions());
@@ -387,8 +388,10 @@ TEST_F(ZeroShotTest, BatchedForwardMatchesSerial) {
   for (size_t i = 0; i < view.size(); ++i) {
     auto serial = estimator_->model().ForwardBatch({view[i]});
     ASSERT_EQ(serial.size(), 1u);
-    EXPECT_NEAR(batched[i].value(), serial[0].value(), 1e-5)
-        << "record " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(batched[i].value()),
+              std::bit_cast<uint64_t>(serial[0].value()))
+        << "record " << i << ": " << batched[i].value() << " vs "
+        << serial[0].value();
   }
 }
 
