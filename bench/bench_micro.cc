@@ -15,6 +15,7 @@
 #include "datagen/corpus.h"
 #include "nn/arena.h"
 #include "nn/optimizer.h"
+#include "featurize/e2e_featurizer.h"
 #include "featurize/zeroshot_featurizer.h"
 #include "models/zeroshot_model.h"
 #include "nn/ops.h"
@@ -159,6 +160,21 @@ void BM_ZeroShotFeaturization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ZeroShotFeaturization);
+
+// The E2E baseline's featurizer over the same records: it reads one output
+// width per node, so a per-node schema rebuild would make it quadratic in
+// plan depth.
+void BM_E2EFeaturization(benchmark::State& state) {
+  MicroState& micro = State();
+  featurize::E2EFeaturizer featurizer(featurize::CardinalityMode::kEstimated);
+  size_t index = 0;
+  for (auto _ : state) {
+    const auto& record = micro.records[index++ % micro.records.size()];
+    auto graph = featurizer.Featurize(*record.plan.root, micro.env);
+    benchmark::DoNotOptimize(graph);
+  }
+}
+BENCHMARK(BM_E2EFeaturization);
 
 void BM_ZeroShotInferenceSingle(benchmark::State& state) {
   MicroState& micro = State();

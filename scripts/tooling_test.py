@@ -224,7 +224,7 @@ def test_bench_summary(tmp):
         "BM_ForwardBatch,BM_PredictCacheLookup,BM_MatMul,"
         "BM_ZeroShotFeaturization,BM_ZeroShotInferenceSingle,"
         "BM_ZeroShotInferenceBatch,BM_TrainEpoch,BM_BackwardFused,"
-        "BM_HashJoinExecution,BM_PlannerLatency")
+        "BM_HashJoinExecution,BM_PlannerLatency,BM_E2EFeaturization")
     check("bench_compare accepts a v5 summary against the baseline",
           baseline["schema_version"] == 5
           and result.returncode == 0

@@ -10,15 +10,15 @@ namespace zerodb::exec {
 
 /// A materialized intermediate result: column-major numeric data (int64 and
 /// dictionary codes widened to double; exact up to 2^53, far beyond any key
-/// domain used here) plus the provenance schema.
+/// domain used here). A batch carries no schema: what each slot holds is
+/// the producing node's plan::DeriveOutputSlots entry.
 ///
-/// `columns` has one entry per schema slot, so slot positions never shift,
-/// but only the slots some parent operator reads are materialized (each with
-/// `rows` values); the rest stay empty. The row count is therefore explicit
-/// rather than taken from a column.
+/// `columns` has one entry per output slot of the node, so slot positions
+/// never shift, but only the slots some parent operator reads are
+/// materialized (each with `rows` values); the rest stay empty. The row
+/// count is therefore explicit rather than taken from a column.
 struct RowBatch {
-  std::vector<plan::OutputColumn> schema;
-  std::vector<std::vector<double>> columns;  // one vector per schema entry
+  std::vector<std::vector<double>> columns;  // one vector per output slot
   size_t rows = 0;
 
   size_t num_rows() const { return rows; }

@@ -50,7 +50,7 @@ std::vector<double> WidenTableColumn(const storage::Column& column) {
   return std::vector<double>(raw.begin(), raw.end());
 }
 
-// The column an operator reads at `slot`. The slot must be in the schema and
+// The column an operator reads at `slot`. The slot must be in the batch and
 // materialized, so a needed-slot set that missed it fails here, once per
 // operator, instead of reading an empty vector.
 const std::vector<double>& ReadColumn(const RowBatch& batch, size_t slot) {
@@ -60,30 +60,14 @@ const std::vector<double>& ReadColumn(const RowBatch& batch, size_t slot) {
   return batch.columns[slot];
 }
 
-// An output batch of `rows` rows over `schema` with no column materialized.
-RowBatch EmptyBatch(std::vector<plan::OutputColumn> schema, size_t rows) {
+// An output batch of `rows` rows and `num_slots` columns, none of them
+// materialized. Operators pass their needed mask's size, which is the
+// node's slot count from DeriveOutputSlots.
+RowBatch EmptyBatch(size_t num_slots, size_t rows) {
   RowBatch batch;
-  batch.columns.resize(schema.size());
-  batch.schema = std::move(schema);
+  batch.columns.resize(num_slots);
   batch.rows = rows;
   return batch;
-}
-
-std::vector<plan::OutputColumn> ConcatSchemas(
-    std::vector<plan::OutputColumn> left,
-    const std::vector<plan::OutputColumn>& right) {
-  left.insert(left.end(), right.begin(), right.end());
-  return left;
-}
-
-// Builds the schema entries for all columns of a table.
-std::vector<plan::OutputColumn> TableSchemaColumns(const storage::Table& table) {
-  std::vector<plan::OutputColumn> schema;
-  schema.reserve(table.num_columns());
-  for (size_t i = 0; i < table.num_columns(); ++i) {
-    schema.push_back(plan::OutputColumn{table.name(), i, false});
-  }
-  return schema;
 }
 
 // Fills out->columns[first + c] with rows `row_ids` of every column c of
@@ -181,46 +165,6 @@ struct DoubleHash {
 
 using NeededMap = std::unordered_map<const PhysicalNode*, std::vector<bool>>;
 
-// Sizes every node's needed-slot mask to its output column count, all
-// unset, children first. Returns the node's column count.
-StatusOr<size_t> SizeMasks(const PhysicalNode& node,
-                           const storage::Database& db, NeededMap* needed) {
-  size_t count = 0;
-  switch (node.type) {
-    case PhysicalOpType::kSeqScan:
-    case PhysicalOpType::kIndexScan: {
-      ZDB_ASSIGN_OR_RETURN(const storage::Table* table,
-                           db.GetTable(node.table_name));
-      count = table->num_columns();
-      break;
-    }
-    case PhysicalOpType::kFilter:
-    case PhysicalOpType::kSort:
-    case PhysicalOpType::kHashJoin:
-    case PhysicalOpType::kNestedLoopJoin:
-      for (const auto& child : node.children) {
-        ZDB_ASSIGN_OR_RETURN(size_t child_count,
-                             SizeMasks(*child, db, needed));
-        count += child_count;
-      }
-      break;
-    case PhysicalOpType::kIndexNLJoin: {
-      ZDB_ASSIGN_OR_RETURN(const storage::Table* inner,
-                           db.GetTable(node.table_name));
-      ZDB_ASSIGN_OR_RETURN(count, SizeMasks(*node.children[0], db, needed));
-      count += inner->num_columns();
-      break;
-    }
-    case PhysicalOpType::kHashAggregate:
-    case PhysicalOpType::kSimpleAggregate:
-      ZDB_RETURN_NOT_OK(SizeMasks(*node.children[0], db, needed).status());
-      count = node.group_by_slots.size() + node.aggregates.size();
-      break;
-  }
-  (*needed)[&node].assign(count, false);
-  return count;
-}
-
 void MarkSlot(std::vector<bool>* mask, size_t slot) {
   ZDB_CHECK_LT(slot, mask->size());
   (*mask)[slot] = true;
@@ -290,8 +234,9 @@ void MarkReads(const PhysicalNode& node, NeededMap* needed) {
 
 // What Execute derives from a plan before any operator runs.
 struct Executor::PlanFacts {
-  /// Output tuple width in bytes, for OperatorStats::output_bytes.
-  std::unordered_map<const PhysicalNode*, int64_t> width_bytes;
+  /// Every node's output slots: their count sizes `needed`, their width
+  /// gives OperatorStats::output_bytes.
+  plan::PlanSlots slots;
   /// Per output slot: does the node's parent read it? All set at the root.
   NeededMap needed;
 };
@@ -333,8 +278,8 @@ Executor::Executor(const storage::Database* db, ExecutorOptions options)
 
 StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
   ZDB_CHECK(plan != nullptr && plan->root != nullptr);
-  // Open-path invariant gate: schemas, slot references and expression types
-  // must be consistent before any operator touches data.
+  // Open-path invariant gate: plan structure, slot references and
+  // expression types must be consistent before any operator touches data.
   ZDB_DCHECK_OK(plan::ValidatePlan(*plan->root, *db_));
   queries_executed_->Add(1);
   obs::ScopedTimer timer(registry_->enabled() ? query_us_ : nullptr);
@@ -342,11 +287,13 @@ StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
   // the root's whole output, every other node's only what its parent reads.
   PlanFacts facts;
   const PhysicalNode& root = *plan->root;
-  ZDB_RETURN_NOT_OK(SizeMasks(root, *db_, &facts.needed).status());
+  ZDB_ASSIGN_OR_RETURN(facts.slots, plan::DeriveOutputSlots(root, *db_));
+  root.Visit([&](const PhysicalNode& node) {
+    facts.needed[&node].assign(facts.slots.NumSlots(node), false);
+  });
   std::vector<bool>& root_mask = facts.needed.at(&root);
   root_mask.assign(root_mask.size(), true);
   MarkReads(root, &facts.needed);
-  root.ComputeOutputWidths(*db_, &facts.width_bytes);
   ExecutionResult result;
   ZDB_ASSIGN_OR_RETURN(result.output,
                        ExecuteNode(plan->root.get(), facts, &result));
@@ -404,7 +351,7 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
       case PhysicalOpType::kHashAggregate:
       case PhysicalOpType::kSimpleAggregate: {
         ZDB_ASSIGN_OR_RETURN(RowBatch input, child(0));
-        return ExecAggregate(node, std::move(input), &stats);
+        return ExecAggregate(node, needed, std::move(input), &stats);
       }
     }
     return Status::Internal("unknown operator");
@@ -416,7 +363,7 @@ StatusOr<RowBatch> Executor::ExecuteNode(PhysicalNode* node,
     return Status::OutOfRange("intermediate result exceeds row cap");
   }
   stats.output_rows = static_cast<int64_t>(batch.num_rows());
-  stats.output_bytes = stats.output_rows * facts.width_bytes.at(node);
+  stats.output_bytes = stats.output_rows * facts.slots.WidthBytes(*node);
   node->true_cardinality = static_cast<double>(stats.output_rows);
   result->stats[node] = stats;
   operators_executed_->Add(1);
@@ -440,7 +387,7 @@ StatusOr<RowBatch> Executor::ExecSeqScan(PhysicalNode* node,
   s->pages_read = table->NumPages();
 
   if (!node->predicate.has_value()) {  // every row: no row list to gather by
-    RowBatch batch = EmptyBatch(TableSchemaColumns(*table), n);
+    RowBatch batch = EmptyBatch(needed.size(), n);
     for (size_t c = 0; c < table->num_columns(); ++c) {
       if (needed[c]) batch.columns[c] = WidenTableColumn(table->column(c));
     }
@@ -453,7 +400,7 @@ StatusOr<RowBatch> Executor::ExecSeqScan(PhysicalNode* node,
   for (size_t row = 0; row < n; ++row) {
     if (evaluator.Matches(row)) selected.push_back(static_cast<uint32_t>(row));
   }
-  RowBatch batch = EmptyBatch(TableSchemaColumns(*table), selected.size());
+  RowBatch batch = EmptyBatch(needed.size(), selected.size());
   GatherTableColumns(*table, selected, needed, 0, &batch);
   return batch;
 }
@@ -492,7 +439,7 @@ StatusOr<RowBatch> Executor::ExecIndexScan(PhysicalNode* node,
     selected = std::move(matched);
   }
 
-  RowBatch batch = EmptyBatch(TableSchemaColumns(*table), selected.size());
+  RowBatch batch = EmptyBatch(needed.size(), selected.size());
   GatherTableColumns(*table, selected, needed, 0, &batch);
   return batch;
 }
@@ -511,7 +458,7 @@ StatusOr<RowBatch> Executor::ExecFilter(PhysicalNode* node,
   for (size_t i = 0; i < n; ++i) {
     if (evaluator.Matches(i)) selected.push_back(static_cast<uint32_t>(i));
   }
-  RowBatch batch = EmptyBatch(std::move(child.schema), selected.size());
+  RowBatch batch = EmptyBatch(needed.size(), selected.size());
   GatherBatchColumns(child, selected, needed, 0, &batch);
   return batch;
 }
@@ -551,9 +498,7 @@ StatusOr<RowBatch> Executor::ExecHashJoin(PhysicalNode* node,
     }
   }
 
-  RowBatch batch =
-      EmptyBatch(ConcatSchemas(std::move(left.schema), right.schema),
-                 left_sel.size());
+  RowBatch batch = EmptyBatch(needed.size(), left_sel.size());
   GatherBatchColumns(left, left_sel, needed, 0, &batch);
   GatherBatchColumns(right, right_sel, needed, left.num_columns(), &batch);
   return batch;
@@ -587,9 +532,7 @@ StatusOr<RowBatch> Executor::ExecNestedLoopJoin(PhysicalNode* node,
     }
   }
 
-  RowBatch batch =
-      EmptyBatch(ConcatSchemas(std::move(left.schema), right.schema),
-                 left_sel.size());
+  RowBatch batch = EmptyBatch(needed.size(), left_sel.size());
   GatherBatchColumns(left, left_sel, needed, 0, &batch);
   GatherBatchColumns(right, right_sel, needed, left.num_columns(), &batch);
   return batch;
@@ -641,9 +584,7 @@ StatusOr<RowBatch> Executor::ExecIndexNLJoin(PhysicalNode* node,
   // Random heap fetches on the inner side.
   s->pages_read = index->EstimatedHeight() * s->index_probes + s->index_entries;
 
-  RowBatch batch = EmptyBatch(
-      ConcatSchemas(std::move(outer.schema), TableSchemaColumns(*inner)),
-      outer_sel.size());
+  RowBatch batch = EmptyBatch(needed.size(), outer_sel.size());
   GatherBatchColumns(outer, outer_sel, needed, 0, &batch);
   GatherTableColumns(*inner, inner_sel, needed, outer.num_columns(), &batch);
   return batch;
@@ -670,13 +611,14 @@ StatusOr<RowBatch> Executor::ExecSort(PhysicalNode* node,
     return a < b;  // stable tie-break
   });
 
-  RowBatch batch = EmptyBatch(std::move(child.schema), n);
+  RowBatch batch = EmptyBatch(needed.size(), n);
   GatherBatchColumns(child, order, needed, 0, &batch);
   return batch;
 }
 
-StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
-                                           OperatorStats* s) {
+StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node,
+                                           const std::vector<bool>& needed,
+                                           RowBatch child, OperatorStats* s) {
   const size_t n = child.num_rows();
   s->input_rows_left = static_cast<int64_t>(n);
 
@@ -723,18 +665,10 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
     }
   };
 
-  // Output schema: the group-by columns' provenance, then one synthetic
-  // column per aggregate (PhysicalNode::OutputSchema, from the child's).
-  std::vector<plan::OutputColumn> schema;
-  schema.reserve(node->group_by_slots.size() + num_aggs);
   std::vector<const double*> group_columns;
   group_columns.reserve(node->group_by_slots.size());
   for (size_t slot : node->group_by_slots) {
     group_columns.push_back(ReadColumn(child, slot).data());
-    schema.push_back(child.schema[slot]);
-  }
-  for (size_t a = 0; a < num_aggs; ++a) {
-    schema.push_back(plan::OutputColumn{"", a, true});
   }
 
   if (node->type == PhysicalOpType::kSimpleAggregate) {
@@ -745,7 +679,7 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
       }
     }
     s->group_count = 1;
-    RowBatch batch = EmptyBatch(std::move(schema), 1);
+    RowBatch batch = EmptyBatch(needed.size(), 1);
     for (size_t a = 0; a < num_aggs; ++a) {
       batch.columns[a].assign(1, finalize(states[a], node->aggregates[a]));
     }
@@ -795,7 +729,7 @@ StatusOr<RowBatch> Executor::ExecAggregate(PhysicalNode* node, RowBatch child,
                   b->first.end());
             });
 
-  RowBatch batch = EmptyBatch(std::move(schema), ordered.size());
+  RowBatch batch = EmptyBatch(needed.size(), ordered.size());
   for (size_t c = 0; c < batch.columns.size(); ++c) {
     batch.columns[c].reserve(ordered.size());
   }

@@ -46,12 +46,13 @@ struct ExecutorOptions {
 /// how "exact cardinality" featurization gets its inputs.
 ///
 /// Needed-slot contract (DESIGN.md "Executor"): before any operator runs,
-/// Execute computes top-down, for every node, the output slots its parent
-/// reads. The root's output is always complete. An inner batch keeps its full
-/// schema and slot positions but materializes only the slots its parent
-/// reads; the others stay empty and the row count is explicit
+/// Execute derives every node's output slots (plan::DeriveOutputSlots) and
+/// computes top-down, for every node, the slots its parent reads. The root's
+/// output is always complete. An inner batch keeps one column per output
+/// slot, so slot positions never shift, but materializes only the slots its
+/// parent reads; the others stay empty and the row count is explicit
 /// (RowBatch::rows). Counters never depend on which columns are carried:
-/// `output_bytes` comes from the schema width.
+/// `output_bytes` comes from the derived output width.
 ///
 /// Thread-compatible, not thread-safe (DESIGN.md "Concurrency discipline"):
 /// one Executor serves one thread at a time — Execute mutates the plan in
@@ -102,9 +103,11 @@ class Executor {
   StatusOr<RowBatch> ExecSort(plan::PhysicalNode* node,
                               const std::vector<bool>& needed, RowBatch child,
                               OperatorStats* s);
-  // Aggregates always materialize their whole (small) output.
-  StatusOr<RowBatch> ExecAggregate(plan::PhysicalNode* node, RowBatch child,
-                                   OperatorStats* s);
+  // Aggregates always materialize their whole (small) output; `needed`
+  // only sizes it.
+  StatusOr<RowBatch> ExecAggregate(plan::PhysicalNode* node,
+                                   const std::vector<bool>& needed,
+                                   RowBatch child, OperatorStats* s);
 
   const storage::Database* db_;
   ExecutorOptions options_;

@@ -27,6 +27,7 @@ size_t TableOneHotIndex(const storage::Database& db,
 
 size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
                               const datagen::DatabaseEnv& env,
+                              const plan::PlanSlots& slots,
                               PlanGraph* graph) const {
   const size_t index = graph->nodes.size();
   graph->nodes.emplace_back();
@@ -84,8 +85,8 @@ size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
                                                      : node.true_cardinality;
   if (mode_ == CardinalityMode::kExact) ZDB_CHECK_GE(card, 0.0);
   f[offset++] = static_cast<float>(Log1pSafe(card));
-  f[offset++] =
-      static_cast<float>(Log1pSafe(static_cast<double>(node.OutputWidthBytes(*env.db))));
+  f[offset++] = static_cast<float>(
+      Log1pSafe(static_cast<double>(slots.WidthBytes(node))));
 
   f[offset++] = static_cast<float>(node.aggregates.size());
   f[offset++] = static_cast<float>(node.group_by_slots.size());
@@ -95,7 +96,7 @@ size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
 
   std::vector<size_t> children;
   for (const auto& child : node.children) {
-    children.push_back(AddNode(*child, env, graph));
+    children.push_back(AddNode(*child, env, slots, graph));
   }
   graph->nodes[index].children = std::move(children);
   return index;
@@ -104,7 +105,7 @@ size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
 PlanGraph E2EFeaturizer::Featurize(const PhysicalNode& root,
                                    const datagen::DatabaseEnv& env) const {
   PlanGraph graph;
-  AddNode(root, env, &graph);
+  AddNode(root, env, plan::DeriveOutputSlots(root, *env.db).value(), &graph);
   graph.ComputeLevels();
   return graph;
 }

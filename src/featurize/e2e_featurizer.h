@@ -33,7 +33,8 @@ class E2EFeaturizer {
 
  private:
   size_t AddNode(const plan::PhysicalNode& node,
-                 const datagen::DatabaseEnv& env, PlanGraph* graph) const;
+                 const datagen::DatabaseEnv& env, const plan::PlanSlots& slots,
+                 PlanGraph* graph) const;
 
   CardinalityMode mode_;
 };

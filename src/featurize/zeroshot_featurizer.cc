@@ -75,10 +75,10 @@ Rows ZeroShotFeaturizer::NodeCardinality(const PhysicalNode& node) const {
   return Rows(node.true_cardinality);
 }
 
-size_t ZeroShotFeaturizer::AddNode(
-    const PhysicalNode& node, const datagen::DatabaseEnv& env,
-    const std::unordered_map<const plan::PhysicalNode*, int64_t>& widths,
-    PlanGraph* graph) const {
+size_t ZeroShotFeaturizer::AddNode(const PhysicalNode& node,
+                                   const datagen::DatabaseEnv& env,
+                                   const plan::PlanSlots& slots,
+                                   PlanGraph* graph) const {
   const size_t index = graph->nodes.size();
   graph->nodes.emplace_back();
   graph->nodes[index].op_type = static_cast<size_t>(node.type);
@@ -87,7 +87,11 @@ size_t ZeroShotFeaturizer::AddNode(
 
   const Rows out_card = NodeCardinality(node);
   f[0] = Log1pF(out_card);
-  f[4] = Log1pF(Bytes(static_cast<double>(widths.at(&node))));
+  // Output width of a node, as a feature-space byte count.
+  auto width = [&](const PhysicalNode& n) {
+    return Log1pF(Bytes(static_cast<double>(slots.WidthBytes(n))));
+  };
+  f[4] = width(node);
   f[19] = 1.0f;
 
   // Inputs.
@@ -107,8 +111,7 @@ size_t ZeroShotFeaturizer::AddNode(
       const stats::TableStats& inner_stats = env.stats.GetTable(node.table_name);
       in_right = Rows(static_cast<double>(inner_stats.num_rows));
       f[3] = Log1pF(static_cast<double>(inner_stats.num_pages));
-      f[5] = Log1pF(
-          Bytes(static_cast<double>(widths.at(node.children[0].get()))));
+      f[5] = width(*node.children[0]);
       f[6] = Log1pF(Bytes(static_cast<double>(inner_stats.row_width_bytes)));
       break;
     }
@@ -116,18 +119,15 @@ size_t ZeroShotFeaturizer::AddNode(
     case PhysicalOpType::kNestedLoopJoin:
       in_left = NodeCardinality(*node.children[0]);
       in_right = NodeCardinality(*node.children[1]);
-      f[5] = Log1pF(
-          Bytes(static_cast<double>(widths.at(node.children[0].get()))));
-      f[6] = Log1pF(
-          Bytes(static_cast<double>(widths.at(node.children[1].get()))));
+      f[5] = width(*node.children[0]);
+      f[6] = width(*node.children[1]);
       break;
     case PhysicalOpType::kFilter:
     case PhysicalOpType::kSort:
     case PhysicalOpType::kHashAggregate:
     case PhysicalOpType::kSimpleAggregate:
       in_left = NodeCardinality(*node.children[0]);
-      f[5] = Log1pF(
-          Bytes(static_cast<double>(widths.at(node.children[0].get()))));
+      f[5] = width(*node.children[0]);
       break;
   }
   f[1] = Log1pF(in_left);
@@ -171,7 +171,7 @@ size_t ZeroShotFeaturizer::AddNode(
   // Children after the parent (ComputeLevels relies on this order).
   std::vector<size_t> children;
   for (const auto& child : node.children) {
-    children.push_back(AddNode(*child, env, widths, graph));
+    children.push_back(AddNode(*child, env, slots, graph));
   }
   graph->nodes[index].children = std::move(children);
   return index;
@@ -195,9 +195,7 @@ bool FeaturesAreFinite(const PlanGraph& graph) {
 PlanGraph ZeroShotFeaturizer::Featurize(const PhysicalNode& root,
                                         const datagen::DatabaseEnv& env) const {
   PlanGraph graph;
-  std::unordered_map<const PhysicalNode*, int64_t> widths;
-  root.ComputeOutputWidths(*env.db, &widths);
-  AddNode(root, env, widths, &graph);
+  AddNode(root, env, plan::DeriveOutputSlots(root, *env.db).value(), &graph);
   graph.ComputeLevels();
   ZDB_DCHECK(!graph.nodes.empty());
   ZDB_DCHECK(FeaturesAreFinite(graph));

@@ -1,9 +1,6 @@
 #ifndef ZERODB_FEATURIZE_ZEROSHOT_FEATURIZER_H_
 #define ZERODB_FEATURIZE_ZEROSHOT_FEATURIZER_H_
 
-#include <cstdint>
-#include <unordered_map>
-
 #include "common/units.h"
 #include "datagen/corpus.h"
 #include "featurize/plan_graph.h"
@@ -43,13 +40,10 @@ class ZeroShotFeaturizer {
   CardinalityMode mode() const { return mode_; }
 
  private:
-  /// `widths` holds every subtree's output width, precomputed in one pass
-  /// by PhysicalNode::ComputeOutputWidths (per-node OutputWidthBytes calls
-  /// are quadratic over a plan and dominated featurization cost).
+  /// `slots` holds every node's output width, derived once per plan by
+  /// plan::DeriveOutputSlots.
   size_t AddNode(const plan::PhysicalNode& node,
-                 const datagen::DatabaseEnv& env,
-                 const std::unordered_map<const plan::PhysicalNode*, int64_t>&
-                     widths,
+                 const datagen::DatabaseEnv& env, const plan::PlanSlots& slots,
                  PlanGraph* graph) const;
 
   Rows NodeCardinality(const plan::PhysicalNode& node) const;

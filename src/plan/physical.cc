@@ -1,6 +1,8 @@
 #include "plan/physical.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -32,104 +34,145 @@ const char* PhysicalOpName(PhysicalOpType type) {
   return "?";
 }
 
-namespace {
-
-std::vector<OutputColumn> TableColumns(const storage::Database& db,
-                                       const std::string& table_name) {
-  const storage::Table* table = db.FindTable(table_name);
-  ZDB_CHECK(table != nullptr) << "unknown table " << table_name;
-  std::vector<OutputColumn> columns;
-  columns.reserve(table->num_columns());
-  for (size_t i = 0; i < table->num_columns(); ++i) {
-    columns.push_back(OutputColumn{table_name, i, false});
-  }
-  return columns;
+const PlanSlots::Range& PlanSlots::RangeOf(const PhysicalNode& node) const {
+  auto it = std::lower_bound(
+      ranges_.begin(), ranges_.end(), &node,
+      [](const std::pair<const PhysicalNode*, Range>& entry,
+         const PhysicalNode* key) {
+        return std::less<const PhysicalNode*>()(entry.first, key);
+      });
+  ZDB_CHECK(it != ranges_.end() && it->first == &node)
+      << "node is not part of the derived plan";
+  return it->second;
 }
 
-int64_t SchemaWidthBytes(const std::vector<OutputColumn>& schema,
-                         const storage::Database& db) {
-  int64_t width = 0;
-  for (const OutputColumn& column : schema) {
-    if (column.synthetic) {
-      width += 8;
-      continue;
+std::span<const catalog::DataType> PlanSlots::Types(
+    const PhysicalNode& node) const {
+  const Range& range = RangeOf(node);
+  return std::span<const catalog::DataType>(types_).subspan(
+      range.begin, range.end - range.begin);
+}
+
+std::span<const int64_t> PlanSlots::SlotWidths(const PhysicalNode& node) const {
+  const Range& range = RangeOf(node);
+  return std::span<const int64_t>(widths_).subspan(range.begin,
+                                                   range.end - range.begin);
+}
+
+int64_t PlanSlots::WidthBytes(const PhysicalNode& node) const {
+  return std::max<int64_t>(RangeOf(node).sum_bytes, 1);
+}
+
+void PlanSlots::Append(catalog::DataType type, int64_t width, Range* range) {
+  types_.push_back(type);
+  widths_.push_back(width);
+  range->sum_bytes += width;
+  range->end = types_.size();
+}
+
+void PlanSlots::AppendTable(const storage::Table& table, Range* range) {
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    Append(table.schema().column(c).type, table.column(c).AvgWidthBytes(),
+           range);
+  }
+}
+
+void PlanSlots::AppendSlots(const Range& from, Range* range) {
+  for (size_t slot = from.begin; slot < from.end; ++slot) {
+    Append(types_[slot], widths_[slot], range);
+  }
+}
+
+StatusOr<PlanSlots::Range> PlanSlots::Add(const PhysicalNode& node,
+                                           const storage::Database& db) {
+  const char* op_name = PhysicalOpName(node.type);
+  Range inputs[2];  // no operator has more children; a wrong count fails below
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    if (node.children[i] == nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("%s has a null child", op_name));
     }
-    const storage::Table* table = db.FindTable(column.table);
-    ZDB_CHECK(table != nullptr);
-    width += table->column(column.column_index).AvgWidthBytes();
+    ZDB_ASSIGN_OR_RETURN(const Range input, Add(*node.children[i], db));
+    if (i < 2) inputs[i] = input;
   }
-  return std::max<int64_t>(width, 1);
-}
+  const bool scan = node.type == PhysicalOpType::kSeqScan ||
+                    node.type == PhysicalOpType::kIndexScan;
+  const bool binary_join = node.type == PhysicalOpType::kHashJoin ||
+                           node.type == PhysicalOpType::kNestedLoopJoin;
+  const size_t expected = scan ? 0 : (binary_join ? 2 : 1);
+  if (node.children.size() != expected) {
+    return Status::InvalidArgument(StrFormat(
+        "%s must have %zu child(ren), has %zu", op_name, expected,
+        node.children.size()));
+  }
+  const storage::Table* table = nullptr;
+  if (scan || node.type == PhysicalOpType::kIndexNLJoin) {
+    table = db.FindTable(node.table_name);
+    if (table == nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("%s references unknown table '%s'", op_name,
+                    node.table_name.c_str()));
+    }
+  }
 
-// The one schema-derivation switch, shared by OutputSchema (widths ==
-// nullptr) and ComputeOutputWidths, which memoizes every subtree width in
-// a single post-order pass instead of re-deriving child schemas per call.
-std::vector<OutputColumn> SchemaOf(
-    const PhysicalNode& node, const storage::Database& db,
-    std::unordered_map<const PhysicalNode*, int64_t>* widths) {
-  std::vector<OutputColumn> schema;
+  Range range{types_.size(), types_.size(), 0};
   switch (node.type) {
     case PhysicalOpType::kSeqScan:
     case PhysicalOpType::kIndexScan:
-      schema = TableColumns(db, node.table_name);
+      AppendTable(*table, &range);
       break;
     case PhysicalOpType::kFilter:
     case PhysicalOpType::kSort:
-      ZDB_CHECK_EQ(node.children.size(), 1u);
-      schema = SchemaOf(*node.children[0], db, widths);
+      range = inputs[0];
       break;
     case PhysicalOpType::kHashJoin:
-    case PhysicalOpType::kNestedLoopJoin: {
-      ZDB_CHECK_EQ(node.children.size(), 2u);
-      schema = SchemaOf(*node.children[0], db, widths);
-      std::vector<OutputColumn> right = SchemaOf(*node.children[1], db, widths);
-      schema.insert(schema.end(), right.begin(), right.end());
+    case PhysicalOpType::kNestedLoopJoin:
+      AppendSlots(inputs[0], &range);
+      AppendSlots(inputs[1], &range);
       break;
-    }
-    case PhysicalOpType::kIndexNLJoin: {
-      ZDB_CHECK_EQ(node.children.size(), 1u);
-      schema = SchemaOf(*node.children[0], db, widths);
-      std::vector<OutputColumn> inner = TableColumns(db, node.table_name);
-      schema.insert(schema.end(), inner.begin(), inner.end());
+    case PhysicalOpType::kIndexNLJoin:
+      AppendSlots(inputs[0], &range);
+      AppendTable(*table, &range);
       break;
-    }
     case PhysicalOpType::kHashAggregate:
     case PhysicalOpType::kSimpleAggregate: {
-      ZDB_CHECK_EQ(node.children.size(), 1u);
-      std::vector<OutputColumn> child_schema =
-          SchemaOf(*node.children[0], db, widths);
+      const Range& input = inputs[0];
       for (size_t slot : node.group_by_slots) {
-        ZDB_CHECK_LT(slot, child_schema.size());
-        schema.push_back(child_schema[slot]);
+        if (slot >= input.end - input.begin) {
+          return Status::InvalidArgument(StrFormat(
+              "%s group-by slot %zu out of range (input schema has %zu "
+              "slots)",
+              op_name, slot, input.end - input.begin));
+        }
+        Append(types_[input.begin + slot], widths_[input.begin + slot],
+               &range);
       }
+      // Aggregate results are synthetic 8-byte numeric columns.
       for (size_t i = 0; i < node.aggregates.size(); ++i) {
-        schema.push_back(OutputColumn{"", i, true});
+        Append(catalog::DataType::kDouble, 8, &range);
       }
       break;
     }
   }
-  if (widths != nullptr) {
-    (*widths)[&node] = SchemaWidthBytes(schema, db);
-  }
-  return schema;
+  ranges_.emplace_back(&node, range);
+  return range;
 }
 
-}  // namespace
-
-std::vector<OutputColumn> PhysicalNode::OutputSchema(
-    const storage::Database& db) const {
-  return SchemaOf(*this, db, nullptr);
-}
-
-int64_t PhysicalNode::OutputWidthBytes(const storage::Database& db) const {
-  return SchemaWidthBytes(OutputSchema(db), db);
-}
-
-void PhysicalNode::ComputeOutputWidths(
-    const storage::Database& db,
-    std::unordered_map<const PhysicalNode*, int64_t>* widths) const {
-  ZDB_CHECK(widths != nullptr);
-  SchemaOf(*this, db, widths);
+StatusOr<PlanSlots> DeriveOutputSlots(const PhysicalNode& root,
+                                      const storage::Database& db) {
+  PlanSlots slots;
+  // Room for most plans of the training and IMDB workloads (at most 10
+  // nodes; 9 in 10 carry at most 80 slots in total, since every join copies
+  // its inputs' slots), so the walk rarely regrows its arrays.
+  slots.ranges_.reserve(16);
+  slots.types_.reserve(128);
+  slots.widths_.reserve(128);
+  ZDB_RETURN_NOT_OK(slots.Add(root, db).status());
+  std::sort(slots.ranges_.begin(), slots.ranges_.end(),
+            [](const auto& a, const auto& b) {
+              return std::less<const PhysicalNode*>()(a.first, b.first);
+            });
+  return slots;
 }
 
 size_t PhysicalNode::SubtreeSize() const {

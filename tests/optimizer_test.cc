@@ -292,11 +292,30 @@ TEST(PlannerTest, IrrelevantIndexesLeavePlanUnchanged) {
 
 // --- Differential test: descriptor DP vs. the clone-based DP it replaced ---
 
-size_t ReferenceFindSlot(const std::vector<plan::OutputColumn>& schema,
+// (table, column) provenance of each output slot of a join tree, rebuilt
+// from the tree itself: base tables in leaf order, an IndexNLJoin's inner
+// table after its outer input.
+using ReferenceSchema = std::vector<std::pair<std::string, size_t>>;
+
+ReferenceSchema ReferenceSchemaOf(const plan::PhysicalNode& node,
+                                  const storage::Database& db) {
+  ReferenceSchema schema;
+  for (const auto& child : node.children) {
+    ReferenceSchema columns = ReferenceSchemaOf(*child, db);
+    schema.insert(schema.end(), columns.begin(), columns.end());
+  }
+  if (!node.table_name.empty()) {
+    for (size_t c = 0; c < db.FindTable(node.table_name)->num_columns(); ++c) {
+      schema.emplace_back(node.table_name, c);
+    }
+  }
+  return schema;
+}
+
+size_t ReferenceFindSlot(const ReferenceSchema& schema,
                          const std::string& table, size_t column_index) {
   for (size_t slot = 0; slot < schema.size(); ++slot) {
-    if (!schema[slot].synthetic && schema[slot].table == table &&
-        schema[slot].column_index == column_index) {
+    if (schema[slot].first == table && schema[slot].second == column_index) {
       return slot;
     }
   }
@@ -480,9 +499,9 @@ ReferenceResult ReferencePlan(const datagen::DatabaseEnv& env,
         if (consider(total)) {
           auto left = dp[sub].node->Clone();
           auto right = dp[rest].node->Clone();
-          size_t left_slot =
-              ReferenceFindSlot(left->OutputSchema(db), sub_table, sub_column);
-          size_t right_slot = ReferenceFindSlot(right->OutputSchema(db),
+          size_t left_slot = ReferenceFindSlot(ReferenceSchemaOf(*left, db),
+                                               sub_table, sub_column);
+          size_t right_slot = ReferenceFindSlot(ReferenceSchemaOf(*right, db),
                                                 rest_table, rest_column);
           auto node = plan::MakeHashJoin(std::move(left), std::move(right),
                                          left_slot, right_slot);
@@ -502,9 +521,9 @@ ReferenceResult ReferencePlan(const datagen::DatabaseEnv& env,
         if (consider(total)) {
           auto left = dp[sub].node->Clone();
           auto right = dp[rest].node->Clone();
-          size_t left_slot =
-              ReferenceFindSlot(left->OutputSchema(db), sub_table, sub_column);
-          size_t right_slot = ReferenceFindSlot(right->OutputSchema(db),
+          size_t left_slot = ReferenceFindSlot(ReferenceSchemaOf(*left, db),
+                                               sub_table, sub_column);
+          size_t right_slot = ReferenceFindSlot(ReferenceSchemaOf(*right, db),
                                                 rest_table, rest_column);
           auto node = plan::MakeNestedLoopJoin(
               std::move(left), std::move(right), left_slot, right_slot);
@@ -535,8 +554,8 @@ ReferenceResult ReferencePlan(const datagen::DatabaseEnv& env,
         double total = dp[sub].cost + step;
         if (consider(total)) {
           auto outer = dp[sub].node->Clone();
-          size_t outer_slot =
-              ReferenceFindSlot(outer->OutputSchema(db), sub_table, sub_column);
+          size_t outer_slot = ReferenceFindSlot(ReferenceSchemaOf(*outer, db),
+                                                sub_table, sub_column);
           std::optional<Predicate> residual;
           if (inner_predicate != nullptr) residual = *inner_predicate;
           auto node = plan::MakeIndexNLJoin(std::move(outer), rest_table,
@@ -560,7 +579,7 @@ ReferenceResult ReferencePlan(const datagen::DatabaseEnv& env,
   double current_card = subset_card(full_mask);
 
   if (!query.aggregates.empty() || !query.group_by.empty()) {
-    std::vector<plan::OutputColumn> schema = root->OutputSchema(db);
+    const ReferenceSchema schema = ReferenceSchemaOf(*root, db);
     std::vector<plan::AggregateExpr> aggs;
     for (const plan::AggregateSpec& agg : query.aggregates) {
       plan::AggregateExpr expr;

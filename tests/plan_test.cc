@@ -1,13 +1,21 @@
 #include <gtest/gtest.h>
 
-#include <unordered_map>
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "catalog/schema.h"
+#include "common/rng.h"
+#include "datagen/corpus.h"
+#include "datagen/generator.h"
+#include "optimizer/optimizer.h"
 #include "plan/expr.h"
 #include "plan/fingerprint.h"
 #include "plan/physical.h"
 #include "plan/query.h"
 #include "storage/database.h"
+#include "workload/benchmarks.h"
+#include "workload/generator.h"
 
 namespace zerodb::plan {
 namespace {
@@ -142,33 +150,39 @@ TEST(QuerySpecTest, ValidateRejectsRepeatedTable) {
   EXPECT_EQ(status.message(), "table appears more than once in FROM: a");
 }
 
-TEST(PhysicalPlanTest, OutputSchemas) {
+TEST(PhysicalPlanTest, OutputSlots) {
   storage::Database db = MakeDb();
   auto scan_a = MakeSeqScan("a", std::nullopt);
-  EXPECT_EQ(scan_a->OutputSchema(db).size(), 2u);
-
+  const PhysicalNode* scan = scan_a.get();
   auto scan_b = MakeSeqScan("b", std::nullopt);
   auto join = MakeHashJoin(std::move(scan_a), std::move(scan_b), 0, 1);
-  auto schema = join->OutputSchema(db);
-  ASSERT_EQ(schema.size(), 5u);
-  EXPECT_EQ(schema[0].table, "a");
-  EXPECT_EQ(schema[2].table, "b");
-
+  const PhysicalNode* joined = join.get();
   auto agg = MakeSimpleAggregate(std::move(join),
                                  {AggregateExpr{AggFunc::kCount, std::nullopt}});
-  auto agg_schema = agg->OutputSchema(db);
-  ASSERT_EQ(agg_schema.size(), 1u);
-  EXPECT_TRUE(agg_schema[0].synthetic);
-  EXPECT_EQ(agg->OutputWidthBytes(db), 8);
+  auto slots = DeriveOutputSlots(*agg, db);
+  ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+  EXPECT_EQ(slots->NumSlots(*scan), 2u);
+  // a's columns, then b's: b.y is the only double.
+  const std::vector<DataType> join_types(slots->Types(*joined).begin(),
+                                         slots->Types(*joined).end());
+  EXPECT_EQ(join_types,
+            (std::vector<DataType>{DataType::kInt64, DataType::kInt64,
+                                   DataType::kInt64, DataType::kInt64,
+                                   DataType::kDouble}));
+  EXPECT_EQ(slots->WidthBytes(*joined), 40);
+  ASSERT_EQ(slots->NumSlots(*agg), 1u);
+  EXPECT_EQ(slots->Types(*agg)[0], DataType::kDouble);
+  EXPECT_EQ(slots->WidthBytes(*agg), 8);
 }
 
-TEST(PhysicalPlanTest, IndexNLJoinSchema) {
+TEST(PhysicalPlanTest, IndexNLJoinSlots) {
   storage::Database db = MakeDb();
-  auto scan_a = MakeSeqScan("a", std::nullopt);
-  auto inlj = MakeIndexNLJoin(std::move(scan_a), "b", 0, 1, std::nullopt);
-  auto schema = inlj->OutputSchema(db);
-  ASSERT_EQ(schema.size(), 5u);
-  EXPECT_EQ(schema[4].table, "b");
+  auto inlj = MakeIndexNLJoin(MakeSeqScan("a", std::nullopt), "b", 0, 1,
+                              std::nullopt);
+  auto slots = DeriveOutputSlots(*inlj, db);
+  ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+  ASSERT_EQ(slots->NumSlots(*inlj), 5u);
+  EXPECT_EQ(slots->Types(*inlj)[4], DataType::kDouble);  // b.y
 }
 
 TEST(PhysicalPlanTest, SubtreeSizeHeightVisit) {
@@ -310,17 +324,223 @@ TEST(FingerprintTest, CombineIsOrderSensitive) {
   EXPECT_NE(FingerprintString("db"), FingerprintString("db2"));
 }
 
-TEST(PhysicalPlanTest, ComputeOutputWidthsMatchesPerNodeCalls) {
-  storage::Database db = MakeDb();
-  auto plan = MakeJoinAggPlan();
-  std::unordered_map<const PhysicalNode*, int64_t> widths;
-  plan->ComputeOutputWidths(db, &widths);
-  EXPECT_EQ(widths.size(), plan->SubtreeSize());
-  plan->Visit([&](const PhysicalNode& node) {
-    auto it = widths.find(&node);
-    ASSERT_NE(it, widths.end());
-    EXPECT_EQ(it->second, node.OutputWidthBytes(db));
+// --- Differential test: DeriveOutputSlots vs. the string schemas it replaced
+
+// Provenance of one output slot, as the string-keyed schemas carried it.
+// Synthetic columns (aggregate results) have table empty.
+struct ReferenceColumn {
+  std::string table;
+  size_t column_index = 0;
+  bool synthetic = false;
+};
+
+std::vector<ReferenceColumn> ReferenceTableColumns(
+    const storage::Database& db, const std::string& table_name) {
+  const storage::Table* table = db.FindTable(table_name);
+  EXPECT_NE(table, nullptr) << "unknown table " << table_name;
+  std::vector<ReferenceColumn> columns;
+  if (table == nullptr) return columns;
+  for (size_t i = 0; i < table->num_columns(); ++i) {
+    columns.push_back(ReferenceColumn{table_name, i, false});
+  }
+  return columns;
+}
+
+// The output-schema rule as PhysicalNode::OutputSchema applied it before
+// the derivation: rebuilt recursively, one string-keyed entry per slot.
+std::vector<ReferenceColumn> ReferenceSchemaOf(const PhysicalNode& node,
+                                               const storage::Database& db) {
+  std::vector<ReferenceColumn> schema;
+  switch (node.type) {
+    case PhysicalOpType::kSeqScan:
+    case PhysicalOpType::kIndexScan:
+      schema = ReferenceTableColumns(db, node.table_name);
+      break;
+    case PhysicalOpType::kFilter:
+    case PhysicalOpType::kSort:
+      schema = ReferenceSchemaOf(*node.children[0], db);
+      break;
+    case PhysicalOpType::kHashJoin:
+    case PhysicalOpType::kNestedLoopJoin: {
+      schema = ReferenceSchemaOf(*node.children[0], db);
+      std::vector<ReferenceColumn> right =
+          ReferenceSchemaOf(*node.children[1], db);
+      schema.insert(schema.end(), right.begin(), right.end());
+      break;
+    }
+    case PhysicalOpType::kIndexNLJoin: {
+      schema = ReferenceSchemaOf(*node.children[0], db);
+      std::vector<ReferenceColumn> inner =
+          ReferenceTableColumns(db, node.table_name);
+      schema.insert(schema.end(), inner.begin(), inner.end());
+      break;
+    }
+    case PhysicalOpType::kHashAggregate:
+    case PhysicalOpType::kSimpleAggregate: {
+      std::vector<ReferenceColumn> child_schema =
+          ReferenceSchemaOf(*node.children[0], db);
+      for (size_t slot : node.group_by_slots) {
+        EXPECT_LT(slot, child_schema.size());
+        if (slot < child_schema.size()) schema.push_back(child_schema[slot]);
+      }
+      for (size_t i = 0; i < node.aggregates.size(); ++i) {
+        schema.push_back(ReferenceColumn{"", i, true});
+      }
+      break;
+    }
+  }
+  return schema;
+}
+
+DataType ReferenceType(const ReferenceColumn& column,
+                       const storage::Database& db) {
+  if (column.synthetic) return DataType::kDouble;
+  return db.FindTable(column.table)->schema().column(column.column_index).type;
+}
+
+int64_t ReferenceSlotWidth(const ReferenceColumn& column,
+                           const storage::Database& db) {
+  if (column.synthetic) return 8;
+  return db.FindTable(column.table)
+      ->column(column.column_index)
+      .AvgWidthBytes();
+}
+
+// The old SchemaWidthBytes: the slot widths' sum, at least one byte.
+int64_t ReferenceWidthBytes(const std::vector<ReferenceColumn>& schema,
+                            const storage::Database& db) {
+  int64_t width = 0;
+  for (const ReferenceColumn& column : schema) {
+    width += ReferenceSlotWidth(column, db);
+  }
+  return std::max<int64_t>(width, 1);
+}
+
+// Every node's slot count, slot types, slot widths and output width from
+// one DeriveOutputSlots call equal the reference schema's.
+void ExpectSlotsMatchReference(const PhysicalNode& root,
+                               const storage::Database& db) {
+  SCOPED_TRACE(root.ToString(db));
+  auto slots = DeriveOutputSlots(root, db);
+  ASSERT_TRUE(slots.ok()) << slots.status().ToString();
+  root.Visit([&](const PhysicalNode& node) {
+    const std::vector<ReferenceColumn> schema = ReferenceSchemaOf(node, db);
+    ASSERT_EQ(slots->NumSlots(node), schema.size())
+        << PhysicalOpName(node.type);
+    for (size_t slot = 0; slot < schema.size(); ++slot) {
+      EXPECT_EQ(slots->Types(node)[slot], ReferenceType(schema[slot], db))
+          << PhysicalOpName(node.type) << " slot " << slot;
+      EXPECT_EQ(slots->SlotWidths(node)[slot],
+                ReferenceSlotWidth(schema[slot], db))
+          << PhysicalOpName(node.type) << " slot " << slot;
+    }
+    EXPECT_EQ(slots->WidthBytes(node), ReferenceWidthBytes(schema, db))
+        << PhysicalOpName(node.type);
   });
+}
+
+TEST(OutputSlotsTest, HandBuiltPlansMatchStringSchemas) {
+  storage::Database db = MakeDb();
+  // s(id, name): a string column whose width comes from its dictionary.
+  storage::Table s(TableSchema("s", {ColumnSchema{"id", DataType::kInt64, 8},
+                                     ColumnSchema{"name", DataType::kString,
+                                                  6}}));
+  const char* names[] = {"x", "yy", "a-much-longer-name"};
+  for (int i = 0; i < 3; ++i) {
+    s.column(0).AppendInt64(i);
+    s.column(1).AppendString(names[i]);
+  }
+  ASSERT_TRUE(db.AddTable(std::move(s)).ok());
+
+  std::vector<std::unique_ptr<PhysicalNode>> plans;
+  plans.push_back(MakeJoinAggPlan());
+  // Sort over Filter over a join.
+  plans.push_back(MakeSort(
+      MakeFilter(MakeHashJoin(MakeSeqScan("a", std::nullopt),
+                              MakeSeqScan("b", std::nullopt), 0, 1),
+                 Predicate::Compare(4, CompareOp::kGt, 1.0)),
+      {4, 0}));
+  // HashAggregate grouping by a string and a numeric slot of an
+  // IndexNLJoin over an index scan.
+  plans.push_back(MakeHashAggregate(
+      MakeIndexNLJoin(MakeIndexScan("s", 0, 0.0, 2.0, std::nullopt), "b", 0,
+                      0, Predicate::Compare(2, CompareOp::kLt, 2.0)),
+      {1, 4}, {AggregateExpr{AggFunc::kCount, std::nullopt},
+               AggregateExpr{AggFunc::kSum, 4}}));
+  // SimpleAggregate over a nested-loop join whose right input is a
+  // HashAggregate: an aggregate below a join.
+  plans.push_back(MakeSimpleAggregate(
+      MakeNestedLoopJoin(
+          MakeSeqScan("s", std::nullopt),
+          MakeHashAggregate(MakeSeqScan("s", std::nullopt), {1},
+                            {AggregateExpr{AggFunc::kMax, 0}}),
+          1, 0),
+      {AggregateExpr{AggFunc::kCount, std::nullopt},
+       AggregateExpr{AggFunc::kAvg, 0}}));
+  for (const auto& plan : plans) ExpectSlotsMatchReference(*plan, db);
+}
+
+TEST(OutputSlotsTest, PlannerPlansMatchStringSchemas) {
+  // Seeded queries over corpus databases, a 9-10-table database and IMDB,
+  // each planned with the default options and as a what-if plan over a
+  // seeded half of all columns as hypothetical indexes.
+  std::vector<datagen::DatabaseEnv> envs =
+      datagen::MakeTrainingCorpus(31, 4, 0.05);
+  {
+    datagen::GeneratorConfig wide;
+    wide.min_tables = 9;
+    wide.max_tables = 10;
+    wide.min_rows = 200;
+    wide.max_rows = 4000;
+    storage::Database db = datagen::GenerateRandomDatabase("wide", 37, wide);
+    Rng index_rng(41);
+    datagen::AddDefaultIndexes(&db, &index_rng, 0.35);
+    envs.push_back(datagen::MakeEnv(std::move(db)));
+  }
+  envs.push_back(datagen::MakeImdbEnv(17, 0.05));
+  workload::WorkloadConfig config = workload::TrainingWorkloadConfig();
+  config.max_tables = 8;
+
+  std::vector<size_t> op_counts(kNumPhysicalOpTypes, 0);
+  size_t plans = 0;
+  for (size_t e = 0; e < envs.size(); ++e) {
+    const datagen::DatabaseEnv& env = envs[e];
+    optimizer::PlannerOptions what_if;
+    Rng rng(1000 + e);
+    for (const storage::Table& table : env.db->tables()) {
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        if (rng.UniformDouble() < 0.5) {
+          what_if.hypothetical_indexes.push_back({table.name(), c});
+        }
+      }
+    }
+    workload::QueryGenerator generator(&env, config, 500 + e);
+    for (int i = 0; i < 100; ++i) {
+      const QuerySpec query = generator.Next();
+      for (const optimizer::PlannerOptions& options :
+           {optimizer::PlannerOptions(), what_if}) {
+        const optimizer::Planner planner(env.db.get(), &env.stats,
+                                         optimizer::CostParams(), options);
+        auto plan = planner.Plan(query);
+        ASSERT_TRUE(plan.ok()) << query.ToSql(*env.db);
+        ExpectSlotsMatchReference(*plan->root, *env.db);
+        plan->root->Visit([&](const PhysicalNode& node) {
+          ++op_counts[static_cast<size_t>(node.type)];
+        });
+        ++plans;
+      }
+    }
+  }
+  EXPECT_EQ(plans, envs.size() * 200);
+  // The planner emits every join kind, index scans and both aggregates.
+  for (PhysicalOpType type :
+       {PhysicalOpType::kSeqScan, PhysicalOpType::kIndexScan,
+        PhysicalOpType::kHashJoin, PhysicalOpType::kNestedLoopJoin,
+        PhysicalOpType::kIndexNLJoin, PhysicalOpType::kHashAggregate,
+        PhysicalOpType::kSimpleAggregate}) {
+    EXPECT_GT(op_counts[static_cast<size_t>(type)], 0u)
+        << PhysicalOpName(type);
+  }
 }
 
 }  // namespace

@@ -213,6 +213,60 @@ TEST(PlanValidatorTest, RejectsInconsistentTrueCardinalities) {
   EXPECT_FALSE(ValidatePlan(*agg, db).ok());
 }
 
+// The structural checks DeriveOutputSlots owns, through ValidatePlan.
+
+TEST(PlanValidatorTest, RejectsGroupBySlotOutOfRange) {
+  storage::Database db = MakeDb();
+  // orders has 3 columns; group-by slot 3 does not exist.
+  auto agg = plan::MakeHashAggregate(
+      plan::MakeSeqScan("orders", std::nullopt), {0, 3},
+      {AggregateExpr{AggFunc::kCount, std::nullopt}});
+  Status status = ValidatePlan(*agg, db);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "HashAggregate group-by slot 3 out of range (input schema has 3 "
+            "slots)");
+}
+
+TEST(PlanValidatorTest, RejectsIndexNLJoinOnUnknownTable) {
+  storage::Database db = MakeDb();
+  auto inlj = plan::MakeIndexNLJoin(plan::MakeSeqScan("users", std::nullopt),
+                                    "nonexistent", 0, 0, std::nullopt);
+  Status status = ValidatePlan(*inlj, db);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "IndexNLJoin references unknown table 'nonexistent'");
+}
+
+// Malformed trees come back as a Status from the derivation itself, in
+// every build (no CHECK, no out-of-bounds child access).
+TEST(OutputSlotsStatusTest, HashJoinWithOneChild) {
+  storage::Database db = MakeDb();
+  auto join = plan::MakeHashJoin(plan::MakeSeqScan("users", std::nullopt),
+                                 plan::MakeSeqScan("orders", std::nullopt), 0,
+                                 1);
+  join->children.pop_back();
+  auto slots = plan::DeriveOutputSlots(*join, db);
+  ASSERT_FALSE(slots.ok());
+  EXPECT_EQ(slots.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(slots.status().message(),
+            "HashJoin must have 2 child(ren), has 1");
+  EXPECT_EQ(ValidatePlan(*join, db).message(), slots.status().message());
+}
+
+TEST(OutputSlotsStatusTest, NullChild) {
+  storage::Database db = MakeDb();
+  auto join = plan::MakeHashJoin(plan::MakeSeqScan("users", std::nullopt),
+                                 plan::MakeSeqScan("orders", std::nullopt), 0,
+                                 1);
+  join->children[1].reset();
+  auto slots = plan::DeriveOutputSlots(*join, db);
+  ASSERT_FALSE(slots.ok());
+  EXPECT_EQ(slots.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(slots.status().message(), "HashJoin has a null child");
+  EXPECT_EQ(ValidatePlan(*join, db).message(), slots.status().message());
+}
+
 TEST(PredicateValidatorTest, ChecksTreeAgainstSlotTypes) {
   std::vector<DataType> types = {DataType::kInt64, DataType::kString};
   EXPECT_TRUE(ValidatePredicate(
