@@ -6,14 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 
 #include "bench_common.h"
 #include "common/logging.h"
 #include "datagen/corpus.h"
-#include "nn/arena.h"
 #include "nn/optimizer.h"
 #include "featurize/e2e_featurizer.h"
 #include "featurize/zeroshot_featurizer.h"
@@ -202,12 +200,11 @@ BENCHMARK(BM_ZeroShotInferenceBatch);
 
 // The serving-path headline number: one ForwardBatch over N plans, swept
 // from single-plan serving (batch 1) to bulk workload pricing (batch 64).
-// items_per_second is plans/sec. The tree models price each plan with the
-// tensor-free per-plan pass, so no per-call overhead is left to amortize:
-// fitting T(b) = F + L*b on this sweep gives F ~ 0 and L ~ 12.5us per plan
-// (about 4us of it featurization), and plans/sec is flat across batch
-// sizes. Numbers from BENCH_micro.json's 4-vCPU Xeon host; see DESIGN.md
-// "Batched serving & prediction cache".
+// items_per_second is plans/sec. ForwardBatch runs the tree models'
+// level-batched pass over up to 64 plans at a time: each encoder and each
+// level is one MLP call over all of its rows, so the per-call work is
+// shared by every plan in the batch while the per-plan arithmetic stays
+// the same. See DESIGN.md "Batched serving & prediction cache".
 void BM_ForwardBatch(benchmark::State& state) {
   MicroState& micro = State();
   const size_t batch = static_cast<size_t>(state.range(0));
@@ -265,11 +262,10 @@ void BM_ZeroShotTrainStep(benchmark::State& state) {
                                                view.begin() + 32);
   nn::Adam optimizer(micro.model->Parameters(), 1e-4f);
   for (auto _ : state) {
-    nn::Tensor loss = micro.model->LossOnBatch(batch);
     optimizer.ZeroGrad();
-    loss.Backward();
+    const float loss = micro.model->AccumulateGradients(batch, 1.0f);
     optimizer.Step();
-    benchmark::DoNotOptimize(loss.item());
+    benchmark::DoNotOptimize(loss);
   }
   state.SetItemsProcessed(state.iterations() * 32);
 }
@@ -360,24 +356,16 @@ BENCHMARK(BM_ExecutorMetricsOverhead)
     ->Arg(2);
 
 // Whole-training-path throughput: epochs over the 128-record workload with
-// the pooled-memory arena, the graph-structure cache and the fused backward
-// in play. plans_per_sec is the headline number (plans trained per second of
-// process CPU time); allocs_per_batch counts nn-layer heap events (node
-// make_shared fallbacks + buffer-pool misses) per minibatch shard-sweep and
-// should sit near zero at steady state — the pre-PR fresh-allocation path
-// paid hundreds per batch. Batches are counted with the injectable arena
-// stats hook (one GraphArena::Reset per shard).
-std::atomic<int64_t> g_arena_resets{0};
-
+// the graph-structure cache and the graph-free tree pass in play.
+// plans_per_sec is the headline number (plans trained per second of process
+// CPU time). nodes_per_batch counts autodiff nodes created per minibatch;
+// the tree models build none, so all it sees are the parameters of the
+// model and its trainer replicas, built once per run.
 void BM_TrainEpoch(benchmark::State& state) {
   MicroState& micro = State();
   auto view = train::MakeView(micro.records);
   const size_t threads = static_cast<size_t>(state.range(0));
-  nn::SetArenaEnabledForTest(state.range(1) != 0);
-  nn::InstallArenaStatsHook(
-      [](const nn::ArenaStats&) { g_arena_resets.fetch_add(1); });
-  g_arena_resets = 0;
-  const nn::AutodiffAllocCounters before = nn::GlobalAllocCounters();
+  const uint64_t nodes_before = nn::NodesCreated();
   const size_t kEpochs = 4;
   for (auto _ : state) {
     models::ZeroShotCostModel::Options options;
@@ -391,24 +379,10 @@ void BM_TrainEpoch(benchmark::State& state) {
     train::TrainResult result = train::TrainModel(&model, view, trainer);
     benchmark::DoNotOptimize(result.final_train_loss);
   }
-  const nn::AutodiffAllocCounters after = nn::GlobalAllocCounters();
-  nn::ClearArenaEnabledOverrideForTest();
-  nn::InstallArenaStatsHook(nullptr);
-  const double allocs = static_cast<double>(
-      (after.heap_nodes - before.heap_nodes) +
-      (after.pool_misses - before.pool_misses));
-  // One arena Reset per shard; a batch is a sweep over its shards. The
-  // fresh-allocation variant never resets an arena, so fall back to the
-  // analytic batch count (iterations x epochs x batches per epoch).
-  const double shards_per_batch =
-      std::ceil(32.0 / 8.0);  // batch_size / kShardRecords
-  double batches = static_cast<double>(g_arena_resets.load()) /
-                   std::max(1.0, shards_per_batch);
-  if (batches <= 0) {
-    batches = static_cast<double>(state.iterations()) * kEpochs *
-              std::ceil(static_cast<double>(view.size()) / 32.0);
-  }
-  state.counters["allocs_per_batch"] = benchmark::Counter(allocs / batches);
+  const double batches = static_cast<double>(state.iterations()) * kEpochs *
+                         std::ceil(static_cast<double>(view.size()) / 32.0);
+  state.counters["nodes_per_batch"] = benchmark::Counter(
+      static_cast<double>(nn::NodesCreated() - nodes_before) / batches);
   state.counters["plans_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * view.size() * kEpochs),
       benchmark::Counter::kIsRate);
@@ -416,17 +390,16 @@ void BM_TrainEpoch(benchmark::State& state) {
                           static_cast<int64_t>(view.size() * kEpochs));
 }
 BENCHMARK(BM_TrainEpoch)
-    ->ArgNames({"threads", "pooled"})
-    ->Args({1, 1})
-    ->Args({4, 1})
-    ->Args({1, 0})  // fresh-allocation reference: allocs_per_batch contrast
+    ->ArgName("threads")
+    ->Arg(1)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
 // The fused Linear backward (single pass: relu mask, dX, dW, dB) across
-// batch sizes, under a per-iteration arena epoch — the inner loop of every
-// training step, isolated from featurization and the optimizer.
+// batch sizes, on a freshly built graph per iteration — the inner loop of
+// every training step, isolated from featurization and the optimizer.
 void BM_BackwardFused(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   const size_t dim = 64;
@@ -438,21 +411,16 @@ void BM_BackwardFused(benchmark::State& state) {
   nn::Tensor w = nn::Tensor::Parameter(dim, dim, weights);
   nn::Tensor b = nn::Tensor::Parameter(1, dim, std::vector<float>(dim, 0.1f));
   nn::Tensor v = nn::Tensor::Parameter(dim, 1, std::vector<float>(dim, 0.2f));
-  nn::GraphArena arena;
   for (auto _ : state) {
-    nn::ArenaGuard guard(&arena);
-    {
-      nn::Tensor x = nn::Tensor::FromData(batch, dim, input);
-      nn::Tensor h = nn::LinearFused(x, w, b, /*fuse_relu=*/true);
-      nn::Tensor loss =
-          nn::MseLoss(nn::MatMul(h, v), nn::Tensor::Zeros(batch, 1));
-      loss.Backward();
-      benchmark::DoNotOptimize(w.grad().data());
-    }
+    nn::Tensor x = nn::Tensor::FromData(batch, dim, input);
+    nn::Tensor h = nn::LinearFused(x, w, b, /*fuse_relu=*/true);
+    nn::Tensor loss =
+        nn::MseLoss(nn::MatMul(h, v), nn::Tensor::Zeros(batch, 1));
+    loss.Backward();
+    benchmark::DoNotOptimize(w.grad().data());
     w.ZeroGrad();
     b.ZeroGrad();
     v.ZeroGrad();
-    arena.Reset();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }

@@ -27,10 +27,9 @@ Three rules built on the cross-TU call graph (callgraph.py):
                   propagates along call edges: a call made inside a hot
                   function's loop makes the callee loop-hot (its whole
                   body runs per row), and loop-hot is transitive. The
-                  nn pool API (GraphArena/BufferPool methods and the
-                  AcquirePooled*/MakeNode/MakeOpResult entry points) is
-                  exempt by qualified name: its slow paths allocate by
-                  design, precisely so steady-state call sites don't.
+                  nn autodiff node factories (MakeNode, MakeOpResult)
+                  are exempt by name: a graph node is one allocation by
+                  design.
 
 All three passes read only `FileIR.raw_lines` (via callgraph.lower_file).
 """
@@ -520,23 +519,15 @@ _ALLOC_RE = re.compile(
     r"(?:^|[\s(,=])new\s+[A-Za-z_]|\bmake_unique\s*<|\bmake_shared\s*<")
 _GROWTH_METHODS = ("push_back", "emplace_back", "insert", "resize")
 
-# Pool-API allow-list: the nn arena/buffer-pool implementation IS the
-# hoisted allocation — its slow paths (slab growth, bucket miss, heap
-# fallback when no arena is active) allocate precisely so the per-row call
-# sites don't. Exempting these functions here, by qualified name, keeps the
-# pool sources free of inline suppression pragmas while the rule stays
-# strict for everything that merely *uses* the pool.
-_POOL_API_PREFIXES = ("GraphArena::", "BufferPool")
-_POOL_API_NAMES = frozenset({
-    "AcquirePooledFloats", "AcquirePooledIndices",
-    "MakeNode", "MakeOpResult",
-})
+# Node-factory allow-list: every autodiff graph node the nn layer builds is
+# one allocation by design, made in these two functions. Exempting them here,
+# by name, keeps the nn sources free of inline suppression pragmas while the
+# rule stays strict for everything that merely builds graphs through them.
+_NODE_FACTORY_NAMES = frozenset({"MakeNode", "MakeOpResult"})
 
 
-def _pool_api(func):
-    qualified = func.qualified or func.name
-    return (qualified.startswith(_POOL_API_PREFIXES)
-            or func.name in _POOL_API_NAMES)
+def _node_factory(func):
+    return func.name in _NODE_FACTORY_NAMES
 
 
 def _hot_roots(graph):
@@ -594,7 +585,7 @@ def check_hot_alloc(files, graph):
         level = hotness.get(func.name)
         if level is None:
             continue
-        if _pool_api(func):
+        if _node_factory(func):
             continue
         fir = files.get(func.rel)
         reserved = {_recv_base(c.recv) for c in func.calls

@@ -1,33 +1,31 @@
-// Fixture: hot-alloc pool-API allow-list — the arena/buffer-pool
-// implementation allocates by design (slab growth, bucket miss); it is
-// exempt by qualified name so the pool sources carry no inline
-// suppressions. (bad_hot_alloc.cc pins that non-pool callees on the same
-// kind of hot path are still flagged.)
+// Fixture: hot-alloc node-factory allow-list — the nn layer's autodiff node
+// factories allocate one node per op by design; they are exempt by name so
+// the nn sources carry no inline suppressions. (bad_hot_alloc.cc pins that
+// other callees on the same kind of hot path are still flagged.)
 // analyzer-fixture: module(train)
 namespace zerodb {
 
-struct GraphArena {
-  void* NewNode();
-  std::vector<char*> slabs_;
+struct Node {
+  std::vector<float> values;
 };
 
-void* GraphArena::NewNode() {
-  char* slab = new char[4096];  // pool slow path: exempt by allow-list
-  slabs_.push_back(slab);       // exempt by allow-list
-  return slab;
+std::shared_ptr<Node> MakeNode(size_t n) {
+  auto node = std::make_shared<Node>();  // exempt by allow-list
+  node->values.resize(n);                // exempt by allow-list
+  return node;
 }
 
-void AcquirePooledFloats(std::vector<std::vector<float>>* pool) {
-  pool->push_back(std::vector<float>(8));  // exempt by allow-list
+std::shared_ptr<Node> MakeOpResult(std::vector<std::shared_ptr<Node>>* graph) {
+  graph->push_back(MakeNode(4));  // exempt by allow-list
+  return graph->back();
 }
 
-void RunShard(const std::vector<double>& batch, GraphArena* arena,
-              std::vector<std::vector<float>>* pool,
+void RunShard(const std::vector<double>& batch,
+              std::vector<std::shared_ptr<Node>>* graph,
               std::vector<double>* out) {
   out->reserve(batch.size());
   for (double v : batch) {
-    arena->NewNode();
-    AcquirePooledFloats(pool);
+    MakeOpResult(graph);
     out->push_back(v);
   }
 }

@@ -185,8 +185,8 @@ def test_bench_summary(tmp):
     repeated = write(tmp, "repeated.json", json.dumps({
         "context": {"num_cpus": 4},
         "benchmarks": [
-            train_row(10.0, allocs_per_batch=25.0),
-            train_row(30.0, allocs_per_batch=27.0),
+            train_row(10.0, nodes_per_batch=25.0),
+            train_row(30.0, nodes_per_batch=27.0),
             train_row(20.0),
             {**train_row(999.0), "run_type": "aggregate",
              "aggregate_name": "mean"}]}))
@@ -197,7 +197,7 @@ def test_bench_summary(tmp):
     check("bench_summary carries median counters per row",
           result.returncode == 0
           and summary["benchmarks"][0]["counters"]
-          == {"allocs_per_batch": 26.0, "plans_per_sec": 20.0},
+          == {"nodes_per_batch": 26.0, "plans_per_sec": 20.0},
           (result.stdout + result.stderr).strip()[:300])
 
     # The committed baseline is a v5 file bench_compare gates against: a

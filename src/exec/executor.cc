@@ -278,16 +278,20 @@ Executor::Executor(const storage::Database* db, ExecutorOptions options)
 
 StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
   ZDB_CHECK(plan != nullptr && plan->root != nullptr);
+  const PhysicalNode& root = *plan->root;
+  // Every node's output slots, derived once: both validation gates and the
+  // column masks read them.
+  StatusOr<plan::PlanSlots> slots = plan::DeriveOutputSlots(root, *db_);
   // Open-path invariant gate: plan structure, slot references and
   // expression types must be consistent before any operator touches data.
-  ZDB_DCHECK_OK(plan::ValidatePlan(*plan->root, *db_));
+  ZDB_DCHECK_OK(slots.ok() ? plan::ValidatePlan(root, *db_, *slots)
+                           : slots.status());
   queries_executed_->Add(1);
   obs::ScopedTimer timer(registry_->enabled() ? query_us_ : nullptr);
   // Before any operator runs, decide which columns each one materializes:
   // the root's whole output, every other node's only what its parent reads.
   PlanFacts facts;
-  const PhysicalNode& root = *plan->root;
-  ZDB_ASSIGN_OR_RETURN(facts.slots, plan::DeriveOutputSlots(root, *db_));
+  ZDB_ASSIGN_OR_RETURN(facts.slots, std::move(slots));
   root.Visit([&](const PhysicalNode& node) {
     facts.needed[&node].assign(facts.slots.NumSlots(node), false);
   });
@@ -300,7 +304,7 @@ StatusOr<ExecutionResult> Executor::Execute(plan::PhysicalPlan* plan) {
   // Post-condition: the true cardinalities just recorded must respect the
   // relational bounds (filters shrink, sorts preserve, joins stay under the
   // cross product), so every query execution doubles as a verification run.
-  ZDB_DCHECK_OK(plan::ValidatePlan(*plan->root, *db_));
+  ZDB_DCHECK_OK(plan::ValidatePlan(root, *db_, facts.slots));
   return result;
 }
 

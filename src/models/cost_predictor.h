@@ -29,8 +29,8 @@ class CostPredictor {
 
 /// A gradient-trained cost model (the zero-shot model and the E2E / MSCN
 /// baselines). The Trainer drives this interface; serving goes through
-/// PredictMs, which the tree models implement with their tensor-free
-/// per-plan pass (TreeMessagePassingModel::ForwardBatch).
+/// PredictMs. The tree models run every call through one graph-free pass
+/// (TreeMessagePassingModel); MSCN builds an autodiff graph.
 class NeuralCostModel : public CostPredictor {
  public:
   /// Fits feature and target normalization on the training records. Must be
@@ -38,9 +38,15 @@ class NeuralCostModel : public CostPredictor {
   virtual void Prepare(
       const std::vector<const QueryRecord*>& records) = 0;
 
-  /// Forward + loss on a batch.
-  virtual nn::Tensor LossOnBatch(
-      const std::vector<const QueryRecord*>& batch) = 0;
+  /// Forward + loss on a batch, with no gradient (validation).
+  virtual float LossOnBatch(const std::vector<const QueryRecord*>& batch) = 0;
+
+  /// Forward + backward on a batch: adds d(scale * loss)/dθ into the grad
+  /// buffers of Parameters() and returns scale * loss, the arithmetic of
+  /// nn::BackwardScaled on the batch's loss. The trainer passes
+  /// shard_size / batch_size, so summed shard results give the batch mean.
+  virtual float AccumulateGradients(
+      const std::vector<const QueryRecord*>& batch, float scale) = 0;
 
   /// All trainable parameters.
   virtual std::vector<nn::Tensor> Parameters() const = 0;

@@ -107,7 +107,7 @@ nn::Tensor MscnCostModel::Forward(
   return output_.Forward(nn::ConcatCols({tables, joins, predicates}));
 }
 
-nn::Tensor MscnCostModel::LossOnBatch(
+nn::Tensor MscnCostModel::LossGraph(
     const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
   std::vector<featurize::MscnSets> featurized;
@@ -124,6 +124,16 @@ nn::Tensor MscnCostModel::LossOnBatch(
   nn::Tensor target_tensor =
       nn::Tensor::FromData(batch_size, 1, std::move(targets));
   return nn::HuberLoss(predictions, target_tensor, 1.0f);
+}
+
+float MscnCostModel::LossOnBatch(
+    const std::vector<const QueryRecord*>& batch) {
+  return LossGraph(batch).item();
+}
+
+float MscnCostModel::AccumulateGradients(
+    const std::vector<const QueryRecord*>& batch, float scale) {
+  return nn::BackwardScaled(LossGraph(batch), scale);
 }
 
 std::vector<Millis> MscnCostModel::PredictMs(

@@ -28,8 +28,9 @@ class MscnCostModel : public NeuralCostModel {
   std::string Name() const override { return "MSCN"; }
 
   void Prepare(const std::vector<const QueryRecord*>& records) override;
-  nn::Tensor LossOnBatch(
-      const std::vector<const QueryRecord*>& batch) override;
+  float LossOnBatch(const std::vector<const QueryRecord*>& batch) override;
+  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+                            float scale) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
   std::vector<nn::Tensor> Parameters() const override;
@@ -38,6 +39,9 @@ class MscnCostModel : public NeuralCostModel {
 
  private:
   nn::Tensor Forward(const std::vector<featurize::MscnSets>& batch);
+
+  /// The batch's Huber loss as a graph node.
+  nn::Tensor LossGraph(const std::vector<const QueryRecord*>& batch);
 
   /// Encodes one set type across the batch and mean-pools per query.
   nn::Tensor PoolSet(const std::vector<featurize::MscnSets>& batch,

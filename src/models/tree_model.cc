@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/math_util.h"
-#include "nn/arena.h"
 #include "nn/ops.h"
 #include "nn/validate.h"
 #include "nn/serialize.h"
@@ -29,13 +28,35 @@ nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
   return config;
 }
 
-// Copies scratch indices into a pooled buffer the op can consume by value.
-// Under a trainer arena the buffer recycles on Reset; otherwise it is a
-// plain heap vector, as before.
-std::vector<uint32_t> PooledIndexCopy(const std::vector<uint32_t>& src) {
-  std::vector<uint32_t> out = nn::AcquirePooledIndices(src.size());
-  std::copy(src.begin(), src.end(), out.begin());
-  return out;
+/// Plans per forward pass outside training (validation and serving): bounds
+/// the activations a large call leaves in the model's scratch. Rows never
+/// mix plans, so the value reaches no result.
+constexpr size_t kPassChunk = 64;
+
+/// Grows `v` to at least `n` floats and returns its data.
+float* Sized(std::vector<float>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+  return v->data();
+}
+
+/// A zero-filled buffer of `n` floats in `v`.
+float* Zeroed(std::vector<float>* v, size_t n) {
+  float* data = Sized(v, n);
+  std::fill(data, data + n, 0.0f);
+  return data;
+}
+
+/// dst row = 0.0f + src row: the value a scatter-add into a zeroed row
+/// yields (it turns -0.0 into +0.0). Forward writes every encoding and
+/// hidden row exactly once this way.
+void ScatterRow(const float* src, size_t n, float* dst) {
+  for (size_t j = 0; j < n; ++j) dst[j] = 0.0f + src[j];
+}
+
+/// dst row += src row. Backward adds every gradient row onto a zeroed
+/// buffer, so a row with one contribution holds 0.0f + x as well.
+void AddRow(const float* src, size_t n, float* dst) {
+  for (size_t j = 0; j < n; ++j) dst[j] += src[j];
 }
 
 }  // namespace
@@ -192,128 +213,219 @@ const featurize::PlanGraph* TreeMessagePassingModel::FeaturizeNormalizedCached(
   return &overflow_graphs_.back();
 }
 
-nn::Tensor TreeMessagePassingModel::Forward(
-    const std::vector<const featurize::PlanGraph*>& graphs) {
+std::span<const float> TreeMessagePassingModel::Forward(
+    std::span<const featurize::PlanGraph* const> graphs) {
   ZDB_CHECK(!graphs.empty());
   const size_t hidden = config_.hidden_dim;
+  const size_t feature_dim = config_.feature_dim;
+  Scratch& s = scratch_;
 
-  // Flatten all nodes into one global table — parallel arrays plus a CSR
-  // children list instead of per-node vectors, so the flattening costs zero
-  // allocations once the scratch capacities warm up.
-  ForwardScratch& s = scratch_;
-  s.encoder_of.clear();
-  s.level_of.clear();
-  s.features_of.clear();
+  // Lay the nodes out in one global order, graph by graph: each encoder's
+  // ids and packed features, each level's ids, and a CSR children list.
+  // Every buffer keeps its capacity, so a warm pass allocates nothing.
+  s.encoder_ids.resize(config_.num_encoders);
+  s.encoder_inputs.resize(config_.num_encoders);
+  s.encoder_tapes.resize(config_.num_encoders);
+  for (std::vector<uint32_t>& ids : s.encoder_ids) ids.clear();
+  for (std::vector<float>& input : s.encoder_inputs) input.clear();
+  for (std::vector<uint32_t>& ids : s.level_ids) ids.clear();
   s.children_flat.clear();
-  s.child_offsets.clear();
-  std::vector<uint32_t> root_ids = nn::AcquirePooledIndices(graphs.size());
-  size_t max_level = 0;
-  s.child_offsets.push_back(0);
-  for (size_t g = 0; g < graphs.size(); ++g) {
-    const featurize::PlanGraph& graph = *graphs[g];
-    const uint32_t base = static_cast<uint32_t>(s.encoder_of.size());
-    root_ids[g] = base + static_cast<uint32_t>(graph.root());
-    for (const featurize::PlanGraphNode& node : graph.nodes) {
-      s.encoder_of.push_back(static_cast<uint32_t>(EncoderIdFor(node.op_type)));
-      s.level_of.push_back(static_cast<uint32_t>(node.level));
-      s.features_of.push_back(&node.features);
+  s.child_offsets.assign(1, 0);
+  s.root_ids.clear();
+  uint32_t total_nodes = 0;
+  for (const featurize::PlanGraph* graph : graphs) {
+    const uint32_t base = total_nodes;
+    s.root_ids.push_back(base + static_cast<uint32_t>(graph->root()));
+    for (const featurize::PlanGraphNode& node : graph->nodes) {
+      ZDB_CHECK_EQ(node.features.size(), feature_dim);
+      const size_t encoder = EncoderIdFor(node.op_type);
+      ZDB_CHECK_LT(encoder, config_.num_encoders);
+      s.encoder_ids[encoder].push_back(total_nodes);
+      s.encoder_inputs[encoder].insert(s.encoder_inputs[encoder].end(),
+                                       node.features.begin(),
+                                       node.features.end());
+      if (node.level >= s.level_ids.size()) s.level_ids.resize(node.level + 1);
+      s.level_ids[node.level].push_back(total_nodes);
       for (size_t child : node.children) {
+        ZDB_CHECK_LT(child, graph->nodes.size());
+        // Levels run bottom-up, so a child must sit on a lower level.
+        ZDB_CHECK_LT(graph->nodes[child].level, node.level);
         s.children_flat.push_back(base + static_cast<uint32_t>(child));
       }
       s.child_offsets.push_back(static_cast<uint32_t>(s.children_flat.size()));
-      max_level = std::max(max_level, node.level);
+      ++total_nodes;
     }
   }
-  const size_t total_nodes = s.encoder_of.size();
+  s.combine_inputs.resize(s.level_ids.size());
+  s.combine_tapes.resize(s.level_ids.size());
 
-  // Encode all nodes, grouped by encoder type, scattered back into a
-  // (total_nodes, hidden) matrix.
-  nn::Tensor encodings = nn::Tensor::Zeros(total_nodes, hidden);
+  // Encode every node: one MLP call per encoder over its nodes' packed
+  // features, scattered back into the (total_nodes, hidden) encodings.
+  float* encodings = Sized(&s.encodings, total_nodes * hidden);
   for (size_t e = 0; e < config_.num_encoders; ++e) {
-    s.positions.clear();
-    s.features.clear();
-    for (size_t n = 0; n < total_nodes; ++n) {
-      if (s.encoder_of[n] != e) continue;
-      s.positions.push_back(static_cast<uint32_t>(n));
-      s.features.insert(s.features.end(), s.features_of[n]->begin(),
-                        s.features_of[n]->end());
+    const std::vector<uint32_t>& ids = s.encoder_ids[e];
+    if (ids.empty()) continue;
+    encoders_[e].ForwardRows(s.encoder_inputs[e].data(), ids.size(),
+                             &s.encoder_tapes[e]);
+    const float* encoded = s.encoder_tapes[e].output();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ScatterRow(encoded + i * hidden, hidden, encodings + ids[i] * hidden);
     }
-    if (s.positions.empty()) continue;
-    std::vector<float> packed = nn::AcquirePooledFloats(s.features.size());
-    std::copy(s.features.begin(), s.features.end(), packed.begin());
-    nn::Tensor input = nn::Tensor::FromData(
-        s.positions.size(), config_.feature_dim, std::move(packed));
-    nn::Tensor encoded = encoders_[e].Forward(input);
-    encodings = nn::RowScatterAddTo(encodings, encoded,
-                                    PooledIndexCopy(s.positions));
   }
 
-  // Bottom-up message passing by level. `hidden_states` accumulates each
-  // level's rows at their global positions.
-  nn::Tensor hidden_states = nn::Tensor::Zeros(total_nodes, hidden);
-  for (size_t level = 0; level <= max_level; ++level) {
-    s.level_ids.clear();
-    s.child_ids.clear();
-    s.child_parents.clear();  // local index within level
-    for (size_t n = 0; n < total_nodes; ++n) {
-      if (s.level_of[n] != level) continue;
-      const uint32_t local = static_cast<uint32_t>(s.level_ids.size());
-      s.level_ids.push_back(static_cast<uint32_t>(n));
-      for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
-        s.child_ids.push_back(s.children_flat[c]);
-        s.child_parents.push_back(local);
-      }
-    }
-    if (s.level_ids.empty()) continue;
-
-    nn::Tensor level_encodings =
-        nn::RowGather(encodings, PooledIndexCopy(s.level_ids));
-    nn::Tensor level_hidden;
+  // Bottom-up message passing, one level at a time: a level's children all
+  // sit on lower levels, so their hidden rows are final when it reads them.
+  float* hidden_rows = Sized(&s.hidden, total_nodes * hidden);
+  for (size_t level = 0; level < s.level_ids.size(); ++level) {
+    const std::vector<uint32_t>& ids = s.level_ids[level];
+    if (ids.empty()) continue;
     if (level == 0) {
-      // Leaves: the initial hidden state is the node encoding.
-      level_hidden = level_encodings;
-    } else {
-      // DeepSets: sum the children's hidden states, then combine with the
-      // parent encoding through the combine MLP.
-      nn::Tensor child_sum;
-      if (s.child_ids.empty()) {
-        child_sum = nn::Tensor::Zeros(s.level_ids.size(), hidden);
-      } else {
-        child_sum = nn::RowScatterAdd(
-            nn::RowGather(hidden_states, PooledIndexCopy(s.child_ids)),
-            PooledIndexCopy(s.child_parents), s.level_ids.size());
+      // Leaves: the hidden state is the node encoding.
+      for (uint32_t n : ids) {
+        ScatterRow(encodings + n * hidden, hidden, hidden_rows + n * hidden);
       }
-      level_hidden =
-          combine_.Forward(nn::ConcatCols({level_encodings, child_sum}));
+      continue;
     }
-    hidden_states = nn::RowScatterAddTo(hidden_states, level_hidden,
-                                        PooledIndexCopy(s.level_ids));
+    // DeepSets: each row is [encoding, sum of the children's hidden rows in
+    // `children` order], combined through the combine MLP.
+    float* input = Sized(&s.combine_inputs[level], ids.size() * 2 * hidden);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint32_t n = ids[i];
+      float* row = input + i * 2 * hidden;
+      std::copy(encodings + n * hidden, encodings + (n + 1) * hidden, row);
+      float* child_sum = row + hidden;
+      std::fill(child_sum, child_sum + hidden, 0.0f);
+      for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
+        const float* child = hidden_rows + s.children_flat[c] * hidden;
+        for (size_t j = 0; j < hidden; ++j) child_sum[j] += child[j];
+      }
+    }
+    combine_.ForwardRows(input, ids.size(), &s.combine_tapes[level]);
+    const float* combined = s.combine_tapes[level].output();
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ScatterRow(combined + i * hidden, hidden, hidden_rows + ids[i] * hidden);
+    }
   }
 
   // Root readout.
-  nn::Tensor roots = nn::RowGather(hidden_states, std::move(root_ids));
-  nn::Tensor predictions = readout_.Forward(roots);
-  ZDB_DCHECK_OK(
-      nn::ValidateShape(predictions, graphs.size(), 1, "tree model readout"));
+  float* roots = Sized(&s.roots, graphs.size() * hidden);
+  for (size_t g = 0; g < graphs.size(); ++g) {
+    std::copy(hidden_rows + s.root_ids[g] * hidden,
+              hidden_rows + (s.root_ids[g] + 1) * hidden, roots + g * hidden);
+  }
+  readout_.ForwardRows(roots, graphs.size(), &s.readout_tape);
+  const std::span<const float> predictions(s.readout_tape.output(),
+                                           graphs.size());
   ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
   return predictions;
 }
 
-nn::Tensor TreeMessagePassingModel::LossOnBatch(
+void TreeMessagePassingModel::Backward(
+    std::span<const float> d_predictions) {
+  Scratch& s = scratch_;
+  const size_t hidden = config_.hidden_dim;
+  const size_t total_nodes = s.child_offsets.size() - 1;
+  const size_t graphs = s.root_ids.size();
+  ZDB_CHECK_EQ(d_predictions.size(), graphs);
+
+  // Readout, then the roots' hidden gradients.
+  float* d_roots = Zeroed(&s.d_roots, graphs * hidden);
+  readout_.BackwardRows(s.roots.data(), s.readout_tape, d_predictions.data(),
+                        d_roots, &s.mlp);
+  // A root's hidden gradient comes from the readout, every other node's
+  // from its parent's child sum — one contribution per row.
+  float* d_hidden = Zeroed(&s.d_hidden, total_nodes * hidden);
+  float* d_encodings = Zeroed(&s.d_encodings, total_nodes * hidden);
+  for (size_t g = 0; g < graphs; ++g) {
+    AddRow(d_roots + g * hidden, hidden, d_hidden + s.root_ids[g] * hidden);
+  }
+
+  // Levels top-down: a level's hidden gradients are complete once every
+  // higher level (where all its parents sit) has run.
+  for (size_t level = s.level_ids.size(); level-- > 0;) {
+    const std::vector<uint32_t>& ids = s.level_ids[level];
+    if (ids.empty()) continue;
+    if (level == 0) {
+      for (uint32_t n : ids) {
+        AddRow(d_hidden + n * hidden, hidden, d_encodings + n * hidden);
+      }
+      continue;
+    }
+    float* d_rows = Sized(&s.d_rows, ids.size() * hidden);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      std::copy(d_hidden + ids[i] * hidden, d_hidden + (ids[i] + 1) * hidden,
+                d_rows + i * hidden);
+    }
+    float* d_input = Zeroed(&s.d_combine_input, ids.size() * 2 * hidden);
+    combine_.BackwardRows(s.combine_inputs[level].data(),
+                          s.combine_tapes[level], d_rows, d_input, &s.mlp);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const uint32_t n = ids[i];
+      const float* d_row = d_input + i * 2 * hidden;
+      AddRow(d_row, hidden, d_encodings + n * hidden);
+      for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
+        AddRow(d_row + hidden, hidden, d_hidden + s.children_flat[c] * hidden);
+      }
+    }
+  }
+
+  // Encoders, over the same rows their forward call saw.
+  for (size_t e = 0; e < config_.num_encoders; ++e) {
+    const std::vector<uint32_t>& ids = s.encoder_ids[e];
+    if (ids.empty()) continue;
+    float* d_rows = Sized(&s.d_rows, ids.size() * hidden);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      std::copy(d_encodings + ids[i] * hidden,
+                d_encodings + (ids[i] + 1) * hidden, d_rows + i * hidden);
+    }
+    encoders_[e].BackwardRows(s.encoder_inputs[e].data(), s.encoder_tapes[e],
+                              d_rows, /*dx=*/nullptr, &s.mlp);
+  }
+}
+
+void TreeMessagePassingModel::PrepareBatch(
     const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
   overflow_graphs_.clear();
   scratch_.batch_graphs.clear();
-  std::vector<float> targets = nn::AcquirePooledFloats(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    scratch_.batch_graphs.push_back(FeaturizeNormalizedCached(*batch[i]));
-    targets[i] = static_cast<float>(target_norm_.Normalize(
-        Millis(batch[i]->runtime_ms).ToLog()));
+  scratch_.targets.clear();
+  for (const QueryRecord* record : batch) {
+    scratch_.batch_graphs.push_back(FeaturizeNormalizedCached(*record));
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
   }
-  nn::Tensor predictions = Forward(scratch_.batch_graphs);
-  nn::Tensor target_tensor =
-      nn::Tensor::FromData(batch.size(), 1, std::move(targets));
-  return nn::HuberLoss(predictions, target_tensor, 1.0f);
+}
+
+float TreeMessagePassingModel::LossOnBatch(
+    const std::vector<const QueryRecord*>& batch) {
+  PrepareBatch(batch);
+  const std::span<const featurize::PlanGraph* const> graphs(
+      scratch_.batch_graphs);
+  std::vector<float> predictions;
+  predictions.reserve(graphs.size());
+  for (size_t begin = 0; begin < graphs.size(); begin += kPassChunk) {
+    const std::span<const float> chunk = Forward(
+        graphs.subspan(begin, std::min(kPassChunk, graphs.size() - begin)));
+    predictions.insert(predictions.end(), chunk.begin(), chunk.end());
+  }
+  return nn::HuberLossValue(predictions, scratch_.targets, 1.0f);
+}
+
+float TreeMessagePassingModel::AccumulateGradients(
+    const std::vector<const QueryRecord*>& batch, float scale) {
+  PrepareBatch(batch);
+  return GradientStep(scratch_.batch_graphs, scratch_.targets, scale);
+}
+
+float TreeMessagePassingModel::GradientStep(
+    std::span<const featurize::PlanGraph* const> graphs,
+    std::span<const float> targets, float scale) {
+  const std::span<const float> predictions = Forward(graphs);
+  scratch_.d_predictions.assign(predictions.size(), 0.0f);
+  const float loss = nn::ScaledHuberLossBackward(
+      predictions, targets, 1.0f, scale, scratch_.d_predictions);
+  Backward(scratch_.d_predictions);
+  return loss;
 }
 
 std::vector<Millis> TreeMessagePassingModel::PredictMs(
@@ -321,62 +433,24 @@ std::vector<Millis> TreeMessagePassingModel::PredictMs(
   return ForwardBatch(records);
 }
 
-float TreeMessagePassingModel::PredictNormalized(
-    const featurize::PlanGraph& graph) {
-  ZDB_CHECK(!graph.nodes.empty());
-  const size_t hidden = config_.hidden_dim;
-  const size_t count = graph.nodes.size();
-  InferenceScratch& s = inference_;
-  s.hidden.resize(count * hidden);
-  s.combine_input.resize(2 * hidden);
-  const std::span<float> encoding(s.combine_input.data(), hidden);
-  const std::span<float> child_sum(s.combine_input.data() + hidden, hidden);
-  // Children come after their parent in PlanGraph::nodes, so reverse index
-  // order settles every child's hidden row before its parent reads it.
-  for (size_t n = count; n-- > 0;) {
-    const featurize::PlanGraphNode& node = graph.nodes[n];
-    const std::span<float> state(s.hidden.data() + n * hidden, hidden);
-    encoders_[EncoderIdFor(node.op_type)].ForwardRow(node.features, encoding,
-                                                     &s.mlp);
-    // Forward scatter-adds every row into a zeroed matrix; 0.0f + x is that
-    // arithmetic (it would turn -0.0 into +0.0). The row kernel cannot yield
-    // -0.0 today, since its accumulators start at +0.0, so this keeps the
-    // pass equal to Forward by construction rather than by that property.
-    for (float& v : encoding) v = 0.0f + v;
-    if (node.level == 0) {
-      // Leaves: the hidden state is the node encoding.
-      std::copy(encoding.begin(), encoding.end(), state.begin());
-      continue;
-    }
-    // DeepSets: sum the children's hidden states in `children` order, then
-    // combine with the encoding.
-    std::fill(child_sum.begin(), child_sum.end(), 0.0f);
-    for (size_t child : node.children) {
-      ZDB_CHECK(child > n && child < count)
-          << "plan graph child " << child << " does not follow parent " << n;
-      const float* child_state = s.hidden.data() + child * hidden;
-      for (size_t j = 0; j < hidden; ++j) child_sum[j] += child_state[j];
-    }
-    combine_.ForwardRow(s.combine_input, state, &s.mlp);
-    for (float& v : state) v = 0.0f + v;
-  }
-  float prediction = 0.0f;
-  readout_.ForwardRow(
-      std::span<const float>(s.hidden.data() + graph.root() * hidden, hidden),
-      std::span<float>(&prediction, 1), &s.mlp);
-  ZDB_DCHECK_OK(nn::ValidateFinite(std::span<const float>(&prediction, 1),
-                                   "tree model readout"));
-  return prediction;
-}
-
 std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(target_norm_.fitted()) << "ForwardBatch before Prepare/training";
   std::vector<Millis> out;
   out.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    const float normalized = PredictNormalized(FeaturizeNormalized(*record));
-    out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
+  std::vector<featurize::PlanGraph> graphs;
+  std::vector<const featurize::PlanGraph*> pointers;
+  for (size_t begin = 0; begin < records.size(); begin += kPassChunk) {
+    const size_t end = std::min(records.size(), begin + kPassChunk);
+    graphs.clear();
+    pointers.clear();
+    for (size_t i = begin; i < end; ++i) {
+      graphs.push_back(FeaturizeNormalized(*records[i]));
+    }
+    for (const featurize::PlanGraph& graph : graphs) pointers.push_back(&graph);
+    for (float normalized : Forward(pointers)) {
+      out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
+    }
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,27 +34,25 @@ struct TreeModelConfig {
 /// into a readout MLP that predicts (normalized log) runtime.
 ///
 /// Subclasses provide the featurizer; this class owns parameters,
-/// normalization and two forward passes over the same arithmetic: the
-/// batched autodiff pass training differentiates (nodes grouped by encoder
-/// type, levels processed with gather/scatter), and the tensor-free
-/// per-plan pass serving runs.
+/// normalization and one level-batched forward pass over model-owned
+/// scratch, with a hand-written backward. Training, validation and serving
+/// all run it; none of them builds an autodiff graph.
 class TreeMessagePassingModel : public NeuralCostModel {
  public:
   explicit TreeMessagePassingModel(const TreeModelConfig& config);
 
   void Prepare(const std::vector<const QueryRecord*>& records) override;
-  nn::Tensor LossOnBatch(
-      const std::vector<const QueryRecord*>& batch) override;
+  float LossOnBatch(const std::vector<const QueryRecord*>& batch) override;
+  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+                            float scale) override;
   /// Forwards to ForwardBatch.
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
-  /// The serving path, one record at a time: featurize and normalize the
-  /// plan, compute it bottom-up from its PlanGraph rows into model-owned
-  /// scratch (PredictNormalized), then denormalize — no Tensor, autodiff
-  /// node, arena, gather/scatter op or thread pool. Each prediction depends
-  /// on its own record only and is bit-identical to the autodiff Forward's
-  /// (ModelsTest.TensorFreePassMatchesAutodiffBitForBit). The estimator and
-  /// benches call it on the concrete type.
+  /// The serving path: featurizes and normalizes the plans, runs the
+  /// forward pass over them 64 at a time, then denormalizes. Row arithmetic never mixes
+  /// plans, so each prediction depends on its own record only, whatever
+  /// else shares its call. The estimator and benches call it on the
+  /// concrete type.
   std::vector<Millis> ForwardBatch(
       const std::vector<const QueryRecord*>& records);
   std::vector<nn::Tensor> Parameters() const override;
@@ -80,20 +79,38 @@ class TreeMessagePassingModel : public NeuralCostModel {
   virtual size_t EncoderIdFor(size_t op_type) const = 0;
 
  private:
-  /// Differential tests reach both forward passes.
+  /// The differential tests reach the pass and a graph-built reference.
   friend class TreeModelTestPeer;
 
-  /// Batched autodiff forward pass over the graphs; returns (B, 1)
-  /// normalized log-runtime predictions. LossOnBatch's path.
-  nn::Tensor Forward(const std::vector<const featurize::PlanGraph*>& graphs);
+  /// The forward pass over `graphs`; returns one normalized log-runtime
+  /// prediction per graph, valid until the next call. All nodes are laid
+  /// out in one global order (graph by graph, node index order). Each
+  /// encoder MLP runs once over its nodes' rows in that order, each level's
+  /// combine MLP once over the level's nodes (children's hidden rows summed
+  /// in `children` order next to the node's encoding), and the readout once
+  /// over the roots. Encoding and hidden rows are stored as 0.0f + x, the
+  /// value a scatter-add into a zeroed matrix yields. Keeps every
+  /// activation for Backward.
+  std::span<const float> Forward(
+      std::span<const featurize::PlanGraph* const> graphs);
 
-  /// The tensor-free pass for one plan: walks the nodes in reverse index
-  /// order (children follow parents), runs each node's encoder with
-  /// Mlp::ForwardRow, sums the children's hidden rows in `children` order
-  /// and combines, then reads out the root. Reproduces Forward's zeroed
-  /// scatter targets as 0.0f + x, so the normalized log-runtime it returns
-  /// equals Forward's row for this plan bit for bit.
-  float PredictNormalized(const featurize::PlanGraph& graph);
+  /// The backward of the last Forward: given d(loss)/d(prediction) per
+  /// graph, adds every parameter's gradient into its grad buffer. Combine
+  /// gradients accumulate level by level, highest level first; every
+  /// hidden-state and encoding gradient row receives exactly one
+  /// contribution, added to +0.0f. With the kernels shared with the graph
+  /// ops, this reproduces Tensor::Backward on the equivalent graph bit for
+  /// bit.
+  void Backward(std::span<const float> d_predictions);
+
+  /// AccumulateGradients over featurized graphs and their normalized
+  /// targets: Forward, the scaled Huber loss's gradient, Backward.
+  float GradientStep(std::span<const featurize::PlanGraph* const> graphs,
+                     std::span<const float> targets, float scale);
+
+  /// Featurizes `batch` through the graph cache into
+  /// scratch_.batch_graphs and its normalized targets into scratch_.targets.
+  void PrepareBatch(const std::vector<const QueryRecord*>& batch);
 
   featurize::PlanGraph FeaturizeNormalized(
       const QueryRecord& record) const;
@@ -105,8 +122,7 @@ class TreeMessagePassingModel : public NeuralCostModel {
   /// deterministic, so cached and fresh graphs are identical and the loss
   /// history does not depend on cache state. The returned pointer is valid
   /// until the next Prepare/LoadWeights/CopyTreeStateFrom (cached graphs) or
-  /// the next LossOnBatch (overflow graphs). Not thread-safe; only the
-  /// serial LossOnBatch path uses it.
+  /// the next PrepareBatch (overflow graphs).
   const featurize::PlanGraph* FeaturizeNormalizedCached(
       const QueryRecord& record);
 
@@ -121,37 +137,45 @@ class TreeMessagePassingModel : public NeuralCostModel {
   featurize::TargetNorm target_norm_;
 
   /// key = FingerprintCombine(FingerprintPlan(plan), db name). Values are
-  /// stable across inserts (node-based map), so Forward can hold pointers.
+  /// stable across inserts (node-based map), so a batch can hold pointers.
   std::unordered_map<uint64_t, featurize::PlanGraph> graph_cache_;
   /// Graphs featurized when the cache is full; cleared per batch. Deque:
   /// growth must not move earlier elements mid-batch.
   std::deque<featurize::PlanGraph> overflow_graphs_;
 
-  /// Reused per-batch scratch (capacities reach steady state after the
-  /// first batch). The model is thread-compatible, not thread-safe, so one
-  /// forward pass at a time owns these.
-  struct ForwardScratch {
+  /// Forward's activations and Backward's gradients. Capacities reach
+  /// steady state after the largest batch; every element a call reads, it
+  /// first writes, so leftovers from a larger batch never leak into a
+  /// result. The model is thread-compatible, not thread-safe, so one pass
+  /// at a time owns these.
+  struct Scratch {
     std::vector<const featurize::PlanGraph*> batch_graphs;
-    std::vector<uint32_t> encoder_of;   ///< per global node
-    std::vector<uint32_t> level_of;     ///< per global node
-    std::vector<const std::vector<float>*> features_of;
+    std::vector<float> targets;
+    // The batch's nodes by global id.
     std::vector<uint32_t> children_flat;   ///< CSR child ids, parent-major
     std::vector<uint32_t> child_offsets;   ///< size total_nodes + 1
-    std::vector<uint32_t> positions;       ///< per-encoder gather scratch
-    std::vector<float> features;           ///< per-encoder packed features
-    std::vector<uint32_t> level_ids;
-    std::vector<uint32_t> child_ids;
-    std::vector<uint32_t> child_parents;
+    std::vector<uint32_t> root_ids;        ///< per graph
+    std::vector<std::vector<uint32_t>> encoder_ids;  ///< nodes per encoder
+    std::vector<std::vector<uint32_t>> level_ids;    ///< nodes per level
+    // Forward activations.
+    std::vector<std::vector<float>> encoder_inputs;  ///< packed features
+    std::vector<nn::MlpTape> encoder_tapes;
+    std::vector<float> encodings;                    ///< (total_nodes, hidden)
+    std::vector<std::vector<float>> combine_inputs;  ///< per level
+    std::vector<nn::MlpTape> combine_tapes;
+    std::vector<float> hidden;                       ///< (total_nodes, hidden)
+    std::vector<float> roots;                        ///< (graphs, hidden)
+    nn::MlpTape readout_tape;
+    // Backward gradients.
+    std::vector<float> d_predictions;
+    std::vector<float> d_roots;
+    std::vector<float> d_hidden;
+    std::vector<float> d_encodings;
+    std::vector<float> d_rows;           ///< one MLP call's output gradient
+    std::vector<float> d_combine_input;  ///< (level nodes, 2 * hidden)
+    std::vector<float> mlp;              ///< Mlp::BackwardRows scratch
   };
-  ForwardScratch scratch_;
-
-  /// PredictNormalized's rows; same ownership rule as ForwardScratch.
-  struct InferenceScratch {
-    std::vector<float> hidden;         ///< (nodes, hidden) per plan
-    std::vector<float> combine_input;  ///< [encoding, child_sum]
-    std::vector<float> mlp;            ///< Mlp::ForwardRow ping-pong rows
-  };
-  InferenceScratch inference_;
+  Scratch scratch_;
 };
 
 }  // namespace zerodb::models

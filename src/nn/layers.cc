@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "nn/validate.h"
@@ -59,26 +60,57 @@ Tensor Mlp::Forward(const Tensor& x) const {
   return current;
 }
 
-void Mlp::ForwardRow(std::span<const float> x, std::span<float> out,
-                     std::vector<float>* scratch) const {
+void Mlp::ForwardRows(const float* x, size_t rows, MlpTape* tape) const {
   ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
-  ZDB_DCHECK_OK(ValidateFinite(x, "Mlp::ForwardRow input"));
-  size_t width = 0;
-  for (size_t hidden : config_.hidden_sizes) width = std::max(width, hidden);
-  if (scratch->size() < 2 * width) scratch->resize(2 * width);
-  std::span<const float> current = x;
+  ZDB_DCHECK_OK(ValidateFinite(
+      std::span<const float>(x, rows * config_.in_features),
+      "Mlp::ForwardRows input"));
+  tape->rows = rows;
+  tape->layers.resize(layers_.size());
+  const float* current = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const Linear& layer = layers_[i];
+    std::vector<float>& out = tape->layers[i];
+    out.resize(rows * layer.out_features());
     const bool is_output = (i + 1 == layers_.size());
-    std::span<float> next =
-        is_output ? out
-                  : std::span<float>(scratch->data() + (i % 2) * width,
-                                     layer.out_features());
-    LinearRow(current, layer.weight(), layer.bias(), /*relu=*/!is_output,
-              next);
-    current = next;
+    LinearForward(current, rows, layer.weight(), layer.bias(),
+                  /*relu=*/!is_output, out.data());
+    current = out.data();
   }
-  ZDB_DCHECK_OK(ValidateFinite(out, "Mlp::ForwardRow output"));
+  ZDB_DCHECK_OK(ValidateFinite(tape->layers.back(), "Mlp::ForwardRows output"));
+}
+
+void Mlp::BackwardRows(const float* x, const MlpTape& tape, const float* dout,
+                       float* dx, std::vector<float>* scratch) const {
+  ZDB_CHECK_EQ(tape.layers.size(), layers_.size());
+  const size_t rows = tape.rows;
+  size_t width = config_.out_features;
+  for (size_t hidden : config_.hidden_sizes) width = std::max(width, hidden);
+  // [dZ row | hidden-gradient ping-pong pair]
+  if (scratch->size() < width + 2 * rows * width) {
+    scratch->resize(width + 2 * rows * width);
+  }
+  float* dz = scratch->data();
+  const float* layer_dout = dout;
+  for (size_t i = layers_.size(); i-- > 0;) {
+    const Linear& layer = layers_[i];
+    const float* input = i == 0 ? x : tape.layers[i - 1].data();
+    // The gradient of this layer's input: the caller's `dx` for the first
+    // layer, else a zeroed buffer that the next iteration reads as dout.
+    float* layer_dx = dx;
+    if (i > 0) {
+      layer_dx = scratch->data() + width + (i % 2) * rows * width;
+      std::fill(layer_dx, layer_dx + rows * layer.in_features(), 0.0f);
+    }
+    Tensor weight = layer.weight();
+    Tensor bias = layer.bias();
+    LinearBackward(input, tape.layers[i].data(), layer_dout, rows,
+                   layer.in_features(), layer.out_features(),
+                   weight.data().data(), /*relu=*/i + 1 != layers_.size(),
+                   layer_dx, weight.mutable_grad().data(),
+                   bias.mutable_grad().data(), dz);
+    layer_dout = layer_dx;
+  }
 }
 
 std::vector<Tensor> Mlp::Parameters() const {

@@ -1,7 +1,6 @@
 #ifndef ZERODB_NN_LAYERS_H_
 #define ZERODB_NN_LAYERS_H_
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +44,16 @@ struct MlpConfig {
   size_t out_features = 0;
 };
 
+/// The activations of one Mlp::ForwardRows call, which BackwardRows reads:
+/// one (rows, out_features) buffer per layer, the last holding the output.
+/// Reused across calls; the buffers only ever grow.
+struct MlpTape {
+  size_t rows = 0;
+  std::vector<std::vector<float>> layers;
+
+  const float* output() const { return layers.back().data(); }
+};
+
 /// Multilayer perceptron built from Linear layers: ReLU after every hidden
 /// layer, a linear output layer.
 class Mlp {
@@ -54,12 +63,20 @@ class Mlp {
 
   Tensor Forward(const Tensor& x) const;
 
-  /// Forward on one raw row, with no graph nodes: `x` holds in_features
-  /// floats and `out` receives out_features. Each layer runs LinearRow, so
-  /// `out` is bit-identical to the matching row of Forward. The hidden
-  /// activations ping-pong through `scratch`, which only ever grows.
-  void ForwardRow(std::span<const float> x, std::span<float> out,
-                  std::vector<float>* scratch) const;
+  /// Forward over `rows` raw rows of in_features floats, with no graph node,
+  /// recording every layer's output in `tape`. Each layer runs
+  /// LinearForward, so the output is bit-identical to Forward's.
+  void ForwardRows(const float* x, size_t rows, MlpTape* tape) const;
+
+  /// The backward of the ForwardRows call that filled `tape` from `x`:
+  /// given the output's gradient `dout` (rows, out_features), adds every
+  /// layer's dW and db into its parameters' grad buffers and, unless `dx` is
+  /// null, dX into `dx` (rows, in_features). Each layer runs LinearBackward,
+  /// so the arithmetic is LinearFused's backward, layer by layer from the
+  /// output down. Hidden-layer gradients live in `scratch`, which only ever
+  /// grows.
+  void BackwardRows(const float* x, const MlpTape& tape, const float* dout,
+                    float* dx, std::vector<float>* scratch) const;
 
   std::vector<Tensor> Parameters() const;
 

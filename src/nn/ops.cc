@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "nn/arena.h"
 
 namespace zerodb::nn {
 
@@ -78,9 +77,8 @@ void MatMulRowAccumulate(const float* a_row, size_t a_cols, const float* b,
 
 // One dense-layer row: c_row (zero on entry) = a_row * b + bias, rectified
 // when `relu`. The bias is added after the full k-accumulation, so the row
-// equals Relu(AddBias(MatMul(...))) bit for bit. LinearFused runs it on each
-// of its rows and LinearRow on a single raw row, which is what keeps the
-// tensor-free serving pass bit-identical to the autodiff one.
+// equals Relu(AddBias(MatMul(...))) bit for bit. LinearForward runs it on
+// every row, for LinearFused and for the tree models' graph-free pass alike.
 void DenseRow(const float* a_row, size_t a_cols, const float* b, size_t b_cols,
               const float* bias, bool relu, float* c_row) {
   MatMulRowAccumulate(a_row, a_cols, b, b_cols, c_row);
@@ -154,13 +152,36 @@ void MatMulTransBAccumulate(const float* a, size_t a_rows, size_t a_cols,
   }
 }
 
+// out[i] = x[i] * factor: Scale's forward.
+void ScaleInto(const float* x, size_t count, float factor, float* out) {
+  for (size_t i = 0; i < count; ++i) out[i] = x[i] * factor;
+}
+
+// out[i] += g[i] * factor: Scale's backward.
+void ScaleAccumulate(const float* g, size_t count, float factor, float* out) {
+  for (size_t i = 0; i < count; ++i) out[i] += g[i] * factor;
+}
+
+// Adds the mean Huber loss's gradient, times the upstream d(out)/d(loss),
+// into `grad`: HuberLoss's backward.
+void HuberGradAccumulate(const float* predictions, const float* targets,
+                         size_t count, float delta, float upstream,
+                         float* grad) {
+  const float scale = upstream / static_cast<float>(count);
+  for (size_t i = 0; i < count; ++i) {
+    float diff = predictions[i] - targets[i];
+    float g = std::fabs(diff) <= delta ? diff : (diff > 0.0f ? delta : -delta);
+    grad[i] += scale * g;
+  }
+}
+
 // ---- Backward rules, dispatched from RunNodeBackward ----------------------
 //
 // Each reads its op context from the node's POD fields / aux buffers and
 // recovers shapes from the node and its parents. Accumulation order within
-// every destination buffer is fixed — independent of thread count, arena
-// state, and graph-cache state — so the loss-history equality contracts
-// (threads=1 vs threads=N, pooled vs fresh allocation) hold bitwise.
+// every destination buffer is fixed — independent of thread count and
+// graph-cache state — so the loss-history equality contracts (threads=1 vs
+// threads=N) hold bitwise.
 
 void BackwardMatMul(Node* node) {
   Node* a_node = node->parents[0].get();
@@ -197,58 +218,18 @@ void BackwardAddBias(Node* node) {
   }
 }
 
-// Single-pass fused backward: one sweep over the output rows computes the
-// activation-gated dZ row in a pooled scratch buffer and immediately feeds
-// it to all three gradient accumulations while it is still in cache —
-// instead of materializing the full (m,n) dZ and streaming it three times.
-// Per-destination accumulation order is unchanged from the unfused version:
-// dX rows are independent, and dW / dB both accumulated batch-row-outermost
-// before (MatMulTransAAccumulate iterates k = batch row outermost), so
-// results are bit-identical.
 void BackwardLinearFused(Node* node) {
   Node* x_node = node->parents[0].get();
   Node* w_node = node->parents[1].get();
   Node* b_node = node->parents[2].get();
-  const size_t m = node->rows;
-  const size_t n = node->cols;
-  const size_t k = x_node->cols;
-  const bool relu = node->u0 != 0;
-  const bool want_x = WantsGrad(*x_node);
-  const bool want_w = WantsGrad(*w_node);
-  const bool want_b = WantsGrad(*b_node);
-  std::vector<float> dz_row = node->arena != nullptr
-                                  ? node->arena->AcquireFloats(n)
-                                  : std::vector<float>(n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* grad_row = node->grad.data() + i * n;
-    const float* out_row = node->values.data() + i * n;
-    // dZ = dOut gated by the activation. The mask comes from the stored
-    // *post*-ReLU values: out > 0 iff the pre-activation was > 0, and both
-    // conventions pass zero gradient at exactly 0 — identical to Relu's
-    // backward on the pre-activation.
-    if (relu) {
-      for (size_t j = 0; j < n; ++j) {
-        dz_row[j] = out_row[j] > 0.0f ? grad_row[j] : 0.0f;
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) dz_row[j] = grad_row[j];
-    }
-    if (want_x) {
-      // dX_i += dZ_i * W^T
-      MatMulTransBAccumulate(dz_row.data(), 1, n, w_node->values.data(), k,
-                             x_node->grad.data() + i * k);
-    }
-    if (want_w) {
-      // dW += X_i^T * dZ_i (rank-1 update, same k-outer order as the full
-      // X^T * dZ accumulation)
-      MatMulTransAAccumulate(x_node->values.data() + i * k, 1, k,
-                             dz_row.data(), n, w_node->grad.data());
-    }
-    if (want_b) {
-      for (size_t j = 0; j < n; ++j) b_node->grad[j] += dz_row[j];
-    }
-  }
-  if (node->arena != nullptr) node->arena->ReleaseFloats(std::move(dz_row));
+  std::vector<float> dz(node->cols);
+  LinearBackward(x_node->values.data(), node->values.data(),
+                 node->grad.data(), node->rows, x_node->cols, node->cols,
+                 w_node->values.data(), node->u0 != 0,
+                 WantsGrad(*x_node) ? x_node->grad.data() : nullptr,
+                 WantsGrad(*w_node) ? w_node->grad.data() : nullptr,
+                 WantsGrad(*b_node) ? b_node->grad.data() : nullptr,
+                 dz.data());
 }
 
 void BackwardAdd(Node* node) {
@@ -266,11 +247,8 @@ void BackwardAdd(Node* node) {
 void BackwardScale(Node* node) {
   Node* x_node = node->parents[0].get();
   if (!WantsGrad(*x_node)) return;
-  const size_t count = node->size();
-  const float factor = node->f0;
-  for (size_t i = 0; i < count; ++i) {
-    x_node->grad[i] += node->grad[i] * factor;
-  }
+  ScaleAccumulate(node->grad.data(), node->size(), node->f0,
+                  x_node->grad.data());
 }
 
 void BackwardRelu(Node* node) {
@@ -374,15 +352,8 @@ void BackwardHuberLoss(Node* node) {
   Node* pred = node->parents[0].get();
   Node* target = node->parents[1].get();
   if (!WantsGrad(*pred)) return;
-  const size_t count = pred->rows;
-  const float delta = node->f0;
-  const float scale = node->grad[0] / static_cast<float>(count);
-  for (size_t i = 0; i < count; ++i) {
-    float diff = pred->values[i] - target->values[i];
-    float grad =
-        std::fabs(diff) <= delta ? diff : (diff > 0.0f ? delta : -delta);
-    pred->grad[i] += scale * grad;
-  }
+  HuberGradAccumulate(pred->values.data(), target->values.data(), pred->rows,
+                      node->f0, node->grad[0], pred->grad.data());
 }
 
 }  // namespace
@@ -464,30 +435,62 @@ Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
   ZDB_CHECK_EQ(bias.rows(), 1u);
   ZDB_CHECK_EQ(bias.cols(), weight.cols());
   const size_t m = x.rows();
-  const size_t k = x.cols();
   const size_t n = weight.cols();
   Tensor out = MakeOpResult(m, n, "linear_fused", BackwardTag::kLinearFused,
                             {&x, &weight, &bias});
   out.node()->u0 = relu ? 1 : 0;
-  const float* x_ptr = x.data().data();
-  const float* w_ptr = weight.data().data();
-  const float* b_ptr = bias.data().data();
-  float* out_ptr = out.mutable_data().data();
-  for (size_t i = 0; i < m; ++i) {
-    DenseRow(x_ptr + i * k, k, w_ptr, n, b_ptr, relu, out_ptr + i * n);
-  }
+  LinearForward(x.data().data(), m, weight, bias, relu,
+                out.mutable_data().data());
   return out;
 }
 
-void LinearRow(std::span<const float> x, const Tensor& weight,
-               const Tensor& bias, bool relu, std::span<float> out) {
-  ZDB_CHECK_EQ(x.size(), weight.rows());
-  ZDB_CHECK_EQ(out.size(), weight.cols());
+void LinearForward(const float* x, size_t m, const Tensor& weight,
+                   const Tensor& bias, bool relu, float* out) {
   ZDB_CHECK_EQ(bias.size(), weight.cols());
-  // LinearFused's rows start from MakeOpResult's zeroed buffer.
-  std::fill(out.begin(), out.end(), 0.0f);
-  DenseRow(x.data(), x.size(), weight.data().data(), out.size(),
-           bias.data().data(), relu, out.data());
+  const size_t k = weight.rows();
+  const size_t n = weight.cols();
+  std::fill(out, out + m * n, 0.0f);
+  for (size_t i = 0; i < m; ++i) {
+    DenseRow(x + i * k, k, weight.data().data(), n, bias.data().data(), relu,
+             out + i * n);
+  }
+}
+
+// One sweep over the output rows computes the activation-gated dZ row in
+// `dz` and immediately feeds it to all three gradient accumulations while it
+// is still in cache, instead of materializing the full (m, n) dZ and
+// streaming it three times. dX rows are independent, and dW / db accumulate
+// batch-row-outermost, the order a full X^T * dZ product would use.
+void LinearBackward(const float* x, const float* out, const float* dout,
+                    size_t m, size_t k, size_t n, const float* weight,
+                    bool relu, float* dx, float* dw, float* db, float* dz) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* grad_row = dout + i * n;
+    const float* out_row = out + i * n;
+    // dZ = dOut gated by the activation. The mask comes from the stored
+    // *post*-ReLU values: out > 0 iff the pre-activation was > 0, and both
+    // conventions pass zero gradient at exactly 0 — identical to Relu's
+    // backward on the pre-activation.
+    if (relu) {
+      for (size_t j = 0; j < n; ++j) {
+        dz[j] = out_row[j] > 0.0f ? grad_row[j] : 0.0f;
+      }
+    } else {
+      for (size_t j = 0; j < n; ++j) dz[j] = grad_row[j];
+    }
+    if (dx != nullptr) {
+      // dX_i += dZ_i * W^T
+      MatMulTransBAccumulate(dz, 1, n, weight, k, dx + i * k);
+    }
+    if (dw != nullptr) {
+      // dW += X_i^T * dZ_i (rank-1 update, same k-outer order as the full
+      // X^T * dZ accumulation)
+      MatMulTransAAccumulate(x + i * k, 1, k, dz, n, dw);
+    }
+    if (db != nullptr) {
+      for (size_t j = 0; j < n; ++j) db[j] += dz[j];
+    }
+  }
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -508,8 +511,7 @@ Tensor Scale(const Tensor& x, float factor) {
   Tensor out = MakeOpResult(x.rows(), x.cols(), "scale", BackwardTag::kScale,
                             {&x});
   out.node()->f0 = factor;
-  auto& out_data = out.mutable_data();
-  for (size_t i = 0; i < count; ++i) out_data[i] = x.data()[i] * factor;
+  ScaleInto(x.data().data(), count, factor, out.mutable_data().data());
   return out;
 }
 
@@ -655,18 +657,49 @@ Tensor HuberLoss(const Tensor& predictions, const Tensor& targets,
   Tensor out = MakeOpResult(1, 1, "huber_loss", BackwardTag::kHuberLoss,
                             {&predictions, &targets});
   out.node()->f0 = delta;
+  out.mutable_data()[0] =
+      HuberLossValue(predictions.data(), targets.data(), delta);
+  return out;
+}
+
+float HuberLossValue(std::span<const float> predictions,
+                     std::span<const float> targets, float delta) {
+  ZDB_CHECK_EQ(predictions.size(), targets.size());
+  const size_t count = predictions.size();
+  ZDB_CHECK_GT(count, 0u);
   double total = 0.0;
   for (size_t i = 0; i < count; ++i) {
-    double diff = std::fabs(predictions.data()[i] - targets.data()[i]);
+    double diff = std::fabs(predictions[i] - targets[i]);
     if (diff <= delta) {
       total += 0.5 * diff * diff;
     } else {
       total += delta * (diff - 0.5 * delta);
     }
   }
-  out.mutable_data()[0] =
-      static_cast<float>(total / static_cast<double>(count));
-  return out;
+  return static_cast<float>(total / static_cast<double>(count));
+}
+
+float ScaledHuberLossBackward(std::span<const float> predictions,
+                              std::span<const float> targets, float delta,
+                              float scale, std::span<float> grad) {
+  ZDB_CHECK_EQ(grad.size(), predictions.size());
+  const float loss = HuberLossValue(predictions, targets, delta);
+  // Backward seeds d(scaled) = 1; Scale's backward adds 1 * scale into the
+  // loss node's zeroed gradient, which HuberLoss's backward then reads.
+  float scaled = 0.0f;
+  ScaleInto(&loss, 1, scale, &scaled);
+  const float seed = 1.0f;
+  float upstream = 0.0f;
+  ScaleAccumulate(&seed, 1, scale, &upstream);
+  HuberGradAccumulate(predictions.data(), targets.data(), predictions.size(),
+                      delta, upstream, grad.data());
+  return scaled;
+}
+
+float BackwardScaled(const Tensor& loss, float scale) {
+  Tensor scaled = Scale(loss, scale);
+  scaled.Backward();
+  return scaled.item();
 }
 
 }  // namespace zerodb::nn

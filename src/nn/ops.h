@@ -25,13 +25,6 @@ Tensor AddBias(const Tensor& x, const Tensor& bias);
 Tensor LinearFused(const Tensor& x, const Tensor& weight, const Tensor& bias,
                    bool relu);
 
-/// One row of LinearFused over raw buffers, with no graph node: out =
-/// x (in) * weight (in, out) + bias, rectified when `relu`. Runs the same
-/// row kernel and epilogue on a zeroed `out`, so the result is bit-identical
-/// to the matching row of LinearFused. `out` must not overlap `x`.
-void LinearRow(std::span<const float> x, const Tensor& weight,
-               const Tensor& bias, bool relu, std::span<float> out);
-
 /// Elementwise sum of same-shape tensors.
 Tensor Add(const Tensor& a, const Tensor& b);
 
@@ -41,19 +34,21 @@ Tensor Scale(const Tensor& x, float factor);
 /// Rectified linear unit.
 Tensor Relu(const Tensor& x);
 
-/// Gathers rows: out[i] = x[indices[i]]. Backward scatter-adds.
+/// Gathers rows: out[i] = x[indices[i]]. Backward scatter-adds. No model
+/// uses it: it stays as an op of the graph-built tree forward pass that
+/// models_test keeps as the reference for the tree models' graph-free pass.
 Tensor RowGather(const Tensor& x, std::vector<uint32_t> indices);
 
 /// Scatter-add of rows: out has `out_rows` rows, out[indices[i]] += x[i].
-/// The DeepSets "sum children" step of the message passing phase.
+/// MSCN's per-query set sum.
 Tensor RowScatterAdd(const Tensor& x, std::vector<uint32_t> indices,
                      size_t out_rows);
 
 /// Fused accumulator scatter: out = base; out[indices[i]] += x[i].
 /// Functionally Add(base, RowScatterAdd(x, indices, base.rows())) without
-/// materializing the zero-filled intermediate — the pattern the tree model
-/// uses to accumulate per-encoder and per-level rows into a shared
-/// (total_nodes, hidden) state.
+/// materializing the zero-filled intermediate. No model uses it: like
+/// RowGather, it stays as an op of the graph-built tree forward pass that
+/// models_test keeps as the reference for the tree models' graph-free pass.
 Tensor RowScatterAddTo(const Tensor& base, const Tensor& x,
                        std::vector<uint32_t> indices);
 
@@ -71,6 +66,48 @@ Tensor MseLoss(const Tensor& predictions, const Tensor& targets);
 /// Huber (smooth-L1) loss with threshold delta, as a scalar tensor.
 Tensor HuberLoss(const Tensor& predictions, const Tensor& targets,
                  float delta = 1.0f);
+
+/// Runs reverse-mode autodiff from Scale(loss, scale) — the scalar `loss`
+/// scaled by `scale` — adding d(scale * loss)/dθ into every parameter's
+/// grad buffer, and returns scale * loss. The graph-built models' gradient
+/// call.
+float BackwardScaled(const Tensor& loss, float scale);
+
+// ---- Raw-buffer kernels ----------------------------------------------------
+//
+// The graph ops above and the tree models' graph-free training pass run the
+// same arithmetic through these, so both share one accumulation order and
+// one FMA contraction: only this file is built -march=native (DESIGN.md
+// "Fused, blocked kernels"), and a multiply-add compiled anywhere else may
+// round differently. No graph node is created. Buffers are row-major; an
+// output buffer must not overlap an input.
+
+/// LinearFused's forward: out (m, n) = x (m, k) * weight (k, n) + bias,
+/// rectified when `relu`. `out` is zero-filled first, as LinearFused's
+/// result buffer is.
+void LinearForward(const float* x, size_t m, const Tensor& weight,
+                   const Tensor& bias, bool relu, float* out);
+
+/// LinearFused's backward, one fused pass over the rows: given the input
+/// x (m, k), the layer's output `out` (m, n) and its gradient `dout`, adds
+/// dX (m, k) into `dx`, dW (k, n) into `dw` and db (n) into `db`, each
+/// skipped when null. `weight` is the layer's (k, n) weight values; `dz` is
+/// n floats of scratch.
+void LinearBackward(const float* x, const float* out, const float* dout,
+                    size_t m, size_t k, size_t n, const float* weight,
+                    bool relu, float* dx, float* dw, float* db, float* dz);
+
+/// HuberLoss's value and its backward under a Scale: returns scale * the
+/// mean Huber loss of `predictions` against `targets`, and adds
+/// d(scale * loss)/d(predictions) into `grad` — the arithmetic
+/// BackwardScaled(HuberLoss(p, t, delta), scale) runs on the loss path.
+float ScaledHuberLossBackward(std::span<const float> predictions,
+                              std::span<const float> targets, float delta,
+                              float scale, std::span<float> grad);
+
+/// HuberLoss's value alone (the validation loss).
+float HuberLossValue(std::span<const float> predictions,
+                     std::span<const float> targets, float delta);
 
 }  // namespace zerodb::nn
 

@@ -5,35 +5,37 @@
 
 #include "common/check.h"
 #include "common/string_util.h"
-#include "nn/arena.h"
 
 namespace zerodb::nn {
 
 namespace {
 
-// One node with a zeroed (rows*cols) values buffer, from the active arena
-// when one is installed, else from the heap. All factories and op results
-// funnel through here; Parameter is the exception (always heap — parameters
-// outlive arena epochs).
-Tensor MakeNode(size_t rows, size_t cols) {
-  if (GraphArena* arena = ActiveArena()) {
-    std::shared_ptr<Node> node = arena->NewNode();
-    node->rows = rows;
-    node->cols = cols;
-    node->values = arena->AcquireFloats(rows * cols);
-    return Tensor(std::move(node));
-  }
-  arena_internal::CountHeapNode();
+// Relaxed: an observational counter, read by tests between calls.
+std::atomic<uint64_t> g_nodes_created{0};
+
+// One node holding `values`; every factory and op result funnels through
+// here.
+Tensor MakeNode(size_t rows, size_t cols, std::vector<float> values) {
+  g_nodes_created.fetch_add(1, std::memory_order_relaxed);
   auto node = std::make_shared<Node>();
   node->rows = rows;
   node->cols = cols;
-  // Direct value-initialization: one allocation, elements zeroed by the
-  // vector itself (no fill-after-resize pass).
-  node->values = std::vector<float>(rows * cols);
+  node->values = std::move(values);
   return Tensor(std::move(node));
 }
 
+// A node with a zeroed (rows*cols) values buffer. Direct
+// value-initialization: one allocation, elements zeroed by the vector
+// itself (no fill-after-resize pass).
+Tensor MakeNode(size_t rows, size_t cols) {
+  return MakeNode(rows, cols, std::vector<float>(rows * cols));
+}
+
 }  // namespace
+
+uint64_t NodesCreated() {
+  return g_nodes_created.load(std::memory_order_relaxed);
+}
 
 Tensor Tensor::Full(size_t rows, size_t cols, float value) {
   Tensor t = MakeNode(rows, cols);
@@ -44,8 +46,7 @@ Tensor Tensor::Full(size_t rows, size_t cols, float value) {
 }
 
 Tensor Tensor::Zeros(size_t rows, size_t cols) {
-  // MakeNode's buffers are already value-initialized (pooled buffers are
-  // zeroed on acquire); nothing to fill.
+  // MakeNode's buffer is already value-initialized; nothing to fill.
   return MakeNode(rows, cols);
 }
 
@@ -58,36 +59,17 @@ Tensor Tensor::FromData(size_t rows, size_t cols, std::vector<float> data) {
   ZDB_CHECK_EQ(rows * cols, data.size())
       << "FromData shape (" << rows << ", " << cols << ") vs "
       << data.size() << " values";
-  if (GraphArena* arena = ActiveArena()) {
-    std::shared_ptr<Node> node = arena->NewNode();
-    node->rows = rows;
-    node->cols = cols;
-    node->values = std::move(data);
-    return Tensor(std::move(node));
-  }
-  arena_internal::CountHeapNode();
-  auto node = std::make_shared<Node>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = std::move(data);
-  return Tensor(std::move(node));
+  return MakeNode(rows, cols, std::move(data));
 }
 
 Tensor Tensor::Parameter(size_t rows, size_t cols, std::vector<float> data) {
   ZDB_CHECK_EQ(rows * cols, data.size())
       << "Parameter shape (" << rows << ", " << cols << ") vs "
       << data.size() << " values";
-  // Deliberately not arena-backed even under an ArenaGuard: parameters are
-  // long-lived leaves, and an arena Reset would pull the storage out from
-  // under them.
-  arena_internal::CountHeapNode();
-  auto node = std::make_shared<Node>();
-  node->rows = rows;
-  node->cols = cols;
-  node->values = std::move(data);
-  node->requires_grad = true;
-  node->grad = std::vector<float>(rows * cols);
-  return Tensor(std::move(node));
+  Tensor t = MakeNode(rows, cols, std::move(data));
+  t.node()->requires_grad = true;
+  t.node()->grad = std::vector<float>(rows * cols);
+  return t;
 }
 
 float Tensor::item() const {
@@ -148,15 +130,10 @@ void Tensor::Backward() {
 
   // Ensure every node in the walk has a sized grad buffer; leaves keep their
   // accumulated gradient, non-leaf intermediates start each pass from zero.
-  // Arena nodes draw pooled buffers (zeroed on acquire).
   for (Node* node : order) {
     const size_t count = node->size();
     if (node->grad.size() != count) {
-      if (node->arena != nullptr) {
-        node->grad = node->arena->AcquireFloats(count);
-      } else {
-        node->grad = std::vector<float>(count);
-      }
+      node->grad = std::vector<float>(count);
     } else if (node->tag != BackwardTag::kLeaf && node != node_.get()) {
       std::fill(node->grad.begin(), node->grad.end(), 0.0f);
     }
@@ -201,11 +178,7 @@ Tensor MakeOpResultImpl(size_t rows, size_t cols, const char* op,
   if (requires_grad) node->tag = tag;
   // Parent edges are kept even without grad so inputs stay alive while this
   // result does (same ownership semantics as the closure-based graph).
-  if (node->arena != nullptr) {
-    node->parents = node->arena->AcquireParents();
-  } else {
-    node->parents.reserve(parent_count);
-  }
+  node->parents.reserve(parent_count);
   for (ParentIter it = begin; it != end; ++it) {
     node->parents.push_back((*it)->node());
   }

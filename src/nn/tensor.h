@@ -10,13 +10,10 @@
 
 namespace zerodb::nn {
 
-class GraphArena;
-
 /// Identifies the backward rule of the op that produced a node. Backward is
 /// dispatched by a switch over this tag (RunNodeBackward in ops.cc) with the
-/// op's context in the node's POD fields and pooled aux buffers — no
-/// std::function, so building a graph node allocates no closure and the
-/// whole node recycles through a GraphArena.
+/// op's context in the node's POD fields and aux buffers — no std::function,
+/// so building a graph node allocates no closure.
 enum class BackwardTag : uint8_t {
   kLeaf = 0,
   kMatMul,
@@ -37,11 +34,6 @@ enum class BackwardTag : uint8_t {
 /// A node in the autograd graph: a 2-D float matrix plus (optionally) a
 /// gradient buffer, the backward tag/context of the op that produced it, and
 /// its parents. Users interact through the `Tensor` handle below.
-///
-/// Nodes live either on the heap (make_shared, the default) or in a
-/// GraphArena slab (when an ArenaGuard is active at creation); `arena` is
-/// the owning arena or null. Arena nodes' buffers come from the arena's
-/// BufferPool and every field recycles on GraphArena::Reset.
 struct Node {
   size_t rows = 0;
   size_t cols = 0;
@@ -65,9 +57,6 @@ struct Node {
   /// Parents in the compute graph (inputs of the producing op); empty for
   /// leaves (parameters and constants).
   std::vector<std::shared_ptr<Node>> parents;
-
-  /// Owning arena, or null for heap nodes.
-  GraphArena* arena = nullptr;
 
   /// Traversal epoch for Backward()'s iterative topo walk (replaces a
   /// per-call visited hash set).
@@ -103,7 +92,6 @@ class Tensor {
   static Tensor FromData(size_t rows, size_t cols, std::vector<float> data);
 
   /// A trainable leaf (requires_grad = true) initialized with `data`.
-  /// Always heap-allocated — parameters outlive any arena epoch.
   static Tensor Parameter(size_t rows, size_t cols, std::vector<float> data);
 
   bool defined() const { return node_ != nullptr; }
@@ -140,8 +128,7 @@ class Tensor {
 
 /// Creates a non-leaf node for an op result: zeroed values buffer, backward
 /// tag, parent edges. Gradient tracking is enabled iff any parent requires
-/// grad. Under an ArenaGuard the node and its buffers come from the active
-/// arena. The op fills the node's POD context / aux buffers after this
+/// grad. The op fills the node's POD context / aux buffers after this
 /// returns (only needed when the result requires grad).
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     std::initializer_list<const Tensor*> parents);
@@ -149,6 +136,11 @@ Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
 /// Variadic-parent form (ConcatCols).
 Tensor MakeOpResult(size_t rows, size_t cols, const char* op, BackwardTag tag,
                     const std::vector<Tensor>& parents);
+
+/// Process-wide count of Nodes created so far (every factory and op result,
+/// parameters included). Tests diff it around a call to assert that the
+/// call builds no autodiff graph.
+uint64_t NodesCreated();
 
 }  // namespace zerodb::nn
 

@@ -84,7 +84,7 @@ namespace zerodb::nn {
   return Status::OK();
 }
 
-/// No NaN/Inf in a raw row (the tensor-free inference pass).
+/// No NaN/Inf in a raw buffer (the tree models' graph-free pass).
 [[nodiscard]] inline Status ValidateFinite(std::span<const float> values,
                                            const char* context) {
   for (size_t i = 0; i < values.size(); ++i) {

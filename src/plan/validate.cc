@@ -297,6 +297,11 @@ Status ValidatePredicate(const Predicate& predicate,
 
 Status ValidatePlan(const PhysicalNode& root, const storage::Database& db) {
   ZDB_ASSIGN_OR_RETURN(const PlanSlots slots, DeriveOutputSlots(root, db));
+  return ValidatePlan(root, db, slots);
+}
+
+Status ValidatePlan(const PhysicalNode& root, const storage::Database& db,
+                    const PlanSlots& slots) {
   return ValidateNode(root, db, slots);
 }
 

@@ -34,6 +34,12 @@ namespace zerodb::plan {
 [[nodiscard]] Status ValidatePlan(const PhysicalNode& root,
                                   const storage::Database& db);
 
+/// The same checks on output slots the caller already derived with
+/// DeriveOutputSlots(root, db), which must have succeeded.
+[[nodiscard]] Status ValidatePlan(const PhysicalNode& root,
+                                  const storage::Database& db,
+                                  const PlanSlots& slots);
+
 /// Convenience overload; fails if the plan has no root.
 [[nodiscard]] Status ValidatePlan(const PhysicalPlan& plan,
                                   const storage::Database& db);

@@ -8,9 +8,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "nn/arena.h"
 #include "nn/optimizer.h"
-#include "nn/ops.h"
 #include "nn/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace_event.h"
@@ -32,41 +30,28 @@ struct ShardResult {
 };
 
 /// One shard-running unit: a model (the caller's or a replica), its cached
-/// parameter handles, an optional graph arena, and reusable scratch. The
-/// trainer builds these once; every per-shard buffer they own reaches steady
-/// state after the first batch and is recycled from then on.
+/// parameter handles, and reusable scratch. The trainer builds these once.
 struct ShardExecutor {
   models::NeuralCostModel* model = nullptr;
   std::vector<nn::Tensor> params;
-  /// Pooled autodiff memory for this executor's shards; null under
-  /// ZERODB_ARENA=off.
-  std::unique_ptr<nn::GraphArena> arena;
   std::vector<const QueryRecord*> shard;  ///< reused shard record scratch
 };
 
 /// Runs one shard on `exec`: zero grads, forward + backward on the shard
 /// scaled by shard_size / batch_size (so summing shard losses/gradients
-/// reconstructs the batch mean), then harvests the gradient buffers. The
-/// whole graph builds inside the executor's arena (when pooling is on) and
-/// is recycled via Reset once the gradients are swapped out.
+/// reconstructs the batch mean), then harvests the gradient buffers.
 void RunShard(ShardExecutor* exec,
               const std::vector<const QueryRecord*>& batch, size_t shard_begin,
               size_t shard_end, size_t batch_size, ShardResult* out) {
   exec->shard.assign(batch.begin() + static_cast<ptrdiff_t>(shard_begin),
                      batch.begin() + static_cast<ptrdiff_t>(shard_end));
-  nn::ArenaGuard guard(exec->arena.get());
   for (nn::Tensor& p : exec->params) p.ZeroGrad();
-  {
-    // Inner scope: every Tensor handle into the arena must die before Reset.
-    nn::Tensor loss = exec->model->LossOnBatch(exec->shard);
-    ZDB_DCHECK_OK(nn::ValidateShape(loss, 1, 1, "trainer forward: shard loss"));
-    ZDB_DCHECK_OK(nn::ValidateFinite(loss, "trainer forward: shard loss"));
-    nn::Tensor scaled =
-        nn::Scale(loss, static_cast<float>(exec->shard.size()) /
-                            static_cast<float>(batch_size));
-    scaled.Backward();
-    out->loss = static_cast<double>(scaled.item());
-  }
+  const float loss = exec->model->AccumulateGradients(
+      exec->shard,
+      static_cast<float>(exec->shard.size()) / static_cast<float>(batch_size));
+  ZDB_DCHECK_OK(nn::ValidateFinite(std::span<const float>(&loss, 1),
+                                   "trainer forward: shard loss"));
+  out->loss = static_cast<double>(loss);
   ZDB_DCHECK_EQ(out->grads.size(), exec->params.size());
   for (size_t i = 0; i < exec->params.size(); ++i) {
     // Swap, not copy: the parameter takes the slot's previous buffer (the
@@ -75,7 +60,6 @@ void RunShard(ShardExecutor* exec,
     ZDB_DCHECK_EQ(out->grads[i].size(), exec->params[i].size());
     out->grads[i].swap(exec->params[i].mutable_grad());
   }
-  if (exec->arena != nullptr) exec->arena->Reset();
 }
 
 }  // namespace
@@ -119,11 +103,9 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   ThreadPool* shard_pool = executors > 1 ? ThreadPool::Global() : nullptr;
 
   // One ShardExecutor per model — the caller's first, then executors - 1
-  // replicas — each with its own GraphArena unless ZERODB_ARENA=off. Every
-  // batch, executor e runs one contiguous shard range inside a single pool
-  // task, so its model and arena are only ever touched by one thread at a
-  // time (the ParallelFor join orders one batch before the next).
-  const bool pooled = nn::ArenaEnabled();
+  // replicas. Every batch, executor e runs one contiguous shard range inside
+  // a single pool task, so its model is only ever touched by one thread at
+  // a time (the ParallelFor join orders one batch before the next).
   std::vector<std::unique_ptr<models::NeuralCostModel>> replicas;
   std::vector<ShardExecutor> shard_executors(executors);
   for (size_t e = 0; e < executors; ++e) {
@@ -136,7 +118,6 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       shard_exec.model = replicas.back().get();
     }
     shard_exec.params = shard_exec.model->Parameters();
-    if (pooled) shard_exec.arena = std::make_unique<nn::GraphArena>();
   }
 
   auto snapshot = [&]() {
@@ -273,13 +254,11 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     epochs_counter->Add(1);
     batches_counter->Add(static_cast<int64_t>(batches));
 
-    // Validation (falls back to train loss when no validation split). The
-    // loss records an autodiff graph like a training batch's; nothing calls
-    // Backward on it, and the graph frees once the value is read.
+    // Validation (falls back to train loss when no validation split).
     double val_loss = result.final_train_loss;
     if (!validation.empty()) {
       obs::TimelineScope validate_scope("train.validate", "train");
-      val_loss = model->LossOnBatch(validation).item();
+      val_loss = model->LossOnBatch(validation);
     }
 
     obs::EpochStat stat;

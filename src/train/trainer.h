@@ -25,13 +25,6 @@ struct TrainerOptions {
   /// loss histories: every mini-batch is split into fixed 8-record shards
   /// whose partial gradients are reduced in ascending shard order — the
   /// arithmetic never depends on which thread ran which shard.
-  ///
-  /// Each shard executor (the caller's model or a CloneReplica) owns a
-  /// nn::GraphArena that serves every graph node and buffer of its shards and
-  /// is reset once the shard's gradients are harvested, so at steady state a
-  /// training batch allocates nothing in the nn layer. ZERODB_ARENA=off
-  /// (nn::ArenaEnabled) switches to fresh allocation; the arithmetic is the
-  /// same either way (pinned by TrainTest.PooledMemoryDoesNotChangeLossHistory).
   size_t num_threads = 0;
 };
 

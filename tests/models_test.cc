@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "datagen/corpus.h"
@@ -10,7 +11,9 @@
 #include "models/mscn_model.h"
 #include "models/scaled_cost_model.h"
 #include "models/zeroshot_model.h"
-#include "nn/arena.h"
+#include "nn/ops.h"
+#include "nn/optimizer.h"
+#include "nn/validate.h"
 #include "optimizer/optimizer.h"
 #include "plan/fingerprint.h"
 #include "train/dataset.h"
@@ -21,8 +24,8 @@
 
 namespace zerodb::models {
 
-// Reaches TreeMessagePassingModel's private forward passes (friend), so the
-// differential test below can run both on the same featurized graphs.
+// Reaches TreeMessagePassingModel's private pass (friend), and holds the
+// graph-built reference the differential tests below compare it with.
 class TreeModelTestPeer {
  public:
   static std::vector<featurize::PlanGraph> Featurize(
@@ -34,19 +37,172 @@ class TreeModelTestPeer {
     }
     return graphs;
   }
-  static std::vector<float> Autodiff(
+  static std::vector<float> Targets(
+      const TreeMessagePassingModel& model,
+      const std::vector<const QueryRecord*>& records) {
+    std::vector<float> targets;
+    for (const QueryRecord* record : records) {
+      targets.push_back(static_cast<float>(model.target_norm_.Normalize(
+          Millis(record->runtime_ms).ToLog())));
+    }
+    return targets;
+  }
+  static std::vector<float> Forward(
       TreeMessagePassingModel* model,
       const std::vector<const featurize::PlanGraph*>& graphs) {
-    return model->Forward(graphs).data();
+    const std::span<const float> predictions = model->Forward(graphs);
+    return {predictions.begin(), predictions.end()};
   }
-  static float TensorFree(TreeMessagePassingModel* model,
-                          const featurize::PlanGraph& graph) {
-    return model->PredictNormalized(graph);
+  static float GradientStep(
+      TreeMessagePassingModel* model,
+      const std::vector<const featurize::PlanGraph*>& graphs,
+      const std::vector<float>& targets, float scale) {
+    return model->GradientStep(graphs, targets, scale);
   }
   static Millis Denormalize(const TreeMessagePassingModel& model,
                             float normalized) {
     return Millis::FromLog(model.target_norm_.Denormalize(normalized));
   }
+
+  // The reference: the autodiff forward pass the tree models trained with
+  // before their graph-free pass, kept verbatim (pooled buffers aside). It is
+  // what nn::RowGather, RowScatterAdd and RowScatterAddTo remain for.
+  static nn::Tensor ReferenceForward(
+      TreeMessagePassingModel* model,
+      const std::vector<const featurize::PlanGraph*>& graphs) {
+    ZDB_CHECK(!graphs.empty());
+    const size_t hidden = model->config_.hidden_dim;
+
+    // Flatten all nodes into one global table — parallel arrays plus a CSR
+    // children list instead of per-node vectors, so the flattening costs zero
+    // allocations once the scratch capacities warm up.
+    ReferenceScratch s;
+    s.encoder_of.clear();
+    s.level_of.clear();
+    s.features_of.clear();
+    s.children_flat.clear();
+    s.child_offsets.clear();
+    std::vector<uint32_t> root_ids = std::vector<uint32_t>(graphs.size());
+    size_t max_level = 0;
+    s.child_offsets.push_back(0);
+    for (size_t g = 0; g < graphs.size(); ++g) {
+      const featurize::PlanGraph& graph = *graphs[g];
+      const uint32_t base = static_cast<uint32_t>(s.encoder_of.size());
+      root_ids[g] = base + static_cast<uint32_t>(graph.root());
+      for (const featurize::PlanGraphNode& node : graph.nodes) {
+        s.encoder_of.push_back(
+            static_cast<uint32_t>(model->EncoderIdFor(node.op_type)));
+        s.level_of.push_back(static_cast<uint32_t>(node.level));
+        s.features_of.push_back(&node.features);
+        for (size_t child : node.children) {
+          s.children_flat.push_back(base + static_cast<uint32_t>(child));
+        }
+        s.child_offsets.push_back(
+            static_cast<uint32_t>(s.children_flat.size()));
+        max_level = std::max(max_level, node.level);
+      }
+    }
+    const size_t total_nodes = s.encoder_of.size();
+
+    // Encode all nodes, grouped by encoder type, scattered back into a
+    // (total_nodes, hidden) matrix.
+    nn::Tensor encodings = nn::Tensor::Zeros(total_nodes, hidden);
+    for (size_t e = 0; e < model->config_.num_encoders; ++e) {
+      s.positions.clear();
+      s.features.clear();
+      for (size_t n = 0; n < total_nodes; ++n) {
+        if (s.encoder_of[n] != e) continue;
+        s.positions.push_back(static_cast<uint32_t>(n));
+        s.features.insert(s.features.end(), s.features_of[n]->begin(),
+                          s.features_of[n]->end());
+      }
+      if (s.positions.empty()) continue;
+      std::vector<float> packed = std::vector<float>(s.features.size());
+      std::copy(s.features.begin(), s.features.end(), packed.begin());
+      nn::Tensor input = nn::Tensor::FromData(
+          s.positions.size(), model->config_.feature_dim, std::move(packed));
+      nn::Tensor encoded = model->encoders_[e].Forward(input);
+      encodings = nn::RowScatterAddTo(encodings, encoded,
+                                      s.positions);
+    }
+
+    // Bottom-up message passing by level. `hidden_states` accumulates each
+    // level's rows at their global positions.
+    nn::Tensor hidden_states = nn::Tensor::Zeros(total_nodes, hidden);
+    for (size_t level = 0; level <= max_level; ++level) {
+      s.level_ids.clear();
+      s.child_ids.clear();
+      s.child_parents.clear();  // local index within level
+      for (size_t n = 0; n < total_nodes; ++n) {
+        if (s.level_of[n] != level) continue;
+        const uint32_t local = static_cast<uint32_t>(s.level_ids.size());
+        s.level_ids.push_back(static_cast<uint32_t>(n));
+        for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
+          s.child_ids.push_back(s.children_flat[c]);
+          s.child_parents.push_back(local);
+        }
+      }
+      if (s.level_ids.empty()) continue;
+
+      nn::Tensor level_encodings =
+          nn::RowGather(encodings, s.level_ids);
+      nn::Tensor level_hidden;
+      if (level == 0) {
+        // Leaves: the initial hidden state is the node encoding.
+        level_hidden = level_encodings;
+      } else {
+        // DeepSets: sum the children's hidden states, then combine with the
+        // parent encoding through the combine MLP.
+        nn::Tensor child_sum;
+        if (s.child_ids.empty()) {
+          child_sum = nn::Tensor::Zeros(s.level_ids.size(), hidden);
+        } else {
+          child_sum = nn::RowScatterAdd(
+              nn::RowGather(hidden_states, s.child_ids),
+              s.child_parents, s.level_ids.size());
+        }
+        level_hidden =
+            model->combine_.Forward(nn::ConcatCols({level_encodings, child_sum}));
+      }
+      hidden_states = nn::RowScatterAddTo(hidden_states, level_hidden,
+                                          s.level_ids);
+    }
+
+    // Root readout.
+    nn::Tensor roots = nn::RowGather(hidden_states, std::move(root_ids));
+    nn::Tensor predictions = model->readout_.Forward(roots);
+    ZDB_DCHECK_OK(
+        nn::ValidateShape(predictions, graphs.size(), 1, "tree model readout"));
+    ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
+    return predictions;
+  }
+
+  // Forward + scaled Huber loss + Tensor::Backward on the reference graph,
+  // as the trainer's shards ran it.
+  static float ReferenceGradientStep(
+      TreeMessagePassingModel* model,
+      const std::vector<const featurize::PlanGraph*>& graphs,
+      const std::vector<float>& targets, float scale) {
+    nn::Tensor predictions = ReferenceForward(model, graphs);
+    return nn::BackwardScaled(
+        nn::HuberLoss(predictions,
+                      nn::Tensor::FromData(targets.size(), 1, targets), 1.0f),
+        scale);
+  }
+
+ private:
+  struct ReferenceScratch {
+    std::vector<uint32_t> encoder_of;
+    std::vector<uint32_t> level_of;
+    std::vector<const std::vector<float>*> features_of;
+    std::vector<uint32_t> children_flat;
+    std::vector<uint32_t> child_offsets;
+    std::vector<uint32_t> positions;
+    std::vector<float> features;
+    std::vector<uint32_t> level_ids;
+    std::vector<uint32_t> child_ids;
+    std::vector<uint32_t> child_parents;
+  };
 };
 
 namespace {
@@ -222,8 +378,8 @@ TEST(MetricsTest, EmptyInput) {
   EXPECT_EQ(stats.count, 0u);
 }
 
-// memcmp, not ==: -0.0f == +0.0f, and the serving pass must reproduce the
-// sign the autodiff pass's zeroed scatter targets produce.
+// memcmp, not ==: -0.0f == +0.0f, and the pass must reproduce the sign the
+// reference's zeroed scatter targets produce.
 template <typename T>
 bool SameBits(T a, T b) {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
@@ -310,7 +466,12 @@ std::vector<train::QueryRecord> WhatIfPlans(const datagen::DatabaseEnv& env) {
   return records;
 }
 
-TEST_F(ModelsTest, TensorFreePassMatchesAutodiffBitForBit) {
+// The graph-free pass against the graph-built reference, bit for bit: the
+// forward value of every plan at several batch sizes (and through
+// ForwardBatch, the serving entry point), the validation loss, and for
+// shards of 1-8 plans the scaled loss, every parameter gradient and the
+// weights after one Adam step.
+TEST_F(ModelsTest, TreePassMatchesGraphReferenceBitForBit) {
   // Plan sources: the IMDB fixture, two corpus databases, a generated
   // database with a wider schema band, and what-if plans.
   std::vector<PlanSet> sets;
@@ -377,73 +538,226 @@ TEST_F(ModelsTest, TensorFreePassMatchesAutodiffBitForBit) {
     train::TrainerOptions trainer;
     trainer.max_epochs = 2;
     train::TrainModel(model, train::MakeView(*records_), trainer);
+    const std::vector<nn::Tensor> params = model->Parameters();
     Rng rng(7);
 
-    // Each source's featurized plans, plus a set of wide synthetic graphs.
-    std::vector<std::pair<std::string, std::vector<featurize::PlanGraph>>>
-        graph_sets;
+    // Each source's featurized plans and normalized targets, plus a set of
+    // wide synthetic graphs with random targets. Record sets keep their
+    // records, so the public calls run on them.
+    struct GraphSet {
+      std::string name;
+      std::vector<const QueryRecord*> records;  // empty for synthetic graphs
+      std::vector<featurize::PlanGraph> graphs;
+      std::vector<float> targets;
+    };
+    std::vector<GraphSet> graph_sets;
     for (const PlanSet& set : sets) {
       if (c.executed_plans_only && !set.executed) continue;
-      const std::vector<const QueryRecord*>& view = set.records;
-      graph_sets.emplace_back(set.name,
-                              TreeModelTestPeer::Featurize(*model, view));
-
-      // ForwardBatch (the serving entry point) against the autodiff pass.
-      std::vector<const featurize::PlanGraph*> pointers;
-      for (const auto& graph : graph_sets.back().second) {
-        pointers.push_back(&graph);
-      }
-      const std::vector<float> reference =
-          TreeModelTestPeer::Autodiff(model, pointers);
-      const std::vector<Millis> served = model->ForwardBatch(view);
-      ASSERT_EQ(served.size(), reference.size());
-      for (size_t i = 0; i < served.size(); ++i) {
-        ASSERT_TRUE(SameBits(
-            served[i].value(),
-            TreeModelTestPeer::Denormalize(*model, reference[i]).value()))
-            << set.name << " plan " << i << ": " << served[i].value();
-      }
+      graph_sets.push_back(
+          {set.name, set.records,
+           TreeModelTestPeer::Featurize(*model, set.records),
+           TreeModelTestPeer::Targets(*model, set.records)});
     }
-    std::vector<featurize::PlanGraph> wide_graphs;
+    GraphSet synthetic{"wide synthetic", {}, {}, {}};
     for (int g = 0; g < 40; ++g) {
-      wide_graphs.push_back(RandomWideGraph(&rng, model->config().feature_dim,
-                                            model->config().num_encoders));
+      synthetic.graphs.push_back(RandomWideGraph(
+          &rng, model->config().feature_dim, model->config().num_encoders));
+      synthetic.targets.push_back(static_cast<float>(rng.Normal()));
     }
-    graph_sets.emplace_back("wide synthetic", std::move(wide_graphs));
+    graph_sets.push_back(std::move(synthetic));
 
-    for (const auto& [set_name, graphs] : graph_sets) {
-      ASSERT_FALSE(graphs.empty()) << set_name;
-      std::vector<float> tensor_free;
-      for (const featurize::PlanGraph& graph : graphs) {
-        tensor_free.push_back(TreeModelTestPeer::TensorFree(model, graph));
+    for (const GraphSet& set : graph_sets) {
+      SCOPED_TRACE(set.name);
+      ASSERT_FALSE(set.graphs.empty());
+      std::vector<const featurize::PlanGraph*> pointers;
+      for (const auto& graph : set.graphs) pointers.push_back(&graph);
+      const nn::Tensor reference_tensor =
+          TreeModelTestPeer::ReferenceForward(model, pointers);
+      const std::vector<float> reference = reference_tensor.data();
+
+      if (!set.records.empty()) {
+        const std::vector<Millis> served = model->ForwardBatch(set.records);
+        ASSERT_EQ(served.size(), reference.size());
+        for (size_t i = 0; i < served.size(); ++i) {
+          ASSERT_TRUE(SameBits(
+              served[i].value(),
+              TreeModelTestPeer::Denormalize(*model, reference[i]).value()))
+              << "plan " << i << ": " << served[i].value();
+        }
+        EXPECT_TRUE(SameBits(
+            model->LossOnBatch(set.records),
+            nn::HuberLoss(reference_tensor,
+                          nn::Tensor::FromData(set.targets.size(), 1,
+                                               set.targets))
+                .item()));
       }
-      // The autodiff pass batches plans together; every batch size must
-      // give each plan the same bits the per-plan pass does.
+
+      // The pass batches plans together; every batch size must give each
+      // plan the reference's bits.
       for (size_t batch : batch_sizes) {
-        for (size_t begin = 0; begin < graphs.size(); begin += batch) {
-          std::vector<const featurize::PlanGraph*> chunk;
-          for (size_t i = begin; i < std::min(begin + batch, graphs.size());
-               ++i) {
-            chunk.push_back(&graphs[i]);
-          }
-          const std::vector<float> recorded =
-              TreeModelTestPeer::Autodiff(model, chunk);
-          ASSERT_EQ(recorded.size(), chunk.size());
+        for (size_t begin = 0; begin < pointers.size(); begin += batch) {
+          const std::vector<const featurize::PlanGraph*> chunk(
+              pointers.begin() + static_cast<ptrdiff_t>(begin),
+              pointers.begin() + static_cast<ptrdiff_t>(
+                                     std::min(begin + batch, pointers.size())));
+          const std::vector<float> computed =
+              TreeModelTestPeer::Forward(model, chunk);
+          ASSERT_EQ(computed.size(), chunk.size());
           for (size_t i = 0; i < chunk.size(); ++i) {
-            ASSERT_TRUE(SameBits(tensor_free[begin + i], recorded[i]))
-                << set_name << " batch " << batch << " plan " << begin + i
-                << ": " << tensor_free[begin + i] << " vs " << recorded[i];
+            ASSERT_TRUE(SameBits(reference[begin + i], computed[i]))
+                << "batch " << batch << " plan " << begin + i << ": "
+                << reference[begin + i] << " vs " << computed[i];
+          }
+        }
+      }
+
+      // Gradients, shard by shard, scaled as the trainer scales a shard of
+      // a 40-record batch. Record sets go through the public call.
+      for (size_t shard = 1; shard <= 8; ++shard) {
+        const float scale =
+            static_cast<float>(shard) / static_cast<float>(40);
+        for (size_t begin = 0; begin < pointers.size(); begin += shard) {
+          const size_t end = std::min(begin + shard, pointers.size());
+          SCOPED_TRACE(testing::Message() << "shard " << shard << " at "
+                                          << begin);
+          const std::vector<const featurize::PlanGraph*> graphs(
+              pointers.begin() + static_cast<ptrdiff_t>(begin),
+              pointers.begin() + static_cast<ptrdiff_t>(end));
+          const std::vector<float> targets(
+              set.targets.begin() + static_cast<ptrdiff_t>(begin),
+              set.targets.begin() + static_cast<ptrdiff_t>(end));
+          for (nn::Tensor p : params) p.ZeroGrad();
+          const float reference_loss = TreeModelTestPeer::ReferenceGradientStep(
+              model, graphs, targets, scale);
+          std::vector<std::vector<float>> reference_grads;
+          for (nn::Tensor p : params) {
+            reference_grads.push_back(p.grad());
+            p.ZeroGrad();
+          }
+          const float loss =
+              set.records.empty()
+                  ? TreeModelTestPeer::GradientStep(model, graphs, targets,
+                                                    scale)
+                  : model->AccumulateGradients(
+                        std::vector<const QueryRecord*>(
+                            set.records.begin() + static_cast<ptrdiff_t>(begin),
+                            set.records.begin() + static_cast<ptrdiff_t>(end)),
+                        scale);
+          ASSERT_TRUE(SameBits(loss, reference_loss))
+              << loss << " vs " << reference_loss;
+          for (size_t p = 0; p < params.size(); ++p) {
+            ASSERT_EQ(std::memcmp(params[p].grad().data(),
+                                  reference_grads[p].data(),
+                                  reference_grads[p].size() * sizeof(float)),
+                      0)
+                << "parameter " << p;
+          }
+          if (begin > 0) continue;
+          // One Adam step from each side's gradients lands on the same
+          // weights; the model's own weights are restored afterwards.
+          std::vector<std::vector<float>> weights;
+          for (const nn::Tensor& p : params) weights.push_back(p.data());
+          std::vector<std::vector<std::vector<float>>> stepped;
+          for (int side = 0; side < 2; ++side) {
+            std::vector<nn::Tensor> copies;
+            for (size_t p = 0; p < params.size(); ++p) {
+              copies.push_back(nn::Tensor::Parameter(
+                  params[p].rows(), params[p].cols(), weights[p]));
+              copies.back().mutable_grad() =
+                  side == 0 ? reference_grads[p] : params[p].grad();
+            }
+            nn::Adam adam(copies, 1e-3f, 0.9f, 0.999f, 1e-8f, 1e-5f);
+            adam.Step();
+            stepped.emplace_back();
+            for (const nn::Tensor& p : copies) stepped.back().push_back(p.data());
+          }
+          for (size_t p = 0; p < params.size(); ++p) {
+            ASSERT_EQ(std::memcmp(stepped[0][p].data(), stepped[1][p].data(),
+                                  stepped[0][p].size() * sizeof(float)),
+                      0)
+                << "parameter " << p << " after Adam";
           }
         }
       }
     }
+  }
+}
 
-    // Warmed up, a serving call builds no autodiff node at all.
-    auto view = train::MakeView(*records_);
-    model->ForwardBatch(view);
-    const uint64_t heap_nodes = nn::GlobalAllocCounters().heap_nodes;
-    model->ForwardBatch(view);
-    EXPECT_EQ(nn::GlobalAllocCounters().heap_nodes, heap_nodes);
+// The three tree-model configurations the trainer builds.
+std::vector<std::pair<std::string, std::unique_ptr<TreeMessagePassingModel>>>
+TreeModels() {
+  std::vector<std::pair<std::string, std::unique_ptr<TreeMessagePassingModel>>>
+      models;
+  for (featurize::CardinalityMode mode :
+       {featurize::CardinalityMode::kEstimated,
+        featurize::CardinalityMode::kExact}) {
+    ZeroShotCostModel::Options options;
+    options.cardinality_mode = mode;
+    options.hidden_dim = 32;
+    models.emplace_back(
+        std::string("zero-shot ") + featurize::CardinalityModeName(mode),
+        std::make_unique<ZeroShotCostModel>(options));
+  }
+  E2ECostModel::Options e2e;
+  e2e.hidden_dim = 32;
+  models.emplace_back("e2e", std::make_unique<E2ECostModel>(e2e));
+  return models;
+}
+
+// Loss, gradient and serving calls on a prepared tree model create no
+// autodiff node.
+TEST_F(ModelsTest, TreeModelsBuildNoAutodiffGraph) {
+  const std::vector<const QueryRecord*> view = train::MakeView(*records_);
+  const std::vector<const QueryRecord*> shard(view.begin(), view.begin() + 8);
+  for (auto& [name, model] : TreeModels()) {
+    SCOPED_TRACE(name);
+    model->Prepare(view);
+    const uint64_t nodes = nn::NodesCreated();
+    EXPECT_TRUE(std::isfinite(model->AccumulateGradients(shard, 0.2f)));
+    EXPECT_TRUE(std::isfinite(model->LossOnBatch(view)));
+    EXPECT_EQ(model->PredictMs(view).size(), view.size());
+    EXPECT_EQ(model->ForwardBatch(shard).size(), shard.size());
+    EXPECT_EQ(nn::NodesCreated(), nodes);
+  }
+}
+
+// A model whose scratch last held a larger, deeper batch computes what a
+// fresh model does, bit for bit: the scaled loss, every gradient, the
+// validation loss and the predictions.
+TEST_F(ModelsTest, WarmScratchMatchesFreshModelBitForBit) {
+  const std::vector<const QueryRecord*> view = train::MakeView(*records_);
+  for (auto& [name, fresh] : TreeModels()) {
+    SCOPED_TRACE(name);
+    fresh->Prepare(view);
+    std::unique_ptr<NeuralCostModel> warm = fresh->CloneReplica();
+    warm->AccumulateGradients(view, 1.0f);
+    warm->LossOnBatch(view);
+    warm->PredictMs(view);
+    const std::vector<nn::Tensor> fresh_params = fresh->Parameters();
+    const std::vector<nn::Tensor> warm_params = warm->Parameters();
+    for (size_t begin : {size_t(0), size_t(37), size_t(101)}) {
+      const std::vector<const QueryRecord*> shard(
+          view.begin() + static_cast<ptrdiff_t>(begin),
+          view.begin() + static_cast<ptrdiff_t>(begin + 5));
+      for (nn::Tensor p : fresh_params) p.ZeroGrad();
+      for (nn::Tensor p : warm_params) p.ZeroGrad();
+      EXPECT_TRUE(SameBits(fresh->AccumulateGradients(shard, 0.125f),
+                           warm->AccumulateGradients(shard, 0.125f)));
+      for (size_t p = 0; p < fresh_params.size(); ++p) {
+        ASSERT_EQ(std::memcmp(fresh_params[p].grad().data(),
+                              warm_params[p].grad().data(),
+                              fresh_params[p].size() * sizeof(float)),
+                  0)
+            << "parameter " << p;
+      }
+      EXPECT_TRUE(
+          SameBits(fresh->LossOnBatch(shard), warm->LossOnBatch(shard)));
+      const std::vector<Millis> fresh_ms = fresh->PredictMs(shard);
+      const std::vector<Millis> warm_ms = warm->PredictMs(shard);
+      for (size_t i = 0; i < shard.size(); ++i) {
+        EXPECT_TRUE(SameBits(fresh_ms[i].value(), warm_ms[i].value()));
+      }
+    }
   }
 }
 

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/layers.h"
@@ -41,6 +43,14 @@ TEST(TensorTest, FactoriesAndShapes) {
 TEST(TensorTest, ItemRequiresScalar) {
   Tensor s = Tensor::FromData(1, 1, {3.0f});
   EXPECT_EQ(s.item(), 3.0f);
+}
+
+TEST(TensorTest, ZerosLikeMatchesShapeAndZeroes) {
+  Tensor ref = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
+  Tensor z = Tensor::ZerosLike(ref);
+  EXPECT_EQ(z.rows(), 3u);
+  EXPECT_EQ(z.cols(), 2u);
+  for (float v : z.data()) EXPECT_EQ(v, 0.0f);
 }
 
 TEST(OpsTest, MatMulForward) {
@@ -254,6 +264,64 @@ TEST(LayersTest, MlpForwardShape) {
   EXPECT_EQ(y.rows(), 3u);
   EXPECT_EQ(y.cols(), 1u);
   EXPECT_EQ(mlp.Parameters().size(), 6u);  // 3 layers x (W, b)
+}
+
+// ForwardRows/BackwardRows run the graph ops' kernels over raw buffers, so
+// they reproduce Forward and Backward bit for bit: the loss, the input
+// gradient and every parameter gradient. Hidden width 64 takes the matmul
+// kernel's register path, 7 its generic one.
+TEST(LayersTest, RowPassMatchesGraphBitForBit) {
+  Rng rng(9);
+  MlpConfig config;
+  config.in_features = 5;
+  config.hidden_sizes = {64, 7};
+  config.out_features = 1;
+  Mlp mlp(config, &rng);
+  const size_t rows = 6;
+  std::vector<float> x(rows * config.in_features);
+  std::vector<float> targets(rows);
+  for (float& v : x) {
+    v = rng.Bernoulli(0.2) ? 0.0f : static_cast<float>(rng.Normal());
+  }
+  for (float& t : targets) t = static_cast<float>(rng.Normal());
+  const float scale = 0.375f;
+  std::vector<Tensor> params = mlp.Parameters();
+
+  Tensor input = Tensor::Parameter(rows, config.in_features, x);
+  const float graph_loss = BackwardScaled(
+      HuberLoss(mlp.Forward(input), Tensor::FromData(rows, 1, targets)),
+      scale);
+  std::vector<std::vector<float>> graph_grads;
+  for (Tensor& p : params) {
+    graph_grads.push_back(p.grad());
+    p.ZeroGrad();
+  }
+
+  const uint64_t nodes = NodesCreated();
+  MlpTape tape;
+  mlp.ForwardRows(x.data(), rows, &tape);
+  std::vector<float> d_out(rows, 0.0f);
+  const float row_loss = ScaledHuberLossBackward(
+      std::span<const float>(tape.output(), rows), targets, 1.0f, scale,
+      d_out);
+  std::vector<float> dx(x.size(), 0.0f);
+  std::vector<float> scratch;
+  mlp.BackwardRows(x.data(), tape, d_out.data(), dx.data(), &scratch);
+  EXPECT_EQ(NodesCreated(), nodes);
+
+  EXPECT_EQ(std::bit_cast<uint32_t>(row_loss),
+            std::bit_cast<uint32_t>(graph_loss));
+  auto same_bits = [](const std::vector<float>& a,
+                      const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin(), [](float u, float v) {
+             return std::bit_cast<uint32_t>(u) == std::bit_cast<uint32_t>(v);
+           });
+  };
+  EXPECT_TRUE(same_bits(dx, input.grad()));
+  for (size_t p = 0; p < params.size(); ++p) {
+    EXPECT_TRUE(same_bits(params[p].grad(), graph_grads[p])) << "param " << p;
+  }
 }
 
 TEST(TrainingTest, MlpLearnsLinearFunction) {

@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "datagen/corpus.h"
 #include "models/zeroshot_model.h"
-#include "nn/arena.h"
 #include "nn/ops.h"
 #include "obs/json.h"
 #include "obs/trace_event.h"
@@ -185,20 +184,25 @@ TEST_F(TrainTest, ThreadCountDoesNotChangeLossHistory) {
   }
 }
 
-TEST_F(TrainTest, PooledMemoryDoesNotChangeLossHistory) {
-  // Neither the arena nor the static executor-to-shard mapping changes the
-  // arithmetic: every arena on/off × thread-count combination produces the
-  // loss history of the serial arena-on run bit for bit. batch_size 40 is 5
-  // shards, so 2 and 3 executors split a batch unevenly; 108 training
-  // records end each epoch on a partial batch (28 records, 4 shards).
+TEST_F(TrainTest, ShardMappingDoesNotChangeLossHistory) {
+  // Neither the static executor-to-shard mapping nor the state of the
+  // models' scratch changes the arithmetic: every thread-count × scratch
+  // combination produces the loss history of the serial cold run bit for
+  // bit. batch_size 40 is 5 shards, so 2 and 3 executors split a batch
+  // unevenly; 108 training records end each epoch on a partial batch (28
+  // records, 4 shards). A warm model's scratch last held a pass over every
+  // record, a larger and deeper batch than any shard.
   auto view = MakeView(*records_);
   for (size_t batch_size : {size_t(32), size_t(40)}) {
     TrainResult reference;
     bool have_reference = false;
-    for (bool arena : {true, false}) {
-      nn::SetArenaEnabledForTest(arena);
+    for (bool warm : {false, true}) {
       for (size_t threads : {size_t(1), size_t(2), size_t(3), size_t(4)}) {
         auto model = MakeTinyModel(6);
+        if (warm) {
+          model.Prepare(view);
+          model.AccumulateGradients(view, 1.0f);
+        }
         TrainerOptions options;
         options.max_epochs = 3;
         options.batch_size = batch_size;
@@ -210,13 +214,12 @@ TEST_F(TrainTest, PooledMemoryDoesNotChangeLossHistory) {
           have_reference = true;
         } else {
           SCOPED_TRACE(testing::Message() << "batch " << batch_size
-                                          << " arena " << arena << " threads "
+                                          << " warm " << warm << " threads "
                                           << threads);
           ExpectSameHistory(reference, result);
         }
       }
     }
-    nn::ClearArenaEnabledOverrideForTest();
   }
 }
 
@@ -306,8 +309,20 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
     return std::vector<Millis>(records.size(), Millis(1.0));
   }
   void Prepare(const std::vector<const QueryRecord*>&) override {}
-  nn::Tensor LossOnBatch(
-      const std::vector<const QueryRecord*>& batch) override {
+  float LossOnBatch(const std::vector<const QueryRecord*>& batch) override {
+    return Loss(batch).item();
+  }
+  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+                            float scale) override {
+    return nn::BackwardScaled(Loss(batch), scale);
+  }
+  std::vector<nn::Tensor> Parameters() const override { return {weight_}; }
+  std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
+    return std::make_unique<PoisonedGradientModel>(poisoned_);
+  }
+
+ private:
+  nn::Tensor Loss(const std::vector<const QueryRecord*>& batch) {
     std::vector<float> inputs;
     for (const QueryRecord* record : batch) {
       inputs.push_back(record == poisoned_
@@ -320,12 +335,7 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
     return nn::MatMul(nn::Tensor::FromData(1, rows, std::vector<float>(rows, 1.0f)),
                       hidden);
   }
-  std::vector<nn::Tensor> Parameters() const override { return {weight_}; }
-  std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
-    return std::make_unique<PoisonedGradientModel>(poisoned_);
-  }
 
- private:
   const QueryRecord* poisoned_;
   nn::Tensor weight_;
 };
