@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 
 #include "bench_common.h"
@@ -16,6 +15,7 @@
 #include "featurize/e2e_featurizer.h"
 #include "featurize/zeroshot_featurizer.h"
 #include "models/zeroshot_model.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -356,16 +356,12 @@ BENCHMARK(BM_ExecutorMetricsOverhead)
     ->Arg(2);
 
 // Whole-training-path throughput: epochs over the 128-record workload with
-// the graph-structure cache and the graph-free tree pass in play.
-// plans_per_sec is the headline number (plans trained per second of process
-// CPU time). nodes_per_batch counts autodiff nodes created per minibatch;
-// the tree models build none, so all it sees are the parameters of the
-// model and its trainer replicas, built once per run.
+// the graph-structure cache and the tree pass in play. plans_per_sec is the
+// headline number (plans trained per second of process CPU time).
 void BM_TrainEpoch(benchmark::State& state) {
   MicroState& micro = State();
   auto view = train::MakeView(micro.records);
   const size_t threads = static_cast<size_t>(state.range(0));
-  const uint64_t nodes_before = nn::NodesCreated();
   const size_t kEpochs = 4;
   for (auto _ : state) {
     models::ZeroShotCostModel::Options options;
@@ -379,10 +375,6 @@ void BM_TrainEpoch(benchmark::State& state) {
     train::TrainResult result = train::TrainModel(&model, view, trainer);
     benchmark::DoNotOptimize(result.final_train_loss);
   }
-  const double batches = static_cast<double>(state.iterations()) * kEpochs *
-                         std::ceil(static_cast<double>(view.size()) / 32.0);
-  state.counters["nodes_per_batch"] = benchmark::Counter(
-      static_cast<double>(nn::NodesCreated() - nodes_before) / batches);
   state.counters["plans_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * view.size() * kEpochs),
       benchmark::Counter::kIsRate);
@@ -397,30 +389,35 @@ BENCHMARK(BM_TrainEpoch)
     ->UseRealTime()
     ->MeasureProcessCPUTime();
 
-// The fused Linear backward (single pass: relu mask, dX, dW, dB) across
-// batch sizes, on a freshly built graph per iteration — the inner loop of
-// every training step, isolated from featurization and the optimizer.
+// A 64-wide hidden layer and a linear output layer, forward and backward
+// through the row pass (the backward is the fused one: relu mask, dX, dW,
+// dB) across batch sizes — the inner loop of every training step, isolated
+// from featurization and the optimizer.
 void BM_BackwardFused(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   const size_t dim = 64;
   Rng rng(17);
   std::vector<float> input(batch * dim);
   for (float& v : input) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  std::vector<float> weights(dim * dim);
-  for (float& v : weights) v = static_cast<float>(rng.UniformDouble(-0.2, 0.2));
-  nn::Tensor w = nn::Tensor::Parameter(dim, dim, weights);
-  nn::Tensor b = nn::Tensor::Parameter(1, dim, std::vector<float>(dim, 0.1f));
-  nn::Tensor v = nn::Tensor::Parameter(dim, 1, std::vector<float>(dim, 0.2f));
+  nn::MlpConfig config;
+  config.in_features = dim;
+  config.hidden_sizes = {dim};
+  config.out_features = 1;
+  nn::Mlp mlp(config, &rng);
+  std::vector<nn::Tensor> params = mlp.Parameters();
+  const std::vector<float> targets(batch, 0.0f);
+  std::vector<float> d_out(batch);
+  nn::MlpTape tape;
+  std::vector<float> scratch;
   for (auto _ : state) {
-    nn::Tensor x = nn::Tensor::FromData(batch, dim, input);
-    nn::Tensor h = nn::LinearFused(x, w, b, /*fuse_relu=*/true);
-    nn::Tensor loss =
-        nn::MseLoss(nn::MatMul(h, v), nn::Tensor::Zeros(batch, 1));
-    loss.Backward();
-    benchmark::DoNotOptimize(w.grad().data());
-    w.ZeroGrad();
-    b.ZeroGrad();
-    v.ZeroGrad();
+    mlp.ForwardRows(input, batch, &tape);
+    std::fill(d_out.begin(), d_out.end(), 0.0f);
+    nn::ScaledHuberLossBackward({tape.output(), batch}, targets, 1.0f, 1.0f,
+                                d_out);
+    mlp.BackwardRows(input.data(), tape, d_out.data(), /*dx=*/nullptr,
+                     &scratch);
+    benchmark::DoNotOptimize(params[0].grad().data());
+    for (nn::Tensor& p : params) p.ZeroGrad();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
@@ -430,16 +427,18 @@ BENCHMARK(BM_BackwardFused)
     ->Arg(32)
     ->Arg(128);
 
+// An (n, n) x (n, n) product through the dense-layer kernel, zero bias.
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(5);
   std::vector<float> data(n * n);
   for (float& v : data) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  nn::Tensor a = nn::Tensor::FromData(n, n, data);
-  nn::Tensor b = nn::Tensor::FromData(n, n, data);
+  const nn::Tensor b = nn::Tensor::FromData(n, n, data);
+  const nn::Tensor bias = nn::Tensor::Zeros(1, n);
+  std::vector<float> c(n * n);
   for (auto _ : state) {
-    nn::Tensor c = nn::MatMul(a, b);
-    benchmark::DoNotOptimize(c.data().data());
+    nn::LinearForward(data.data(), n, b, bias, /*relu=*/false, c.data());
+    benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(2 * n * n * n));

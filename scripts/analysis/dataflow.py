@@ -26,10 +26,7 @@ Three rules built on the cross-TU call graph (callgraph.py):
                   loops or the trainer's per-shard inner loop. "Hot"
                   propagates along call edges: a call made inside a hot
                   function's loop makes the callee loop-hot (its whole
-                  body runs per row), and loop-hot is transitive. The
-                  nn autodiff node factories (MakeNode, MakeOpResult)
-                  are exempt by name: a graph node is one allocation by
-                  design.
+                  body runs per row), and loop-hot is transitive.
 
 All three passes read only `FileIR.raw_lines` (via callgraph.lower_file).
 """
@@ -519,17 +516,6 @@ _ALLOC_RE = re.compile(
     r"(?:^|[\s(,=])new\s+[A-Za-z_]|\bmake_unique\s*<|\bmake_shared\s*<")
 _GROWTH_METHODS = ("push_back", "emplace_back", "insert", "resize")
 
-# Node-factory allow-list: every autodiff graph node the nn layer builds is
-# one allocation by design, made in these two functions. Exempting them here,
-# by name, keeps the nn sources free of inline suppression pragmas while the
-# rule stays strict for everything that merely builds graphs through them.
-_NODE_FACTORY_NAMES = frozenset({"MakeNode", "MakeOpResult"})
-
-
-def _node_factory(func):
-    return func.name in _NODE_FACTORY_NAMES
-
-
 def _hot_roots(graph):
     """Per-row entry points: the executor's Exec*/Next functions and the
     trainer's per-shard loop body."""
@@ -584,8 +570,6 @@ def check_hot_alloc(files, graph):
     for func in graph.functions:
         level = hotness.get(func.name)
         if level is None:
-            continue
-        if _node_factory(func):
             continue
         fir = files.get(func.rel)
         reserved = {_recv_base(c.recv) for c in func.calls

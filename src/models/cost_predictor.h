@@ -29,8 +29,8 @@ class CostPredictor {
 
 /// A gradient-trained cost model (the zero-shot model and the E2E / MSCN
 /// baselines). The Trainer drives this interface; serving goes through
-/// PredictMs. The tree models run every call through one graph-free pass
-/// (TreeMessagePassingModel); MSCN builds an autodiff graph.
+/// PredictMs. Each model runs every call through one forward pass over
+/// model-owned scratch, with a hand-written backward for training.
 class NeuralCostModel : public CostPredictor {
  public:
   /// Fits feature and target normalization on the training records. Must be
@@ -42,9 +42,10 @@ class NeuralCostModel : public CostPredictor {
   virtual float LossOnBatch(const std::vector<const QueryRecord*>& batch) = 0;
 
   /// Forward + backward on a batch: adds d(scale * loss)/dθ into the grad
-  /// buffers of Parameters() and returns scale * loss, the arithmetic of
-  /// nn::BackwardScaled on the batch's loss. The trainer passes
-  /// shard_size / batch_size, so summed shard results give the batch mean.
+  /// buffers of Parameters() and returns scale * loss, through
+  /// nn::ScaledHuberLossBackward and the model's backward pass. The trainer
+  /// passes shard_size / batch_size, so summed shard results give the batch
+  /// mean.
   virtual float AccumulateGradients(
       const std::vector<const QueryRecord*>& batch, float scale) = 0;
 

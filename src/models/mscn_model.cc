@@ -1,7 +1,5 @@
 #include "models/mscn_model.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "nn/ops.h"
 
@@ -17,24 +15,33 @@ nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out) {
   return config;
 }
 
+/// The three set types, in encoder order.
+struct SetType {
+  const std::vector<std::vector<float>> featurize::MscnSets::*member;
+  size_t element_dim;
+};
+constexpr std::array<SetType, 3> kSetTypes = {{
+    {&featurize::MscnSets::tables, featurize::MscnFeaturizer::kTableDim},
+    {&featurize::MscnSets::joins, featurize::MscnFeaturizer::kJoinDim},
+    {&featurize::MscnSets::predicates,
+     featurize::MscnFeaturizer::kPredicateDim},
+}};
+
 }  // namespace
 
 MscnCostModel::MscnCostModel(const Options& options) : options_(options) {
   Rng rng(options.init_seed);
   const size_t h = options.hidden_dim;
-  table_encoder_ =
-      nn::Mlp(MakeMlpConfig(featurize::MscnFeaturizer::kTableDim, h, h), &rng);
-  join_encoder_ =
-      nn::Mlp(MakeMlpConfig(featurize::MscnFeaturizer::kJoinDim, h, h), &rng);
-  predicate_encoder_ = nn::Mlp(
-      MakeMlpConfig(featurize::MscnFeaturizer::kPredicateDim, h, h), &rng);
-  output_ = nn::Mlp(MakeMlpConfig(3 * h, h, 1), &rng);
+  for (size_t k = 0; k < kSetTypes.size(); ++k) {
+    encoders_[k] = nn::Mlp(MakeMlpConfig(kSetTypes[k].element_dim, h, h), &rng);
+  }
+  output_ = nn::Mlp(MakeMlpConfig(kSetTypes.size() * h, h, 1), &rng);
 }
 
 std::vector<nn::Tensor> MscnCostModel::Parameters() const {
   std::vector<nn::Tensor> params;
   for (const nn::Mlp* mlp :
-       {&table_encoder_, &join_encoder_, &predicate_encoder_, &output_}) {
+       {&encoders_[0], &encoders_[1], &encoders_[2], &output_}) {
     for (const nn::Tensor& p : mlp->Parameters()) params.push_back(p);
   }
   return params;
@@ -64,92 +71,110 @@ void MscnCostModel::Prepare(
   target_norm_.Fit(log_runtimes);
 }
 
-nn::Tensor MscnCostModel::PoolSet(
-    const std::vector<featurize::MscnSets>& batch,
-    const std::vector<std::vector<float>> featurize::MscnSets::*member,
-    size_t element_dim, const nn::Mlp& encoder) {
-  const size_t batch_size = batch.size();
-  std::vector<float> elements;
-  std::vector<uint32_t> owners;
-  std::vector<float> inverse_counts(batch_size, 0.0f);
-  for (size_t b = 0; b < batch_size; ++b) {
-    const auto& set = batch[b].*member;
-    if (!set.empty()) {
-      inverse_counts[b] = 1.0f / static_cast<float>(set.size());
-    }
-    for (const std::vector<float>& element : set) {
-      ZDB_CHECK_EQ(element.size(), element_dim);
-      elements.insert(elements.end(), element.begin(), element.end());
-      owners.push_back(static_cast<uint32_t>(b));
-    }
-  }
-  if (owners.empty()) {
-    // Entire batch has empty sets: contribute zeros.
-    return nn::Tensor::Zeros(batch_size, options_.hidden_dim);
-  }
-  nn::Tensor input =
-      nn::Tensor::FromData(owners.size(), element_dim, std::move(elements));
-  nn::Tensor encoded = encoder.Forward(input);
-  nn::Tensor summed = nn::RowScatterAdd(encoded, owners, batch_size);
-  return nn::ScaleRows(summed, inverse_counts);
-}
-
-nn::Tensor MscnCostModel::Forward(
-    const std::vector<featurize::MscnSets>& batch) {
-  nn::Tensor tables = PoolSet(batch, &featurize::MscnSets::tables,
-                              featurize::MscnFeaturizer::kTableDim,
-                              table_encoder_);
-  nn::Tensor joins = PoolSet(batch, &featurize::MscnSets::joins,
-                             featurize::MscnFeaturizer::kJoinDim, join_encoder_);
-  nn::Tensor predicates = PoolSet(batch, &featurize::MscnSets::predicates,
-                                  featurize::MscnFeaturizer::kPredicateDim,
-                                  predicate_encoder_);
-  return output_.Forward(nn::ConcatCols({tables, joins, predicates}));
-}
-
-nn::Tensor MscnCostModel::LossGraph(
+void MscnCostModel::FeaturizeBatch(
     const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
-  std::vector<featurize::MscnSets> featurized;
-  std::vector<float> targets;
-  featurized.reserve(batch.size());
-  targets.reserve(batch.size());
+  scratch_.sets.clear();
   for (const QueryRecord* record : batch) {
-    featurized.push_back(featurizer_.Featurize(record->query, *record->env));
-    targets.push_back(static_cast<float>(target_norm_.Normalize(
-        Millis(record->runtime_ms).ToLog())));
+    scratch_.sets.push_back(featurizer_.Featurize(record->query, *record->env));
   }
-  nn::Tensor predictions = Forward(featurized);
-  const size_t batch_size = targets.size();
-  nn::Tensor target_tensor =
-      nn::Tensor::FromData(batch_size, 1, std::move(targets));
-  return nn::HuberLoss(predictions, target_tensor, 1.0f);
+}
+
+void MscnCostModel::LoadTargets(const std::vector<const QueryRecord*>& batch) {
+  scratch_.targets.clear();
+  for (const QueryRecord* record : batch) {
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
+  }
+}
+
+std::span<const float> MscnCostModel::Forward() {
+  Scratch& s = scratch_;
+  const size_t queries = s.sets.size();
+  const size_t h = options_.hidden_dim;
+  const size_t width = kSetTypes.size() * h;
+  s.pooled.assign(queries * width, 0.0f);
+  float* pooled = s.pooled.data();
+  for (size_t k = 0; k < kSetTypes.size(); ++k) {
+    SetRows& rows = s.set_rows[k];
+    rows.inputs.clear();
+    rows.owners.clear();
+    rows.factors.assign(queries, 0.0f);
+    for (size_t q = 0; q < queries; ++q) {
+      const std::vector<std::vector<float>>& set =
+          s.sets[q].*kSetTypes[k].member;
+      if (!set.empty()) rows.factors[q] = 1.0f / static_cast<float>(set.size());
+      for (const std::vector<float>& element : set) {
+        ZDB_CHECK_EQ(element.size(), kSetTypes[k].element_dim);
+        rows.inputs.insert(rows.inputs.end(), element.begin(), element.end());
+        rows.owners.push_back(static_cast<uint32_t>(q));
+      }
+    }
+    // A set type with no element in the whole batch leaves its block at
+    // +0.0f (0 * 0), and Backward skips its encoder.
+    if (!rows.owners.empty()) {
+      encoders_[k].ForwardRows(rows.inputs, rows.owners.size(), &rows.tape);
+      nn::ScatterAddRows(rows.tape.output(), rows.owners, h, pooled + k * h,
+                         width);
+    }
+    nn::ScaleRowsInPlace(pooled + k * h, width, h, rows.factors);
+  }
+  output_.ForwardRows({pooled, queries * width}, queries, &s.output_tape);
+  return {s.output_tape.output(), queries};
+}
+
+void MscnCostModel::Backward(std::span<const float> d_predictions) {
+  Scratch& s = scratch_;
+  const size_t queries = s.sets.size();
+  ZDB_CHECK_EQ(d_predictions.size(), queries);
+  const size_t h = options_.hidden_dim;
+  const size_t width = kSetTypes.size() * h;
+  s.d_pooled.assign(queries * width, 0.0f);
+  float* d_pooled = s.d_pooled.data();
+  output_.BackwardRows(s.pooled.data(), s.output_tape, d_predictions.data(),
+                       d_pooled, &s.mlp);
+  for (size_t k = 0; k < kSetTypes.size(); ++k) {
+    SetRows& rows = s.set_rows[k];
+    if (rows.owners.empty()) continue;
+    rows.d_sums.assign(queries * h, 0.0f);
+    nn::ScaleRowsAccumulate(d_pooled + k * h, width, h, rows.factors,
+                            rows.d_sums.data());
+    rows.d_elements.assign(rows.owners.size() * h, 0.0f);
+    nn::GatherAddRows(rows.d_sums.data(), rows.owners, h,
+                      rows.d_elements.data());
+    encoders_[k].BackwardRows(rows.inputs.data(), rows.tape,
+                              rows.d_elements.data(), /*dx=*/nullptr, &s.mlp);
+  }
 }
 
 float MscnCostModel::LossOnBatch(
     const std::vector<const QueryRecord*>& batch) {
-  return LossGraph(batch).item();
+  FeaturizeBatch(batch);
+  LoadTargets(batch);
+  return nn::HuberLossValue(Forward(), scratch_.targets, 1.0f);
 }
 
 float MscnCostModel::AccumulateGradients(
     const std::vector<const QueryRecord*>& batch, float scale) {
-  return nn::BackwardScaled(LossGraph(batch), scale);
+  FeaturizeBatch(batch);
+  LoadTargets(batch);
+  const std::span<const float> predictions = Forward();
+  scratch_.d_predictions.assign(predictions.size(), 0.0f);
+  const float loss = nn::ScaledHuberLossBackward(
+      predictions, scratch_.targets, 1.0f, scale, scratch_.d_predictions);
+  Backward(scratch_.d_predictions);
+  return loss;
 }
 
 std::vector<Millis> MscnCostModel::PredictMs(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(target_norm_.fitted());
   if (records.empty()) return {};
-  std::vector<featurize::MscnSets> featurized;
-  featurized.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    featurized.push_back(featurizer_.Featurize(record->query, *record->env));
-  }
-  nn::Tensor predictions = Forward(featurized);
+  FeaturizeBatch(records);
   std::vector<Millis> out;
   out.reserve(records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    out.push_back(Millis::FromLog(target_norm_.Denormalize(predictions.data()[i])));
+  for (float normalized : Forward()) {
+    out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
   }
   return out;
 }

@@ -1,8 +1,12 @@
 #ifndef ZERODB_MODELS_MSCN_MODEL_H_
 #define ZERODB_MODELS_MSCN_MODEL_H_
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "featurize/mscn_featurizer.h"
 #include "featurize/normalization.h"
@@ -38,23 +42,59 @@ class MscnCostModel : public NeuralCostModel {
   std::unique_ptr<NeuralCostModel> CloneReplica() const override;
 
  private:
-  nn::Tensor Forward(const std::vector<featurize::MscnSets>& batch);
+  /// Featurizes `batch` into scratch_.sets.
+  void FeaturizeBatch(const std::vector<const QueryRecord*>& batch);
 
-  /// The batch's Huber loss as a graph node.
-  nn::Tensor LossGraph(const std::vector<const QueryRecord*>& batch);
+  /// The batch's normalized log runtimes in scratch_.targets.
+  void LoadTargets(const std::vector<const QueryRecord*>& batch);
 
-  /// Encodes one set type across the batch and mean-pools per query.
-  nn::Tensor PoolSet(const std::vector<featurize::MscnSets>& batch,
-                     const std::vector<std::vector<float>> featurize::MscnSets::*member,
-                     size_t element_dim, const nn::Mlp& encoder);
+  /// The forward pass over scratch_.sets; returns one normalized
+  /// log-runtime prediction per query, valid until the next call. Each set
+  /// type's encoder runs once over the batch's elements in query order;
+  /// each query's encodings are summed onto +0.0f in element order and the
+  /// sum is multiplied by 1/|set| (0 for an empty set). The three pooled
+  /// blocks sit side by side in the (queries, 3 * hidden) rows the output
+  /// MLP reads. Keeps every activation for Backward.
+  std::span<const float> Forward();
+
+  /// The backward of the last Forward: given d(loss)/d(prediction) per
+  /// query, adds every parameter's gradient into its grad buffer — the
+  /// output MLP, then per set type d(pooled) * 1/|set| gathered back to the
+  /// element rows and the encoder. Every parameter gets one LinearBackward
+  /// contribution per call.
+  void Backward(std::span<const float> d_predictions);
 
   Options options_;
   featurize::MscnFeaturizer featurizer_;
-  nn::Mlp table_encoder_;
-  nn::Mlp join_encoder_;
-  nn::Mlp predicate_encoder_;
+  /// One encoder per set type: tables, joins, predicates.
+  std::array<nn::Mlp, 3> encoders_;
   nn::Mlp output_;
   featurize::TargetNorm target_norm_;
+
+  /// One set type's rows in the last Forward, and their gradients.
+  struct SetRows {
+    std::vector<float> inputs;     ///< the batch's elements, packed
+    std::vector<uint32_t> owners;  ///< each element's query
+    std::vector<float> factors;    ///< per query: 1/|set|, 0 when empty
+    nn::MlpTape tape;
+    std::vector<float> d_sums;      ///< (queries, hidden)
+    std::vector<float> d_elements;  ///< (elements, hidden)
+  };
+
+  /// Forward's activations and Backward's gradients, reused across calls.
+  /// Every element a call reads, it first writes. The model is
+  /// thread-compatible, not thread-safe, so one pass at a time owns these.
+  struct Scratch {
+    std::vector<featurize::MscnSets> sets;
+    std::vector<float> targets;
+    std::array<SetRows, 3> set_rows;
+    std::vector<float> pooled;  ///< (queries, 3 * hidden)
+    nn::MlpTape output_tape;
+    std::vector<float> d_predictions;
+    std::vector<float> d_pooled;  ///< (queries, 3 * hidden)
+    std::vector<float> mlp;       ///< Mlp::BackwardRows scratch
+  };
+  Scratch scratch_;
 };
 
 }  // namespace zerodb::models

@@ -265,7 +265,7 @@ std::span<const float> TreeMessagePassingModel::Forward(
   for (size_t e = 0; e < config_.num_encoders; ++e) {
     const std::vector<uint32_t>& ids = s.encoder_ids[e];
     if (ids.empty()) continue;
-    encoders_[e].ForwardRows(s.encoder_inputs[e].data(), ids.size(),
+    encoders_[e].ForwardRows(s.encoder_inputs[e], ids.size(),
                              &s.encoder_tapes[e]);
     const float* encoded = s.encoder_tapes[e].output();
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -300,7 +300,8 @@ std::span<const float> TreeMessagePassingModel::Forward(
         for (size_t j = 0; j < hidden; ++j) child_sum[j] += child[j];
       }
     }
-    combine_.ForwardRows(input, ids.size(), &s.combine_tapes[level]);
+    combine_.ForwardRows({input, ids.size() * 2 * hidden}, ids.size(),
+                         &s.combine_tapes[level]);
     const float* combined = s.combine_tapes[level].output();
     for (size_t i = 0; i < ids.size(); ++i) {
       ScatterRow(combined + i * hidden, hidden, hidden_rows + ids[i] * hidden);
@@ -313,7 +314,8 @@ std::span<const float> TreeMessagePassingModel::Forward(
     std::copy(hidden_rows + s.root_ids[g] * hidden,
               hidden_rows + (s.root_ids[g] + 1) * hidden, roots + g * hidden);
   }
-  readout_.ForwardRows(roots, graphs.size(), &s.readout_tape);
+  readout_.ForwardRows({roots, graphs.size() * hidden}, graphs.size(),
+                       &s.readout_tape);
   const std::span<const float> predictions(s.readout_tape.output(),
                                            graphs.size());
   ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
@@ -414,16 +416,10 @@ float TreeMessagePassingModel::LossOnBatch(
 float TreeMessagePassingModel::AccumulateGradients(
     const std::vector<const QueryRecord*>& batch, float scale) {
   PrepareBatch(batch);
-  return GradientStep(scratch_.batch_graphs, scratch_.targets, scale);
-}
-
-float TreeMessagePassingModel::GradientStep(
-    std::span<const featurize::PlanGraph* const> graphs,
-    std::span<const float> targets, float scale) {
-  const std::span<const float> predictions = Forward(graphs);
+  const std::span<const float> predictions = Forward(scratch_.batch_graphs);
   scratch_.d_predictions.assign(predictions.size(), 0.0f);
   const float loss = nn::ScaledHuberLossBackward(
-      predictions, targets, 1.0f, scale, scratch_.d_predictions);
+      predictions, scratch_.targets, 1.0f, scale, scratch_.d_predictions);
   Backward(scratch_.d_predictions);
   return loss;
 }

@@ -36,7 +36,7 @@ struct TreeModelConfig {
 /// Subclasses provide the featurizer; this class owns parameters,
 /// normalization and one level-batched forward pass over model-owned
 /// scratch, with a hand-written backward. Training, validation and serving
-/// all run it; none of them builds an autodiff graph.
+/// all run it.
 class TreeMessagePassingModel : public NeuralCostModel {
  public:
   explicit TreeMessagePassingModel(const TreeModelConfig& config);
@@ -79,9 +79,6 @@ class TreeMessagePassingModel : public NeuralCostModel {
   virtual size_t EncoderIdFor(size_t op_type) const = 0;
 
  private:
-  /// The differential tests reach the pass and a graph-built reference.
-  friend class TreeModelTestPeer;
-
   /// The forward pass over `graphs`; returns one normalized log-runtime
   /// prediction per graph, valid until the next call. All nodes are laid
   /// out in one global order (graph by graph, node index order). Each
@@ -98,15 +95,8 @@ class TreeMessagePassingModel : public NeuralCostModel {
   /// graph, adds every parameter's gradient into its grad buffer. Combine
   /// gradients accumulate level by level, highest level first; every
   /// hidden-state and encoding gradient row receives exactly one
-  /// contribution, added to +0.0f. With the kernels shared with the graph
-  /// ops, this reproduces Tensor::Backward on the equivalent graph bit for
-  /// bit.
+  /// contribution, added to +0.0f.
   void Backward(std::span<const float> d_predictions);
-
-  /// AccumulateGradients over featurized graphs and their normalized
-  /// targets: Forward, the scaled Huber loss's gradient, Backward.
-  float GradientStep(std::span<const featurize::PlanGraph* const> graphs,
-                     std::span<const float> targets, float scale);
 
   /// Featurizes `batch` through the graph cache into
   /// scratch_.batch_graphs and its normalized targets into scratch_.targets.

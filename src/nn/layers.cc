@@ -28,14 +28,6 @@ Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
   bias_ = Tensor::Parameter(1, out_features, std::move(bias_data));
 }
 
-Tensor Linear::Forward(const Tensor& x, bool fuse_relu) const {
-  ZDB_DCHECK_OK(ValidateFeatureDim(x, in_features_, "Linear::Forward input"));
-  ZDB_DCHECK_OK(ValidateShape(weight_, in_features_, out_features_,
-                              "Linear::Forward weight"));
-  ZDB_CHECK_EQ(x.cols(), in_features_);
-  return LinearFused(x, weight_, bias_, fuse_relu);
-}
-
 Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
   ZDB_CHECK_GT(config.in_features, 0u);
   ZDB_CHECK_GT(config.out_features, 0u);
@@ -47,27 +39,16 @@ Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
   layers_.emplace_back(in, config.out_features, rng);
 }
 
-Tensor Mlp::Forward(const Tensor& x) const {
+void Mlp::ForwardRows(std::span<const float> x, size_t rows,
+                      MlpTape* tape) const {
   ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
-  ZDB_DCHECK_OK(ValidateFinite(x, "Mlp::Forward input"));
-  Tensor current = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    // ReLU rides inside the fused dense kernel on every hidden layer.
-    const bool is_output = (i + 1 == layers_.size());
-    current = layers_[i].Forward(current, /*fuse_relu=*/!is_output);
-  }
-  ZDB_DCHECK_OK(ValidateFinite(current, "Mlp::Forward output"));
-  return current;
-}
-
-void Mlp::ForwardRows(const float* x, size_t rows, MlpTape* tape) const {
-  ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
-  ZDB_DCHECK_OK(ValidateFinite(
-      std::span<const float>(x, rows * config_.in_features),
-      "Mlp::ForwardRows input"));
+  ZDB_CHECK_EQ(x.size(), rows * config_.in_features)
+      << "Mlp::ForwardRows input: expected " << config_.in_features
+      << " feature columns over " << rows << " rows";
+  ZDB_DCHECK_OK(ValidateFinite(x, "Mlp::ForwardRows input"));
   tape->rows = rows;
   tape->layers.resize(layers_.size());
-  const float* current = x;
+  const float* current = x.data();
   for (size_t i = 0; i < layers_.size(); ++i) {
     const Linear& layer = layers_[i];
     std::vector<float>& out = tape->layers[i];

@@ -1,6 +1,7 @@
 #ifndef ZERODB_NN_LAYERS_H_
 #define ZERODB_NN_LAYERS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,16 +11,13 @@
 
 namespace zerodb::nn {
 
-/// Fully-connected layer y = x W + b with Kaiming-uniform initialization.
+/// Fully-connected layer y = x W + b with Kaiming-uniform initialization;
+/// Mlp runs it through LinearForward and LinearBackward.
 class Linear {
  public:
   /// Creates an uninitialized layer; call Init or deserialize before use.
   Linear() = default;
   Linear(size_t in_features, size_t out_features, Rng* rng);
-
-  /// y = x W + b, with the ReLU fused into the same kernel pass when
-  /// `fuse_relu` is set (numerically identical to Relu(Forward(x))).
-  Tensor Forward(const Tensor& x, bool fuse_relu = false) const;
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
@@ -61,20 +59,19 @@ class Mlp {
   Mlp() = default;
   Mlp(const MlpConfig& config, Rng* rng);
 
-  Tensor Forward(const Tensor& x) const;
-
-  /// Forward over `rows` raw rows of in_features floats, with no graph node,
-  /// recording every layer's output in `tape`. Each layer runs
-  /// LinearForward, so the output is bit-identical to Forward's.
-  void ForwardRows(const float* x, size_t rows, MlpTape* tape) const;
+  /// Forward over `rows` rows of in_features floats, recording every
+  /// layer's output in `tape`. Each layer runs LinearForward, with the ReLU
+  /// fused into the hidden layers. Aborts unless x holds exactly
+  /// rows * in_features floats.
+  void ForwardRows(std::span<const float> x, size_t rows,
+                   MlpTape* tape) const;
 
   /// The backward of the ForwardRows call that filled `tape` from `x`:
   /// given the output's gradient `dout` (rows, out_features), adds every
   /// layer's dW and db into its parameters' grad buffers and, unless `dx` is
   /// null, dX into `dx` (rows, in_features). Each layer runs LinearBackward,
-  /// so the arithmetic is LinearFused's backward, layer by layer from the
-  /// output down. Hidden-layer gradients live in `scratch`, which only ever
-  /// grows.
+  /// layer by layer from the output down. Hidden-layer gradients live in
+  /// `scratch`, which only ever grows.
   void BackwardRows(const float* x, const MlpTape& tape, const float* dout,
                     float* dx, std::vector<float>* scratch) const;
 

@@ -5,12 +5,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
+#include "gradient_check.h"
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
@@ -27,22 +27,16 @@ TEST(TensorTest, FactoriesAndShapes) {
   EXPECT_EQ(z.size(), 6u);
   for (float v : z.data()) EXPECT_EQ(v, 0.0f);
 
-  Tensor f = Tensor::Full(2, 2, 1.5f);
-  EXPECT_EQ(f.at(1, 1), 1.5f);
-
   Tensor d = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  EXPECT_EQ(d.at(0, 1), 2.0f);
-  EXPECT_EQ(d.at(1, 0), 3.0f);
-  EXPECT_FALSE(d.requires_grad());
+  EXPECT_EQ(d.data()[1], 2.0f);
+  EXPECT_EQ(d.data()[2], 3.0f);
+  EXPECT_TRUE(d.grad().empty());
 
   Tensor p = Tensor::Parameter(1, 2, {5, 6});
-  EXPECT_TRUE(p.requires_grad());
   EXPECT_EQ(p.grad().size(), 2u);
-}
-
-TEST(TensorTest, ItemRequiresScalar) {
-  Tensor s = Tensor::FromData(1, 1, {3.0f});
-  EXPECT_EQ(s.item(), 3.0f);
+  Tensor shared = p;  // copies share the storage
+  shared.mutable_data()[0] = 7.0f;
+  EXPECT_EQ(p.data()[0], 7.0f);
 }
 
 TEST(TensorTest, ZerosLikeMatchesShapeAndZeroes) {
@@ -53,224 +47,102 @@ TEST(TensorTest, ZerosLikeMatchesShapeAndZeroes) {
   for (float v : z.data()) EXPECT_EQ(v, 0.0f);
 }
 
-TEST(OpsTest, MatMulForward) {
-  Tensor a = Tensor::FromData(2, 3, {1, 2, 3, 4, 5, 6});
-  Tensor b = Tensor::FromData(3, 2, {7, 8, 9, 10, 11, 12});
-  Tensor c = MatMul(a, b);
-  ASSERT_EQ(c.rows(), 2u);
-  ASSERT_EQ(c.cols(), 2u);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
-}
-
-TEST(OpsTest, AddBiasForward) {
-  Tensor x = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  Tensor b = Tensor::FromData(1, 2, {10, 20});
-  Tensor y = AddBias(x, b);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 11.0f);
-  EXPECT_FLOAT_EQ(y.at(1, 1), 24.0f);
-}
-
-TEST(OpsTest, ReluForward) {
-  Tensor x = Tensor::FromData(1, 4, {-2, -0.5f, 0, 3});
-  Tensor y = Relu(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
-  EXPECT_FLOAT_EQ(y.at(0, 2), 0.0f);
-  EXPECT_FLOAT_EQ(y.at(0, 3), 3.0f);
-}
-
-TEST(OpsTest, RowGatherForward) {
-  Tensor x = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
-  Tensor y = RowGather(x, {2, 0, 2});
-  ASSERT_EQ(y.rows(), 3u);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ(y.at(1, 0), 1.0f);
-  EXPECT_FLOAT_EQ(y.at(2, 1), 6.0f);
-}
-
-TEST(OpsTest, RowScatterAddForward) {
-  Tensor x = Tensor::FromData(3, 2, {1, 1, 2, 2, 3, 3});
-  Tensor y = RowScatterAdd(x, {0, 0, 1}, 2);
-  ASSERT_EQ(y.rows(), 2u);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 3.0f);  // rows 0 and 1 summed
-  EXPECT_FLOAT_EQ(y.at(1, 0), 3.0f);
-}
-
-TEST(OpsTest, ConcatColsForward) {
-  Tensor a = Tensor::FromData(2, 1, {1, 2});
-  Tensor b = Tensor::FromData(2, 2, {3, 4, 5, 6});
-  Tensor c = ConcatCols({a, b});
-  ASSERT_EQ(c.cols(), 3u);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 2), 4.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 5.0f);
-}
-
-TEST(OpsTest, MseLossForward) {
-  Tensor pred = Tensor::FromData(2, 1, {1.0f, 3.0f});
-  Tensor target = Tensor::FromData(2, 1, {0.0f, 1.0f});
-  Tensor loss = MseLoss(pred, target);
-  EXPECT_FLOAT_EQ(loss.item(), (1.0f + 4.0f) / 2.0f);
-}
-
 TEST(OpsTest, HuberLossForward) {
-  Tensor pred = Tensor::FromData(2, 1, {0.5f, 3.0f});
-  Tensor target = Tensor::FromData(2, 1, {0.0f, 0.0f});
-  Tensor loss = HuberLoss(pred, target, 1.0f);
+  const std::vector<float> pred = {0.5f, 3.0f};
+  const std::vector<float> target = {0.0f, 0.0f};
   // 0.5*0.25 + (3 - 0.5) = 0.125 + 2.5, averaged.
-  EXPECT_FLOAT_EQ(loss.item(), (0.125f + 2.5f) / 2.0f);
+  EXPECT_FLOAT_EQ(HuberLossValue(pred, target, 1.0f), (0.125f + 2.5f) / 2.0f);
+  std::vector<float> grad(2, 0.0f);
+  EXPECT_FLOAT_EQ(ScaledHuberLossBackward(pred, target, 1.0f, 0.5f, grad),
+                  (0.125f + 2.5f) / 4.0f);
+  EXPECT_FLOAT_EQ(grad[0], 0.5f * 0.5f / 2.0f);  // scale * diff / count
+  EXPECT_FLOAT_EQ(grad[1], 0.5f * 1.0f / 2.0f);  // clipped at delta
 }
 
-// Numerical gradient checking: perturb each parameter entry and compare the
-// finite-difference slope with the autograd gradient.
-void CheckGradients(Tensor param, const std::function<Tensor()>& loss_fn,
-                    float tolerance = 2e-2f) {
-  Tensor loss = loss_fn();
-  param.ZeroGrad();
-  loss.Backward();
-  std::vector<float> analytic = param.grad();
-  const float eps = 1e-2f;
-  for (size_t i = 0; i < param.size(); ++i) {
-    float original = param.mutable_data()[i];
-    param.mutable_data()[i] = original + eps;
-    float up = loss_fn().item();
-    param.mutable_data()[i] = original - eps;
-    float down = loss_fn().item();
-    param.mutable_data()[i] = original;
-    float numeric = (up - down) / (2 * eps);
-    EXPECT_NEAR(analytic[i], numeric, tolerance)
-        << "gradient mismatch at index " << i;
+// Set pooling's kernels on a block two columns into a 7-wide row: the
+// scatter sums each query's rows, the scale divides by the set size, and
+// the two backward kernels send a gradient back the same way.
+TEST(OpsTest, PoolingKernelsForward) {
+  const std::vector<float> x = {1, 2, 3, 10, 20, 30, 100, 200, 300};
+  const std::vector<uint32_t> owners = {0, 2, 0};
+  std::vector<float> pooled(3 * 7, -1.0f);
+  for (size_t q = 0; q < 3; ++q) {
+    std::fill(pooled.begin() + q * 7 + 2, pooled.begin() + q * 7 + 5, 0.0f);
   }
+  ScatterAddRows(x.data(), owners, 3, pooled.data() + 2, 7);
+  const std::vector<float> factors = {0.5f, 0.0f, 1.0f};
+  ScaleRowsInPlace(pooled.data() + 2, 7, 3, factors);
+  EXPECT_EQ(pooled[2], 50.5f);   // (1 + 100) / 2
+  EXPECT_EQ(pooled[4], 151.5f);  // (3 + 300) / 2
+  EXPECT_EQ(pooled[7 + 2], 0.0f);
+  EXPECT_EQ(pooled[14 + 3], 20.0f);
+  EXPECT_EQ(pooled[1], -1.0f);  // outside the block: untouched
+  EXPECT_EQ(pooled[5], -1.0f);
+
+  std::vector<float> d_sums(3 * 3, 0.0f);
+  ScaleRowsAccumulate(pooled.data() + 2, 7, 3, factors, d_sums.data());
+  EXPECT_EQ(d_sums[0], 25.25f);
+  EXPECT_EQ(d_sums[3], 0.0f);
+  EXPECT_EQ(d_sums[7], 20.0f);
+  std::vector<float> d_x(3 * 3, 0.0f);
+  GatherAddRows(d_sums.data(), owners, 3, d_x.data());
+  EXPECT_EQ(d_x[0], 25.25f);
+  EXPECT_EQ(d_x[4], 20.0f);
+  EXPECT_EQ(d_x[6], 25.25f);
 }
 
-TEST(AutogradTest, MatMulGradient) {
-  Tensor w = Tensor::Parameter(3, 2, {0.1f, -0.2f, 0.3f, 0.4f, -0.5f, 0.6f});
-  Tensor x = Tensor::FromData(2, 3, {1, 2, 3, -1, 0.5f, 2});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, -1.0f});
-  Tensor ones = Tensor::FromData(2, 1, {1.0f, 1.0f});
-  auto loss_fn = [&]() {
-    Tensor h = MatMul(x, w);                       // (2,2)
-    Tensor col = MatMul(h, Tensor::FromData(2, 1, {1.0f, 1.0f}));
-    (void)ones;
-    return MseLoss(col, target);
+// The pooling kernels' backward against central differences of
+// L = sum(w * pooled) + 0.5 * sum(pooled^2) in the element rows.
+TEST(GradientTest, PoolingKernelsMatchCentralDifferences) {
+  Rng rng(11);
+  const size_t n = 3;
+  const size_t stride = 7;
+  const size_t offset = 2;
+  const std::vector<uint32_t> owners = {1, 0, 1, 3, 1, 0};
+  const std::vector<float> factors = {0.5f, 1.0f / 3.0f, 0.0f, 1.0f};
+  const size_t queries = factors.size();
+  std::vector<float> x(owners.size() * n);
+  for (float& v : x) v = static_cast<float>(rng.Normal());
+  std::vector<float> w(queries * n);
+  for (float& v : w) v = static_cast<float>(rng.Normal());
+  std::vector<float> pooled(queries * stride);
+  auto forward = [&]() {
+    std::fill(pooled.begin(), pooled.end(), 0.0f);
+    ScatterAddRows(x.data(), owners, n, pooled.data() + offset, stride);
+    ScaleRowsInPlace(pooled.data() + offset, stride, n, factors);
   };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, BiasGradient) {
-  Tensor b = Tensor::Parameter(1, 2, {0.2f, -0.3f});
-  Tensor x = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
-  Tensor target = Tensor::FromData(3, 1, {1, 2, 3});
-  auto loss_fn = [&]() {
-    Tensor h = AddBias(x, b);
-    Tensor col = MatMul(h, Tensor::FromData(2, 1, {1.0f, -1.0f}));
-    return MseLoss(col, target);
+  auto loss = [&]() {
+    forward();
+    double total = 0.0;
+    for (size_t q = 0; q < queries; ++q) {
+      for (size_t j = 0; j < n; ++j) {
+        const double p = pooled[q * stride + offset + j];
+        total += w[q * n + j] * p + 0.5 * p * p;
+      }
+    }
+    return static_cast<float>(total);
   };
-  CheckGradients(b, loss_fn);
+  forward();
+  std::vector<float> d_pooled(queries * stride, 0.0f);
+  for (size_t q = 0; q < queries; ++q) {
+    for (size_t j = 0; j < n; ++j) {
+      d_pooled[q * stride + offset + j] =
+          w[q * n + j] + pooled[q * stride + offset + j];
+    }
+  }
+  std::vector<float> d_sums(queries * n, 0.0f);
+  ScaleRowsAccumulate(d_pooled.data() + offset, stride, n, factors,
+                      d_sums.data());
+  std::vector<float> dx(x.size(), 0.0f);
+  GatherAddRows(d_sums.data(), owners, n, dx.data());
+  gradcheck::ExpectCentralDifferences(x, dx, loss, "element rows");
 }
 
-TEST(AutogradTest, ReluGradient) {
-  Tensor w = Tensor::Parameter(2, 2, {0.5f, -0.4f, 0.3f, 0.8f});
-  Tensor x = Tensor::FromData(2, 2, {1, -2, 3, 0.5f});
-  Tensor target = Tensor::FromData(2, 1, {0.3f, 0.7f});
-  auto loss_fn = [&]() {
-    Tensor h = Relu(MatMul(x, w));
-    Tensor col = MatMul(h, Tensor::FromData(2, 1, {1.0f, 1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, GatherScatterGradient) {
-  Tensor w = Tensor::Parameter(3, 2, {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, 0.0f});
-  auto loss_fn = [&]() {
-    Tensor gathered = RowGather(w, {0, 2, 1, 0});          // (4,2)
-    Tensor pooled = RowScatterAdd(gathered, {0, 0, 1, 1}, 2);  // (2,2)
-    Tensor col = MatMul(pooled, Tensor::FromData(2, 1, {1.0f, -1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, ConcatGradient) {
-  Tensor w = Tensor::Parameter(2, 2, {0.1f, 0.2f, 0.3f, 0.4f});
-  Tensor x = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, -1.0f});
-  auto loss_fn = [&]() {
-    Tensor h = MatMul(x, w);
-    Tensor cat = ConcatCols({h, x});  // (2,4)
-    Tensor col = MatMul(cat, Tensor::FromData(4, 1, {1.0f, -1.0f, 0.5f, 0.5f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, SharedSubgraphAccumulates) {
-  // Using a parameter twice must add both gradient contributions.
-  Tensor w = Tensor::Parameter(1, 1, {0.7f});
-  Tensor target = Tensor::FromData(1, 1, {2.0f});
-  auto loss_fn = [&]() {
-    Tensor doubled = Add(w, w);  // 2w
-    return MseLoss(doubled, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, HuberGradient) {
-  Tensor w = Tensor::Parameter(2, 1, {2.0f, -0.2f});
-  Tensor x = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  Tensor target = Tensor::FromData(2, 1, {0.0f, 0.0f});
-  auto loss_fn = [&]() { return HuberLoss(MatMul(x, w), target, 1.0f); };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, ScaleRowsAndScaleGradient) {
-  Tensor w = Tensor::Parameter(2, 2, {0.3f, 0.1f, -0.2f, 0.5f});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, 2.0f});
-  auto loss_fn = [&]() {
-    Tensor scaled = ScaleRows(w, {0.5f, 2.0f});
-    Tensor s2 = Scale(scaled, 3.0f);
-    Tensor col = MatMul(s2, Tensor::FromData(2, 1, {1.0f, 1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(LayersTest, LinearShapesAndDeterminism) {
-  Rng rng1(5);
-  Rng rng2(5);
-  Linear a(4, 3, &rng1);
-  Linear b(4, 3, &rng2);
-  EXPECT_EQ(a.weight().data(), b.weight().data());
-  Tensor x = Tensor::FromData(2, 4, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor y = a.Forward(x);
-  EXPECT_EQ(y.rows(), 2u);
-  EXPECT_EQ(y.cols(), 3u);
-}
-
-TEST(LayersTest, MlpForwardShape) {
-  Rng rng(5);
-  MlpConfig config;
-  config.in_features = 6;
-  config.hidden_sizes = {8, 8};
-  config.out_features = 1;
-  Mlp mlp(config, &rng);
-  Tensor x = Tensor::Zeros(3, 6);
-  Tensor y = mlp.Forward(x);
-  EXPECT_EQ(y.rows(), 3u);
-  EXPECT_EQ(y.cols(), 1u);
-  EXPECT_EQ(mlp.Parameters().size(), 6u);  // 3 layers x (W, b)
-}
-
-// ForwardRows/BackwardRows run the graph ops' kernels over raw buffers, so
-// they reproduce Forward and Backward bit for bit: the loss, the input
-// gradient and every parameter gradient. Hidden width 64 takes the matmul
-// kernel's register path, 7 its generic one.
-TEST(LayersTest, RowPassMatchesGraphBitForBit) {
+// Mlp::BackwardRows + ScaledHuberLossBackward against central differences,
+// input and parameter gradients. Hidden width 64 takes the matmul kernel's
+// register path, 7 its generic one; the targets put some rows past the
+// Huber threshold.
+TEST(GradientTest, MlpRowPassMatchesCentralDifferences) {
   Rng rng(9);
   MlpConfig config;
   config.in_features = 5;
@@ -283,45 +155,36 @@ TEST(LayersTest, RowPassMatchesGraphBitForBit) {
   for (float& v : x) {
     v = rng.Bernoulli(0.2) ? 0.0f : static_cast<float>(rng.Normal());
   }
-  for (float& t : targets) t = static_cast<float>(rng.Normal());
-  const float scale = 0.375f;
-  std::vector<Tensor> params = mlp.Parameters();
+  for (float& t : targets) t = static_cast<float>(2.0 * rng.Normal());
+  gradcheck::ExpectMlpGradientsMatch(mlp, x, targets, 0.375f);
+}
 
-  Tensor input = Tensor::Parameter(rows, config.in_features, x);
-  const float graph_loss = BackwardScaled(
-      HuberLoss(mlp.Forward(input), Tensor::FromData(rows, 1, targets)),
-      scale);
-  std::vector<std::vector<float>> graph_grads;
-  for (Tensor& p : params) {
-    graph_grads.push_back(p.grad());
-    p.ZeroGrad();
-  }
+TEST(LayersTest, LinearShapesAndDeterminism) {
+  Rng rng1(5);
+  Rng rng2(5);
+  Linear a(4, 3, &rng1);
+  Linear b(4, 3, &rng2);
+  EXPECT_EQ(a.weight().data(), b.weight().data());
+  EXPECT_EQ(a.bias().data(), b.bias().data());
+  EXPECT_EQ(a.weight().rows(), 4u);
+  EXPECT_EQ(a.weight().cols(), 3u);
+  EXPECT_EQ(a.bias().rows(), 1u);
+  EXPECT_EQ(a.bias().cols(), 3u);
+}
 
-  const uint64_t nodes = NodesCreated();
+TEST(LayersTest, MlpForwardShape) {
+  Rng rng(5);
+  MlpConfig config;
+  config.in_features = 6;
+  config.hidden_sizes = {8, 8};
+  config.out_features = 1;
+  Mlp mlp(config, &rng);
   MlpTape tape;
-  mlp.ForwardRows(x.data(), rows, &tape);
-  std::vector<float> d_out(rows, 0.0f);
-  const float row_loss = ScaledHuberLossBackward(
-      std::span<const float>(tape.output(), rows), targets, 1.0f, scale,
-      d_out);
-  std::vector<float> dx(x.size(), 0.0f);
-  std::vector<float> scratch;
-  mlp.BackwardRows(x.data(), tape, d_out.data(), dx.data(), &scratch);
-  EXPECT_EQ(NodesCreated(), nodes);
-
-  EXPECT_EQ(std::bit_cast<uint32_t>(row_loss),
-            std::bit_cast<uint32_t>(graph_loss));
-  auto same_bits = [](const std::vector<float>& a,
-                      const std::vector<float>& b) {
-    return a.size() == b.size() &&
-           std::equal(a.begin(), a.end(), b.begin(), [](float u, float v) {
-             return std::bit_cast<uint32_t>(u) == std::bit_cast<uint32_t>(v);
-           });
-  };
-  EXPECT_TRUE(same_bits(dx, input.grad()));
-  for (size_t p = 0; p < params.size(); ++p) {
-    EXPECT_TRUE(same_bits(params[p].grad(), graph_grads[p])) << "param " << p;
-  }
+  mlp.ForwardRows(std::vector<float>(3 * 6, 0.0f), 3, &tape);
+  EXPECT_EQ(tape.rows, 3u);
+  ASSERT_EQ(tape.layers.size(), 3u);
+  EXPECT_EQ(tape.layers.back().size(), 3u);
+  EXPECT_EQ(mlp.Parameters().size(), 6u);  // 3 layers x (W, b)
 }
 
 TEST(TrainingTest, MlpLearnsLinearFunction) {
@@ -344,19 +207,24 @@ TEST(TrainingTest, MlpLearnsLinearFunction) {
     inputs.push_back(x1);
     targets.push_back(2 * x0 - x1 + 0.5f);
   }
-  Tensor x = Tensor::FromData(n, 2, inputs);
-  Tensor y = Tensor::FromData(n, 1, targets);
 
   Adam optimizer(mlp.Parameters(), 0.01f);
+  MlpTape tape;
+  std::vector<float> d_out(n);
+  std::vector<float> scratch;
   float final_loss = 1e9f;
   for (int epoch = 0; epoch < 600; ++epoch) {
-    Tensor loss = MseLoss(mlp.Forward(x), y);
     optimizer.ZeroGrad();
-    loss.Backward();
+    mlp.ForwardRows(inputs, n, &tape);
+    std::fill(d_out.begin(), d_out.end(), 0.0f);
+    final_loss = ScaledHuberLossBackward({tape.output(), n}, targets, 1.0f,
+                                         1.0f, d_out);
+    mlp.BackwardRows(inputs.data(), tape, d_out.data(), /*dx=*/nullptr,
+                     &scratch);
     optimizer.Step();
-    final_loss = loss.item();
   }
-  EXPECT_LT(final_loss, 2e-3f);
+  // Huber at delta 1 is half the squared error for small residuals.
+  EXPECT_LT(final_loss, 1e-3f);
 }
 
 TEST(OptimizerTest, ClipGradNorm) {
@@ -647,12 +515,12 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
   ASSERT_TRUE(LoadParameters(dest.Parameters(), path).ok());
 
-  Tensor x = Tensor::FromData(1, 3, {0.1f, 0.2f, 0.3f});
-  Tensor ys = source.Forward(x);
-  Tensor yd = dest.Forward(x);
-  for (size_t i = 0; i < ys.size(); ++i) {
-    EXPECT_FLOAT_EQ(ys.data()[i], yd.data()[i]);
-  }
+  const std::vector<float> x = {0.1f, 0.2f, 0.3f};
+  MlpTape ys;
+  MlpTape yd;
+  source.ForwardRows(x, 1, &ys);
+  dest.ForwardRows(x, 1, &yd);
+  EXPECT_EQ(ys.layers.back(), yd.layers.back());
   std::remove(path.c_str());
 }
 
@@ -684,11 +552,11 @@ TEST(SerializeTest, MissingFileIsIOError) {
   EXPECT_EQ(s.code(), StatusCode::kIOError);
 }
 
-// The blocked MatMul kernel (4-wide k blocking) reorders float summation
-// versus the scalar i-k-j reference, so it must match within tolerance,
-// not bitwise. k values straddle the block boundary on purpose: 1 and 3
-// run only the scalar tail, 4 and 8 only blocks, 7 both.
-TEST(OpsTest, MatMulBlockedMatchesReference) {
+// A dense layer with a zero bias is a matmul. Its 4-wide k blocking
+// reorders float summation versus the scalar i-k-j reference, so it must
+// match within tolerance, not bitwise. k values straddle the block boundary
+// on purpose: 1 and 3 run only the scalar tail, 4 and 8 only blocks, 7 both.
+TEST(OpsTest, LinearForwardBlockedMatchesReference) {
   Rng rng(99);
   for (size_t k : {1u, 3u, 4u, 7u, 8u}) {
     const size_t m = 5;
@@ -706,9 +574,9 @@ TEST(OpsTest, MatMulBlockedMatchesReference) {
     for (float& v : b_data) {
       v = static_cast<float>(rng.UniformDouble(-2.0, 2.0));
     }
-    Tensor a = Tensor::FromData(m, k, a_data);
-    Tensor b = Tensor::FromData(k, n, b_data);
-    Tensor c = MatMul(a, b);
+    std::vector<float> c(m * n);
+    LinearForward(a_data.data(), m, Tensor::FromData(k, n, b_data),
+                  Tensor::Zeros(1, n), /*relu=*/false, c.data());
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < n; ++j) {
         double reference = 0.0;
@@ -716,19 +584,19 @@ TEST(OpsTest, MatMulBlockedMatchesReference) {
           reference += static_cast<double>(a_data[i * k + kk]) *
                        static_cast<double>(b_data[kk * n + j]);
         }
-        EXPECT_NEAR(c.at(i, j), static_cast<float>(reference), 1e-4f)
+        EXPECT_NEAR(c[i * n + j], static_cast<float>(reference), 1e-4f)
             << "k=" << k << " at (" << i << "," << j << ")";
       }
     }
   }
 }
 
-TEST(OpsTest, MatMulHiddenWidthPathMatchesGenericBitForBit) {
+TEST(OpsTest, LinearForwardHiddenWidthPathMatchesGenericBitForBit) {
   // The row kernel keeps a 64-wide output row in registers (the tree
   // models' hidden width) and runs every other width through the generic
   // loop. Both must compute each element with the same expression in the
-  // same order: columns 0..63 of a 65-wide product (generic) equal the
-  // 64-wide product (register path) bit for bit.
+  // same order: columns 0..63 of a 65-wide layer (generic) equal the
+  // 64-wide layer (register path) bit for bit, with and without the ReLU.
   Rng rng(64);
   for (size_t k : {1u, 3u, 4u, 7u, 64u, 66u, 128u, 131u}) {
     const size_t m = 6;
@@ -746,97 +614,56 @@ TEST(OpsTest, MatMulHiddenWidthPathMatchesGenericBitForBit) {
         if (j < 64) hidden_data[row * 64 + j] = wide_data[row * 65 + j];
       }
     }
-    Tensor a = Tensor::FromData(m, k, a_data);
-    Tensor hidden = MatMul(a, Tensor::FromData(k, 64, hidden_data));
-    Tensor wide = MatMul(a, Tensor::FromData(k, 65, wide_data));
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < 64; ++j) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(hidden.at(i, j)),
-                  std::bit_cast<uint32_t>(wide.at(i, j)))
-            << "k=" << k << " at (" << i << "," << j << ")";
+    std::vector<float> wide_bias(65);
+    for (float& v : wide_bias) v = static_cast<float>(rng.Normal());
+    const std::vector<float> hidden_bias(wide_bias.begin(),
+                                         wide_bias.begin() + 64);
+    for (bool relu : {false, true}) {
+      std::vector<float> hidden(m * 64);
+      std::vector<float> wide(m * 65);
+      LinearForward(a_data.data(), m, Tensor::FromData(k, 64, hidden_data),
+                    Tensor::FromData(1, 64, hidden_bias), relu, hidden.data());
+      LinearForward(a_data.data(), m, Tensor::FromData(k, 65, wide_data),
+                    Tensor::FromData(1, 65, wide_bias), relu, wide.data());
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < 64; ++j) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(hidden[i * 64 + j]),
+                    std::bit_cast<uint32_t>(wide[i * 65 + j]))
+              << "k=" << k << " relu=" << relu << " at (" << i << "," << j
+              << ")";
+        }
       }
     }
   }
 }
 
-TEST(OpsTest, LinearFusedMatchesComposition) {
-  // LinearFused promises bitwise-identical results to the three-op
-  // composition (bias after the full k-accumulation, then ReLU), so exact
-  // equality — not tolerance — is the contract.
-  Tensor x = Tensor::FromData(3, 5, {0.3f, -1.2f, 0.7f, 2.1f, -0.4f,
-                                     1.1f, 0.0f, -0.9f, 0.5f, 1.7f,
-                                     -2.2f, 0.8f, 1.3f, -0.1f, 0.6f});
+TEST(OpsTest, LinearForwardReluMatchesClampedLinear) {
+  // The fused ReLU rectifies the row after the bias, in the same pass: the
+  // rectified layer equals max(0, .) of the unrectified one, bit for bit.
+  const std::vector<float> x = {0.3f,  -1.2f, 0.7f, 2.1f,  -0.4f,
+                                1.1f,  0.0f,  -0.9f, 0.5f, 1.7f,
+                                -2.2f, 0.8f,  1.3f, -0.1f, 0.6f};
   Rng rng(7);
   std::vector<float> w_data(5 * 4);
   for (float& v : w_data) {
     v = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
   }
-  Tensor w = Tensor::FromData(5, 4, w_data);
-  Tensor bias = Tensor::FromData(1, 4, {0.1f, -0.2f, 0.3f, -0.4f});
-  Tensor composed = Relu(AddBias(MatMul(x, w), bias));
-  Tensor fused = LinearFused(x, w, bias, /*relu=*/true);
-  ASSERT_EQ(fused.rows(), composed.rows());
-  ASSERT_EQ(fused.cols(), composed.cols());
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused.data()[i], composed.data()[i]) << "element " << i;
-  }
-  Tensor fused_linear = LinearFused(x, w, bias, /*relu=*/false);
-  Tensor composed_linear = AddBias(MatMul(x, w), bias);
-  for (size_t i = 0; i < fused_linear.size(); ++i) {
-    EXPECT_EQ(fused_linear.data()[i], composed_linear.data()[i])
+  const Tensor w = Tensor::FromData(5, 4, w_data);
+  const Tensor bias = Tensor::FromData(1, 4, {0.1f, -0.2f, 0.3f, -0.4f});
+  std::vector<float> linear(3 * 4);
+  std::vector<float> rectified(3 * 4);
+  LinearForward(x.data(), 3, w, bias, /*relu=*/false, linear.data());
+  LinearForward(x.data(), 3, w, bias, /*relu=*/true, rectified.data());
+  size_t clamped = 0;
+  for (size_t i = 0; i < linear.size(); ++i) {
+    const float expected = linear[i] > 0.0f ? linear[i] : 0.0f;
+    EXPECT_EQ(std::bit_cast<uint32_t>(rectified[i]),
+              std::bit_cast<uint32_t>(expected))
         << "element " << i;
+    clamped += linear[i] <= 0.0f;
   }
-}
-
-TEST(AutogradTest, LinearFusedWeightGradient) {
-  Tensor w = Tensor::Parameter(3, 2, {0.4f, -0.3f, 0.2f, 0.6f, -0.5f, 0.1f});
-  Tensor x = Tensor::FromData(2, 3, {1, -2, 0.5f, 2, 1, -1});
-  Tensor bias = Tensor::FromData(1, 2, {0.3f, -0.2f});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, -1.0f});
-  auto loss_fn = [&]() {
-    Tensor h = LinearFused(x, w, bias, /*relu=*/true);
-    Tensor col = MatMul(h, Tensor::FromData(2, 1, {1.0f, -1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
-}
-
-TEST(AutogradTest, LinearFusedBiasGradient) {
-  // 0.3 keeps every pre-activation a safe margin away from the ReLU kink:
-  // the numeric gradient straddles z = 0 and diverges from the analytic
-  // one when a perturbation flips the unit's activation.
-  Tensor bias = Tensor::Parameter(1, 2, {0.3f, -0.15f});
-  Tensor x = Tensor::FromData(2, 3, {1, -2, 0.5f, 2, 1, -1});
-  Tensor w = Tensor::FromData(3, 2, {0.4f, -0.3f, 0.2f, 0.6f, -0.5f, 0.1f});
-  Tensor target = Tensor::FromData(2, 1, {1.0f, -1.0f});
-  auto loss_fn = [&]() {
-    Tensor h = LinearFused(x, w, bias, /*relu=*/true);
-    Tensor col = MatMul(h, Tensor::FromData(2, 1, {1.0f, 1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(bias, loss_fn);
-}
-
-TEST(OpsTest, RowScatterAddToMatchesComposition) {
-  Tensor base = Tensor::FromData(3, 2, {1, 1, 2, 2, 3, 3});
-  Tensor x = Tensor::FromData(2, 2, {10, 10, 20, 20});
-  Tensor composed = Add(base, RowScatterAdd(x, {0, 2}, 3));
-  Tensor fused = RowScatterAddTo(base, x, {0, 2});
-  for (size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused.data()[i], composed.data()[i]) << "element " << i;
-  }
-}
-
-TEST(AutogradTest, RowScatterAddToGradient) {
-  Tensor w = Tensor::Parameter(2, 2, {0.3f, -0.4f, 0.5f, 0.2f});
-  Tensor base = Tensor::FromData(3, 2, {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f});
-  Tensor target = Tensor::FromData(3, 1, {1.0f, 0.0f, -1.0f});
-  auto loss_fn = [&]() {
-    Tensor acc = RowScatterAddTo(base, w, {2, 0});
-    Tensor col = MatMul(acc, Tensor::FromData(2, 1, {1.0f, -1.0f}));
-    return MseLoss(col, target);
-  };
-  CheckGradients(w, loss_fn);
+  EXPECT_GT(clamped, 0u);
+  EXPECT_LT(clamped, linear.size());
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 #include "datagen/distributions.h"
 #include "exec/executor.h"
 #include "featurize/zeroshot_featurizer.h"
-#include "nn/ops.h"
+#include "gradient_check.h"
+#include "nn/layers.h"
 #include "optimizer/optimizer.h"
 #include "plan/expr.h"
 #include "runtime/simulator.h"
@@ -177,82 +178,35 @@ INSTANTIATE_TEST_SUITE_P(Skews, ZipfProperty,
                          ::testing::Values(0.0, 0.5, 1.0, 1.5));
 
 // ---------------------------------------------------------------------------
-// Autograd: numerical gradient checking across randomized composite graphs.
+// Gradients: the row pass's backward against central differences, across
+// randomized Mlp shapes, weights, inputs and loss scales.
 // ---------------------------------------------------------------------------
 
-class AutogradProperty : public ::testing::TestWithParam<uint64_t> {};
+class MlpGradientProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(AutogradProperty, RandomCompositeGraphGradients) {
+TEST_P(MlpGradientProperty, RandomShapeGradientsMatchCentralDifferences) {
   Rng rng(GetParam());
-  const size_t in_dim = 3;
-  const size_t hidden = 4;
-  std::vector<float> w_data(in_dim * hidden);
-  for (float& v : w_data) v = static_cast<float>(rng.UniformDouble(-0.7, 0.7));
-  nn::Tensor w = nn::Tensor::Parameter(in_dim, hidden, w_data);
-
-  std::vector<float> x_data(2 * in_dim);
-  for (float& v : x_data) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  nn::Tensor x = nn::Tensor::FromData(2, in_dim, x_data);
-  nn::Tensor target = nn::Tensor::FromData(2, 1, {0.3f, -0.2f});
-
-  // A randomized chain of the ops the cost models are built from, on top of
-  // x @ w; the loss alternates between MSE and Huber across seeds.
-  nn::Tensor v = nn::Tensor::FromData(
-      hidden, hidden, {0.6f, -0.3f, 0.2f, 0.1f, -0.4f, 0.5f, 0.3f, -0.2f,
-                       0.1f, 0.2f, -0.5f, 0.4f, 0.3f, -0.1f, 0.2f, 0.6f});
-  nn::Tensor bias = nn::Tensor::FromData(1, hidden, {0.1f, -0.1f, 0.2f, 0.05f});
-  const uint64_t recipe = rng.NextUint64();
-  const bool huber = GetParam() % 2 == 1;
-  auto forward = [&]() {
-    nn::Tensor h = nn::MatMul(x, w);
-    uint64_t bits = recipe;
-    for (int step = 0; step < 3; ++step) {
-      switch (bits % 6) {
-        case 0:
-          h = nn::Relu(h);
-          break;
-        case 1:
-          h = nn::LinearFused(h, v, bias, /*relu=*/false);
-          break;
-        case 2:
-          h = nn::LinearFused(h, v, bias, /*relu=*/true);
-          break;
-        case 3:
-          h = nn::RowGather(h, {1, 0});
-          break;
-        case 4:
-          h = nn::ScaleRows(h, {1.5f, -0.7f});
-          break;
-        default:
-          h = nn::Scale(h, 0.8f);
-          break;
-      }
-      bits /= 6;
-    }
-    nn::Tensor column = nn::MatMul(
-        h, nn::Tensor::FromData(hidden, 1, {0.5f, -0.5f, 0.25f, 1.0f}));
-    return huber ? nn::HuberLoss(column, target) : nn::MseLoss(column, target);
-  };
-
-  nn::Tensor loss = forward();
-  w.ZeroGrad();
-  loss.Backward();
-  std::vector<float> analytic = w.grad();
-  const float eps = 1e-2f;
-  for (size_t i = 0; i < w.size(); ++i) {
-    float original = w.mutable_data()[i];
-    w.mutable_data()[i] = original + eps;
-    float up = forward().item();
-    w.mutable_data()[i] = original - eps;
-    float down = forward().item();
-    w.mutable_data()[i] = original;
-    float numeric = (up - down) / (2 * eps);
-    EXPECT_NEAR(analytic[i], numeric, 3e-2f)
-        << "recipe " << recipe << " index " << i;
+  nn::MlpConfig config;
+  config.in_features = static_cast<size_t>(rng.UniformInt(1, 6));
+  const int64_t hidden_layers = rng.UniformInt(0, 3);
+  for (int64_t l = 0; l < hidden_layers; ++l) {
+    config.hidden_sizes.push_back(static_cast<size_t>(rng.UniformInt(1, 9)));
   }
+  config.out_features = 1;
+  nn::Mlp mlp(config, &rng);
+  const size_t rows = static_cast<size_t>(rng.UniformInt(1, 5));
+  std::vector<float> x(rows * config.in_features);
+  for (float& v : x) v = static_cast<float>(rng.UniformDouble(-1, 1));
+  std::vector<float> targets(rows);
+  for (float& t : targets) t = static_cast<float>(rng.UniformDouble(-2, 2));
+  const float scale = static_cast<float>(rng.UniformDouble(0.1, 1.0));
+  SCOPED_TRACE(testing::Message()
+               << "in " << config.in_features << ", hidden layers "
+               << hidden_layers << ", rows " << rows << ", scale " << scale);
+  gradcheck::ExpectMlpGradientsMatch(mlp, x, targets, scale);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AutogradProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, MlpGradientProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "datagen/corpus.h"
+#include "models/e2e_model.h"
+#include "models/mscn_model.h"
 #include "models/zeroshot_model.h"
-#include "nn/ops.h"
 #include "obs/json.h"
 #include "obs/trace_event.h"
 #include "train/dataset.h"
@@ -162,25 +168,47 @@ void ExpectSameHistory(const TrainResult& a, const TrainResult& b) {
   }
 }
 
+// The models the determinism tests train: the zero-shot tree model and
+// MSCN, both small.
+std::vector<std::string> DeterminismModels() { return {"zero-shot", "mscn"}; }
+
+std::unique_ptr<models::NeuralCostModel> MakeTinyModel(const std::string& kind,
+                                                       uint64_t seed) {
+  if (kind == "mscn") {
+    models::MscnCostModel::Options options;
+    options.hidden_dim = 16;
+    options.init_seed = seed;
+    return std::make_unique<models::MscnCostModel>(options);
+  }
+  models::ZeroShotCostModel::Options options;
+  options.hidden_dim = 16;
+  options.init_seed = seed;
+  return std::make_unique<models::ZeroShotCostModel>(options);
+}
+
 TEST_F(TrainTest, ThreadCountDoesNotChangeLossHistory) {
-  auto model_serial = MakeTinyModel(6);
-  auto model_parallel = MakeTinyModel(6);
-  auto view = MakeView(*records_);
-  TrainerOptions options;
-  options.max_epochs = 4;
-  options.seed = 11;
-  options.num_threads = 1;
-  TrainResult serial = TrainModel(&model_serial, view, options);
-  options.num_threads = 4;
-  TrainResult parallel = TrainModel(&model_parallel, view, options);
-  ExpectSameHistory(serial, parallel);
-  // The trained weights match too: identical predictions, bit for bit.
-  std::vector<const QueryRecord*> probe = {&(*records_)[0], &(*records_)[7]};
-  std::vector<Millis> p_serial = model_serial.PredictMs(probe);
-  std::vector<Millis> p_parallel = model_parallel.PredictMs(probe);
-  ASSERT_EQ(p_serial.size(), p_parallel.size());
-  for (size_t i = 0; i < p_serial.size(); ++i) {
-    EXPECT_EQ(p_serial[i].value(), p_parallel[i].value());
+  for (const std::string& kind : DeterminismModels()) {
+    SCOPED_TRACE(kind);
+    auto model_serial = MakeTinyModel(kind, 6);
+    auto model_parallel = MakeTinyModel(kind, 6);
+    auto view = MakeView(*records_);
+    TrainerOptions options;
+    options.max_epochs = 4;
+    options.seed = 11;
+    options.num_threads = 1;
+    TrainResult serial = TrainModel(model_serial.get(), view, options);
+    options.num_threads = 4;
+    TrainResult parallel = TrainModel(model_parallel.get(), view, options);
+    ExpectSameHistory(serial, parallel);
+    // The trained weights match too: identical predictions, bit for bit.
+    std::vector<const QueryRecord*> probe = {&(*records_)[0],
+                                             &(*records_)[7]};
+    std::vector<Millis> p_serial = model_serial->PredictMs(probe);
+    std::vector<Millis> p_parallel = model_parallel->PredictMs(probe);
+    ASSERT_EQ(p_serial.size(), p_parallel.size());
+    for (size_t i = 0; i < p_serial.size(); ++i) {
+      EXPECT_EQ(p_serial[i].value(), p_parallel[i].value());
+    }
   }
 }
 
@@ -193,32 +221,181 @@ TEST_F(TrainTest, ShardMappingDoesNotChangeLossHistory) {
   // records, 4 shards). A warm model's scratch last held a pass over every
   // record, a larger and deeper batch than any shard.
   auto view = MakeView(*records_);
-  for (size_t batch_size : {size_t(32), size_t(40)}) {
-    TrainResult reference;
-    bool have_reference = false;
-    for (bool warm : {false, true}) {
-      for (size_t threads : {size_t(1), size_t(2), size_t(3), size_t(4)}) {
-        auto model = MakeTinyModel(6);
-        if (warm) {
-          model.Prepare(view);
-          model.AccumulateGradients(view, 1.0f);
-        }
-        TrainerOptions options;
-        options.max_epochs = 3;
-        options.batch_size = batch_size;
-        options.seed = 11;
-        options.num_threads = threads;
-        TrainResult result = TrainModel(&model, view, options);
-        if (!have_reference) {
-          reference = result;
-          have_reference = true;
-        } else {
-          SCOPED_TRACE(testing::Message() << "batch " << batch_size
-                                          << " warm " << warm << " threads "
-                                          << threads);
-          ExpectSameHistory(reference, result);
+  for (const std::string& kind : DeterminismModels()) {
+    for (size_t batch_size : {size_t(32), size_t(40)}) {
+      TrainResult reference;
+      bool have_reference = false;
+      for (bool warm : {false, true}) {
+        for (size_t threads : {size_t(1), size_t(2), size_t(3), size_t(4)}) {
+          auto model = MakeTinyModel(kind, 6);
+          if (warm) {
+            model->Prepare(view);
+            model->AccumulateGradients(view, 1.0f);
+          }
+          TrainerOptions options;
+          options.max_epochs = 3;
+          options.batch_size = batch_size;
+          options.seed = 11;
+          options.num_threads = threads;
+          TrainResult result = TrainModel(model.get(), view, options);
+          if (!have_reference) {
+            reference = result;
+            have_reference = true;
+          } else {
+            SCOPED_TRACE(testing::Message()
+                         << kind << " batch " << batch_size << " warm "
+                         << warm << " threads " << threads);
+            ExpectSameHistory(reference, result);
+          }
         }
       }
+    }
+  }
+}
+
+// Golden values of one training run: every epoch's train and validation
+// loss, an FNV-1a 64 hash of the trained parameters' bit patterns, and one of
+// the predictions on records the run never saw.
+struct GoldenPins {
+  std::vector<std::pair<double, double>> losses;
+  uint64_t weights_hash = 0;
+  uint64_t predictions_hash = 0;
+};
+
+void Fnv1a(const void* data, size_t bytes, uint64_t* hash) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    *hash = (*hash ^ p[i]) * 0x100000001b3ULL;
+  }
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+// The pins as a C++ initializer, so a mismatch prints the new values.
+std::string FormatPins(const GoldenPins& pins) {
+  std::string out = "{{";
+  char buffer[128];
+  for (const auto& [train, val] : pins.losses) {
+    std::snprintf(buffer, sizeof(buffer), "{%a, %a}, ", train, val);
+    out += buffer;
+  }
+  std::snprintf(buffer, sizeof(buffer), "}, 0x%016llxULL, 0x%016llxULL}",
+                static_cast<unsigned long long>(pins.weights_hash),
+                static_cast<unsigned long long>(pins.predictions_hash));
+  return out + buffer;
+}
+
+bool SamePins(const GoldenPins& a, const GoldenPins& b) {
+  if (a.losses.size() != b.losses.size()) return false;
+  for (size_t e = 0; e < a.losses.size(); ++e) {
+    if (std::bit_cast<uint64_t>(a.losses[e].first) !=
+            std::bit_cast<uint64_t>(b.losses[e].first) ||
+        std::bit_cast<uint64_t>(a.losses[e].second) !=
+            std::bit_cast<uint64_t>(b.losses[e].second)) {
+      return false;
+    }
+  }
+  return a.weights_hash == b.weights_hash &&
+         a.predictions_hash == b.predictions_hash;
+}
+
+// Golden loss histories, weight hashes and prediction hashes for fixed
+// seeds, at 1 and 4 trainer threads. They are the reference for every model's
+// training arithmetic: a change meant to preserve it must leave them as they
+// are. The pins assume the FMA contraction that ops.cc gets from
+// -march=native on x86-64; a build without FMA rounds differently and fails
+// here.
+TEST_F(TrainTest, TrainingMatchesGoldenPins) {
+  const std::vector<const QueryRecord*> view = MakeView(*records_);
+  const std::vector<const QueryRecord*> training(view.begin(),
+                                                 view.end() - 20);
+  const std::vector<const QueryRecord*> held_out(view.end() - 20, view.end());
+  auto zero_shot = [](featurize::CardinalityMode mode, size_t hidden) {
+    return [mode, hidden]() -> std::unique_ptr<models::NeuralCostModel> {
+      models::ZeroShotCostModel::Options options;
+      options.cardinality_mode = mode;
+      options.hidden_dim = hidden;
+      return std::make_unique<models::ZeroShotCostModel>(options);
+    };
+  };
+  struct PinCase {
+    std::string name;
+    std::function<std::unique_ptr<models::NeuralCostModel>()> make;
+    GoldenPins expected;
+  };
+  const std::vector<PinCase> cases = {
+      {"zero-shot estimated hidden 64",
+       zero_shot(featurize::CardinalityMode::kEstimated, 64),
+       {{{0x1.4211ca5p-2, 0x1.d523e8p-2},
+         {0x1.385de85555555p-2, 0x1.cfb494p-2},
+         {0x1.43e565f2aaaabp-2, 0x1.c9b512p-2}},
+        0xd57bbe133c07404fULL,
+        0xe9be0d661ddee95cULL}},
+      {"zero-shot exact hidden 64",
+       zero_shot(featurize::CardinalityMode::kExact, 64),
+       {{{0x1.421b32daaaaabp-2, 0x1.d51e28p-2},
+         {0x1.3870bf4p-2, 0x1.cfc3c2p-2},
+         {0x1.4440e25d55555p-2, 0x1.ca064ap-2}},
+        0x54181d0543f95e0dULL,
+        0x3d64883aced8155aULL}},
+      {"zero-shot estimated hidden 20",
+       zero_shot(featurize::CardinalityMode::kEstimated, 20),
+       {{{0x1.3ee6d01p-2, 0x1.c8c4ep-2},
+         {0x1.371df4b555555p-2, 0x1.c8b25ap-2},
+         {0x1.45478d7eaaaabp-2, 0x1.c7f9cp-2}},
+        0xdf3b368147b5fe52ULL,
+        0x4966b057a77dc8aeULL}},
+      {"zero-shot exact hidden 20",
+       zero_shot(featurize::CardinalityMode::kExact, 20),
+       {{{0x1.3ee3f68555555p-2, 0x1.c8bcc2p-2},
+         {0x1.3715689555555p-2, 0x1.c896dep-2},
+         {0x1.453b020d55555p-2, 0x1.c7d01p-2}},
+        0x1f07058237e7a72cULL,
+        0xf8ea0c8e5edac03eULL}},
+      {"e2e",
+       [] {
+         return std::make_unique<models::E2ECostModel>(
+             models::E2ECostModel::Options());
+       },
+       {{{0x1.4204077555555p-2, 0x1.d5ae2p-2},
+         {0x1.38bdb5b555555p-2, 0x1.d089dcp-2},
+         {0x1.44436ca8p-2, 0x1.ca740ep-2}},
+        0x3d7e3a8db09ba358ULL,
+        0x32d89e3abf5a4632ULL}},
+      {"mscn",
+       [] {
+         return std::make_unique<models::MscnCostModel>(
+             models::MscnCostModel::Options());
+       },
+       {{{0x1.3bed391555555p-2, 0x1.bd0eb6p-2},
+         {0x1.2d3d98d555555p-2, 0x1.b7a8f6p-2},
+         {0x1.31e9a364p-2, 0x1.a86328p-2}},
+        0x97468b990044238dULL,
+        0xa9d1042f6b9632a8ULL}},
+  };
+  for (const PinCase& c : cases) {
+    for (size_t threads : {size_t(1), size_t(4)}) {
+      SCOPED_TRACE(testing::Message() << c.name << ", threads " << threads);
+      std::unique_ptr<models::NeuralCostModel> model = c.make();
+      TrainerOptions options;
+      options.max_epochs = 3;
+      options.seed = 11;
+      options.num_threads = threads;
+      const TrainResult result = TrainModel(model.get(), training, options);
+      GoldenPins pins;
+      for (const obs::EpochStat& epoch : result.history) {
+        pins.losses.emplace_back(epoch.train_loss, epoch.val_loss);
+      }
+      pins.weights_hash = kFnvOffset;
+      for (const nn::Tensor& p : model->Parameters()) {
+        Fnv1a(p.data().data(), p.size() * sizeof(float), &pins.weights_hash);
+      }
+      pins.predictions_hash = kFnvOffset;
+      for (Millis ms : model->PredictMs(held_out)) {
+        const double value = ms.value();
+        Fnv1a(&value, sizeof(value), &pins.predictions_hash);
+      }
+      EXPECT_TRUE(SamePins(pins, c.expected)) << FormatPins(pins);
     }
   }
 }
@@ -309,12 +486,24 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
     return std::vector<Millis>(records.size(), Millis(1.0));
   }
   void Prepare(const std::vector<const QueryRecord*>&) override {}
+  // sum_i relu(x_i * w).
   float LossOnBatch(const std::vector<const QueryRecord*>& batch) override {
-    return Loss(batch).item();
+    float loss = 0.0f;
+    for (const QueryRecord* record : batch) {
+      const float h = Input(record) * weight_.data()[0];
+      loss += h > 0.0f ? h : 0.0f;
+    }
+    return loss;
   }
+  // Adds scale * x_i * relu'(x_i * w) per record into the weight's gradient.
   float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
                             float scale) override {
-    return nn::BackwardScaled(Loss(batch), scale);
+    for (const QueryRecord* record : batch) {
+      const float x = Input(record);
+      const float active = x * weight_.data()[0] > 0.0f ? 1.0f : 0.0f;
+      weight_.mutable_grad()[0] += x * (scale * active);
+    }
+    return LossOnBatch(batch) * scale;
   }
   std::vector<nn::Tensor> Parameters() const override { return {weight_}; }
   std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
@@ -322,18 +511,9 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
   }
 
  private:
-  nn::Tensor Loss(const std::vector<const QueryRecord*>& batch) {
-    std::vector<float> inputs;
-    for (const QueryRecord* record : batch) {
-      inputs.push_back(record == poisoned_
-                           ? -std::numeric_limits<float>::infinity()
-                           : 1.0f);
-    }
-    const size_t rows = batch.size();
-    nn::Tensor hidden = nn::Relu(
-        nn::MatMul(nn::Tensor::FromData(rows, 1, inputs), weight_));
-    return nn::MatMul(nn::Tensor::FromData(1, rows, std::vector<float>(rows, 1.0f)),
-                      hidden);
+  float Input(const QueryRecord* record) const {
+    return record == poisoned_ ? -std::numeric_limits<float>::infinity()
+                               : 1.0f;
   }
 
   const QueryRecord* poisoned_;

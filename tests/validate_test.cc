@@ -312,9 +312,13 @@ TEST(PlanValidatorDeathTest, ExecutorRefusesTypeConfusedPredicate) {
 
 TEST(NnValidatorDeathTest, LinearRejectsMismatchedShape) {
   Rng rng(7);
-  nn::Linear layer(4, 2, &rng);
-  nn::Tensor wrong = nn::Tensor::Zeros(1, 3);  // expects 4 columns
-  EXPECT_DEATH(layer.Forward(wrong), "feature columns");
+  nn::MlpConfig config;  // no hidden layer: one Linear(4, 2)
+  config.in_features = 4;
+  config.out_features = 2;
+  nn::Mlp layer(config, &rng);
+  nn::MlpTape tape;
+  const std::vector<float> wrong(3, 0.0f);  // one row of 3, expects 4
+  EXPECT_DEATH(layer.ForwardRows(wrong, 1, &tape), "feature columns");
 }
 
 TEST(NnValidatorDeathTest, MlpRejectsNaNInput) {
@@ -324,9 +328,10 @@ TEST(NnValidatorDeathTest, MlpRejectsNaNInput) {
   config.hidden_sizes = {4};
   config.out_features = 1;
   nn::Mlp mlp(config, &rng);
-  nn::Tensor nan_input = nn::Tensor::FromData(
-      1, 2, {1.0f, std::numeric_limits<float>::quiet_NaN()});
-  EXPECT_DEATH(mlp.Forward(nan_input), "non-finite");
+  nn::MlpTape tape;
+  const std::vector<float> nan_input = {
+      1.0f, std::numeric_limits<float>::quiet_NaN()};
+  EXPECT_DEATH(mlp.ForwardRows(nan_input, 1, &tape), "non-finite");
 }
 
 TEST(NnValidatorDeathTest, NaNGradientAborts) {
