@@ -180,8 +180,8 @@ void LinearBackward(const float* x, const float* out, const float* dout,
     const float* out_row = out + i * n;
     // dZ = dOut gated by the activation. The mask comes from the stored
     // *post*-ReLU values: out > 0 iff the pre-activation was > 0, and both
-    // conventions pass zero gradient at exactly 0 — identical to Relu's
-    // backward on the pre-activation.
+    // conventions pass zero gradient at exactly 0 — the same mask as the
+    // ReLU derivative taken on the pre-activation.
     if (relu) {
       for (size_t j = 0; j < n; ++j) {
         dz[j] = out_row[j] > 0.0f ? grad_row[j] : 0.0f;

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -168,11 +169,11 @@ void ExpectSameHistory(const TrainResult& a, const TrainResult& b) {
   }
 }
 
-// The models the determinism tests train: the zero-shot tree model and
-// MSCN, both small.
-std::vector<std::string> DeterminismModels() { return {"zero-shot", "mscn"}; }
+// The models the determinism tests train, both small: the zero-shot tree
+// model and MSCN.
+constexpr std::string_view kDeterminismModels[] = {"zero-shot", "mscn"};
 
-std::unique_ptr<models::NeuralCostModel> MakeTinyModel(const std::string& kind,
+std::unique_ptr<models::NeuralCostModel> MakeTinyModel(std::string_view kind,
                                                        uint64_t seed) {
   if (kind == "mscn") {
     models::MscnCostModel::Options options;
@@ -187,7 +188,7 @@ std::unique_ptr<models::NeuralCostModel> MakeTinyModel(const std::string& kind,
 }
 
 TEST_F(TrainTest, ThreadCountDoesNotChangeLossHistory) {
-  for (const std::string& kind : DeterminismModels()) {
+  for (std::string_view kind : kDeterminismModels) {
     SCOPED_TRACE(kind);
     auto model_serial = MakeTinyModel(kind, 6);
     auto model_parallel = MakeTinyModel(kind, 6);
@@ -221,7 +222,7 @@ TEST_F(TrainTest, ShardMappingDoesNotChangeLossHistory) {
   // records, 4 shards). A warm model's scratch last held a pass over every
   // record, a larger and deeper batch than any shard.
   auto view = MakeView(*records_);
-  for (const std::string& kind : DeterminismModels()) {
+  for (std::string_view kind : kDeterminismModels) {
     for (size_t batch_size : {size_t(32), size_t(40)}) {
       TrainResult reference;
       bool have_reference = false;
@@ -303,8 +304,8 @@ bool SamePins(const GoldenPins& a, const GoldenPins& b) {
 // seeds, at 1 and 4 trainer threads. They are the reference for every model's
 // training arithmetic: a change meant to preserve it must leave them as they
 // are. The pins assume the FMA contraction that ops.cc gets from
-// -march=native on x86-64; a build without FMA rounds differently and fails
-// here.
+// -march=native on x86-64, in an uninstrumented build; a build without FMA
+// rounds differently and fails here.
 TEST_F(TrainTest, TrainingMatchesGoldenPins) {
   const std::vector<const QueryRecord*> view = MakeView(*records_);
   const std::vector<const QueryRecord*> training(view.begin(),
@@ -374,6 +375,7 @@ TEST_F(TrainTest, TrainingMatchesGoldenPins) {
         0xa9d1042f6b9632a8ULL}},
   };
   for (const PinCase& c : cases) {
+    std::vector<GoldenPins> runs;
     for (size_t threads : {size_t(1), size_t(4)}) {
       SCOPED_TRACE(testing::Message() << c.name << ", threads " << threads);
       std::unique_ptr<models::NeuralCostModel> model = c.make();
@@ -395,8 +397,19 @@ TEST_F(TrainTest, TrainingMatchesGoldenPins) {
         const double value = ms.value();
         Fnv1a(&value, sizeof(value), &pins.predictions_hash);
       }
+#ifndef ZERODB_SANITIZED_BUILD
       EXPECT_TRUE(SamePins(pins, c.expected)) << FormatPins(pins);
+#endif
+      runs.push_back(std::move(pins));
     }
+    // Sanitizer instrumentation changes how GCC vectorizes ops.cc's
+    // generic-width row kernel, and with it which products FMA contraction
+    // fuses, so the hidden-20 runs round differently there (on the parent
+    // commit as well). A sanitized build checks only that both thread counts
+    // agree.
+    EXPECT_TRUE(SamePins(runs[0], runs[1]))
+        << c.name << ": " << FormatPins(runs[0]) << " vs "
+        << FormatPins(runs[1]);
   }
 }
 
