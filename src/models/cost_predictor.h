@@ -1,6 +1,7 @@
 #ifndef ZERODB_MODELS_COST_PREDICTOR_H_
 #define ZERODB_MODELS_COST_PREDICTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,6 +27,12 @@ class CostPredictor {
   virtual std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) = 0;
 };
+
+/// Queries per forward pass outside training (validation and serving), in
+/// every NeuralCostModel: bounds the activations a large call leaves in the
+/// model's scratch. No pass mixes rows of different queries, so the value
+/// reaches no result.
+inline constexpr size_t kPassChunk = 64;
 
 /// A gradient-trained cost model (the zero-shot model and the E2E / MSCN
 /// baselines). The Trainer drives this interface; serving goes through

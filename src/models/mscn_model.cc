@@ -1,5 +1,7 @@
 #include "models/mscn_model.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "nn/ops.h"
 
@@ -72,7 +74,7 @@ void MscnCostModel::Prepare(
 }
 
 void MscnCostModel::FeaturizeBatch(
-    const std::vector<const QueryRecord*>& batch) {
+    std::span<const QueryRecord* const> batch) {
   ZDB_CHECK(!batch.empty());
   scratch_.sets.clear();
   for (const QueryRecord* record : batch) {
@@ -114,8 +116,10 @@ std::span<const float> MscnCostModel::Forward() {
     // +0.0f (0 * 0), and Backward skips its encoder.
     if (!rows.owners.empty()) {
       encoders_[k].ForwardRows(rows.inputs, rows.owners.size(), &rows.tape);
-      nn::ScatterAddRows(rows.tape.output(), rows.owners, h, pooled + k * h,
-                         width);
+      const float* encoded = rows.tape.output();
+      for (size_t i = 0; i < rows.owners.size(); ++i) {
+        nn::AddRow(encoded + i * h, h, pooled + rows.owners[i] * width + k * h);
+      }
     }
     nn::ScaleRowsInPlace(pooled + k * h, width, h, rows.factors);
   }
@@ -140,18 +144,33 @@ void MscnCostModel::Backward(std::span<const float> d_predictions) {
     nn::ScaleRowsAccumulate(d_pooled + k * h, width, h, rows.factors,
                             rows.d_sums.data());
     rows.d_elements.assign(rows.owners.size() * h, 0.0f);
-    nn::GatherAddRows(rows.d_sums.data(), rows.owners, h,
-                      rows.d_elements.data());
+    for (size_t i = 0; i < rows.owners.size(); ++i) {
+      nn::AddRow(rows.d_sums.data() + rows.owners[i] * h, h,
+                 rows.d_elements.data() + i * h);
+    }
     encoders_[k].BackwardRows(rows.inputs.data(), rows.tape,
                               rows.d_elements.data(), /*dx=*/nullptr, &s.mlp);
   }
 }
 
+std::vector<float> MscnCostModel::ForwardChunked(
+    std::span<const QueryRecord* const> records) {
+  std::vector<float> predictions;
+  predictions.reserve(records.size());
+  for (size_t begin = 0; begin < records.size(); begin += kPassChunk) {
+    FeaturizeBatch(
+        records.subspan(begin, std::min(kPassChunk, records.size() - begin)));
+    const std::span<const float> chunk = Forward();
+    predictions.insert(predictions.end(), chunk.begin(), chunk.end());
+  }
+  return predictions;
+}
+
 float MscnCostModel::LossOnBatch(
     const std::vector<const QueryRecord*>& batch) {
-  FeaturizeBatch(batch);
+  ZDB_CHECK(!batch.empty());
   LoadTargets(batch);
-  return nn::HuberLossValue(Forward(), scratch_.targets, 1.0f);
+  return nn::HuberLossValue(ForwardChunked(batch), scratch_.targets, 1.0f);
 }
 
 float MscnCostModel::AccumulateGradients(
@@ -169,11 +188,9 @@ float MscnCostModel::AccumulateGradients(
 std::vector<Millis> MscnCostModel::PredictMs(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(target_norm_.fitted());
-  if (records.empty()) return {};
-  FeaturizeBatch(records);
   std::vector<Millis> out;
   out.reserve(records.size());
-  for (float normalized : Forward()) {
+  for (float normalized : ForwardChunked(records)) {
     out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
   }
   return out;

@@ -43,7 +43,7 @@ class MscnCostModel : public NeuralCostModel {
 
  private:
   /// Featurizes `batch` into scratch_.sets.
-  void FeaturizeBatch(const std::vector<const QueryRecord*>& batch);
+  void FeaturizeBatch(std::span<const QueryRecord* const> batch);
 
   /// The batch's normalized log runtimes in scratch_.targets.
   void LoadTargets(const std::vector<const QueryRecord*>& batch);
@@ -63,6 +63,13 @@ class MscnCostModel : public NeuralCostModel {
   /// element rows and the encoder. Every parameter gets one LinearBackward
   /// contribution per call.
   void Backward(std::span<const float> d_predictions);
+
+  /// Forward over `records` in passes of at most kPassChunk queries, so a
+  /// large validation or serving call does not grow the scratch; returns one
+  /// normalized prediction per record. Results equal one pass over all of
+  /// them, since no row mixes queries.
+  std::vector<float> ForwardChunked(
+      std::span<const QueryRecord* const> records);
 
   Options options_;
   featurize::MscnFeaturizer featurizer_;

@@ -28,11 +28,6 @@ nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
   return config;
 }
 
-/// Plans per forward pass outside training (validation and serving): bounds
-/// the activations a large call leaves in the model's scratch. Rows never
-/// mix plans, so the value reaches no result.
-constexpr size_t kPassChunk = 64;
-
 /// Grows `v` to at least `n` floats and returns its data.
 float* Sized(std::vector<float>* v, size_t n) {
   if (v->size() < n) v->resize(n);
@@ -51,12 +46,6 @@ float* Zeroed(std::vector<float>* v, size_t n) {
 /// hidden row exactly once this way.
 void ScatterRow(const float* src, size_t n, float* dst) {
   for (size_t j = 0; j < n; ++j) dst[j] = 0.0f + src[j];
-}
-
-/// dst row += src row. Backward adds every gradient row onto a zeroed
-/// buffer, so a row with one contribution holds 0.0f + x as well.
-void AddRow(const float* src, size_t n, float* dst) {
-  for (size_t j = 0; j < n; ++j) dst[j] += src[j];
 }
 
 }  // namespace
@@ -296,8 +285,8 @@ std::span<const float> TreeMessagePassingModel::Forward(
       float* child_sum = row + hidden;
       std::fill(child_sum, child_sum + hidden, 0.0f);
       for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
-        const float* child = hidden_rows + s.children_flat[c] * hidden;
-        for (size_t j = 0; j < hidden; ++j) child_sum[j] += child[j];
+        nn::AddRow(hidden_rows + s.children_flat[c] * hidden, hidden,
+                   child_sum);
       }
     }
     combine_.ForwardRows({input, ids.size() * 2 * hidden}, ids.size(),
@@ -335,11 +324,13 @@ void TreeMessagePassingModel::Backward(
   readout_.BackwardRows(s.roots.data(), s.readout_tape, d_predictions.data(),
                         d_roots, &s.mlp);
   // A root's hidden gradient comes from the readout, every other node's
-  // from its parent's child sum — one contribution per row.
+  // from its parent's child sum — one contribution per row, added onto a
+  // zeroed buffer, so such a row holds 0.0f + x like Forward's rows.
   float* d_hidden = Zeroed(&s.d_hidden, total_nodes * hidden);
   float* d_encodings = Zeroed(&s.d_encodings, total_nodes * hidden);
   for (size_t g = 0; g < graphs; ++g) {
-    AddRow(d_roots + g * hidden, hidden, d_hidden + s.root_ids[g] * hidden);
+    nn::AddRow(d_roots + g * hidden, hidden,
+               d_hidden + s.root_ids[g] * hidden);
   }
 
   // Levels top-down: a level's hidden gradients are complete once every
@@ -349,7 +340,7 @@ void TreeMessagePassingModel::Backward(
     if (ids.empty()) continue;
     if (level == 0) {
       for (uint32_t n : ids) {
-        AddRow(d_hidden + n * hidden, hidden, d_encodings + n * hidden);
+        nn::AddRow(d_hidden + n * hidden, hidden, d_encodings + n * hidden);
       }
       continue;
     }
@@ -364,9 +355,10 @@ void TreeMessagePassingModel::Backward(
     for (size_t i = 0; i < ids.size(); ++i) {
       const uint32_t n = ids[i];
       const float* d_row = d_input + i * 2 * hidden;
-      AddRow(d_row, hidden, d_encodings + n * hidden);
+      nn::AddRow(d_row, hidden, d_encodings + n * hidden);
       for (uint32_t c = s.child_offsets[n]; c < s.child_offsets[n + 1]; ++c) {
-        AddRow(d_row + hidden, hidden, d_hidden + s.children_flat[c] * hidden);
+        nn::AddRow(d_row + hidden, hidden,
+                   d_hidden + s.children_flat[c] * hidden);
       }
     }
   }

@@ -25,6 +25,12 @@ namespace {
 // unroll and `c_row` can live in registers for the whole k loop; 0 reads
 // the width from b_cols. Both run the same per-element expression in the
 // same order.
+//
+// Every multiply-add in this file is an explicit std::fma and the file is
+// built with -ffp-contract=off, so each result rounds the same way on every
+// compiler, vector width and instrumentation: left to contraction, which
+// products get fused follows the vectorizer's choices. With the host's FMA
+// unit (-march=native) std::fma compiles to vfmadd and still vectorizes.
 template <size_t kCols>
 inline void RowAccumulate(const float* a_row, size_t a_cols, const float* b,
                           size_t b_cols, float* c_row) {
@@ -42,7 +48,9 @@ inline void RowAccumulate(const float* a_row, size_t a_cols, const float* b,
     const float* b2 = b1 + cols;
     const float* b3 = b2 + cols;
     for (size_t j = 0; j < cols; ++j) {
-      c_row[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+      const float sum = std::fma(
+          a3, b3[j], std::fma(a2, b2[j], std::fma(a0, b0[j], a1 * b1[j])));
+      c_row[j] += sum;
     }
   }
   for (; k < a_cols; ++k) {
@@ -50,7 +58,7 @@ inline void RowAccumulate(const float* a_row, size_t a_cols, const float* b,
     if (a_ik == 0.0f) continue;
     const float* b_row = b + k * cols;
     for (size_t j = 0; j < cols; ++j) {
-      c_row[j] += a_ik * b_row[j];
+      c_row[j] = std::fma(a_ik, b_row[j], c_row[j]);
     }
   }
 }
@@ -102,7 +110,7 @@ void MatMulTransAAccumulate(const float* a, size_t a_rows, size_t a_cols,
       if (a_ki == 0.0f) continue;
       float* c_row = c + i * b_cols;
       for (size_t j = 0; j < b_cols; ++j) {
-        c_row[j] += a_ki * b_row[j];
+        c_row[j] = std::fma(a_ki, b_row[j], c_row[j]);
       }
     }
   }
@@ -126,14 +134,18 @@ void MatMulTransBAccumulate(const float* a, size_t a_rows, size_t a_cols,
       float lanes[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
       size_t k = 0;
       for (; k < k_blocked; k += 8) {
+        // Kept rolled so the loop vectorizer turns the 8 lanes into one
+        // SIMD std::fma (fully unrolled, GCC 12's SLP pass leaves the
+        // calls scalar).
+#pragma GCC unroll 1
         for (size_t l = 0; l < 8; ++l) {
-          lanes[l] += a_row[k + l] * b_row[k + l];
+          lanes[l] = std::fma(a_row[k + l], b_row[k + l], lanes[l]);
         }
       }
       float dot = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
                   ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
       for (; k < a_cols; ++k) {
-        dot += a_row[k] * b_row[k];
+        dot = std::fma(a_row[k], b_row[k], dot);
       }
       c_row[j] += dot;
     }
@@ -149,7 +161,7 @@ void HuberGradAccumulate(const float* predictions, const float* targets,
   for (size_t i = 0; i < count; ++i) {
     float diff = predictions[i] - targets[i];
     float g = std::fabs(diff) <= delta ? diff : (diff > 0.0f ? delta : -delta);
-    grad[i] += scale * g;
+    grad[i] = std::fma(scale, g, grad[i]);
   }
 }
 
@@ -213,9 +225,9 @@ float HuberLossValue(std::span<const float> predictions,
   for (size_t i = 0; i < count; ++i) {
     double diff = std::fabs(predictions[i] - targets[i]);
     if (diff <= delta) {
-      total += 0.5 * diff * diff;
+      total = std::fma(0.5 * diff, diff, total);
     } else {
-      total += delta * (diff - 0.5 * delta);
+      total = std::fma(static_cast<double>(delta), diff - 0.5 * delta, total);
     }
   }
   return static_cast<float>(total / static_cast<double>(count));
@@ -229,15 +241,6 @@ float ScaledHuberLossBackward(std::span<const float> predictions,
   HuberGradAccumulate(predictions.data(), targets.data(), predictions.size(),
                       delta, scale, grad.data());
   return loss * scale;
-}
-
-void ScatterAddRows(const float* x, std::span<const uint32_t> owners,
-                    size_t n, float* out, size_t out_stride) {
-  for (size_t i = 0; i < owners.size(); ++i) {
-    float* out_row = out + owners[i] * out_stride;
-    const float* x_row = x + i * n;
-    for (size_t j = 0; j < n; ++j) out_row[j] += x_row[j];
-  }
 }
 
 void ScaleRowsInPlace(float* x, size_t stride, size_t n,
@@ -255,16 +258,9 @@ void ScaleRowsAccumulate(const float* g, size_t g_stride, size_t n,
     const float* g_row = g + i * g_stride;
     float* out_row = out + i * n;
     const float factor = factors[i];
-    for (size_t j = 0; j < n; ++j) out_row[j] += g_row[j] * factor;
-  }
-}
-
-void GatherAddRows(const float* g, std::span<const uint32_t> owners, size_t n,
-                   float* out) {
-  for (size_t i = 0; i < owners.size(); ++i) {
-    const float* g_row = g + owners[i] * n;
-    float* out_row = out + i * n;
-    for (size_t j = 0; j < n; ++j) out_row[j] += g_row[j];
+    for (size_t j = 0; j < n; ++j) {
+      out_row[j] = std::fma(g_row[j], factor, out_row[j]);
+    }
   }
 }
 

@@ -2,7 +2,6 @@
 #define ZERODB_NN_OPS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "nn/tensor.h"
@@ -11,8 +10,9 @@ namespace zerodb::nn {
 
 // Raw-buffer kernels: the arithmetic of every model's forward and backward
 // pass. Only this file is built -march=native (DESIGN.md "Fused, blocked
-// kernels"), so every multiply-add here gets the same FMA contraction, and
-// one compiled elsewhere may round differently: keep the arithmetic that
+// kernels"); every multiply-add here is an explicit std::fma and nothing
+// else is fused, so the kernels round the same in every build, while a
+// multiply-add compiled elsewhere rounds twice: keep the arithmetic that
 // training and serving share in this file. Buffers are row-major; an output
 // buffer must not overlap an input.
 
@@ -42,11 +42,12 @@ float ScaledHuberLossBackward(std::span<const float> predictions,
 float HuberLossValue(std::span<const float> predictions,
                      std::span<const float> targets, float delta);
 
-/// Set pooling's forward sum: adds row i of x (rows of n floats) onto row
-/// owners[i] of `out`, whose rows start `out_stride` floats apart, in
-/// ascending i.
-void ScatterAddRows(const float* x, std::span<const uint32_t> owners,
-                    size_t n, float* out, size_t out_stride);
+/// dst row += src row, n floats: the row move of every model's scatters
+/// and gathers. Adds alone round the same in any build, so it is inline,
+/// kept here as the one copy rather than for the FMA contract.
+inline void AddRow(const float* src, size_t n, float* dst) {
+  for (size_t j = 0; j < n; ++j) dst[j] += src[j];
+}
 
 /// Multiplies the first n floats of row i of x (rows `stride` floats apart)
 /// by factors[i], in place.
@@ -57,11 +58,6 @@ void ScaleRowsInPlace(float* x, size_t stride, size_t n,
 /// apart, n used) times factors[i] into row i of `out` (rows of n floats).
 void ScaleRowsAccumulate(const float* g, size_t g_stride, size_t n,
                          std::span<const float> factors, float* out);
-
-/// The backward of ScatterAddRows: adds row owners[i] of g (rows of n
-/// floats) into row i of `out`.
-void GatherAddRows(const float* g, std::span<const uint32_t> owners, size_t n,
-                   float* out);
 
 }  // namespace zerodb::nn
 

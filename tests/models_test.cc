@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -158,6 +159,27 @@ TEST_F(ModelsTest, PredictionsAreDeterministic) {
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_DOUBLE_EQ(first[i].value(), second[i].value());
+  }
+}
+
+// MSCN validates and serves in passes of kPassChunk queries. Over 150+
+// records (three passes) the predictions equal those of one query at a
+// time, bit for bit: no row mixes queries.
+TEST_F(ModelsTest, MscnChunkedPassesMatchOneQueryAtATime) {
+  MscnCostModel::Options options;
+  options.hidden_dim = 16;
+  MscnCostModel model(options);
+  const auto view = train::MakeView(*records_);
+  ASSERT_GT(view.size(), 2 * kPassChunk);
+  model.Prepare(view);
+  const std::vector<Millis> chunked = model.PredictMs(view);
+  ASSERT_EQ(chunked.size(), view.size());
+  for (size_t i = 0; i < view.size(); ++i) {
+    const std::vector<Millis> single = model.PredictMs({view[i]});
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(std::bit_cast<uint64_t>(single[0].value()),
+              std::bit_cast<uint64_t>(chunked[i].value()))
+        << "record " << i;
   }
 }
 

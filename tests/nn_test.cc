@@ -59,9 +59,10 @@ TEST(OpsTest, HuberLossForward) {
   EXPECT_FLOAT_EQ(grad[1], 0.5f * 1.0f / 2.0f);  // clipped at delta
 }
 
-// Set pooling's kernels on a block two columns into a 7-wide row: the
-// scatter sums each query's rows, the scale divides by the set size, and
-// the two backward kernels send a gradient back the same way.
+// Set pooling's kernels on a block two columns into a 7-wide row, as MSCN
+// runs them: AddRow scatters each query's rows onto its zeroed row, the
+// scale divides by the set size, and ScaleRowsAccumulate and an AddRow
+// gather send a gradient back the same way.
 TEST(OpsTest, PoolingKernelsForward) {
   const std::vector<float> x = {1, 2, 3, 10, 20, 30, 100, 200, 300};
   const std::vector<uint32_t> owners = {0, 2, 0};
@@ -69,7 +70,9 @@ TEST(OpsTest, PoolingKernelsForward) {
   for (size_t q = 0; q < 3; ++q) {
     std::fill(pooled.begin() + q * 7 + 2, pooled.begin() + q * 7 + 5, 0.0f);
   }
-  ScatterAddRows(x.data(), owners, 3, pooled.data() + 2, 7);
+  for (size_t i = 0; i < owners.size(); ++i) {
+    AddRow(x.data() + i * 3, 3, pooled.data() + owners[i] * 7 + 2);
+  }
   const std::vector<float> factors = {0.5f, 0.0f, 1.0f};
   ScaleRowsInPlace(pooled.data() + 2, 7, 3, factors);
   EXPECT_EQ(pooled[2], 50.5f);   // (1 + 100) / 2
@@ -85,7 +88,9 @@ TEST(OpsTest, PoolingKernelsForward) {
   EXPECT_EQ(d_sums[3], 0.0f);
   EXPECT_EQ(d_sums[7], 20.0f);
   std::vector<float> d_x(3 * 3, 0.0f);
-  GatherAddRows(d_sums.data(), owners, 3, d_x.data());
+  for (size_t i = 0; i < owners.size(); ++i) {
+    AddRow(d_sums.data() + owners[i] * 3, 3, d_x.data() + i * 3);
+  }
   EXPECT_EQ(d_x[0], 25.25f);
   EXPECT_EQ(d_x[4], 20.0f);
   EXPECT_EQ(d_x[6], 25.25f);
@@ -108,7 +113,9 @@ TEST(GradientTest, PoolingKernelsMatchCentralDifferences) {
   std::vector<float> pooled(queries * stride);
   auto forward = [&]() {
     std::fill(pooled.begin(), pooled.end(), 0.0f);
-    ScatterAddRows(x.data(), owners, n, pooled.data() + offset, stride);
+    for (size_t i = 0; i < owners.size(); ++i) {
+      AddRow(x.data() + i * n, n, pooled.data() + owners[i] * stride + offset);
+    }
     ScaleRowsInPlace(pooled.data() + offset, stride, n, factors);
   };
   auto loss = [&]() {
@@ -134,7 +141,9 @@ TEST(GradientTest, PoolingKernelsMatchCentralDifferences) {
   ScaleRowsAccumulate(d_pooled.data() + offset, stride, n, factors,
                       d_sums.data());
   std::vector<float> dx(x.size(), 0.0f);
-  GatherAddRows(d_sums.data(), owners, n, dx.data());
+  for (size_t i = 0; i < owners.size(); ++i) {
+    AddRow(d_sums.data() + owners[i] * n, n, dx.data() + i * n);
+  }
   gradcheck::ExpectCentralDifferences(x, dx, loss, "element rows");
 }
 
