@@ -260,7 +260,7 @@ void BM_ZeroShotTrainStep(benchmark::State& state) {
   auto view = train::MakeView(micro.records);
   std::vector<const train::QueryRecord*> batch(view.begin(),
                                                view.begin() + 32);
-  nn::Adam optimizer(micro.model->Parameters(), 1e-4f);
+  nn::Adam optimizer(micro.model->MutableParameters(), 1e-4f);
   for (auto _ : state) {
     optimizer.ZeroGrad();
     const float loss = micro.model->AccumulateGradients(batch, 1.0f);
@@ -278,20 +278,17 @@ BENCHMARK(BM_ZeroShotTrainStep);
 // into subnormals.
 void BM_AdamStep(benchmark::State& state) {
   models::ZeroShotCostModel model{models::ZeroShotCostModel::Options()};
-  std::vector<nn::Tensor> params = model.Parameters();
+  nn::ParameterBlock* params = model.MutableParameters();
   Rng rng(23);
-  size_t count = 0;
-  for (nn::Tensor& param : params) {
-    for (float& g : param.mutable_grad()) {
-      g = static_cast<float>(rng.UniformDouble(-1e-3, 1e-3));
-    }
-    count += param.size();
+  for (float& g : params->grads) {
+    g = static_cast<float>(rng.UniformDouble(-1e-3, 1e-3));
   }
+  const size_t count = params->size();
   nn::Adam optimizer(params, 1e-3f, 0.9f, 0.999f, 1e-8f, 1e-5f);
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimizer.ClipGradNorm(10.0));
     optimizer.Step();
-    benchmark::DoNotOptimize(params.front().data().data());
+    benchmark::DoNotOptimize(params->values.data());
     benchmark::ClobberMemory();
   }
   state.counters["params"] = static_cast<double>(count);
@@ -390,9 +387,10 @@ BENCHMARK(BM_TrainEpoch)
     ->MeasureProcessCPUTime();
 
 // A 64-wide hidden layer and a linear output layer, forward and backward
-// through the row pass (the backward is the fused one: relu mask, dX, dW,
-// dB) across batch sizes — the inner loop of every training step, isolated
-// from featurization and the optimizer.
+// through the row pass across batch sizes — the inner loop of every
+// training step, isolated from featurization and the optimizer. The
+// backward is the fused one (relu mask, dW, db) with no input gradient, as
+// the models' encoders run it: dX is not timed here.
 void BM_BackwardFused(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   const size_t dim = 64;
@@ -403,21 +401,21 @@ void BM_BackwardFused(benchmark::State& state) {
   config.in_features = dim;
   config.hidden_sizes = {dim};
   config.out_features = 1;
-  nn::Mlp mlp(config, &rng);
-  std::vector<nn::Tensor> params = mlp.Parameters();
+  nn::ParameterBlock params;
+  nn::Mlp mlp(config, &rng, &params);
   const std::vector<float> targets(batch, 0.0f);
   std::vector<float> d_out(batch);
   nn::MlpTape tape;
   std::vector<float> scratch;
   for (auto _ : state) {
-    mlp.ForwardRows(input, batch, &tape);
+    mlp.ForwardRows(params, input, batch, &tape);
     std::fill(d_out.begin(), d_out.end(), 0.0f);
     nn::ScaledHuberLossBackward({tape.output(), batch}, targets, 1.0f, 1.0f,
                                 d_out);
-    mlp.BackwardRows(input.data(), tape, d_out.data(), /*dx=*/nullptr,
-                     &scratch);
-    benchmark::DoNotOptimize(params[0].grad().data());
-    for (nn::Tensor& p : params) p.ZeroGrad();
+    mlp.BackwardRows(&params, input.data(), tape, d_out.data(),
+                     /*dx=*/nullptr, &scratch);
+    benchmark::DoNotOptimize(params.grads.data());
+    std::fill(params.grads.begin(), params.grads.end(), 0.0f);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
@@ -433,11 +431,12 @@ void BM_MatMul(benchmark::State& state) {
   Rng rng(5);
   std::vector<float> data(n * n);
   for (float& v : data) v = static_cast<float>(rng.UniformDouble(-1, 1));
-  const nn::Tensor b = nn::Tensor::FromData(n, n, data);
-  const nn::Tensor bias = nn::Tensor::Zeros(1, n);
+  const std::vector<float> weight = data;
+  const std::vector<float> bias(n, 0.0f);
   std::vector<float> c(n * n);
   for (auto _ : state) {
-    nn::LinearForward(data.data(), n, b, bias, /*relu=*/false, c.data());
+    nn::LinearForward(data.data(), n, n, n, weight.data(), bias.data(),
+                      /*relu=*/false, c.data());
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -22,7 +22,7 @@ run_one() {
   local sanitizer="$1"
   local build_dir="build-check${sanitizer:+-$sanitizer}"
   # Release here is the repo's own -O2 -g *without* NDEBUG (see CMakeLists):
-  # the debug-time plan/tensor validators stay live, so every sanitized test
+  # the debug-time plan/nn validators stay live, so every sanitized test
   # run is also an invariant-verification run.
   cmake -B "$build_dir" -S . -DZERODB_SANITIZE="$sanitizer" \
     -DCMAKE_BUILD_TYPE=Release "${CCACHE_ARGS[@]}"

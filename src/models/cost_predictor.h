@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/units.h"
-#include "nn/tensor.h"
 #include "models/record.h"
+#include "nn/parameters.h"
 
 namespace zerodb::models {
 
@@ -48,18 +48,20 @@ class NeuralCostModel : public CostPredictor {
   /// Forward + loss on a batch, with no gradient (validation).
   virtual float LossOnBatch(const std::vector<const QueryRecord*>& batch) = 0;
 
-  /// Forward + backward on a batch: adds d(scale * loss)/dθ into the grad
-  /// buffers of Parameters() and returns scale * loss, through
+  /// Forward + backward on a batch: adds d(scale * loss)/dθ into
+  /// Parameters().grads and returns scale * loss, through
   /// nn::ScaledHuberLossBackward and the model's backward pass. The trainer
   /// passes shard_size / batch_size, so summed shard results give the batch
   /// mean.
   virtual float AccumulateGradients(
       const std::vector<const QueryRecord*>& batch, float scale) = 0;
 
-  /// All trainable parameters.
-  virtual std::vector<nn::Tensor> Parameters() const = 0;
+  /// Every trainable parameter, in the model's one block (nn/parameters.h):
+  /// the constructor builds its layers into it.
+  const nn::ParameterBlock& Parameters() const { return parameters_; }
+  nn::ParameterBlock* MutableParameters() { return &parameters_; }
 
-  /// A same-architecture copy with its own parameter storage, holding the
+  /// A same-architecture copy with its own parameter block, holding the
   /// same parameter values and normalization state as this model. The
   /// parallel trainer gives each shard executor a replica so concurrent
   /// backward passes never touch shared gradient buffers; replicas are
@@ -69,13 +71,14 @@ class NeuralCostModel : public CostPredictor {
   /// Counts weight commits: a finished train::TrainModel run, LoadWeights,
   /// CopyTreeStateFrom. Serving caches mix it into their keys, so a cached
   /// prediction never outlives the weights that produced it. Writes to
-  /// parameter values through Parameters() do not count.
+  /// parameter values through MutableParameters() do not count.
   uint64_t generation() const { return generation_; }
 
   /// Records a weight commit (see generation()).
   void BumpGeneration() { ++generation_; }
 
  private:
+  nn::ParameterBlock parameters_;
   uint64_t generation_ = 0;
 };
 

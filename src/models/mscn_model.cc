@@ -33,31 +33,18 @@ constexpr std::array<SetType, 3> kSetTypes = {{
 
 MscnCostModel::MscnCostModel(const Options& options) : options_(options) {
   Rng rng(options.init_seed);
+  nn::ParameterBlock* block = MutableParameters();
   const size_t h = options.hidden_dim;
   for (size_t k = 0; k < kSetTypes.size(); ++k) {
-    encoders_[k] = nn::Mlp(MakeMlpConfig(kSetTypes[k].element_dim, h, h), &rng);
+    encoders_[k] =
+        nn::Mlp(MakeMlpConfig(kSetTypes[k].element_dim, h, h), &rng, block);
   }
-  output_ = nn::Mlp(MakeMlpConfig(kSetTypes.size() * h, h, 1), &rng);
-}
-
-std::vector<nn::Tensor> MscnCostModel::Parameters() const {
-  std::vector<nn::Tensor> params;
-  for (const nn::Mlp* mlp :
-       {&encoders_[0], &encoders_[1], &encoders_[2], &output_}) {
-    for (const nn::Tensor& p : mlp->Parameters()) params.push_back(p);
-  }
-  return params;
+  output_ = nn::Mlp(MakeMlpConfig(kSetTypes.size() * h, h, 1), &rng, block);
 }
 
 std::unique_ptr<NeuralCostModel> MscnCostModel::CloneReplica() const {
   auto replica = std::make_unique<MscnCostModel>(options_);
-  std::vector<nn::Tensor> dst = replica->Parameters();
-  std::vector<nn::Tensor> src = Parameters();
-  ZDB_CHECK_EQ(dst.size(), src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    ZDB_CHECK_EQ(dst[i].size(), src[i].size());
-    dst[i].mutable_data() = src[i].data();
-  }
+  replica->MutableParameters()->values = Parameters().values;
   replica->target_norm_ = target_norm_;
   return replica;
 }
@@ -115,7 +102,8 @@ std::span<const float> MscnCostModel::Forward() {
     // A set type with no element in the whole batch leaves its block at
     // +0.0f (0 * 0), and Backward skips its encoder.
     if (!rows.owners.empty()) {
-      encoders_[k].ForwardRows(rows.inputs, rows.owners.size(), &rows.tape);
+      encoders_[k].ForwardRows(Parameters(), rows.inputs, rows.owners.size(),
+                               &rows.tape);
       const float* encoded = rows.tape.output();
       for (size_t i = 0; i < rows.owners.size(); ++i) {
         nn::AddRow(encoded + i * h, h, pooled + rows.owners[i] * width + k * h);
@@ -123,7 +111,8 @@ std::span<const float> MscnCostModel::Forward() {
     }
     nn::ScaleRowsInPlace(pooled + k * h, width, h, rows.factors);
   }
-  output_.ForwardRows({pooled, queries * width}, queries, &s.output_tape);
+  output_.ForwardRows(Parameters(), {pooled, queries * width}, queries,
+                      &s.output_tape);
   return {s.output_tape.output(), queries};
 }
 
@@ -135,8 +124,8 @@ void MscnCostModel::Backward(std::span<const float> d_predictions) {
   const size_t width = kSetTypes.size() * h;
   s.d_pooled.assign(queries * width, 0.0f);
   float* d_pooled = s.d_pooled.data();
-  output_.BackwardRows(s.pooled.data(), s.output_tape, d_predictions.data(),
-                       d_pooled, &s.mlp);
+  output_.BackwardRows(MutableParameters(), s.pooled.data(), s.output_tape,
+                       d_predictions.data(), d_pooled, &s.mlp);
   for (size_t k = 0; k < kSetTypes.size(); ++k) {
     SetRows& rows = s.set_rows[k];
     if (rows.owners.empty()) continue;
@@ -148,8 +137,9 @@ void MscnCostModel::Backward(std::span<const float> d_predictions) {
       nn::AddRow(rows.d_sums.data() + rows.owners[i] * h, h,
                  rows.d_elements.data() + i * h);
     }
-    encoders_[k].BackwardRows(rows.inputs.data(), rows.tape,
-                              rows.d_elements.data(), /*dx=*/nullptr, &s.mlp);
+    encoders_[k].BackwardRows(MutableParameters(), rows.inputs.data(),
+                              rows.tape, rows.d_elements.data(),
+                              /*dx=*/nullptr, &s.mlp);
   }
 }
 

@@ -37,7 +37,6 @@ class MscnCostModel : public NeuralCostModel {
                             float scale) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
-  std::vector<nn::Tensor> Parameters() const override;
 
   std::unique_ptr<NeuralCostModel> CloneReplica() const override;
 

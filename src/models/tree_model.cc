@@ -55,76 +55,56 @@ TreeMessagePassingModel::TreeMessagePassingModel(const TreeModelConfig& config)
   ZDB_CHECK_GT(config.feature_dim, 0u);
   ZDB_CHECK_GT(config.num_encoders, 0u);
   Rng rng(config.init_seed);
+  nn::ParameterBlock* block = MutableParameters();
   encoders_.reserve(config.num_encoders);
   for (size_t e = 0; e < config.num_encoders; ++e) {
     encoders_.emplace_back(
         MakeMlpConfig(config.feature_dim, config.hidden_dim, config.hidden_dim,
                       config.encoder_layers),
-        &rng);
+        &rng, block);
   }
   combine_ = nn::Mlp(MakeMlpConfig(2 * config.hidden_dim, config.hidden_dim,
                                    config.hidden_dim, config.combine_layers),
-                     &rng);
+                     &rng, block);
   readout_ = nn::Mlp(MakeMlpConfig(config.hidden_dim, config.hidden_dim, 1,
                                    config.readout_layers),
-                     &rng);
-}
-
-std::vector<nn::Tensor> TreeMessagePassingModel::Parameters() const {
-  std::vector<nn::Tensor> params;
-  for (const nn::Mlp& encoder : encoders_) {
-    for (const nn::Tensor& p : encoder.Parameters()) params.push_back(p);
-  }
-  for (const nn::Tensor& p : combine_.Parameters()) params.push_back(p);
-  for (const nn::Tensor& p : readout_.Parameters()) params.push_back(p);
-  return params;
+                     &rng, block);
 }
 
 Status TreeMessagePassingModel::SaveWeights(const std::string& path) const {
   if (!feature_norm_.fitted() || !target_norm_.fitted()) {
     return Status::InvalidArgument("saving an untrained model");
   }
-  std::vector<nn::Tensor> tensors = Parameters();
-  tensors.push_back(nn::Tensor::FromData(1, feature_norm_.dim(),
-                                         feature_norm_.mean()));
-  tensors.push_back(
-      nn::Tensor::FromData(1, feature_norm_.dim(), feature_norm_.std()));
-  tensors.push_back(nn::Tensor::FromData(
-      1, 2,
-      {static_cast<float>(target_norm_.mean()),
-       static_cast<float>(target_norm_.std())}));
-  return nn::SaveParameters(tensors, path);
+  const float target[2] = {static_cast<float>(target_norm_.mean()),
+                           static_cast<float>(target_norm_.std())};
+  const std::span<const float> sections[] = {
+      Parameters().values, feature_norm_.mean(), feature_norm_.std(), target};
+  return nn::SaveParameters(sections, path);
 }
 
 Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
-  // Load into zero-initialized copies and validate them before anything
-  // live changes: a rejected file leaves weights and norms untouched.
-  std::vector<nn::Tensor> live = Parameters();
-  std::vector<nn::Tensor> tensors;
-  tensors.reserve(live.size() + 3);
-  for (const nn::Tensor& p : live) tensors.push_back(nn::Tensor::ZerosLike(p));
-  nn::Tensor feature_mean = nn::Tensor::Zeros(1, config_.feature_dim);
-  nn::Tensor feature_std = nn::Tensor::Zeros(1, config_.feature_dim);
-  nn::Tensor target = nn::Tensor::Zeros(1, 2);
-  tensors.push_back(feature_mean);
-  tensors.push_back(feature_std);
-  tensors.push_back(target);
-  ZDB_RETURN_NOT_OK(nn::LoadParameters(tensors, path));
+  // Load into staging buffers and validate them before anything live
+  // changes: a rejected file leaves weights and norms untouched.
+  std::vector<float> values(Parameters().size());
+  std::vector<float> feature_mean(config_.feature_dim);
+  std::vector<float> feature_std(config_.feature_dim);
+  float target[2] = {};
+  const std::span<float> sections[] = {values, feature_mean, feature_std,
+                                       target};
+  ZDB_RETURN_NOT_OK(nn::LoadParameters(sections, path));
   // FeatureNorm::Fit clamps every std to >= 1e-6; a zero (or negative) std
   // would turn Apply's division into inf/NaN features.
-  for (float s : feature_std.data()) {
+  for (float s : feature_std) {
     if (!(s > 0.0f)) {
       return Status::InvalidArgument("non-positive feature std in " + path);
     }
   }
-  if (!(target.data()[1] > 0.0f)) {
+  if (!(target[1] > 0.0f)) {
     return Status::InvalidArgument("non-positive target std in " + path);
   }
-  for (size_t i = 0; i < live.size(); ++i) {
-    live[i].mutable_data() = tensors[i].data();
-  }
-  feature_norm_.Set(feature_mean.data(), feature_std.data());
-  target_norm_.Set(target.data()[0], target.data()[1]);
+  MutableParameters()->values = std::move(values);
+  feature_norm_.Set(std::move(feature_mean), std::move(feature_std));
+  target_norm_.Set(target[0], target[1]);
   InvalidateGraphCache();
   BumpGeneration();
   return Status::OK();
@@ -132,13 +112,9 @@ Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
 
 void TreeMessagePassingModel::CopyTreeStateFrom(
     const TreeMessagePassingModel& other) {
-  std::vector<nn::Tensor> dst = Parameters();
-  std::vector<nn::Tensor> src = other.Parameters();
-  ZDB_CHECK_EQ(dst.size(), src.size()) << "replica architecture mismatch";
-  for (size_t i = 0; i < dst.size(); ++i) {
-    ZDB_CHECK_EQ(dst[i].size(), src[i].size());
-    dst[i].mutable_data() = src[i].data();
-  }
+  ZDB_CHECK_EQ(Parameters().size(), other.Parameters().size())
+      << "replica architecture mismatch";
+  MutableParameters()->values = other.Parameters().values;
   feature_norm_ = other.feature_norm_;
   target_norm_ = other.target_norm_;
   InvalidateGraphCache();
@@ -254,7 +230,7 @@ std::span<const float> TreeMessagePassingModel::Forward(
   for (size_t e = 0; e < config_.num_encoders; ++e) {
     const std::vector<uint32_t>& ids = s.encoder_ids[e];
     if (ids.empty()) continue;
-    encoders_[e].ForwardRows(s.encoder_inputs[e], ids.size(),
+    encoders_[e].ForwardRows(Parameters(), s.encoder_inputs[e], ids.size(),
                              &s.encoder_tapes[e]);
     const float* encoded = s.encoder_tapes[e].output();
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -289,8 +265,8 @@ std::span<const float> TreeMessagePassingModel::Forward(
                    child_sum);
       }
     }
-    combine_.ForwardRows({input, ids.size() * 2 * hidden}, ids.size(),
-                         &s.combine_tapes[level]);
+    combine_.ForwardRows(Parameters(), {input, ids.size() * 2 * hidden},
+                         ids.size(), &s.combine_tapes[level]);
     const float* combined = s.combine_tapes[level].output();
     for (size_t i = 0; i < ids.size(); ++i) {
       ScatterRow(combined + i * hidden, hidden, hidden_rows + ids[i] * hidden);
@@ -303,8 +279,8 @@ std::span<const float> TreeMessagePassingModel::Forward(
     std::copy(hidden_rows + s.root_ids[g] * hidden,
               hidden_rows + (s.root_ids[g] + 1) * hidden, roots + g * hidden);
   }
-  readout_.ForwardRows({roots, graphs.size() * hidden}, graphs.size(),
-                       &s.readout_tape);
+  readout_.ForwardRows(Parameters(), {roots, graphs.size() * hidden},
+                       graphs.size(), &s.readout_tape);
   const std::span<const float> predictions(s.readout_tape.output(),
                                            graphs.size());
   ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
@@ -321,8 +297,9 @@ void TreeMessagePassingModel::Backward(
 
   // Readout, then the roots' hidden gradients.
   float* d_roots = Zeroed(&s.d_roots, graphs * hidden);
-  readout_.BackwardRows(s.roots.data(), s.readout_tape, d_predictions.data(),
-                        d_roots, &s.mlp);
+  nn::ParameterBlock* params = MutableParameters();
+  readout_.BackwardRows(params, s.roots.data(), s.readout_tape,
+                        d_predictions.data(), d_roots, &s.mlp);
   // A root's hidden gradient comes from the readout, every other node's
   // from its parent's child sum — one contribution per row, added onto a
   // zeroed buffer, so such a row holds 0.0f + x like Forward's rows.
@@ -350,7 +327,7 @@ void TreeMessagePassingModel::Backward(
                 d_rows + i * hidden);
     }
     float* d_input = Zeroed(&s.d_combine_input, ids.size() * 2 * hidden);
-    combine_.BackwardRows(s.combine_inputs[level].data(),
+    combine_.BackwardRows(params, s.combine_inputs[level].data(),
                           s.combine_tapes[level], d_rows, d_input, &s.mlp);
     for (size_t i = 0; i < ids.size(); ++i) {
       const uint32_t n = ids[i];
@@ -372,8 +349,9 @@ void TreeMessagePassingModel::Backward(
       std::copy(d_encodings + ids[i] * hidden,
                 d_encodings + (ids[i] + 1) * hidden, d_rows + i * hidden);
     }
-    encoders_[e].BackwardRows(s.encoder_inputs[e].data(), s.encoder_tapes[e],
-                              d_rows, /*dx=*/nullptr, &s.mlp);
+    encoders_[e].BackwardRows(params, s.encoder_inputs[e].data(),
+                              s.encoder_tapes[e], d_rows, /*dx=*/nullptr,
+                              &s.mlp);
   }
 }
 

@@ -55,20 +55,20 @@ class TreeMessagePassingModel : public NeuralCostModel {
   /// concrete type.
   std::vector<Millis> ForwardBatch(
       const std::vector<const QueryRecord*>& records);
-  std::vector<nn::Tensor> Parameters() const override;
 
-  /// Persists weights + normalization statistics to a binary file. Load
-  /// must be called on a model constructed with the same config.
+  /// Persists the parameter block + normalization statistics to a binary
+  /// file (nn/serialize.h). Load must be called on a model constructed with
+  /// the same config.
   Status SaveWeights(const std::string& path) const;
   Status LoadWeights(const std::string& path);
 
   const TreeModelConfig& config() const { return config_; }
 
  protected:
-  /// Copies `other`'s parameter values and normalization state into this
-  /// model (same config required). Subclass CloneReplica implementations
-  /// construct a fresh model from their stored options and then call this —
-  /// the replica gets identical values in independent storage.
+  /// Copies `other`'s parameter block values and normalization state into
+  /// this model (same config required). Subclass CloneReplica
+  /// implementations construct a fresh model from their stored options and
+  /// then call this — the replica gets identical values in its own block.
   void CopyTreeStateFrom(const TreeMessagePassingModel& other);
 
   /// Featurizes one record's plan (implemented by subclasses).

@@ -9,39 +9,42 @@
 
 namespace zerodb::nn {
 
-Linear::Linear(size_t in_features, size_t out_features, Rng* rng)
-    : in_features_(in_features), out_features_(out_features) {
+Linear::Linear(size_t in_features, size_t out_features, Rng* rng,
+               ParameterBlock* block)
+    : in_features_(in_features),
+      out_features_(out_features),
+      weight_offset_(block->size()) {
   ZDB_CHECK_GT(in_features, 0u);
   ZDB_CHECK_GT(out_features, 0u);
   ZDB_CHECK(rng != nullptr);
-  // Kaiming-uniform fan-in initialization, matching torch's Linear default.
+  // Kaiming-uniform fan-in initialization, matching torch's Linear default:
+  // the weight's draws, then the bias's.
   const double bound = std::sqrt(1.0 / static_cast<double>(in_features));
-  std::vector<float> weight_data(in_features * out_features);
-  for (float& w : weight_data) {
-    w = static_cast<float>(rng->UniformDouble(-bound, bound));
+  for (size_t i = 0; i < (in_features + 1) * out_features; ++i) {
+    block->values.push_back(
+        static_cast<float>(rng->UniformDouble(-bound, bound)));
   }
-  std::vector<float> bias_data(out_features);
-  for (float& b : bias_data) {
-    b = static_cast<float>(rng->UniformDouble(-bound, bound));
-  }
-  weight_ = Tensor::Parameter(in_features, out_features, std::move(weight_data));
-  bias_ = Tensor::Parameter(1, out_features, std::move(bias_data));
+  block->grads.resize(block->size());
 }
 
-Mlp::Mlp(const MlpConfig& config, Rng* rng) : config_(config) {
+Mlp::Mlp(const MlpConfig& config, Rng* rng, ParameterBlock* block)
+    : config_(config) {
   ZDB_CHECK_GT(config.in_features, 0u);
   ZDB_CHECK_GT(config.out_features, 0u);
   size_t in = config.in_features;
   for (size_t hidden : config.hidden_sizes) {
-    layers_.emplace_back(in, hidden, rng);
+    layers_.emplace_back(in, hidden, rng, block);
     in = hidden;
   }
-  layers_.emplace_back(in, config.out_features, rng);
+  layers_.emplace_back(in, config.out_features, rng, block);
 }
 
-void Mlp::ForwardRows(std::span<const float> x, size_t rows,
-                      MlpTape* tape) const {
+void Mlp::ForwardRows(const ParameterBlock& params, std::span<const float> x,
+                      size_t rows, MlpTape* tape) const {
   ZDB_CHECK(!layers_.empty()) << "Mlp used before initialization";
+  ZDB_CHECK_LE(layers_.back().bias_offset() + config_.out_features,
+               params.size())
+      << "Mlp::ForwardRows: parameters past the block's end";
   ZDB_CHECK_EQ(x.size(), rows * config_.in_features)
       << "Mlp::ForwardRows input: expected " << config_.in_features
       << " feature columns over " << rows << " rows";
@@ -54,16 +57,22 @@ void Mlp::ForwardRows(std::span<const float> x, size_t rows,
     std::vector<float>& out = tape->layers[i];
     out.resize(rows * layer.out_features());
     const bool is_output = (i + 1 == layers_.size());
-    LinearForward(current, rows, layer.weight(), layer.bias(),
+    LinearForward(current, rows, layer.in_features(), layer.out_features(),
+                  params.values.data() + layer.weight_offset(),
+                  params.values.data() + layer.bias_offset(),
                   /*relu=*/!is_output, out.data());
     current = out.data();
   }
   ZDB_DCHECK_OK(ValidateFinite(tape->layers.back(), "Mlp::ForwardRows output"));
 }
 
-void Mlp::BackwardRows(const float* x, const MlpTape& tape, const float* dout,
-                       float* dx, std::vector<float>* scratch) const {
+void Mlp::BackwardRows(ParameterBlock* params, const float* x,
+                       const MlpTape& tape, const float* dout, float* dx,
+                       std::vector<float>* scratch) const {
   ZDB_CHECK_EQ(tape.layers.size(), layers_.size());
+  ZDB_CHECK_LE(layers_.back().bias_offset() + config_.out_features,
+               std::min(params->size(), params->grads.size()))
+      << "Mlp::BackwardRows: parameters past the block's end";
   const size_t rows = tape.rows;
   size_t width = config_.out_features;
   for (size_t hidden : config_.hidden_sizes) width = std::max(width, hidden);
@@ -83,23 +92,14 @@ void Mlp::BackwardRows(const float* x, const MlpTape& tape, const float* dout,
       layer_dx = scratch->data() + width + (i % 2) * rows * width;
       std::fill(layer_dx, layer_dx + rows * layer.in_features(), 0.0f);
     }
-    Tensor weight = layer.weight();
-    Tensor bias = layer.bias();
     LinearBackward(input, tape.layers[i].data(), layer_dout, rows,
                    layer.in_features(), layer.out_features(),
-                   weight.data().data(), /*relu=*/i + 1 != layers_.size(),
-                   layer_dx, weight.mutable_grad().data(),
-                   bias.mutable_grad().data(), dz);
+                   params->values.data() + layer.weight_offset(),
+                   /*relu=*/i + 1 != layers_.size(), layer_dx,
+                   params->grads.data() + layer.weight_offset(),
+                   params->grads.data() + layer.bias_offset(), dz);
     layer_dout = layer_dx;
   }
-}
-
-std::vector<Tensor> Mlp::Parameters() const {
-  std::vector<Tensor> params;
-  for (const Linear& layer : layers_) {
-    for (const Tensor& p : layer.Parameters()) params.push_back(p);
-  }
-  return params;
 }
 
 }  // namespace zerodb::nn

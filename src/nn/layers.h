@@ -7,32 +7,31 @@
 
 #include "common/rng.h"
 #include "nn/ops.h"
-#include "nn/tensor.h"
+#include "nn/parameters.h"
 
 namespace zerodb::nn {
 
 /// Fully-connected layer y = x W + b with Kaiming-uniform initialization;
-/// Mlp runs it through LinearForward and LinearBackward.
+/// Mlp runs it through LinearForward and LinearBackward. The layer owns no
+/// floats: its weight (in, out) and bias (out) sit back to back in a
+/// ParameterBlock, at weight_offset().
 class Linear {
  public:
-  /// Creates an uninitialized layer; call Init or deserialize before use.
-  Linear() = default;
-  Linear(size_t in_features, size_t out_features, Rng* rng);
+  /// Appends the layer's weight then bias to `block`, drawn in that order.
+  Linear(size_t in_features, size_t out_features, Rng* rng,
+         ParameterBlock* block);
 
   size_t in_features() const { return in_features_; }
   size_t out_features() const { return out_features_; }
-
-  /// Trainable parameters: {weight (in,out), bias (1,out)}.
-  std::vector<Tensor> Parameters() const { return {weight_, bias_}; }
-
-  const Tensor& weight() const { return weight_; }
-  const Tensor& bias() const { return bias_; }
+  size_t weight_offset() const { return weight_offset_; }
+  size_t bias_offset() const {
+    return weight_offset_ + in_features_ * out_features_;
+  }
 
  private:
-  size_t in_features_ = 0;
-  size_t out_features_ = 0;
-  Tensor weight_;
-  Tensor bias_;
+  size_t in_features_;
+  size_t out_features_;
+  size_t weight_offset_;
 };
 
 /// Configuration for a multilayer perceptron.
@@ -53,29 +52,30 @@ struct MlpTape {
 };
 
 /// Multilayer perceptron built from Linear layers: ReLU after every hidden
-/// layer, a linear output layer.
+/// layer, a linear output layer. Its parameters live in the ParameterBlock
+/// it was built into, which every pass receives.
 class Mlp {
  public:
   Mlp() = default;
-  Mlp(const MlpConfig& config, Rng* rng);
+  /// Appends every layer's parameters to `block`, input layer first.
+  Mlp(const MlpConfig& config, Rng* rng, ParameterBlock* block);
 
   /// Forward over `rows` rows of in_features floats, recording every
   /// layer's output in `tape`. Each layer runs LinearForward, with the ReLU
   /// fused into the hidden layers. Aborts unless x holds exactly
   /// rows * in_features floats.
-  void ForwardRows(std::span<const float> x, size_t rows,
-                   MlpTape* tape) const;
+  void ForwardRows(const ParameterBlock& params, std::span<const float> x,
+                   size_t rows, MlpTape* tape) const;
 
   /// The backward of the ForwardRows call that filled `tape` from `x`:
   /// given the output's gradient `dout` (rows, out_features), adds every
-  /// layer's dW and db into its parameters' grad buffers and, unless `dx` is
-  /// null, dX into `dx` (rows, in_features). Each layer runs LinearBackward,
-  /// layer by layer from the output down. Hidden-layer gradients live in
-  /// `scratch`, which only ever grows.
-  void BackwardRows(const float* x, const MlpTape& tape, const float* dout,
-                    float* dx, std::vector<float>* scratch) const;
-
-  std::vector<Tensor> Parameters() const;
+  /// layer's dW and db into params->grads and, unless `dx` is null, dX into
+  /// `dx` (rows, in_features). Each layer runs LinearBackward, layer by
+  /// layer from the output down. Hidden-layer gradients live in `scratch`,
+  /// which only ever grows.
+  void BackwardRows(ParameterBlock* params, const float* x,
+                    const MlpTape& tape, const float* dout, float* dx,
+                    std::vector<float>* scratch) const;
 
   const MlpConfig& config() const { return config_; }
 

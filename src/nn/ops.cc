@@ -167,15 +167,12 @@ void HuberGradAccumulate(const float* predictions, const float* targets,
 
 }  // namespace
 
-void LinearForward(const float* x, size_t m, const Tensor& weight,
-                   const Tensor& bias, bool relu, float* out) {
-  ZDB_CHECK_EQ(bias.size(), weight.cols());
-  const size_t k = weight.rows();
-  const size_t n = weight.cols();
+void LinearForward(const float* x, size_t m, size_t k, size_t n,
+                   const float* weight, const float* bias, bool relu,
+                   float* out) {
   std::fill(out, out + m * n, 0.0f);
   for (size_t i = 0; i < m; ++i) {
-    DenseRow(x + i * k, k, weight.data().data(), n, bias.data().data(), relu,
-             out + i * n);
+    DenseRow(x + i * k, k, weight, n, bias, relu, out + i * n);
   }
 }
 

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <span>
 
-#include "nn/tensor.h"
-
 namespace zerodb::nn {
 
 // Raw-buffer kernels: the arithmetic of every model's forward and backward
@@ -16,11 +14,13 @@ namespace zerodb::nn {
 // training and serving share in this file. Buffers are row-major; an output
 // buffer must not overlap an input.
 
-/// A dense layer's forward: out (m, n) = x (m, k) * weight (k, n) + bias,
-/// rectified when `relu`. The bias is added after the full k-accumulation
-/// and the row is rectified in the same pass. `out` is zero-filled first.
-void LinearForward(const float* x, size_t m, const Tensor& weight,
-                   const Tensor& bias, bool relu, float* out);
+/// A dense layer's forward: out (m, n) = x (m, k) * weight (k, n) + bias
+/// (n), rectified when `relu`. The bias is added after the full
+/// k-accumulation and the row is rectified in the same pass. `out` is
+/// zero-filled first.
+void LinearForward(const float* x, size_t m, size_t k, size_t n,
+                   const float* weight, const float* bias, bool relu,
+                   float* out);
 
 /// A dense layer's backward, one fused pass over the rows: given the input
 /// x (m, k), the layer's output `out` (m, n) and its gradient `dout`, adds

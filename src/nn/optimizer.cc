@@ -80,21 +80,16 @@ bool SumShardGradients(std::span<const float* const> partials,
   return nonfinite == 0;
 }
 
-Adam::Adam(std::vector<Tensor> parameters, float learning_rate, float beta1,
+Adam::Adam(ParameterBlock* parameters, float learning_rate, float beta1,
            float beta2, float epsilon, float weight_decay)
-    : parameters_(std::move(parameters)),
+    : parameters_(parameters),
       learning_rate_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),
       epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  first_moment_.reserve(parameters_.size());
-  second_moment_.reserve(parameters_.size());
-  for (const Tensor& parameter : parameters_) {
-    first_moment_.emplace_back(parameter.size(), 0.0f);
-    second_moment_.emplace_back(parameter.size(), 0.0f);
-  }
-}
+      weight_decay_(weight_decay),
+      first_moment_(parameters->size(), 0.0f),
+      second_moment_(parameters->size(), 0.0f) {}
 
 void Adam::Step() {
   ++step_count_;
@@ -113,30 +108,27 @@ void Adam::Step() {
   };
   const bool clipped = clip_scale_ != 1.0f;
   clip_scale_ = 1.0f;
-  for (size_t p = 0; p < parameters_.size(); ++p) {
-    auto& data = parameters_[p].mutable_data();
-    auto& grad = parameters_[p].mutable_grad();
-    ZDB_CHECK_EQ(data.size(), grad.size());
-    float* m = first_moment_[p].data();
-    float* v = second_moment_[p].data();
-    if (clipped) {
-      AdamUpdate<true>(data.size(), c, data.data(), grad.data(), m, v);
-    } else {
-      AdamUpdate<false>(data.size(), c, data.data(), grad.data(), m, v);
-    }
+  std::vector<float>& data = parameters_->values;
+  std::vector<float>& grad = parameters_->grads;
+  ZDB_CHECK_EQ(data.size(), first_moment_.size());
+  ZDB_CHECK_EQ(grad.size(), first_moment_.size());
+  float* m = first_moment_.data();
+  float* v = second_moment_.data();
+  if (clipped) {
+    AdamUpdate<true>(data.size(), c, data.data(), grad.data(), m, v);
+  } else {
+    AdamUpdate<false>(data.size(), c, data.data(), grad.data(), m, v);
   }
 }
 
 void Adam::ZeroGrad() {
-  for (Tensor& parameter : parameters_) parameter.ZeroGrad();
+  std::fill(parameters_->grads.begin(), parameters_->grads.end(), 0.0f);
 }
 
 double Adam::ClipGradNorm(double max_norm) {
   ZDB_CHECK_GT(max_norm, 0.0);
   double total_sq = 0.0;
-  for (const Tensor& parameter : parameters_) {
-    for (float g : parameter.grad()) total_sq += static_cast<double>(g) * g;
-  }
+  for (float g : parameters_->grads) total_sq += static_cast<double>(g) * g;
   double norm = std::sqrt(total_sq);
   clip_scale_ =
       norm > max_norm ? static_cast<float>(max_norm / (norm + 1e-12)) : 1.0f;

@@ -5,7 +5,7 @@
 #include <span>
 #include <vector>
 
-#include "nn/tensor.h"
+#include "nn/parameters.h"
 
 namespace zerodb::nn {
 
@@ -18,43 +18,39 @@ namespace zerodb::nn {
 [[nodiscard]] bool SumShardGradients(std::span<const float* const> partials,
                                      std::span<float> out);
 
-/// Adam (Kingma & Ba) with bias correction over a fixed parameter set; the
-/// paper's models train with it.
+/// Adam (Kingma & Ba) with bias correction over one parameter block; the
+/// paper's models train with it. The block must outlive the optimizer and
+/// keep its size; its gradient vector may be swapped between calls.
 class Adam {
  public:
-  Adam(std::vector<Tensor> parameters, float learning_rate,
-       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
-       float weight_decay = 0.0f);
+  Adam(ParameterBlock* parameters, float learning_rate, float beta1 = 0.9f,
+       float beta2 = 0.999f, float epsilon = 1e-8f, float weight_decay = 0.0f);
 
   Adam(const Adam&) = delete;
   Adam& operator=(const Adam&) = delete;
 
   /// Applies one update from the accumulated gradients, first scaling each
   /// gradient by the pending ClipGradNorm factor (if any) and storing the
-  /// clipped value back — one pass over every parameter.
+  /// clipped value back — one pass over the block.
   void Step();
 
-  /// Clears all parameter gradients; call after Step.
+  /// Clears the block's gradients; call after Step.
   void ZeroGrad();
 
   /// Computes the global L2 norm of all gradients (a double sum of squares
-  /// in parameter order) and, when it exceeds `max_norm`, clips the
+  /// in block order) and, when it exceeds `max_norm`, clips the
   /// gradients to it: the next Step multiplies every gradient by the float
   /// factor max_norm / (norm + 1e-12) inside its update pass. Returns the
   /// pre-clipping norm. A stabilizer for the message-passing nets.
   double ClipGradNorm(double max_norm);
 
-  /// The running first / second moment of parameter `p` (read-only; Step
-  /// is the only writer).
-  const std::vector<float>& first_moment(size_t p) const {
-    return first_moment_[p];
-  }
-  const std::vector<float>& second_moment(size_t p) const {
-    return second_moment_[p];
-  }
+  /// The running first / second moments, laid out like the block
+  /// (read-only; Step is the only writer).
+  const std::vector<float>& first_moment() const { return first_moment_; }
+  const std::vector<float>& second_moment() const { return second_moment_; }
 
  private:
-  std::vector<Tensor> parameters_;
+  ParameterBlock* parameters_;
   float learning_rate_;
   float beta1_;
   float beta2_;
@@ -63,8 +59,8 @@ class Adam {
   int64_t step_count_ = 0;
   /// Set by ClipGradNorm, consumed (and reset to 1) by the next Step.
   float clip_scale_ = 1.0f;
-  std::vector<std::vector<float>> first_moment_;
-  std::vector<std::vector<float>> second_moment_;
+  std::vector<float> first_moment_;
+  std::vector<float> second_moment_;
 };
 
 }  // namespace zerodb::nn

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/status.h"
 #include "common/string_util.h"
-#include "nn/tensor.h"
 
 namespace zerodb::nn {
 
@@ -32,18 +30,15 @@ namespace zerodb::nn {
   return Status::OK();
 }
 
-/// No NaN/Inf anywhere in the gradient buffers of `params` (post-backward
+/// No NaN/Inf anywhere in a parameter block's gradients (post-backward
 /// guard: one exploding batch otherwise corrupts the weights for good).
 [[nodiscard]] inline Status ValidateFiniteGradients(
-    const std::vector<Tensor>& params, const char* context) {
-  for (size_t p = 0; p < params.size(); ++p) {
-    const std::vector<float>& grad = params[p].grad();
-    for (size_t i = 0; i < grad.size(); ++i) {
-      if (!std::isfinite(grad[i])) {
-        return Status::InvalidArgument(StrFormat(
-            "%s: non-finite gradient %f at flat index %zu of parameter %zu",
-            context, static_cast<double>(grad[i]), i, p));
-      }
+    std::span<const float> grads, const char* context) {
+  for (size_t i = 0; i < grads.size(); ++i) {
+    if (!std::isfinite(grads[i])) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: non-finite gradient %f at block index %zu of %zu", context,
+          static_cast<double>(grads[i]), i, grads.size()));
     }
   }
   return Status::OK();

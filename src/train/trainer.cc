@@ -26,40 +26,37 @@ constexpr size_t kShardRecords = 8;
 /// ascending shard order after all shards complete.
 struct ShardResult {
   double loss = 0.0;  ///< shard loss pre-scaled by shard_size / batch_size
-  std::vector<std::vector<float>> grads;  ///< one buffer per parameter
+  std::vector<float> grads;  ///< laid out like the parameter block
 };
 
-/// One shard-running unit: a model (the caller's or a replica), its cached
-/// parameter handles, and reusable scratch. The trainer builds these once.
+/// One shard-running unit: a model (the caller's or a replica) and reusable
+/// scratch. The trainer builds these once.
 struct ShardExecutor {
   models::NeuralCostModel* model = nullptr;
-  std::vector<nn::Tensor> params;
   std::vector<const QueryRecord*> shard;  ///< reused shard record scratch
 };
 
 /// Runs one shard on `exec`: zero grads, forward + backward on the shard
 /// scaled by shard_size / batch_size (so summing shard losses/gradients
-/// reconstructs the batch mean), then harvests the gradient buffers.
+/// reconstructs the batch mean), then harvests the gradient buffer.
 void RunShard(ShardExecutor* exec,
               const std::vector<const QueryRecord*>& batch, size_t shard_begin,
               size_t shard_end, size_t batch_size, ShardResult* out) {
   exec->shard.assign(batch.begin() + static_cast<ptrdiff_t>(shard_begin),
                      batch.begin() + static_cast<ptrdiff_t>(shard_end));
-  for (nn::Tensor& p : exec->params) p.ZeroGrad();
+  std::vector<float>& grads = exec->model->MutableParameters()->grads;
+  std::fill(grads.begin(), grads.end(), 0.0f);
   const float loss = exec->model->AccumulateGradients(
       exec->shard,
       static_cast<float>(exec->shard.size()) / static_cast<float>(batch_size));
   ZDB_DCHECK_OK(nn::ValidateFinite(std::span<const float>(&loss, 1),
                                    "trainer forward: shard loss"));
   out->loss = static_cast<double>(loss);
-  ZDB_DCHECK_EQ(out->grads.size(), exec->params.size());
-  for (size_t i = 0; i < exec->params.size(); ++i) {
-    // Swap, not copy: the parameter takes the slot's previous buffer (the
-    // same size, see TrainModel), which the next shard's ZeroGrad clears
-    // before Backward accumulates into it.
-    ZDB_DCHECK_EQ(out->grads[i].size(), exec->params[i].size());
-    out->grads[i].swap(exec->params[i].mutable_grad());
-  }
+  // Swap, not copy: the block takes the slot's previous buffer (the same
+  // size, see TrainModel), which the next shard zeroes before the backward
+  // accumulates into it.
+  ZDB_DCHECK_EQ(out->grads.size(), grads.size());
+  out->grads.swap(grads);
 }
 
 }  // namespace
@@ -86,9 +83,9 @@ TrainResult TrainModel(models::NeuralCostModel* model,
 
   ZDB_CHECK_GT(options.batch_size, 0u);
   model->Prepare(training);
-  nn::Adam optimizer(model->Parameters(), options.learning_rate, 0.9f, 0.999f,
-                     1e-8f, options.weight_decay);
-  std::vector<nn::Tensor> main_params = model->Parameters();
+  nn::ParameterBlock* main_params = model->MutableParameters();
+  nn::Adam optimizer(main_params, options.learning_rate, 0.9f, 0.999f, 1e-8f,
+                     options.weight_decay);
 
   // Shard-parallel gradient setup. Replicas are cloned after Prepare so they
   // carry the fitted normalization; parameter values are re-synced from the
@@ -117,25 +114,11 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       ZDB_CHECK(replicas.back() != nullptr) << model->Name();
       shard_exec.model = replicas.back().get();
     }
-    shard_exec.params = shard_exec.model->Parameters();
   }
-
-  auto snapshot = [&]() {
-    std::vector<std::vector<float>> weights;
-    for (const nn::Tensor& p : model->Parameters()) weights.push_back(p.data());
-    return weights;
-  };
-  auto restore = [&](const std::vector<std::vector<float>>& weights) {
-    auto params = model->Parameters();
-    ZDB_CHECK_EQ(params.size(), weights.size());
-    for (size_t i = 0; i < params.size(); ++i) {
-      params[i].mutable_data() = weights[i];
-    }
-  };
 
   TrainResult result;
   double best_val = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<float>> best_weights = snapshot();
+  std::vector<float> best_weights = main_params->values;
   size_t epochs_since_best = 0;
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -145,16 +128,15 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   // Per-batch working state, hoisted out of the loops so batch N reuses
   // batch N-1's capacity: the batch view, the shard result slots (kept at
   // max_shards so the final partial batch never shrinks — and re-grows — the
-  // gradient buffers inside) and one parameter's shard partials.
+  // gradient buffers inside) and the shard partials' pointers.
   std::vector<const QueryRecord*> batch;
   batch.reserve(options.batch_size);
   std::vector<ShardResult> shard_results(max_shards);
   // Full-size from the start: RunShard swaps these with the executors'
   // gradient buffers, and the reduction writes the caller's gradients in
-  // place, so every buffer must always hold its parameter's size.
+  // place, so every buffer must always hold the block's size.
   for (ShardResult& slot : shard_results) {
-    slot.grads.reserve(main_params.size());
-    for (const nn::Tensor& p : main_params) slot.grads.emplace_back(p.size());
+    slot.grads.resize(main_params->size());
   }
   std::vector<const float*> partials(max_shards);
 
@@ -191,9 +173,8 @@ TrainResult TrainModel(models::NeuralCostModel* model,
           // its own task, off the caller's critical path. Concurrent readers
           // only: nothing writes main_params' values until the join.
           obs::TimelineScope sync_scope("train.sync", "train");
-          for (size_t i = 0; i < main_params.size(); ++i) {
-            shard_executors[e].params[i].mutable_data() = main_params[i].data();
-          }
+          shard_executors[e].model->MutableParameters()->values =
+              main_params->values;
         }
         for (size_t s = e * num_shards / used; s < (e + 1) * num_shards / used;
              ++s) {
@@ -215,29 +196,22 @@ TrainResult TrainModel(models::NeuralCostModel* model,
 
       // Fixed-order reduction: shard partials land on the caller's model in
       // ascending shard order, making the batch gradient (and loss) exactly
-      // reproducible for any thread count. One pass per parameter overwrites
-      // its gradient (no separate zeroing) and flags non-finite sums; only
-      // then does the full validator run, to name the bad element.
+      // reproducible for any thread count. One pass over the block
+      // overwrites the gradients (no separate zeroing) and flags non-finite
+      // sums; only then does the full validator run, to name the bad
+      // element.
       double batch_loss = 0.0;
       {
         obs::TimelineScope reduce_scope("train.reduce", "train");
-        bool finite = true;
         for (size_t s = 0; s < num_shards; ++s) {
           batch_loss += shard_results[s].loss;
+          partials[s] = shard_results[s].grads.data();
         }
-        for (size_t i = 0; i < main_params.size(); ++i) {
-          std::vector<float>& grad = main_params[i].mutable_grad();
-          for (size_t s = 0; s < num_shards; ++s) {
-            ZDB_DCHECK_EQ(shard_results[s].grads[i].size(), grad.size());
-            partials[s] = shard_results[s].grads[i].data();
-          }
-          finite &= nn::SumShardGradients(
-              std::span<const float* const>(partials.data(), num_shards),
-              grad);
-        }
-        if (!finite) {
-          ZDB_DCHECK_OK(
-              nn::ValidateFiniteGradients(main_params, "trainer backward"));
+        if (!nn::SumShardGradients(
+                std::span<const float* const>(partials.data(), num_shards),
+                main_params->grads)) {
+          ZDB_DCHECK_OK(nn::ValidateFiniteGradients(main_params->grads,
+                                                    "trainer backward"));
         }
       }
       {
@@ -271,7 +245,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
     result.history.push_back(stat);
     if (val_loss < best_val - 1e-6) {
       best_val = val_loss;
-      best_weights = snapshot();
+      best_weights = main_params->values;
       epochs_since_best = 0;
     } else {
       ++epochs_since_best;
@@ -281,7 +255,7 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       }
     }
   }
-  restore(best_weights);
+  main_params->values = best_weights;
   model->BumpGeneration();
   result.best_validation_loss = best_val;
   return result;

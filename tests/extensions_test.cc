@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -14,7 +15,9 @@
 #include <vector>
 
 #include "datagen/corpus.h"
+#include "common/rng.h"
 #include "models/scaled_cost_model.h"
+#include "nn/serialize.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
 #include "workload/benchmarks.h"
@@ -214,10 +217,10 @@ TEST_F(ExtensionsTest, SaveLoadRoundTripsPredictions) {
 TEST_F(ExtensionsTest, TruncatedWeightFileLeavesModelUnchanged) {
   // Two tiny models trained from different initializations: `source`
   // provides the weight file, `target` receives every truncated prefix of
-  // it. A load that half-applied would move target's predictions toward
-  // source's, so bitwise-equal probes after each failed load prove the
-  // load is all or nothing. Tiny keeps the file (and the number of
-  // prefixes) small.
+  // it, seeded bit flips and planted bad values. A load that half-applied
+  // would move target's predictions toward source's, so bitwise-equal
+  // probes after each failed load prove the load is all or nothing. Tiny
+  // keeps the file (and the number of prefixes) small.
   std::vector<const train::QueryRecord*> training;
   for (size_t i = 0; i < 64; ++i) training.push_back(&(*records_)[i]);
   train::TrainerOptions trainer;
@@ -250,45 +253,83 @@ TEST_F(ExtensionsTest, TruncatedWeightFileLeavesModelUnchanged) {
   std::vector<const train::QueryRecord*> probes(training.begin(),
                                                 training.begin() + 8);
   const std::vector<Millis> before = target->PredictMs(probes);
-  auto expect_rejected = [&](const std::string& content) {
+  // `reason`, when set, must appear in the rejection's message.
+  auto expect_rejected = [&](const std::string& content,
+                             const char* reason = nullptr) {
     write_file(content);
-    ASSERT_FALSE(target->LoadWeights(path).ok()) << content.size() << " bytes";
+    const Status status = target->LoadWeights(path);
+    ASSERT_FALSE(status.ok()) << content.size() << " bytes";
+    if (reason != nullptr) {
+      ASSERT_NE(status.ToString().find(reason), std::string::npos)
+          << status.ToString();
+    }
     const std::vector<Millis> after = target->PredictMs(probes);
     for (size_t i = 0; i < probes.size(); ++i) {
-      ASSERT_EQ(after[i].value(), before[i].value())
+      ASSERT_EQ(std::bit_cast<uint64_t>(after[i].value()),
+                std::bit_cast<uint64_t>(before[i].value()))
           << content.size() << " bytes, probe " << i;
     }
   };
   for (size_t length = 0; length < bytes.size(); ++length) {
-    ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes.substr(0, length)));
+    ASSERT_NO_FATAL_FAILURE(
+        expect_rejected(bytes.substr(0, length), "truncated"));
   }
-  ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes + '\0'));  // trailing byte
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(bytes + '\0', "trailing bytes"));
 
-  // Well-formed files with a bad value: each tensor is rows, cols (uint64)
-  // then rows * cols floats, after the magic and the tensor count. The last
-  // two tensors are the feature std row and the target (mean, std) pair.
-  std::vector<size_t> value_offsets;
-  for (size_t offset = 16; offset < bytes.size();) {
-    uint64_t rows = 0;
-    uint64_t cols = 0;
-    std::memcpy(&rows, bytes.data() + offset, sizeof(rows));
-    std::memcpy(&cols, bytes.data() + offset + 8, sizeof(cols));
-    value_offsets.push_back(offset + 16);
-    offset += 16 + rows * cols * sizeof(float);
+  // The layout: the magic, the section count and one float count per
+  // section, then the sections (parameter block, feature mean, feature std,
+  // target (mean, std)) and the trailing checksum.
+  uint64_t sections = 0;
+  std::memcpy(&sections, bytes.data() + 8, sizeof(sections));
+  ASSERT_EQ(sections, 4u);
+  const size_t header = 16 + sections * sizeof(uint64_t);
+  std::vector<size_t> section_offsets;
+  for (size_t i = 0, offset = header; i < sections; ++i) {
+    uint64_t floats = 0;
+    std::memcpy(&floats, bytes.data() + 16 + i * sizeof(uint64_t),
+                sizeof(floats));
+    section_offsets.push_back(offset);
+    offset += floats * sizeof(float);
   }
-  ASSERT_GE(value_offsets.size(), 4u);
+  const size_t checksum_offset = bytes.size() - sizeof(uint64_t);
+
+  // Seeded single-bit flips: half anywhere in the file, half in the header
+  // or the checksum, where a flip is least likely to land by chance.
+  Rng rng(2024);
+  for (size_t flip = 0; flip < 128; ++flip) {
+    const bool framing = flip % 2 == 1;
+    const size_t span = framing ? header + sizeof(uint64_t) : bytes.size();
+    size_t byte = static_cast<size_t>(rng.NextUint64(span));
+    if (framing && byte >= header) byte = checksum_offset + (byte - header);
+    const int bit = static_cast<int>(rng.NextUint64(8));
+    std::string flipped = bytes;
+    flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+    SCOPED_TRACE(testing::Message() << "flip of bit " << bit << " in byte "
+                                    << byte << " of " << bytes.size());
+    ASSERT_NO_FATAL_FAILURE(expect_rejected(flipped));
+  }
+
+  // Well-formed files with a bad value: the checksum is recomputed after
+  // planting it, so the load gets past the checksum to the value checks.
   auto with_float = [&](size_t offset, float value) {
     std::string content = bytes;
     std::memcpy(content.data() + offset, &value, sizeof(value));
+    const uint64_t checksum =
+        nn::WeightFileChecksum({content.data(), checksum_offset});
+    std::memcpy(content.data() + checksum_offset, &checksum,
+                sizeof(checksum));
     return content;
   };
-  const size_t weight = value_offsets.front();
-  const size_t feature_std = value_offsets[value_offsets.size() - 2];
+  const size_t weight = section_offsets.front();
+  const size_t feature_std = section_offsets[2];
   ASSERT_NO_FATAL_FAILURE(expect_rejected(
-      with_float(weight, std::numeric_limits<float>::quiet_NaN())));
+      with_float(weight, std::numeric_limits<float>::quiet_NaN()),
+      "non-finite"));
   ASSERT_NO_FATAL_FAILURE(expect_rejected(
-      with_float(weight, std::numeric_limits<float>::infinity())));
-  ASSERT_NO_FATAL_FAILURE(expect_rejected(with_float(feature_std, 0.0f)));
+      with_float(weight, std::numeric_limits<float>::infinity()),
+      "non-finite"));
+  ASSERT_NO_FATAL_FAILURE(expect_rejected(with_float(feature_std, 0.0f),
+                                          "non-positive feature std"));
 
   // The exact file still loads, and does move the predictions.
   write_file(bytes);

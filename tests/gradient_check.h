@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <span>
@@ -44,32 +45,31 @@ inline void ExpectCentralDifferences(std::span<float> values,
 
 /// Checks Mlp::BackwardRows under nn::ScaledHuberLossBackward against
 /// central differences of scale * the Huber loss of ForwardRows(x): the
-/// gradient of the input x (rows, in_features) and of every parameter.
-inline void ExpectMlpGradientsMatch(const nn::Mlp& mlp, std::vector<float> x,
+/// gradient of the input x (rows, in_features) and of every float in
+/// `params`, the block `mlp` was built into.
+inline void ExpectMlpGradientsMatch(const nn::Mlp& mlp,
+                                    nn::ParameterBlock* params,
+                                    std::vector<float> x,
                                     const std::vector<float>& targets,
                                     float scale) {
   const size_t rows = targets.size();
   nn::MlpTape tape;
   std::vector<float> scratch;
   auto loss = [&]() {
-    mlp.ForwardRows(x, rows, &tape);
+    mlp.ForwardRows(*params, x, rows, &tape);
     return nn::HuberLossValue({tape.output(), rows}, targets, 1.0f) * scale;
   };
-  std::vector<nn::Tensor> params = mlp.Parameters();
-  for (nn::Tensor& p : params) p.ZeroGrad();
-  mlp.ForwardRows(x, rows, &tape);
+  std::fill(params->grads.begin(), params->grads.end(), 0.0f);
+  mlp.ForwardRows(*params, x, rows, &tape);
   std::vector<float> d_out(rows, 0.0f);
   nn::ScaledHuberLossBackward({tape.output(), rows}, targets, 1.0f, scale,
                               d_out);
   std::vector<float> dx(x.size(), 0.0f);
-  mlp.BackwardRows(x.data(), tape, d_out.data(), dx.data(), &scratch);
+  mlp.BackwardRows(params, x.data(), tape, d_out.data(), dx.data(), &scratch);
 
   ExpectCentralDifferences(x, dx, loss, "input");
-  for (size_t p = 0; p < params.size(); ++p) {
-    const std::vector<float> analytic = params[p].grad();
-    ExpectCentralDifferences(params[p].mutable_data(), analytic, loss,
-                             "parameter " + std::to_string(p));
-  }
+  const std::vector<float> analytic = params->grads;
+  ExpectCentralDifferences(params->values, analytic, loss, "parameter");
 }
 
 }  // namespace zerodb::gradcheck

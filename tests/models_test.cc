@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <memory>
 #include <string>
 
 #include "datagen/corpus.h"
+#include "featurize/e2e_featurizer.h"
+#include "featurize/mscn_featurizer.h"
+#include "featurize/zeroshot_featurizer.h"
 #include "gradient_check.h"
 #include "models/e2e_model.h"
 #include "models/mscn_model.h"
 #include "models/scaled_cost_model.h"
 #include "models/zeroshot_model.h"
+#include "plan/physical.h"
 #include "train/dataset.h"
 #include "train/metrics.h"
 #include "train/trainer.h"
@@ -128,22 +133,58 @@ TEST_F(ModelsTest, ScaledOptCostFitsAndPredicts) {
   EXPECT_LT(stats.median, 5.0) << stats.ToString();
 }
 
+// Floats in an MLP's weights and biases: (in + 1) * out per layer.
+size_t MlpFloats(size_t in, const std::vector<size_t>& hidden, size_t out) {
+  size_t floats = 0;
+  for (size_t width : hidden) {
+    floats += (in + 1) * width;
+    in = width;
+  }
+  return floats + (in + 1) * out;
+}
+
+// Each model's block holds exactly its architecture's floats, with a
+// gradient per value.
 TEST_F(ModelsTest, ModelsExposeParameters) {
+  const size_t h = 16;
+  // Tree models: encoders (features -> h -> h -> h), then the combine
+  // (2h -> h -> h -> h) and readout (h -> h -> h -> 1) MLPs.
+  const size_t trunk = MlpFloats(2 * h, {h, h}, h) + MlpFloats(h, {h, h}, 1);
   ZeroShotCostModel::Options zs_options;
-  zs_options.hidden_dim = 16;
+  zs_options.hidden_dim = h;
   ZeroShotCostModel zero_shot(zs_options);
-  // 9 encoders x 3 linear layers x 2 tensors + combine 3x2 + readout 3x2.
-  EXPECT_EQ(zero_shot.Parameters().size(), 9u * 6 + 6 + 6);
+  EXPECT_EQ(zero_shot.Parameters().size(),
+            plan::kNumPhysicalOpTypes *
+                    MlpFloats(featurize::ZeroShotFeaturizer::kFeatureDim,
+                              {h, h}, h) +
+                trunk);
+  EXPECT_EQ(zero_shot.Parameters().grads.size(),
+            zero_shot.Parameters().size());
+  EXPECT_EQ(ZeroShotCostModel(ZeroShotCostModel::Options())
+                .Parameters()
+                .size(),
+            111937u);  // the default hidden width, 64
 
   E2ECostModel::Options e2e_options;
-  e2e_options.hidden_dim = 16;
+  e2e_options.hidden_dim = h;
   E2ECostModel e2e(e2e_options);
-  EXPECT_EQ(e2e.Parameters().size(), 6u + 6 + 6);
+  EXPECT_EQ(e2e.Parameters().size(),
+            MlpFloats(featurize::E2EFeaturizer::kFeatureDim, {h, h}, h) +
+                trunk);
+  EXPECT_EQ(e2e.Parameters().grads.size(), e2e.Parameters().size());
 
+  // MSCN: one encoder per set type (element -> h -> h), then the output
+  // MLP (3h -> h -> 1).
   MscnCostModel::Options mscn_options;
-  mscn_options.hidden_dim = 16;
+  mscn_options.hidden_dim = h;
   MscnCostModel mscn(mscn_options);
-  EXPECT_EQ(mscn.Parameters().size(), 4u * 4);  // 4 MLPs x 2 layers x (W,b)
+  using featurize::MscnFeaturizer;
+  EXPECT_EQ(mscn.Parameters().size(),
+            MlpFloats(MscnFeaturizer::kTableDim, {h}, h) +
+                MlpFloats(MscnFeaturizer::kJoinDim, {h}, h) +
+                MlpFloats(MscnFeaturizer::kPredicateDim, {h}, h) +
+                MlpFloats(3 * h, {h}, 1));
+  EXPECT_EQ(mscn.Parameters().grads.size(), mscn.Parameters().size());
 }
 
 TEST_F(ModelsTest, PredictionsAreDeterministic) {
@@ -254,23 +295,20 @@ TEST_F(ModelsTest, WarmScratchMatchesFreshModelBitForBit) {
     warm->AccumulateGradients(view, 1.0f);
     warm->LossOnBatch(view);
     warm->PredictMs(view);
-    const std::vector<nn::Tensor> fresh_params = fresh->Parameters();
-    const std::vector<nn::Tensor> warm_params = warm->Parameters();
+    std::vector<float>& fresh_grads = fresh->MutableParameters()->grads;
+    std::vector<float>& warm_grads = warm->MutableParameters()->grads;
     for (size_t begin : {size_t(0), size_t(37), size_t(101)}) {
       const std::vector<const QueryRecord*> shard(
           view.begin() + static_cast<ptrdiff_t>(begin),
           view.begin() + static_cast<ptrdiff_t>(begin + 5));
-      for (nn::Tensor p : fresh_params) p.ZeroGrad();
-      for (nn::Tensor p : warm_params) p.ZeroGrad();
+      std::fill(fresh_grads.begin(), fresh_grads.end(), 0.0f);
+      std::fill(warm_grads.begin(), warm_grads.end(), 0.0f);
       EXPECT_TRUE(SameBits(fresh->AccumulateGradients(shard, 0.125f),
                            warm->AccumulateGradients(shard, 0.125f)));
-      for (size_t p = 0; p < fresh_params.size(); ++p) {
-        ASSERT_EQ(std::memcmp(fresh_params[p].grad().data(),
-                              warm_params[p].grad().data(),
-                              fresh_params[p].size() * sizeof(float)),
-                  0)
-            << "parameter " << p;
-      }
+      ASSERT_EQ(fresh_grads.size(), warm_grads.size());
+      ASSERT_EQ(std::memcmp(fresh_grads.data(), warm_grads.data(),
+                            fresh_grads.size() * sizeof(float)),
+                0);
       EXPECT_TRUE(
           SameBits(fresh->LossOnBatch(shard), warm->LossOnBatch(shard)));
       const std::vector<Millis> fresh_ms = fresh->PredictMs(shard);
@@ -283,24 +321,53 @@ TEST_F(ModelsTest, WarmScratchMatchesFreshModelBitForBit) {
 }
 
 // Every model's hand-written backward against central differences of its
-// loss, a few entries sampled from each parameter: the zero-shot and E2E
-// tree passes and MSCN's set pooling.
+// loss, at every float of its parameter block: the zero-shot and E2E tree
+// passes and MSCN's set pooling.
 TEST_F(ModelsTest, AccumulateGradientsMatchCentralDifferences) {
   const std::vector<const QueryRecord*> view = train::MakeView(*records_);
   const std::vector<const QueryRecord*> batch(view.begin(), view.begin() + 12);
   for (auto& [name, model] : NeuralModels(8)) {
     SCOPED_TRACE(name);
     model->Prepare(view);
-    std::vector<nn::Tensor> params = model->Parameters();
-    for (nn::Tensor& p : params) p.ZeroGrad();
+    nn::ParameterBlock* params = model->MutableParameters();
+    std::fill(params->grads.begin(), params->grads.end(), 0.0f);
     model->AccumulateGradients(batch, 1.0f);
     auto loss = [&, m = model.get()]() { return m->LossOnBatch(batch); };
-    for (size_t p = 0; p < params.size(); ++p) {
-      const std::vector<float> analytic = params[p].grad();
-      gradcheck::ExpectCentralDifferences(
-          params[p].mutable_data(), analytic, loss,
-          "parameter " + std::to_string(p), params[p].size() / 4 + 1);
+    const std::vector<float> analytic = params->grads;
+    gradcheck::ExpectCentralDifferences(params->values, analytic, loss,
+                                        "parameter");
+  }
+}
+
+// A replica's block holds the source's values bit for bit, in storage of
+// its own: overwriting the replica's weights leaves the source's
+// predictions as they were.
+TEST_F(ModelsTest, CloneReplicaOwnsAnIndependentBlock) {
+  const std::vector<const QueryRecord*> view = train::MakeView(*records_);
+  const std::vector<const QueryRecord*> probes(view.begin(), view.begin() + 8);
+  for (auto& [name, source] : NeuralModels(8)) {
+    SCOPED_TRACE(name);
+    source->Prepare(view);
+    std::unique_ptr<NeuralCostModel> replica = source->CloneReplica();
+    const std::vector<float>& values = source->Parameters().values;
+    std::vector<float>& replica_values = replica->MutableParameters()->values;
+    ASSERT_EQ(replica_values.size(), values.size());
+    EXPECT_NE(replica_values.data(), values.data());
+    EXPECT_EQ(std::memcmp(replica_values.data(), values.data(),
+                          values.size() * sizeof(float)),
+              0);
+    const std::vector<Millis> before = source->PredictMs(probes);
+    const std::vector<Millis> replica_before = replica->PredictMs(probes);
+    for (float& v : replica_values) v = -v;
+    const std::vector<Millis> after = source->PredictMs(probes);
+    const std::vector<Millis> replica_after = replica->PredictMs(probes);
+    size_t replica_moved = 0;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_TRUE(SameBits(replica_before[i].value(), before[i].value()));
+      EXPECT_TRUE(SameBits(after[i].value(), before[i].value()));
+      replica_moved += !SameBits(replica_after[i].value(), before[i].value());
     }
+    EXPECT_GT(replica_moved, 0u);
   }
 }
 

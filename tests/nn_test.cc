@@ -5,8 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <limits>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,37 +18,9 @@
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
-#include "nn/tensor.h"
 
 namespace zerodb::nn {
 namespace {
-
-TEST(TensorTest, FactoriesAndShapes) {
-  Tensor z = Tensor::Zeros(2, 3);
-  EXPECT_EQ(z.rows(), 2u);
-  EXPECT_EQ(z.cols(), 3u);
-  EXPECT_EQ(z.size(), 6u);
-  for (float v : z.data()) EXPECT_EQ(v, 0.0f);
-
-  Tensor d = Tensor::FromData(2, 2, {1, 2, 3, 4});
-  EXPECT_EQ(d.data()[1], 2.0f);
-  EXPECT_EQ(d.data()[2], 3.0f);
-  EXPECT_TRUE(d.grad().empty());
-
-  Tensor p = Tensor::Parameter(1, 2, {5, 6});
-  EXPECT_EQ(p.grad().size(), 2u);
-  Tensor shared = p;  // copies share the storage
-  shared.mutable_data()[0] = 7.0f;
-  EXPECT_EQ(p.data()[0], 7.0f);
-}
-
-TEST(TensorTest, ZerosLikeMatchesShapeAndZeroes) {
-  Tensor ref = Tensor::FromData(3, 2, {1, 2, 3, 4, 5, 6});
-  Tensor z = Tensor::ZerosLike(ref);
-  EXPECT_EQ(z.rows(), 3u);
-  EXPECT_EQ(z.cols(), 2u);
-  for (float v : z.data()) EXPECT_EQ(v, 0.0f);
-}
 
 TEST(OpsTest, HuberLossForward) {
   const std::vector<float> pred = {0.5f, 3.0f};
@@ -157,7 +132,8 @@ TEST(GradientTest, MlpRowPassMatchesCentralDifferences) {
   config.in_features = 5;
   config.hidden_sizes = {64, 7};
   config.out_features = 1;
-  Mlp mlp(config, &rng);
+  ParameterBlock params;
+  Mlp mlp(config, &rng, &params);
   const size_t rows = 6;
   std::vector<float> x(rows * config.in_features);
   std::vector<float> targets(rows);
@@ -165,20 +141,29 @@ TEST(GradientTest, MlpRowPassMatchesCentralDifferences) {
     v = rng.Bernoulli(0.2) ? 0.0f : static_cast<float>(rng.Normal());
   }
   for (float& t : targets) t = static_cast<float>(2.0 * rng.Normal());
-  gradcheck::ExpectMlpGradientsMatch(mlp, x, targets, 0.375f);
+  gradcheck::ExpectMlpGradientsMatch(mlp, &params, x, targets, 0.375f);
 }
 
 TEST(LayersTest, LinearShapesAndDeterminism) {
   Rng rng1(5);
   Rng rng2(5);
-  Linear a(4, 3, &rng1);
-  Linear b(4, 3, &rng2);
-  EXPECT_EQ(a.weight().data(), b.weight().data());
-  EXPECT_EQ(a.bias().data(), b.bias().data());
-  EXPECT_EQ(a.weight().rows(), 4u);
-  EXPECT_EQ(a.weight().cols(), 3u);
-  EXPECT_EQ(a.bias().rows(), 1u);
-  EXPECT_EQ(a.bias().cols(), 3u);
+  ParameterBlock block_a;
+  ParameterBlock block_b;
+  block_b.values = {1.0f, 2.0f};  // a layer appends after what is there
+  block_b.grads = {0.0f, 0.0f};
+  Linear a(4, 3, &rng1, &block_a);
+  Linear b(4, 3, &rng2, &block_b);
+  EXPECT_EQ(a.weight_offset(), 0u);
+  EXPECT_EQ(a.bias_offset(), 12u);  // weight (4, 3), then bias (3)
+  EXPECT_EQ(b.weight_offset(), 2u);
+  EXPECT_EQ(b.bias_offset(), 14u);
+  ASSERT_EQ(block_a.size(), 15u);
+  ASSERT_EQ(block_a.grads.size(), 15u);
+  ASSERT_EQ(block_b.size(), 17u);
+  ASSERT_EQ(block_b.grads.size(), 17u);
+  EXPECT_EQ(block_a.values,
+            std::vector<float>(block_b.values.begin() + 2,
+                               block_b.values.end()));
 }
 
 TEST(LayersTest, MlpForwardShape) {
@@ -187,13 +172,15 @@ TEST(LayersTest, MlpForwardShape) {
   config.in_features = 6;
   config.hidden_sizes = {8, 8};
   config.out_features = 1;
-  Mlp mlp(config, &rng);
+  ParameterBlock params;
+  Mlp mlp(config, &rng, &params);
   MlpTape tape;
-  mlp.ForwardRows(std::vector<float>(3 * 6, 0.0f), 3, &tape);
+  mlp.ForwardRows(params, std::vector<float>(3 * 6, 0.0f), 3, &tape);
   EXPECT_EQ(tape.rows, 3u);
   ASSERT_EQ(tape.layers.size(), 3u);
   EXPECT_EQ(tape.layers.back().size(), 3u);
-  EXPECT_EQ(mlp.Parameters().size(), 6u);  // 3 layers x (W, b)
+  // Three layers of weight + bias: (6 + 1) * 8 + (8 + 1) * 8 + (8 + 1) * 1.
+  EXPECT_EQ(params.size(), 56u + 72u + 9u);
 }
 
 TEST(TrainingTest, MlpLearnsLinearFunction) {
@@ -203,7 +190,8 @@ TEST(TrainingTest, MlpLearnsLinearFunction) {
   config.in_features = 2;
   config.hidden_sizes = {16};
   config.out_features = 1;
-  Mlp mlp(config, &rng);
+  ParameterBlock params;
+  Mlp mlp(config, &rng, &params);
 
   std::vector<float> inputs;
   std::vector<float> targets;
@@ -217,19 +205,19 @@ TEST(TrainingTest, MlpLearnsLinearFunction) {
     targets.push_back(2 * x0 - x1 + 0.5f);
   }
 
-  Adam optimizer(mlp.Parameters(), 0.01f);
+  Adam optimizer(&params, 0.01f);
   MlpTape tape;
   std::vector<float> d_out(n);
   std::vector<float> scratch;
   float final_loss = 1e9f;
   for (int epoch = 0; epoch < 600; ++epoch) {
     optimizer.ZeroGrad();
-    mlp.ForwardRows(inputs, n, &tape);
+    mlp.ForwardRows(params, inputs, n, &tape);
     std::fill(d_out.begin(), d_out.end(), 0.0f);
     final_loss = ScaledHuberLossBackward({tape.output(), n}, targets, 1.0f,
                                          1.0f, d_out);
-    mlp.BackwardRows(inputs.data(), tape, d_out.data(), /*dx=*/nullptr,
-                     &scratch);
+    mlp.BackwardRows(&params, inputs.data(), tape, d_out.data(),
+                     /*dx=*/nullptr, &scratch);
     optimizer.Step();
   }
   // Huber at delta 1 is half the squared error for small residuals.
@@ -237,16 +225,15 @@ TEST(TrainingTest, MlpLearnsLinearFunction) {
 }
 
 TEST(OptimizerTest, ClipGradNorm) {
-  Tensor p = Tensor::Parameter(1, 2, {0.0f, 0.0f});
-  p.mutable_grad() = {3.0f, 4.0f};  // norm 5
-  Adam optimizer({p}, 0.001f);
+  ParameterBlock p{{0.0f, 0.0f}, {3.0f, 4.0f}};  // gradient norm 5
+  Adam optimizer(&p, 0.001f);
   double norm = optimizer.ClipGradNorm(1.0);
   EXPECT_NEAR(norm, 5.0, 1e-6);
   // The next Step applies the clip inside its update pass and stores the
   // clipped gradient back.
   optimizer.Step();
-  EXPECT_NEAR(p.grad()[0], 0.6f, 1e-5);
-  EXPECT_NEAR(p.grad()[1], 0.8f, 1e-5);
+  EXPECT_NEAR(p.grads[0], 0.6f, 1e-5);
+  EXPECT_NEAR(p.grads[1], 0.8f, 1e-5);
 }
 
 TEST(OptimizerTest, SumShardGradientsFlagsNonFiniteSums) {
@@ -404,64 +391,88 @@ size_t CountSubnormal(const std::vector<float>& values) {
   return count;
 }
 
-// Four steps of reduce + clip + Adam on parameters of awkward sizes, fused
-// path against the scalar reference, compared bit for bit after each stage.
-void ExpectTailMatchesReference(uint64_t seed, size_t shards, double max_norm,
-                                bool clip, float weight_decay,
+std::vector<float> Concat(const std::vector<std::vector<float>>& parts) {
+  std::vector<float> all;
+  for (const std::vector<float>& part : parts) {
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  return all;
+}
+
+// Four steps of reduce + clip + Adam over parameters of the given sizes laid
+// end to end in one block, the fused path against the scalar reference (one
+// vector per parameter), compared bit for bit after each stage. `clip`, when
+// set, is whether every step must clip.
+void ExpectTailMatchesReference(const std::vector<size_t>& sizes,
+                                uint64_t seed, size_t shards, double max_norm,
+                                std::optional<bool> clip, float weight_decay,
                                 std::vector<float> (*draw)(Rng*, size_t),
                                 TailCoverage* coverage) {
-  const std::vector<size_t> sizes = {1, 3, 4, 5, 7, 8, 9, 31, 33, 4099};
   const float learning_rate = 1e-3f;
   Rng rng(seed);
-  std::vector<Tensor> params;
   ReferenceTail reference;
   for (size_t n : sizes) {
-    std::vector<float> init = draw(&rng, n);
-    params.push_back(Tensor::Parameter(1, n, init));
-    reference.data.push_back(init);
+    reference.data.push_back(draw(&rng, n));
     reference.grad.emplace_back(n, 0.0f);
     reference.m.emplace_back(n, 0.0f);
     reference.v.emplace_back(n, 0.0f);
   }
-  Adam adam(params, learning_rate, 0.9f, 0.999f, 1e-8f, weight_decay);
+  ParameterBlock block;
+  block.values = Concat(reference.data);
+  block.grads.assign(block.size(), 0.0f);
+  Adam adam(&block, learning_rate, 0.9f, 0.999f, 1e-8f, weight_decay);
   for (int step = 0; step < 4; ++step) {
-    // partials[shard][parameter]
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    // partials[shard][parameter], and each shard's partials end to end.
     std::vector<std::vector<std::vector<float>>> partials(shards);
+    std::vector<std::vector<float>> shard_blocks;
+    std::vector<const float*> pointers;
     for (auto& shard : partials) {
       for (size_t n : sizes) shard.push_back(draw(&rng, n));
+      shard_blocks.push_back(Concat(shard));
     }
-    std::vector<const float*> pointers(shards);
-    for (size_t p = 0; p < params.size(); ++p) {
-      for (size_t s = 0; s < shards; ++s) {
-        pointers[s] = partials[s][p].data();
-      }
-      ASSERT_TRUE(SumShardGradients(pointers, params[p].mutable_grad()));
+    for (const std::vector<float>& shard : shard_blocks) {
+      pointers.push_back(shard.data());
     }
+    ASSERT_TRUE(SumShardGradients(pointers, block.grads));
     ReferenceReduce(partials, &reference);
-    for (size_t p = 0; p < params.size(); ++p) {
-      ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "reduced");
-    }
+    ExpectBitwiseEqual(block.grads, Concat(reference.grad), "reduced");
     const double norm = adam.ClipGradNorm(max_norm);
     const double reference_norm = ReferenceClipGradNorm(&reference, max_norm);
     EXPECT_EQ(std::bit_cast<uint64_t>(norm),
               std::bit_cast<uint64_t>(reference_norm));
-    EXPECT_EQ(norm > max_norm, clip);
+    if (clip.has_value()) {
+      EXPECT_EQ(norm > max_norm, *clip);
+    }
     adam.Step();
     ReferenceAdamStep(&reference, learning_rate, 0.9f, 0.999f, 1e-8f,
                       weight_decay);
-    for (size_t p = 0; p < params.size(); ++p) {
-      SCOPED_TRACE(testing::Message() << "step " << step << " parameter "
-                                      << p);
-      ExpectBitwiseEqual(params[p].grad(), reference.grad[p], "grad");
-      ExpectBitwiseEqual(params[p].data(), reference.data[p], "weight");
-      ExpectBitwiseEqual(adam.first_moment(p), reference.m[p], "m");
-      ExpectBitwiseEqual(adam.second_moment(p), reference.v[p], "v");
-      if (coverage != nullptr) {
-        coverage->grad += CountSubnormal(params[p].grad());
-        coverage->m += CountSubnormal(adam.first_moment(p));
-        coverage->v += CountSubnormal(adam.second_moment(p));
-      }
+    ExpectBitwiseEqual(block.grads, Concat(reference.grad), "grad");
+    ExpectBitwiseEqual(block.values, Concat(reference.data), "weight");
+    ExpectBitwiseEqual(adam.first_moment(), Concat(reference.m), "m");
+    ExpectBitwiseEqual(adam.second_moment(), Concat(reference.v), "v");
+    if (coverage != nullptr) {
+      coverage->grad += CountSubnormal(block.grads);
+      coverage->m += CountSubnormal(adam.first_moment());
+      coverage->v += CountSubnormal(adam.second_moment());
     }
+  }
+}
+
+// The tail over the awkward sizes laid end to end in one block, then over
+// each size alone, so every size's vector tail also runs from an aligned
+// block start. Only the joint block's norm is sure to clip (or not).
+void ExpectTailMatchesReferenceInEveryLayout(
+    uint64_t seed, size_t shards, double max_norm, bool clip,
+    float weight_decay, std::vector<float> (*draw)(Rng*, size_t),
+    TailCoverage* coverage) {
+  const std::vector<size_t> sizes = {1, 3, 4, 5, 7, 8, 9, 31, 33, 4099};
+  ExpectTailMatchesReference(sizes, seed, shards, max_norm, clip,
+                             weight_decay, draw, coverage);
+  for (size_t n : sizes) {
+    SCOPED_TRACE(testing::Message() << "size " << n << " alone");
+    ExpectTailMatchesReference({n}, seed, shards, max_norm, std::nullopt,
+                               weight_decay, draw, coverage);
   }
 }
 
@@ -471,9 +482,9 @@ TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
       SCOPED_TRACE(testing::Message() << shards << " shards, clip " << clip);
       // The summed gradients' norm is in the tens: 1e-3 always clips, 1e6
       // never does.
-      ExpectTailMatchesReference(100 * shards + (clip ? 1 : 0), shards,
-                                 clip ? 1e-3 : 1e6, clip, 1e-5f,
-                                 TailTestValues, nullptr);
+      ExpectTailMatchesReferenceInEveryLayout(
+          100 * shards + (clip ? 1 : 0), shards, clip ? 1e-3 : 1e6, clip,
+          1e-5f, TailTestValues, nullptr);
     }
   }
   // The bit-identical route stays bit-identical where flush-to-zero or
@@ -490,9 +501,9 @@ TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
                        << "subnormal sweep seed " << seed << ", " << shards
                        << " shards, clip " << clip << ", weight decay "
                        << weight_decay);
-          ExpectTailMatchesReference(1000 + seed, shards, clip ? 1e-30 : 1e6,
-                                     clip, weight_decay, TinyTailValues,
-                                     &coverage);
+          ExpectTailMatchesReferenceInEveryLayout(
+              1000 + seed, shards, clip ? 1e-30 : 1e6, clip, weight_decay,
+              TinyTailValues, &coverage);
         }
       }
     }
@@ -503,12 +514,11 @@ TEST(OptimizerTest, FusedTailMatchesScalarReferenceBitForBit) {
 }
 
 TEST(OptimizerTest, ZeroGradClears) {
-  Tensor p = Tensor::Parameter(1, 2, {0.0f, 0.0f});
-  p.mutable_grad() = {1.0f, 2.0f};
-  Adam optimizer({p}, 0.1f);
+  ParameterBlock p{{0.0f, 0.0f}, {1.0f, 2.0f}};
+  Adam optimizer(&p, 0.1f);
   optimizer.ZeroGrad();
-  EXPECT_EQ(p.grad()[0], 0.0f);
-  EXPECT_EQ(p.grad()[1], 0.0f);
+  EXPECT_EQ(p.grads[0], 0.0f);
+  EXPECT_EQ(p.grads[1], 0.0f);
 }
 
 TEST(SerializeTest, SaveLoadRoundTrip) {
@@ -517,18 +527,25 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   config.in_features = 3;
   config.hidden_sizes = {5};
   config.out_features = 2;
-  Mlp source(config, &rng);
-  Mlp dest(config, &rng);  // different weights (rng advanced)
+  ParameterBlock source_params;
+  ParameterBlock dest_params;
+  Mlp source(config, &rng, &source_params);
+  Mlp dest(config, &rng, &dest_params);  // different weights (rng advanced)
+  const std::vector<float> norm = {0.5f, 2.0f};
 
   std::string path = testing::TempDir() + "/zdb_params.bin";
-  ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
-  ASSERT_TRUE(LoadParameters(dest.Parameters(), path).ok());
+  const std::span<const float> saved[] = {source_params.values, norm};
+  ASSERT_TRUE(SaveParameters(saved, path).ok());
+  std::vector<float> loaded_norm(2);
+  const std::span<float> loaded[] = {dest_params.values, loaded_norm};
+  ASSERT_TRUE(LoadParameters(loaded, path).ok());
+  EXPECT_EQ(loaded_norm, norm);
 
   const std::vector<float> x = {0.1f, 0.2f, 0.3f};
   MlpTape ys;
   MlpTape yd;
-  source.ForwardRows(x, 1, &ys);
-  dest.ForwardRows(x, 1, &yd);
+  source.ForwardRows(source_params, x, 1, &ys);
+  dest.ForwardRows(dest_params, x, 1, &yd);
   EXPECT_EQ(ys.layers.back(), yd.layers.back());
   std::remove(path.c_str());
 }
@@ -541,24 +558,56 @@ TEST(SerializeTest, ShapeMismatchRejected) {
   MlpConfig big;
   big.in_features = 3;
   big.out_features = 1;
-  Mlp source(small, &rng);
-  Mlp dest(big, &rng);
+  ParameterBlock source_params;
+  ParameterBlock dest_params;
+  Mlp source(small, &rng, &source_params);
+  Mlp dest(big, &rng, &dest_params);
+  const std::vector<float> before = dest_params.values;
   std::string path = testing::TempDir() + "/zdb_params2.bin";
-  ASSERT_TRUE(SaveParameters(source.Parameters(), path).ok());
-  Status s = LoadParameters(dest.Parameters(), path);
+  const std::span<const float> saved[] = {source_params.values};
+  ASSERT_TRUE(SaveParameters(saved, path).ok());
+  const std::span<float> loaded[] = {dest_params.values};
+  Status s = LoadParameters(loaded, path);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dest_params.values, before);
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, MissingFileIsIOError) {
-  Rng rng(79);
-  MlpConfig config;
-  config.in_features = 2;
-  config.out_features = 1;
-  Mlp mlp(config, &rng);
-  Status s = LoadParameters(mlp.Parameters(), "/nonexistent/params.bin");
+  std::vector<float> values(3);
+  const std::span<float> loaded[] = {values};
+  Status s = LoadParameters(loaded, "/nonexistent/params.bin");
   EXPECT_EQ(s.code(), StatusCode::kIOError);
+}
+
+// A file in the per-tensor version 1 layout (magic "ZDBNN001", the tensor
+// count, then rows, cols and values per tensor) is refused by version, even
+// where its float count happens to match.
+TEST(SerializeTest, OlderFormatVersionRejected) {
+  std::string bytes;
+  auto append_u64 = [&bytes](uint64_t value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_u64(0x5a44424e4e303031ULL);
+  append_u64(1);
+  append_u64(1);
+  append_u64(3);
+  const float values_v1[3] = {1.0f, 2.0f, 3.0f};
+  bytes.append(reinterpret_cast<const char*>(values_v1), sizeof(values_v1));
+  const std::string path = testing::TempDir() + "/zdb_params_v1.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::vector<float> values(3, 0.0f);
+  const std::span<float> loaded[] = {values};
+  const Status s = LoadParameters(loaded, path);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.ToString().find("version 1"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(values, std::vector<float>(3, 0.0f));
+  std::remove(path.c_str());
 }
 
 // A dense layer with a zero bias is a matmul. Its 4-wide k blocking
@@ -584,8 +633,9 @@ TEST(OpsTest, LinearForwardBlockedMatchesReference) {
       v = static_cast<float>(rng.UniformDouble(-2.0, 2.0));
     }
     std::vector<float> c(m * n);
-    LinearForward(a_data.data(), m, Tensor::FromData(k, n, b_data),
-                  Tensor::Zeros(1, n), /*relu=*/false, c.data());
+    const std::vector<float> bias(n, 0.0f);
+    LinearForward(a_data.data(), m, k, n, b_data.data(), bias.data(),
+                  /*relu=*/false, c.data());
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = 0; j < n; ++j) {
         double reference = 0.0;
@@ -630,10 +680,10 @@ TEST(OpsTest, LinearForwardHiddenWidthPathMatchesGenericBitForBit) {
     for (bool relu : {false, true}) {
       std::vector<float> hidden(m * 64);
       std::vector<float> wide(m * 65);
-      LinearForward(a_data.data(), m, Tensor::FromData(k, 64, hidden_data),
-                    Tensor::FromData(1, 64, hidden_bias), relu, hidden.data());
-      LinearForward(a_data.data(), m, Tensor::FromData(k, 65, wide_data),
-                    Tensor::FromData(1, 65, wide_bias), relu, wide.data());
+      LinearForward(a_data.data(), m, k, 64, hidden_data.data(),
+                    hidden_bias.data(), relu, hidden.data());
+      LinearForward(a_data.data(), m, k, 65, wide_data.data(),
+                    wide_bias.data(), relu, wide.data());
       for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < 64; ++j) {
           ASSERT_EQ(std::bit_cast<uint32_t>(hidden[i * 64 + j]),
@@ -657,12 +707,13 @@ TEST(OpsTest, LinearForwardReluMatchesClampedLinear) {
   for (float& v : w_data) {
     v = static_cast<float>(rng.UniformDouble(-1.0, 1.0));
   }
-  const Tensor w = Tensor::FromData(5, 4, w_data);
-  const Tensor bias = Tensor::FromData(1, 4, {0.1f, -0.2f, 0.3f, -0.4f});
+  const std::vector<float> bias = {0.1f, -0.2f, 0.3f, -0.4f};
   std::vector<float> linear(3 * 4);
   std::vector<float> rectified(3 * 4);
-  LinearForward(x.data(), 3, w, bias, /*relu=*/false, linear.data());
-  LinearForward(x.data(), 3, w, bias, /*relu=*/true, rectified.data());
+  LinearForward(x.data(), 3, 5, 4, w_data.data(), bias.data(),
+                /*relu=*/false, linear.data());
+  LinearForward(x.data(), 3, 5, 4, w_data.data(), bias.data(),
+                /*relu=*/true, rectified.data());
   size_t clamped = 0;
   for (size_t i = 0; i < linear.size(); ++i) {
     const float expected = linear[i] > 0.0f ? linear[i] : 0.0f;

@@ -193,7 +193,8 @@ TEST_P(MlpGradientProperty, RandomShapeGradientsMatchCentralDifferences) {
     config.hidden_sizes.push_back(static_cast<size_t>(rng.UniformInt(1, 9)));
   }
   config.out_features = 1;
-  nn::Mlp mlp(config, &rng);
+  nn::ParameterBlock params;
+  nn::Mlp mlp(config, &rng, &params);
   const size_t rows = static_cast<size_t>(rng.UniformInt(1, 5));
   std::vector<float> x(rows * config.in_features);
   for (float& v : x) v = static_cast<float>(rng.UniformDouble(-1, 1));
@@ -203,7 +204,7 @@ TEST_P(MlpGradientProperty, RandomShapeGradientsMatchCentralDifferences) {
   SCOPED_TRACE(testing::Message()
                << "in " << config.in_features << ", hidden layers "
                << hidden_layers << ", rows " << rows << ", scale " << scale);
-  gradcheck::ExpectMlpGradientsMatch(mlp, x, targets, scale);
+  gradcheck::ExpectMlpGradientsMatch(mlp, &params, x, targets, scale);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MlpGradientProperty,

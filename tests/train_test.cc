@@ -393,9 +393,9 @@ TEST_F(TrainTest, TrainingMatchesGoldenPins) {
         pins.losses.emplace_back(epoch.train_loss, epoch.val_loss);
       }
       pins.weights_hash = kFnvOffset;
-      for (const nn::Tensor& p : model->Parameters()) {
-        Fnv1a(p.data().data(), p.size() * sizeof(float), &pins.weights_hash);
-      }
+      const std::vector<float>& weights = model->Parameters().values;
+      Fnv1a(weights.data(), weights.size() * sizeof(float),
+            &pins.weights_hash);
       pins.predictions_hash = kFnvOffset;
       for (Millis ms : model->PredictMs(held_out)) {
         const double value = ms.value();
@@ -488,7 +488,9 @@ TEST_F(TrainTest, TracedTrainingEmitsBatchTailEvents) {
 class PoisonedGradientModel final : public models::NeuralCostModel {
  public:
   explicit PoisonedGradientModel(const QueryRecord* poisoned)
-      : poisoned_(poisoned), weight_(nn::Tensor::Parameter(1, 1, {0.5f})) {}
+      : poisoned_(poisoned) {
+    *MutableParameters() = {{0.5f}, {0.0f}};
+  }
 
   std::string Name() const override { return "poisoned-gradient"; }
   std::vector<Millis> PredictMs(
@@ -500,7 +502,7 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
   float LossOnBatch(const std::vector<const QueryRecord*>& batch) override {
     float loss = 0.0f;
     for (const QueryRecord* record : batch) {
-      const float h = Input(record) * weight_.data()[0];
+      const float h = Input(record) * Parameters().values[0];
       loss += h > 0.0f ? h : 0.0f;
     }
     return loss;
@@ -510,12 +512,11 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
                             float scale) override {
     for (const QueryRecord* record : batch) {
       const float x = Input(record);
-      const float active = x * weight_.data()[0] > 0.0f ? 1.0f : 0.0f;
-      weight_.mutable_grad()[0] += x * (scale * active);
+      const float active = x * Parameters().values[0] > 0.0f ? 1.0f : 0.0f;
+      MutableParameters()->grads[0] += x * (scale * active);
     }
     return LossOnBatch(batch) * scale;
   }
-  std::vector<nn::Tensor> Parameters() const override { return {weight_}; }
   std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
     return std::make_unique<PoisonedGradientModel>(poisoned_);
   }
@@ -527,7 +528,6 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
   }
 
   const QueryRecord* poisoned_;
-  nn::Tensor weight_;
 };
 
 using TrainDeathTest = TrainTest;

@@ -315,10 +315,11 @@ TEST(NnValidatorDeathTest, LinearRejectsMismatchedShape) {
   nn::MlpConfig config;  // no hidden layer: one Linear(4, 2)
   config.in_features = 4;
   config.out_features = 2;
-  nn::Mlp layer(config, &rng);
+  nn::ParameterBlock params;
+  nn::Mlp layer(config, &rng, &params);
   nn::MlpTape tape;
   const std::vector<float> wrong(3, 0.0f);  // one row of 3, expects 4
-  EXPECT_DEATH(layer.ForwardRows(wrong, 1, &tape), "feature columns");
+  EXPECT_DEATH(layer.ForwardRows(params, wrong, 1, &tape), "feature columns");
 }
 
 TEST(NnValidatorDeathTest, MlpRejectsNaNInput) {
@@ -327,19 +328,19 @@ TEST(NnValidatorDeathTest, MlpRejectsNaNInput) {
   config.in_features = 2;
   config.hidden_sizes = {4};
   config.out_features = 1;
-  nn::Mlp mlp(config, &rng);
+  nn::ParameterBlock params;
+  nn::Mlp mlp(config, &rng, &params);
   nn::MlpTape tape;
   const std::vector<float> nan_input = {
       1.0f, std::numeric_limits<float>::quiet_NaN()};
-  EXPECT_DEATH(mlp.ForwardRows(nan_input, 1, &tape), "non-finite");
+  EXPECT_DEATH(mlp.ForwardRows(params, nan_input, 1, &tape), "non-finite");
 }
 
 TEST(NnValidatorDeathTest, NaNGradientAborts) {
-  nn::Tensor param = nn::Tensor::Parameter(1, 2, {1.0f, 2.0f});
-  param.mutable_grad() = {0.5f, std::numeric_limits<float>::quiet_NaN()};
-  std::vector<nn::Tensor> params = {param};
+  const std::vector<float> grads = {0.5f,
+                                    std::numeric_limits<float>::quiet_NaN()};
   EXPECT_DEATH(
-      ZDB_CHECK_OK(nn::ValidateFiniteGradients(params, "trainer backward")),
+      ZDB_CHECK_OK(nn::ValidateFiniteGradients(grads, "trainer backward")),
       "non-finite gradient");
 }
 
