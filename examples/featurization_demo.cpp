@@ -24,16 +24,16 @@ void PrintGraph(const char* title, const featurize::PlanGraph& graph) {
   std::printf("%s (%zu nodes):\n", title, graph.nodes.size());
   for (size_t n = 0; n < graph.nodes.size(); ++n) {
     const auto& node = graph.nodes[n];
-    std::printf("  node %zu: op=%s level=%zu children=[", n,
+    std::printf("  node %zu: op=%s level=%u children=[", n,
                 plan::PhysicalOpName(
                     static_cast<plan::PhysicalOpType>(node.op_type)),
                 node.level);
-    for (size_t c : node.children) std::printf("%zu ", c);
+    for (uint32_t c : graph.children_of(n)) std::printf("%u ", c);
     std::printf("] features=[");
-    for (size_t d = 0; d < node.features.size(); ++d) {
+    for (size_t d = 0; d < graph.dim; ++d) {
       if (d > 0) std::printf(" ");
-      std::printf("%.2f", node.features[d]);
-      if (d >= 9 && node.features.size() > 12) {  // keep the demo readable
+      std::printf("%.2f", graph.row(n)[d]);
+      if (d >= 9 && graph.dim > 12) {  // keep the demo readable
         std::printf(" ...");
         break;
       }
@@ -103,10 +103,7 @@ int main() {
   featurize::PlanGraph g1 = zero_shot.Featurize(*record.plan.root, imdb);
   featurize::PlanGraph g2 =
       zero_shot.Featurize(*records2[0].plan.root, imdb2);
-  bool identical = g1.nodes.size() == g2.nodes.size();
-  for (size_t n = 0; identical && n < g1.nodes.size(); ++n) {
-    identical = g1.nodes[n].features == g2.nodes[n].features;
-  }
+  const bool identical = g1.features == g2.features;
   std::printf("  zero-shot features identical across instances: %s\n",
               identical ? "YES" : "no");
   std::printf("  (one-hot encodings are tied to one schema; they cannot "

@@ -25,20 +25,14 @@ size_t TableOneHotIndex(const storage::Database& db,
 
 }  // namespace
 
-size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
-                              const datagen::DatabaseEnv& env,
-                              const plan::PlanSlots& slots,
-                              PlanGraph* graph) const {
-  const size_t index = graph->nodes.size();
-  graph->nodes.emplace_back();
-  graph->nodes[index].op_type = static_cast<size_t>(node.type);
-
-  std::vector<float> f(kFeatureDim, 0.0f);
+void E2EFeaturizer::FillRow(const PhysicalNode& node,
+                            const datagen::DatabaseEnv& env,
+                            const plan::PlanSlots& slots, float* f) const {
   size_t offset = 0;
 
   // Operator one-hot.
   f[offset + static_cast<size_t>(node.type)] = 1.0f;
-  offset += 9;
+  offset += plan::kNumPhysicalOpTypes;
 
   // Table one-hot (database-dependent!).
   const bool has_table = node.type == PhysicalOpType::kSeqScan ||
@@ -73,17 +67,18 @@ size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
                                        normalized_literals.end());
       double max_v = *std::max_element(normalized_literals.begin(),
                                        normalized_literals.end());
-      f[offset + kMaxColumns + 6 + 0] = static_cast<float>(Mean(normalized_literals));
-      f[offset + kMaxColumns + 6 + 1] = static_cast<float>(min_v);
-      f[offset + kMaxColumns + 6 + 2] = static_cast<float>(max_v);
+      const size_t stats = offset + kMaxColumns + plan::kNumCompareOps;
+      f[stats + 0] = static_cast<float>(Mean(normalized_literals));
+      f[stats + 1] = static_cast<float>(min_v);
+      f[stats + 2] = static_cast<float>(max_v);
     }
   }
-  offset += kMaxColumns + 6 + 3;
+  offset += kMaxColumns + plan::kNumCompareOps + 3;
 
   // Cardinality / width (E2E also consumes estimates).
-  double card = mode_ == CardinalityMode::kEstimated ? node.est_cardinality
-                                                     : node.true_cardinality;
-  if (mode_ == CardinalityMode::kExact) ZDB_CHECK_GE(card, 0.0);
+  double card = mode() == CardinalityMode::kEstimated ? node.est_cardinality
+                                                      : node.true_cardinality;
+  if (mode() == CardinalityMode::kExact) ZDB_CHECK_GE(card, 0.0);
   f[offset++] = static_cast<float>(Log1pSafe(card));
   f[offset++] = static_cast<float>(
       Log1pSafe(static_cast<double>(slots.WidthBytes(node))));
@@ -91,23 +86,6 @@ size_t E2EFeaturizer::AddNode(const PhysicalNode& node,
   f[offset++] = static_cast<float>(node.aggregates.size());
   f[offset++] = static_cast<float>(node.group_by_slots.size());
   ZDB_CHECK_EQ(offset, kFeatureDim);
-
-  graph->nodes[index].features = std::move(f);
-
-  std::vector<size_t> children;
-  for (const auto& child : node.children) {
-    children.push_back(AddNode(*child, env, slots, graph));
-  }
-  graph->nodes[index].children = std::move(children);
-  return index;
-}
-
-PlanGraph E2EFeaturizer::Featurize(const PhysicalNode& root,
-                                   const datagen::DatabaseEnv& env) const {
-  PlanGraph graph;
-  AddNode(root, env, plan::DeriveOutputSlots(root, *env.db).value(), &graph);
-  graph.ComputeLevels();
-  return graph;
 }
 
 }  // namespace zerodb::featurize

@@ -14,29 +14,23 @@ namespace zerodb::featurize {
 /// features can be accurate on the database it was trained on (identity
 /// implies size/distribution) but is meaningless on any other database,
 /// which is precisely the contrast the paper draws.
-class E2EFeaturizer {
+class E2EFeaturizer : public TreeFeaturizer {
  public:
   static constexpr size_t kMaxTables = 16;   ///< table one-hot width
   static constexpr size_t kMaxColumns = 12;  ///< column one-hot width
-  /// op one-hot (9) + table one-hot + predicate column bag + comparison-op
-  /// counts (6) + literal stats (3) + est cardinality + output width +
+  /// op one-hot + table one-hot + predicate column bag + comparison-op
+  /// counts + literal stats (3) + est cardinality + output width +
   /// #aggregates + #group-by.
-  static constexpr size_t kFeatureDim =
-      9 + kMaxTables + kMaxColumns + 6 + 3 + 2 + 2;
+  static constexpr size_t kFeatureDim = plan::kNumPhysicalOpTypes +
+                                        kMaxTables + kMaxColumns +
+                                        plan::kNumCompareOps + 3 + 2 + 2;
 
-  explicit E2EFeaturizer(CardinalityMode mode) : mode_(mode) {}
-
-  PlanGraph Featurize(const plan::PhysicalNode& root,
-                      const datagen::DatabaseEnv& env) const;
-
-  CardinalityMode mode() const { return mode_; }
+  explicit E2EFeaturizer(CardinalityMode mode)
+      : TreeFeaturizer(mode, kFeatureDim) {}
 
  private:
-  size_t AddNode(const plan::PhysicalNode& node,
-                 const datagen::DatabaseEnv& env, const plan::PlanSlots& slots,
-                 PlanGraph* graph) const;
-
-  CardinalityMode mode_;
+  void FillRow(const plan::PhysicalNode& node, const datagen::DatabaseEnv& env,
+               const plan::PlanSlots& slots, float* f) const override;
 };
 
 }  // namespace zerodb::featurize

@@ -63,7 +63,7 @@ MscnSets MscnFeaturizer::Featurize(const plan::QuerySpec& query,
       v[offset + ColumnIndexCapped(leaf->slot())] = 1.0f;
       offset += kMaxColumns;
       v[offset + static_cast<size_t>(leaf->op())] = 1.0f;
-      offset += 6;
+      offset += plan::kNumCompareOps;
       const stats::ColumnStats& column_stats =
           env.stats.GetColumn(filter.table, leaf->slot());
       double range = column_stats.max - column_stats.min;

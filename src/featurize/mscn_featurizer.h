@@ -24,7 +24,8 @@ class MscnFeaturizer {
   static constexpr size_t kMaxColumns = 12;
   static constexpr size_t kTableDim = kMaxTables;
   static constexpr size_t kJoinDim = 2 * (kMaxTables + kMaxColumns);
-  static constexpr size_t kPredicateDim = kMaxTables + kMaxColumns + 6 + 1;
+  static constexpr size_t kPredicateDim =
+      kMaxTables + kMaxColumns + plan::kNumCompareOps + 1;
 
   MscnSets Featurize(const plan::QuerySpec& query,
                      const datagen::DatabaseEnv& env) const;

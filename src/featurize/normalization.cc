@@ -1,5 +1,6 @@
 #include "featurize/normalization.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -7,20 +8,20 @@
 
 namespace zerodb::featurize {
 
-void FeatureNorm::Fit(const std::vector<const std::vector<float>*>& rows) {
+void FeatureNorm::Fit(std::span<const float> rows, size_t dim) {
+  ZDB_CHECK_GT(dim, 0u);
   ZDB_CHECK(!rows.empty());
-  const size_t dim = rows[0]->size();
+  ZDB_CHECK_EQ(rows.size() % dim, 0u);
   std::vector<double> sum(dim, 0.0);
   std::vector<double> sum_sq(dim, 0.0);
-  for (const std::vector<float>* row : rows) {
-    ZDB_CHECK_EQ(row->size(), dim);
+  for (size_t begin = 0; begin < rows.size(); begin += dim) {
     for (size_t d = 0; d < dim; ++d) {
-      double v = (*row)[d];
+      double v = rows[begin + d];
       sum[d] += v;
       sum_sq[d] += v * v;
     }
   }
-  const double n = static_cast<double>(rows.size());
+  const double n = static_cast<double>(rows.size() / dim);
   mean_.resize(dim);
   std_.resize(dim);
   for (size_t d = 0; d < dim; ++d) {
@@ -34,14 +35,17 @@ void FeatureNorm::Fit(const std::vector<const std::vector<float>*>& rows) {
   }
 }
 
-void FeatureNorm::Apply(std::vector<float>* row) const {
-  if (!fitted()) return;
-  ZDB_CHECK_EQ(row->size(), mean_.size());
-  for (size_t d = 0; d < row->size(); ++d) {
-    (*row)[d] = ((*row)[d] - mean_[d]) / std_[d];
+void FeatureNorm::Apply(std::span<const float> row, float* out) const {
+  if (!fitted()) {
+    std::copy(row.begin(), row.end(), out);
+    return;
+  }
+  ZDB_CHECK_EQ(row.size(), mean_.size());
+  for (size_t d = 0; d < row.size(); ++d) {
+    out[d] = (row[d] - mean_[d]) / std_[d];
     // Fit() clamps std below 1e-6, so a non-finite output means the raw
     // feature was already NaN/Inf — flag it at the first normalization.
-    ZDB_DCHECK(std::isfinite((*row)[d]));
+    ZDB_DCHECK(std::isfinite(out[d]));
   }
 }
 

@@ -2,6 +2,7 @@
 #define ZERODB_FEATURIZE_NORMALIZATION_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/units.h"
@@ -22,11 +23,13 @@ class FeatureNorm {
  public:
   FeatureNorm() = default;
 
-  /// Fits mean/std per dimension. Rows must be equally sized and non-empty.
-  void Fit(const std::vector<const std::vector<float>*>& rows);
+  /// Fits mean/std per dimension over `rows`, row-major with `dim` floats
+  /// per row (at least one row).
+  void Fit(std::span<const float> rows, size_t dim);
 
-  /// Applies (x - mean) / std in place. No-op when not fitted.
-  void Apply(std::vector<float>* row) const;
+  /// Writes (x - mean) / std of one row into `out`; copies the row when not
+  /// fitted.
+  void Apply(std::span<const float> row, float* out) const;
 
   bool fitted() const { return !mean_.empty(); }
   size_t dim() const { return mean_.size(); }

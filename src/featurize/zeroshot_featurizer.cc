@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -66,25 +67,27 @@ int64_t RealOrEstimatedIndexHeight(const datagen::DatabaseEnv& env,
       1, static_cast<int64_t>(std::ceil(std::log(rows) / std::log(256.0))));
 }
 
+// Debug-only sweep: a NaN/Inf in any node feature would silently poison the
+// whole message-passing pass downstream; catch it where it is produced.
+bool FeaturesAreFinite(std::span<const float> features) {
+  for (float value : features) {
+    if (!std::isfinite(value)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 Rows ZeroShotFeaturizer::NodeCardinality(const PhysicalNode& node) const {
-  if (mode_ == CardinalityMode::kEstimated) return Rows(node.est_cardinality);
+  if (mode() == CardinalityMode::kEstimated) return Rows(node.est_cardinality);
   ZDB_CHECK_GE(node.true_cardinality, 0.0)
       << "exact-cardinality featurization requires an executed plan";
   return Rows(node.true_cardinality);
 }
 
-size_t ZeroShotFeaturizer::AddNode(const PhysicalNode& node,
-                                   const datagen::DatabaseEnv& env,
-                                   const plan::PlanSlots& slots,
-                                   PlanGraph* graph) const {
-  const size_t index = graph->nodes.size();
-  graph->nodes.emplace_back();
-  graph->nodes[index].op_type = static_cast<size_t>(node.type);
-
-  std::vector<float> f(kFeatureDim, 0.0f);
-
+void ZeroShotFeaturizer::FillRow(const PhysicalNode& node,
+                                 const datagen::DatabaseEnv& env,
+                                 const plan::PlanSlots& slots, float* f) const {
   const Rows out_card = NodeCardinality(node);
   f[0] = Log1pF(out_card);
   // Output width of a node, as a feature-space byte count.
@@ -166,40 +169,7 @@ size_t ZeroShotFeaturizer::AddNode(const PhysicalNode& node,
   }
   f[18] = Log1pF(static_cast<double>(node.sort_slots.size()));
 
-  graph->nodes[index].features = std::move(f);
-
-  // Children after the parent (ComputeLevels relies on this order).
-  std::vector<size_t> children;
-  for (const auto& child : node.children) {
-    children.push_back(AddNode(*child, env, slots, graph));
-  }
-  graph->nodes[index].children = std::move(children);
-  return index;
-}
-
-namespace {
-
-// Debug-only sweep: a NaN/Inf in any node feature would silently poison the
-// whole message-passing pass downstream; catch it where it is produced.
-bool FeaturesAreFinite(const PlanGraph& graph) {
-  for (const PlanGraphNode& node : graph.nodes) {
-    for (float value : node.features) {
-      if (!std::isfinite(value)) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-PlanGraph ZeroShotFeaturizer::Featurize(const PhysicalNode& root,
-                                        const datagen::DatabaseEnv& env) const {
-  PlanGraph graph;
-  AddNode(root, env, plan::DeriveOutputSlots(root, *env.db).value(), &graph);
-  graph.ComputeLevels();
-  ZDB_DCHECK(!graph.nodes.empty());
-  ZDB_DCHECK(FeaturesAreFinite(graph));
-  return graph;
+  ZDB_DCHECK(FeaturesAreFinite({f, kFeatureDim}));
 }
 
 }  // namespace zerodb::featurize

@@ -15,7 +15,7 @@ namespace zerodb::featurize {
 /// through the cardinality inputs, the "separation of concerns"). No table
 /// names, no column identities, no one-hot encodings — which is exactly why
 /// a model trained on these features transfers to unseen databases.
-class ZeroShotFeaturizer {
+class ZeroShotFeaturizer : public TreeFeaturizer {
  public:
   /// Per-node feature vector layout (all counts log1p-transformed):
   ///  0 output cardinality        10 #range-comparison leaves
@@ -30,25 +30,14 @@ class ZeroShotFeaturizer {
   ///  9 #equality leaves          19 bias (1.0)
   static constexpr size_t kFeatureDim = 20;
 
-  explicit ZeroShotFeaturizer(CardinalityMode mode) : mode_(mode) {}
-
-  /// Featurizes an annotated plan. With kExact mode every node must carry a
-  /// true_cardinality (i.e. the plan was executed).
-  PlanGraph Featurize(const plan::PhysicalNode& root,
-                      const datagen::DatabaseEnv& env) const;
-
-  CardinalityMode mode() const { return mode_; }
+  explicit ZeroShotFeaturizer(CardinalityMode mode)
+      : TreeFeaturizer(mode, kFeatureDim) {}
 
  private:
-  /// `slots` holds every node's output width, derived once per plan by
-  /// plan::DeriveOutputSlots.
-  size_t AddNode(const plan::PhysicalNode& node,
-                 const datagen::DatabaseEnv& env, const plan::PlanSlots& slots,
-                 PlanGraph* graph) const;
+  void FillRow(const plan::PhysicalNode& node, const datagen::DatabaseEnv& env,
+               const plan::PlanSlots& slots, float* f) const override;
 
   Rows NodeCardinality(const plan::PhysicalNode& node) const;
-
-  CardinalityMode mode_;
 };
 
 }  // namespace zerodb::featurize

@@ -1,9 +1,12 @@
 #ifndef ZERODB_MODELS_COST_PREDICTOR_H_
 #define ZERODB_MODELS_COST_PREDICTOR_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,11 +31,30 @@ class CostPredictor {
       const std::vector<const QueryRecord*>& records) = 0;
 };
 
+/// What NeuralCostModel::Prepare builds: each training record featurized
+/// once (`Rows`, one entry per record in Prepare's order, unnormalized) and
+/// its log runtime. Normalization is applied when a pass reads a row, so
+/// the table never goes stale. Read-only once built: a model and its
+/// replicas share it across threads.
+template <typename Rows>
+struct TrainingTable {
+  Rows rows;
+  std::vector<LogMillis> log_runtimes;
+};
+
 /// Queries per forward pass outside training (validation and serving), in
 /// every NeuralCostModel: bounds the activations a large call leaves in the
 /// model's scratch. No pass mixes rows of different queries, so the value
 /// reaches no result.
 inline constexpr size_t kPassChunk = 64;
+
+/// 0, 1, ..., kPassChunk - 1: the ids of one pass's freshly featurized
+/// plans or queries.
+inline constexpr std::array<uint32_t, kPassChunk> kPassChunkIds = [] {
+  std::array<uint32_t, kPassChunk> ids{};
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
+}();
 
 /// A gradient-trained cost model (the zero-shot model and the E2E / MSCN
 /// baselines). The Trainer drives this interface; serving goes through
@@ -40,21 +62,23 @@ inline constexpr size_t kPassChunk = 64;
 /// model-owned scratch, with a hand-written backward for training.
 class NeuralCostModel : public CostPredictor {
  public:
-  /// Fits feature and target normalization on the training records. Must be
-  /// called exactly once before training.
+  /// Builds the model's TrainingTable over `records` (row i is records[i])
+  /// and fits feature and target normalization on it. Must be called
+  /// before AccumulateGradients; a later call replaces the table.
   virtual void Prepare(
       const std::vector<const QueryRecord*>& records) = 0;
 
-  /// Forward + loss on a batch, with no gradient (validation).
+  /// Forward + loss on a batch, with no gradient (validation). Featurizes
+  /// the records afresh, in passes of kPassChunk.
   virtual float LossOnBatch(const std::vector<const QueryRecord*>& batch) = 0;
 
-  /// Forward + backward on a batch: adds d(scale * loss)/dθ into
-  /// Parameters().grads and returns scale * loss, through
-  /// nn::ScaledHuberLossBackward and the model's backward pass. The trainer
-  /// passes shard_size / batch_size, so summed shard results give the batch
-  /// mean.
-  virtual float AccumulateGradients(
-      const std::vector<const QueryRecord*>& batch, float scale) = 0;
+  /// Forward + backward on rows `rows` of the last Prepare's table: adds
+  /// d(scale * loss)/dθ into Parameters().grads and returns scale * loss,
+  /// through nn::ScaledHuberLossBackward and the model's backward pass. The
+  /// trainer passes shard_size / batch_size, so summed shard results give
+  /// the batch mean.
+  virtual float AccumulateGradients(std::span<const uint32_t> rows,
+                                    float scale) = 0;
 
   /// Every trainable parameter, in the model's one block (nn/parameters.h):
   /// the constructor builds its layers into it.
@@ -62,10 +86,11 @@ class NeuralCostModel : public CostPredictor {
   nn::ParameterBlock* MutableParameters() { return &parameters_; }
 
   /// A same-architecture copy with its own parameter block, holding the
-  /// same parameter values and normalization state as this model. The
-  /// parallel trainer gives each shard executor a replica so concurrent
-  /// backward passes never touch shared gradient buffers; replicas are
-  /// re-synced from the trained model's parameter values every step.
+  /// same parameter values and normalization state as this model, and
+  /// sharing its training table. The parallel trainer gives each shard
+  /// executor a replica so concurrent backward passes never touch shared
+  /// gradient buffers; replicas are re-synced from the trained model's
+  /// parameter values every step.
   virtual std::unique_ptr<NeuralCostModel> CloneReplica() const = 0;
 
   /// Counts weight commits: a finished train::TrainModel run, LoadWeights,

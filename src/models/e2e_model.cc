@@ -1,7 +1,5 @@
 #include "models/e2e_model.h"
 
-#include "common/check.h"
-
 namespace zerodb::models {
 
 TreeModelConfig E2ECostModel::MakeConfig(const Options& options) {
@@ -22,12 +20,6 @@ std::unique_ptr<NeuralCostModel> E2ECostModel::CloneReplica() const {
   auto replica = std::make_unique<E2ECostModel>(options_);
   replica->CopyTreeStateFrom(*this);
   return replica;
-}
-
-featurize::PlanGraph E2ECostModel::FeaturizeRecord(
-    const QueryRecord& record) const {
-  ZDB_CHECK(record.env != nullptr);
-  return featurizer_.Featurize(*record.plan.root, *record.env);
 }
 
 }  // namespace zerodb::models

@@ -27,8 +27,9 @@ class E2ECostModel : public TreeMessagePassingModel {
   std::unique_ptr<NeuralCostModel> CloneReplica() const override;
 
  protected:
-  featurize::PlanGraph FeaturizeRecord(
-      const QueryRecord& record) const override;
+  const featurize::TreeFeaturizer& featurizer() const override {
+    return featurizer_;
+  }
   size_t EncoderIdFor(size_t) const override { return 0; }
 
  private:

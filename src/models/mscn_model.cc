@@ -46,52 +46,44 @@ std::unique_ptr<NeuralCostModel> MscnCostModel::CloneReplica() const {
   auto replica = std::make_unique<MscnCostModel>(options_);
   replica->MutableParameters()->values = Parameters().values;
   replica->target_norm_ = target_norm_;
+  replica->table_ = table_;
   return replica;
 }
 
 void MscnCostModel::Prepare(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(!records.empty());
-  std::vector<LogMillis> log_runtimes;
-  log_runtimes.reserve(records.size());
+  auto table =
+      std::make_shared<TrainingTable<std::vector<featurize::MscnSets>>>();
+  table->rows.reserve(records.size());
+  table->log_runtimes.reserve(records.size());
   for (const QueryRecord* record : records) {
-    log_runtimes.push_back(Millis(record->runtime_ms).ToLog());
+    table->rows.push_back(featurizer_.Featurize(record->query, *record->env));
+    table->log_runtimes.push_back(Millis(record->runtime_ms).ToLog());
   }
-  target_norm_.Fit(log_runtimes);
+  target_norm_.Fit(table->log_runtimes);
+  table_ = std::move(table);
 }
 
-void MscnCostModel::FeaturizeBatch(
-    std::span<const QueryRecord* const> batch) {
-  ZDB_CHECK(!batch.empty());
-  scratch_.sets.clear();
-  for (const QueryRecord* record : batch) {
-    scratch_.sets.push_back(featurizer_.Featurize(record->query, *record->env));
-  }
-}
-
-void MscnCostModel::LoadTargets(const std::vector<const QueryRecord*>& batch) {
-  scratch_.targets.clear();
-  for (const QueryRecord* record : batch) {
-    scratch_.targets.push_back(static_cast<float>(
-        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
-  }
-}
-
-std::span<const float> MscnCostModel::Forward() {
+std::span<const float> MscnCostModel::Forward(
+    std::span<const featurize::MscnSets> sets,
+    std::span<const uint32_t> queries) {
+  ZDB_CHECK(!queries.empty());
   Scratch& s = scratch_;
-  const size_t queries = s.sets.size();
   const size_t h = options_.hidden_dim;
   const size_t width = kSetTypes.size() * h;
-  s.pooled.assign(queries * width, 0.0f);
+  const size_t count = queries.size();
+  s.pooled.assign(count * width, 0.0f);
   float* pooled = s.pooled.data();
   for (size_t k = 0; k < kSetTypes.size(); ++k) {
     SetRows& rows = s.set_rows[k];
     rows.inputs.clear();
     rows.owners.clear();
-    rows.factors.assign(queries, 0.0f);
-    for (size_t q = 0; q < queries; ++q) {
+    rows.factors.assign(count, 0.0f);
+    for (size_t q = 0; q < count; ++q) {
+      ZDB_CHECK_LT(queries[q], sets.size());
       const std::vector<std::vector<float>>& set =
-          s.sets[q].*kSetTypes[k].member;
+          sets[queries[q]].*kSetTypes[k].member;
       if (!set.empty()) rows.factors[q] = 1.0f / static_cast<float>(set.size());
       for (const std::vector<float>& element : set) {
         ZDB_CHECK_EQ(element.size(), kSetTypes[k].element_dim);
@@ -111,15 +103,15 @@ std::span<const float> MscnCostModel::Forward() {
     }
     nn::ScaleRowsInPlace(pooled + k * h, width, h, rows.factors);
   }
-  output_.ForwardRows(Parameters(), {pooled, queries * width}, queries,
+  output_.ForwardRows(Parameters(), {pooled, count * width}, count,
                       &s.output_tape);
-  return {s.output_tape.output(), queries};
+  return {s.output_tape.output(), count};
 }
 
 void MscnCostModel::Backward(std::span<const float> d_predictions) {
   Scratch& s = scratch_;
-  const size_t queries = s.sets.size();
-  ZDB_CHECK_EQ(d_predictions.size(), queries);
+  const size_t queries = d_predictions.size();
+  ZDB_CHECK_EQ(queries, s.set_rows[0].factors.size());
   const size_t h = options_.hidden_dim;
   const size_t width = kSetTypes.size() * h;
   s.d_pooled.assign(queries * width, 0.0f);
@@ -148,9 +140,14 @@ std::vector<float> MscnCostModel::ForwardChunked(
   std::vector<float> predictions;
   predictions.reserve(records.size());
   for (size_t begin = 0; begin < records.size(); begin += kPassChunk) {
-    FeaturizeBatch(
-        records.subspan(begin, std::min(kPassChunk, records.size() - begin)));
-    const std::span<const float> chunk = Forward();
+    const size_t count = std::min(kPassChunk, records.size() - begin);
+    scratch_.sets.clear();
+    for (const QueryRecord* record : records.subspan(begin, count)) {
+      scratch_.sets.push_back(
+          featurizer_.Featurize(record->query, *record->env));
+    }
+    const std::span<const float> chunk = Forward(
+        scratch_.sets, std::span(kPassChunkIds).first(count));
     predictions.insert(predictions.end(), chunk.begin(), chunk.end());
   }
   return predictions;
@@ -159,15 +156,24 @@ std::vector<float> MscnCostModel::ForwardChunked(
 float MscnCostModel::LossOnBatch(
     const std::vector<const QueryRecord*>& batch) {
   ZDB_CHECK(!batch.empty());
-  LoadTargets(batch);
+  scratch_.targets.clear();
+  for (const QueryRecord* record : batch) {
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
+  }
   return nn::HuberLossValue(ForwardChunked(batch), scratch_.targets, 1.0f);
 }
 
-float MscnCostModel::AccumulateGradients(
-    const std::vector<const QueryRecord*>& batch, float scale) {
-  FeaturizeBatch(batch);
-  LoadTargets(batch);
-  const std::span<const float> predictions = Forward();
+float MscnCostModel::AccumulateGradients(std::span<const uint32_t> rows,
+                                         float scale) {
+  ZDB_CHECK(table_ != nullptr) << "AccumulateGradients before Prepare";
+  scratch_.targets.clear();
+  for (uint32_t row : rows) {
+    ZDB_CHECK_LT(row, table_->log_runtimes.size());
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(table_->log_runtimes[row])));
+  }
+  const std::span<const float> predictions = Forward(table_->rows, rows);
   scratch_.d_predictions.assign(predictions.size(), 0.0f);
   const float loss = nn::ScaledHuberLossBackward(
       predictions, scratch_.targets, 1.0f, scale, scratch_.d_predictions);

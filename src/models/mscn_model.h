@@ -31,9 +31,10 @@ class MscnCostModel : public NeuralCostModel {
 
   std::string Name() const override { return "MSCN"; }
 
+  /// Featurizes every record's query once into the table's sets.
   void Prepare(const std::vector<const QueryRecord*>& records) override;
   float LossOnBatch(const std::vector<const QueryRecord*>& batch) override;
-  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+  float AccumulateGradients(std::span<const uint32_t> rows,
                             float scale) override;
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
@@ -41,20 +42,16 @@ class MscnCostModel : public NeuralCostModel {
   std::unique_ptr<NeuralCostModel> CloneReplica() const override;
 
  private:
-  /// Featurizes `batch` into scratch_.sets.
-  void FeaturizeBatch(std::span<const QueryRecord* const> batch);
-
-  /// The batch's normalized log runtimes in scratch_.targets.
-  void LoadTargets(const std::vector<const QueryRecord*>& batch);
-
-  /// The forward pass over scratch_.sets; returns one normalized
-  /// log-runtime prediction per query, valid until the next call. Each set
+  /// The forward pass over queries `queries` of `sets`; returns one
+  /// normalized log-runtime prediction per query, valid until the next
+  /// call. Each set
   /// type's encoder runs once over the batch's elements in query order;
   /// each query's encodings are summed onto +0.0f in element order and the
   /// sum is multiplied by 1/|set| (0 for an empty set). The three pooled
   /// blocks sit side by side in the (queries, 3 * hidden) rows the output
   /// MLP reads. Keeps every activation for Backward.
-  std::span<const float> Forward();
+  std::span<const float> Forward(std::span<const featurize::MscnSets> sets,
+                                 std::span<const uint32_t> queries);
 
   /// The backward of the last Forward: given d(loss)/d(prediction) per
   /// query, adds every parameter's gradient into its grad buffer — the
@@ -63,10 +60,10 @@ class MscnCostModel : public NeuralCostModel {
   /// contribution per call.
   void Backward(std::span<const float> d_predictions);
 
-  /// Forward over `records` in passes of at most kPassChunk queries, so a
-  /// large validation or serving call does not grow the scratch; returns one
-  /// normalized prediction per record. Results equal one pass over all of
-  /// them, since no row mixes queries.
+  /// Featurizes `records` and runs Forward over them in passes of at most
+  /// kPassChunk queries, so a large validation or serving call does not
+  /// grow the scratch; returns one normalized prediction per record.
+  /// Results equal one pass over all of them, since no row mixes queries.
   std::vector<float> ForwardChunked(
       std::span<const QueryRecord* const> records);
 
@@ -76,6 +73,10 @@ class MscnCostModel : public NeuralCostModel {
   std::array<nn::Mlp, 3> encoders_;
   nn::Mlp output_;
   featurize::TargetNorm target_norm_;
+  /// The last Prepare's records, one MscnSets per record; shared read-only
+  /// with every replica.
+  std::shared_ptr<const TrainingTable<std::vector<featurize::MscnSets>>>
+      table_;
 
   /// One set type's rows in the last Forward, and their gradients.
   struct SetRows {
@@ -91,7 +92,7 @@ class MscnCostModel : public NeuralCostModel {
   /// Every element a call reads, it first writes. The model is
   /// thread-compatible, not thread-safe, so one pass at a time owns these.
   struct Scratch {
-    std::vector<featurize::MscnSets> sets;
+    std::vector<featurize::MscnSets> sets;  ///< ForwardChunked's queries
     std::vector<float> targets;
     std::array<SetRows, 3> set_rows;
     std::vector<float> pooled;  ///< (queries, 3 * hidden)

@@ -9,15 +9,10 @@
 #include "nn/ops.h"
 #include "nn/validate.h"
 #include "nn/serialize.h"
-#include "plan/fingerprint.h"
 
 namespace zerodb::models {
 
 namespace {
-
-/// Entries in the per-model training graph cache (FeaturizeNormalizedCached).
-/// Plans beyond this many distinct ones are featurized afresh every batch.
-constexpr size_t kGraphCacheCapacity = 8192;
 
 nn::MlpConfig MakeMlpConfig(size_t in, size_t hidden, size_t out,
                             size_t hidden_layers) {
@@ -105,7 +100,6 @@ Status TreeMessagePassingModel::LoadWeights(const std::string& path) {
   MutableParameters()->values = std::move(values);
   feature_norm_.Set(std::move(feature_mean), std::move(feature_std));
   target_norm_.Set(target[0], target[1]);
-  InvalidateGraphCache();
   BumpGeneration();
   return Status::OK();
 }
@@ -117,76 +111,42 @@ void TreeMessagePassingModel::CopyTreeStateFrom(
   MutableParameters()->values = other.Parameters().values;
   feature_norm_ = other.feature_norm_;
   target_norm_ = other.target_norm_;
-  InvalidateGraphCache();
+  table_ = other.table_;
   BumpGeneration();
 }
 
 void TreeMessagePassingModel::Prepare(
     const std::vector<const QueryRecord*>& records) {
   ZDB_CHECK(!records.empty());
-  // Fit feature normalization over every node of every training plan, and
-  // target normalization over log runtimes.
-  std::vector<featurize::PlanGraph> graphs;
-  graphs.reserve(records.size());
+  // Featurize every training plan once; feature normalization is fitted
+  // over every node of every plan, target normalization over log runtimes.
+  auto table = std::make_shared<TrainingTable<featurize::PlanGraph>>();
+  table->log_runtimes.reserve(records.size());
   for (const QueryRecord* record : records) {
-    graphs.push_back(FeaturizeRecord(*record));
+    AppendRecord(*record, &table->rows);
+    table->log_runtimes.push_back(Millis(record->runtime_ms).ToLog());
   }
-  std::vector<const std::vector<float>*> rows;
-  for (const featurize::PlanGraph& graph : graphs) {
-    for (const featurize::PlanGraphNode& node : graph.nodes) {
-      rows.push_back(&node.features);
-    }
-  }
-  feature_norm_.Fit(rows);
-
-  std::vector<LogMillis> log_runtimes;
-  log_runtimes.reserve(records.size());
-  for (const QueryRecord* record : records) {
-    log_runtimes.push_back(Millis(record->runtime_ms).ToLog());
-  }
-  target_norm_.Fit(log_runtimes);
-  InvalidateGraphCache();
+  feature_norm_.Fit(table->rows.features, config_.feature_dim);
+  target_norm_.Fit(table->log_runtimes);
+  table_ = std::move(table);
 }
 
-featurize::PlanGraph TreeMessagePassingModel::FeaturizeNormalized(
-    const QueryRecord& record) const {
-  featurize::PlanGraph graph = FeaturizeRecord(record);
-  for (featurize::PlanGraphNode& node : graph.nodes) {
-    feature_norm_.Apply(&node.features);
-  }
-  return graph;
-}
-
-void TreeMessagePassingModel::InvalidateGraphCache() {
-  graph_cache_.clear();
-  overflow_graphs_.clear();
-}
-
-const featurize::PlanGraph* TreeMessagePassingModel::FeaturizeNormalizedCached(
-    const QueryRecord& record) {
-  const uint64_t key = plan::FingerprintCombine(
-      plan::FingerprintPlan(record.plan),
-      plan::FingerprintString(record.db_name));
-  auto it = graph_cache_.find(key);
-  if (it != graph_cache_.end()) return &it->second;
-  if (graph_cache_.size() < kGraphCacheCapacity) {
-    auto inserted = graph_cache_.emplace(key, FeaturizeNormalized(record));
-    return &inserted.first->second;
-  }
-  // Cache full: featurize into per-batch overflow storage.
-  overflow_graphs_.push_back(FeaturizeNormalized(record));
-  return &overflow_graphs_.back();
+void TreeMessagePassingModel::AppendRecord(const QueryRecord& record,
+                                           featurize::PlanGraph* graph) const {
+  ZDB_CHECK(record.env != nullptr);
+  featurizer().Append(*record.plan.root, *record.env, graph);
 }
 
 std::span<const float> TreeMessagePassingModel::Forward(
-    std::span<const featurize::PlanGraph* const> graphs) {
-  ZDB_CHECK(!graphs.empty());
+    const featurize::PlanGraph& graph, std::span<const uint32_t> plans) {
+  ZDB_CHECK(!plans.empty());
   const size_t hidden = config_.hidden_dim;
   const size_t feature_dim = config_.feature_dim;
+  ZDB_CHECK_EQ(graph.dim, feature_dim);
   Scratch& s = scratch_;
 
-  // Lay the nodes out in one global order, graph by graph: each encoder's
-  // ids and packed features, each level's ids, and a CSR children list.
+  // Lay the nodes out in one global order, plan by plan: each encoder's
+  // ids and normalized features, each level's ids, and a CSR children list.
   // Every buffer keeps its capacity, so a warm pass allocates nothing.
   s.encoder_ids.resize(config_.num_encoders);
   s.encoder_inputs.resize(config_.num_encoders);
@@ -198,24 +158,30 @@ std::span<const float> TreeMessagePassingModel::Forward(
   s.child_offsets.assign(1, 0);
   s.root_ids.clear();
   uint32_t total_nodes = 0;
-  for (const featurize::PlanGraph* graph : graphs) {
+  for (uint32_t p : plans) {
+    ZDB_CHECK_LT(p, graph.num_plans());
+    // A plan's nodes are contiguous from its root: graph node n is global
+    // id base + (n - root).
+    const uint32_t root = graph.roots[p];
+    const uint32_t end = graph.plan_end(p);
     const uint32_t base = total_nodes;
-    s.root_ids.push_back(base + static_cast<uint32_t>(graph->root()));
-    for (const featurize::PlanGraphNode& node : graph->nodes) {
-      ZDB_CHECK_EQ(node.features.size(), feature_dim);
+    s.root_ids.push_back(base);
+    for (uint32_t n = root; n < end; ++n) {
+      const featurize::PlanGraphNode& node = graph.nodes[n];
       const size_t encoder = EncoderIdFor(node.op_type);
       ZDB_CHECK_LT(encoder, config_.num_encoders);
       s.encoder_ids[encoder].push_back(total_nodes);
-      s.encoder_inputs[encoder].insert(s.encoder_inputs[encoder].end(),
-                                       node.features.begin(),
-                                       node.features.end());
+      std::vector<float>& input = s.encoder_inputs[encoder];
+      input.resize(input.size() + feature_dim);
+      feature_norm_.Apply(graph.row(n),
+                          input.data() + input.size() - feature_dim);
       if (node.level >= s.level_ids.size()) s.level_ids.resize(node.level + 1);
       s.level_ids[node.level].push_back(total_nodes);
-      for (size_t child : node.children) {
-        ZDB_CHECK_LT(child, graph->nodes.size());
+      for (uint32_t child : graph.children_of(n)) {
+        ZDB_CHECK(child > n && child < end);
         // Levels run bottom-up, so a child must sit on a lower level.
-        ZDB_CHECK_LT(graph->nodes[child].level, node.level);
-        s.children_flat.push_back(base + static_cast<uint32_t>(child));
+        ZDB_CHECK_LT(graph.nodes[child].level, node.level);
+        s.children_flat.push_back(base + (child - root));
       }
       s.child_offsets.push_back(static_cast<uint32_t>(s.children_flat.size()));
       ++total_nodes;
@@ -274,15 +240,15 @@ std::span<const float> TreeMessagePassingModel::Forward(
   }
 
   // Root readout.
-  float* roots = Sized(&s.roots, graphs.size() * hidden);
-  for (size_t g = 0; g < graphs.size(); ++g) {
+  float* roots = Sized(&s.roots, plans.size() * hidden);
+  for (size_t g = 0; g < plans.size(); ++g) {
     std::copy(hidden_rows + s.root_ids[g] * hidden,
               hidden_rows + (s.root_ids[g] + 1) * hidden, roots + g * hidden);
   }
-  readout_.ForwardRows(Parameters(), {roots, graphs.size() * hidden},
-                       graphs.size(), &s.readout_tape);
+  readout_.ForwardRows(Parameters(), {roots, plans.size() * hidden},
+                       plans.size(), &s.readout_tape);
   const std::span<const float> predictions(s.readout_tape.output(),
-                                           graphs.size());
+                                           plans.size());
   ZDB_DCHECK_OK(nn::ValidateFinite(predictions, "tree model readout"));
   return predictions;
 }
@@ -292,11 +258,11 @@ void TreeMessagePassingModel::Backward(
   Scratch& s = scratch_;
   const size_t hidden = config_.hidden_dim;
   const size_t total_nodes = s.child_offsets.size() - 1;
-  const size_t graphs = s.root_ids.size();
-  ZDB_CHECK_EQ(d_predictions.size(), graphs);
+  const size_t plans = s.root_ids.size();
+  ZDB_CHECK_EQ(d_predictions.size(), plans);
 
   // Readout, then the roots' hidden gradients.
-  float* d_roots = Zeroed(&s.d_roots, graphs * hidden);
+  float* d_roots = Zeroed(&s.d_roots, plans * hidden);
   nn::ParameterBlock* params = MutableParameters();
   readout_.BackwardRows(params, s.roots.data(), s.readout_tape,
                         d_predictions.data(), d_roots, &s.mlp);
@@ -305,7 +271,7 @@ void TreeMessagePassingModel::Backward(
   // zeroed buffer, so such a row holds 0.0f + x like Forward's rows.
   float* d_hidden = Zeroed(&s.d_hidden, total_nodes * hidden);
   float* d_encodings = Zeroed(&s.d_encodings, total_nodes * hidden);
-  for (size_t g = 0; g < graphs; ++g) {
+  for (size_t g = 0; g < plans; ++g) {
     nn::AddRow(d_roots + g * hidden, hidden,
                d_hidden + s.root_ids[g] * hidden);
   }
@@ -355,38 +321,45 @@ void TreeMessagePassingModel::Backward(
   }
 }
 
-void TreeMessagePassingModel::PrepareBatch(
-    const std::vector<const QueryRecord*>& batch) {
-  ZDB_CHECK(!batch.empty());
-  overflow_graphs_.clear();
-  scratch_.batch_graphs.clear();
-  scratch_.targets.clear();
-  for (const QueryRecord* record : batch) {
-    scratch_.batch_graphs.push_back(FeaturizeNormalizedCached(*record));
-    scratch_.targets.push_back(static_cast<float>(
-        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
+std::vector<float> TreeMessagePassingModel::ForwardChunked(
+    std::span<const QueryRecord* const> records) {
+  ZDB_CHECK(!records.empty());
+  std::vector<float> predictions;
+  predictions.reserve(records.size());
+  for (size_t begin = 0; begin < records.size(); begin += kPassChunk) {
+    const size_t count = std::min(kPassChunk, records.size() - begin);
+    scratch_.graph.Clear();
+    for (const QueryRecord* record : records.subspan(begin, count)) {
+      AppendRecord(*record, &scratch_.graph);
+    }
+    const std::span<const float> chunk = Forward(
+        scratch_.graph, std::span(kPassChunkIds).first(count));
+    predictions.insert(predictions.end(), chunk.begin(), chunk.end());
   }
+  return predictions;
 }
 
 float TreeMessagePassingModel::LossOnBatch(
     const std::vector<const QueryRecord*>& batch) {
-  PrepareBatch(batch);
-  const std::span<const featurize::PlanGraph* const> graphs(
-      scratch_.batch_graphs);
-  std::vector<float> predictions;
-  predictions.reserve(graphs.size());
-  for (size_t begin = 0; begin < graphs.size(); begin += kPassChunk) {
-    const std::span<const float> chunk = Forward(
-        graphs.subspan(begin, std::min(kPassChunk, graphs.size() - begin)));
-    predictions.insert(predictions.end(), chunk.begin(), chunk.end());
+  const std::vector<float> predictions = ForwardChunked(batch);
+  scratch_.targets.clear();
+  for (const QueryRecord* record : batch) {
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(Millis(record->runtime_ms).ToLog())));
   }
   return nn::HuberLossValue(predictions, scratch_.targets, 1.0f);
 }
 
 float TreeMessagePassingModel::AccumulateGradients(
-    const std::vector<const QueryRecord*>& batch, float scale) {
-  PrepareBatch(batch);
-  const std::span<const float> predictions = Forward(scratch_.batch_graphs);
+    std::span<const uint32_t> rows, float scale) {
+  ZDB_CHECK(table_ != nullptr) << "AccumulateGradients before Prepare";
+  scratch_.targets.clear();
+  for (uint32_t row : rows) {
+    ZDB_CHECK_LT(row, table_->log_runtimes.size());
+    scratch_.targets.push_back(static_cast<float>(
+        target_norm_.Normalize(table_->log_runtimes[row])));
+  }
+  const std::span<const float> predictions = Forward(table_->rows, rows);
   scratch_.d_predictions.assign(predictions.size(), 0.0f);
   const float loss = nn::ScaledHuberLossBackward(
       predictions, scratch_.targets, 1.0f, scale, scratch_.d_predictions);
@@ -404,19 +377,9 @@ std::vector<Millis> TreeMessagePassingModel::ForwardBatch(
   ZDB_CHECK(target_norm_.fitted()) << "ForwardBatch before Prepare/training";
   std::vector<Millis> out;
   out.reserve(records.size());
-  std::vector<featurize::PlanGraph> graphs;
-  std::vector<const featurize::PlanGraph*> pointers;
-  for (size_t begin = 0; begin < records.size(); begin += kPassChunk) {
-    const size_t end = std::min(records.size(), begin + kPassChunk);
-    graphs.clear();
-    pointers.clear();
-    for (size_t i = begin; i < end; ++i) {
-      graphs.push_back(FeaturizeNormalized(*records[i]));
-    }
-    for (const featurize::PlanGraph& graph : graphs) pointers.push_back(&graph);
-    for (float normalized : Forward(pointers)) {
-      out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
-    }
+  if (records.empty()) return out;
+  for (float normalized : ForwardChunked(records)) {
+    out.push_back(Millis::FromLog(target_norm_.Denormalize(normalized)));
   }
   return out;
 }

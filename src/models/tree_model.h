@@ -1,12 +1,9 @@
 #ifndef ZERODB_MODELS_TREE_MODEL_H_
 #define ZERODB_MODELS_TREE_MODEL_H_
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "featurize/normalization.h"
@@ -34,24 +31,27 @@ struct TreeModelConfig {
 /// into a readout MLP that predicts (normalized log) runtime.
 ///
 /// Subclasses provide the featurizer; this class owns parameters,
-/// normalization and one level-batched forward pass over model-owned
-/// scratch, with a hand-written backward. Training, validation and serving
-/// all run it.
+/// normalization, the training table and one level-batched forward pass
+/// over model-owned scratch, with a hand-written backward. Training,
+/// validation and serving all run it: training over the table's rows,
+/// validation and serving over plans featurized afresh into scratch.
 class TreeMessagePassingModel : public NeuralCostModel {
  public:
   explicit TreeMessagePassingModel(const TreeModelConfig& config);
 
+  /// Featurizes every record's plan once into the table's graph and fits
+  /// feature normalization over all of its rows.
   void Prepare(const std::vector<const QueryRecord*>& records) override;
   float LossOnBatch(const std::vector<const QueryRecord*>& batch) override;
-  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+  float AccumulateGradients(std::span<const uint32_t> rows,
                             float scale) override;
   /// Forwards to ForwardBatch.
   std::vector<Millis> PredictMs(
       const std::vector<const QueryRecord*>& records) override;
-  /// The serving path: featurizes and normalizes the plans, runs the
-  /// forward pass over them 64 at a time, then denormalizes. Row arithmetic never mixes
-  /// plans, so each prediction depends on its own record only, whatever
-  /// else shares its call. The estimator and benches call it on the
+  /// The serving path: featurizes the plans, runs the forward pass over
+  /// them kPassChunk at a time, then denormalizes. Row arithmetic never
+  /// mixes plans, so each prediction depends on its own record only,
+  /// whatever else shares its call. The estimator and benches call it on the
   /// concrete type.
   std::vector<Millis> ForwardBatch(
       const std::vector<const QueryRecord*>& records);
@@ -66,58 +66,48 @@ class TreeMessagePassingModel : public NeuralCostModel {
 
  protected:
   /// Copies `other`'s parameter block values and normalization state into
-  /// this model (same config required). Subclass CloneReplica
-  /// implementations construct a fresh model from their stored options and
-  /// then call this — the replica gets identical values in its own block.
+  /// this model and shares its training table (same config required).
+  /// Subclass CloneReplica implementations construct a fresh model from
+  /// their stored options and then call this — the replica gets identical
+  /// values in its own block.
   void CopyTreeStateFrom(const TreeMessagePassingModel& other);
 
-  /// Featurizes one record's plan (implemented by subclasses).
-  virtual featurize::PlanGraph FeaturizeRecord(
-      const QueryRecord& record) const = 0;
+  /// The featurizer of the model's plans (implemented by subclasses).
+  virtual const featurize::TreeFeaturizer& featurizer() const = 0;
 
   /// Maps a graph node's op_type to the encoder id in [0, num_encoders).
   virtual size_t EncoderIdFor(size_t op_type) const = 0;
 
  private:
-  /// The forward pass over `graphs`; returns one normalized log-runtime
-  /// prediction per graph, valid until the next call. All nodes are laid
-  /// out in one global order (graph by graph, node index order). Each
-  /// encoder MLP runs once over its nodes' rows in that order, each level's
-  /// combine MLP once over the level's nodes (children's hidden rows summed
-  /// in `children` order next to the node's encoding), and the readout once
+  /// The forward pass over plans `plans` of `graph`; returns one normalized
+  /// log-runtime prediction per plan, valid until the next call. All nodes
+  /// are laid out in one global order (plan by plan, node index order).
+  /// Each encoder MLP runs once over its nodes' rows in that order, each
+  /// normalized (FeatureNorm::Apply) as it is packed; each level's combine
+  /// MLP once over the level's nodes (children's hidden rows summed in
+  /// `children` order next to the node's encoding), and the readout once
   /// over the roots. Encoding and hidden rows are stored as 0.0f + x, the
   /// value a scatter-add into a zeroed matrix yields. Keeps every
   /// activation for Backward.
-  std::span<const float> Forward(
-      std::span<const featurize::PlanGraph* const> graphs);
+  std::span<const float> Forward(const featurize::PlanGraph& graph,
+                                 std::span<const uint32_t> plans);
 
   /// The backward of the last Forward: given d(loss)/d(prediction) per
-  /// graph, adds every parameter's gradient into its grad buffer. Combine
+  /// plan, adds every parameter's gradient into its grad buffer. Combine
   /// gradients accumulate level by level, highest level first; every
   /// hidden-state and encoding gradient row receives exactly one
   /// contribution, added to +0.0f.
   void Backward(std::span<const float> d_predictions);
 
-  /// Featurizes `batch` through the graph cache into
-  /// scratch_.batch_graphs and its normalized targets into scratch_.targets.
-  void PrepareBatch(const std::vector<const QueryRecord*>& batch);
+  /// Appends one record's featurized plan to `graph`.
+  void AppendRecord(const QueryRecord& record,
+                    featurize::PlanGraph* graph) const;
 
-  featurize::PlanGraph FeaturizeNormalized(
-      const QueryRecord& record) const;
-
-  /// Training-path featurization through the graph cache: plans recur every
-  /// epoch, and featurizing them is the dominant per-batch rebuild cost. The
-  /// cache is per-model-instance (each trainer replica fills its own) and
-  /// cleared whenever normalization changes — featurization is
-  /// deterministic, so cached and fresh graphs are identical and the loss
-  /// history does not depend on cache state. The returned pointer is valid
-  /// until the next Prepare/LoadWeights/CopyTreeStateFrom (cached graphs) or
-  /// the next PrepareBatch (overflow graphs).
-  const featurize::PlanGraph* FeaturizeNormalizedCached(
-      const QueryRecord& record);
-
-  /// Drops every cached graph; called whenever normalization state changes.
-  void InvalidateGraphCache();
+  /// Featurizes `records` into scratch_.graph and runs Forward over them,
+  /// kPassChunk at a time; returns one normalized prediction per record.
+  /// Results equal one pass over all of them, since no row mixes plans.
+  std::vector<float> ForwardChunked(
+      std::span<const QueryRecord* const> records);
 
   TreeModelConfig config_;
   std::vector<nn::Mlp> encoders_;
@@ -125,13 +115,9 @@ class TreeMessagePassingModel : public NeuralCostModel {
   nn::Mlp readout_;
   featurize::FeatureNorm feature_norm_;
   featurize::TargetNorm target_norm_;
-
-  /// key = FingerprintCombine(FingerprintPlan(plan), db name). Values are
-  /// stable across inserts (node-based map), so a batch can hold pointers.
-  std::unordered_map<uint64_t, featurize::PlanGraph> graph_cache_;
-  /// Graphs featurized when the cache is full; cleared per batch. Deque:
-  /// growth must not move earlier elements mid-batch.
-  std::deque<featurize::PlanGraph> overflow_graphs_;
+  /// The last Prepare's records, one plan per record; shared read-only
+  /// with every replica.
+  std::shared_ptr<const TrainingTable<featurize::PlanGraph>> table_;
 
   /// Forward's activations and Backward's gradients. Capacities reach
   /// steady state after the largest batch; every element a call reads, it
@@ -139,12 +125,12 @@ class TreeMessagePassingModel : public NeuralCostModel {
   /// result. The model is thread-compatible, not thread-safe, so one pass
   /// at a time owns these.
   struct Scratch {
-    std::vector<const featurize::PlanGraph*> batch_graphs;
+    featurize::PlanGraph graph;  ///< ForwardChunked's featurized plans
     std::vector<float> targets;
     // The batch's nodes by global id.
     std::vector<uint32_t> children_flat;   ///< CSR child ids, parent-major
     std::vector<uint32_t> child_offsets;   ///< size total_nodes + 1
-    std::vector<uint32_t> root_ids;        ///< per graph
+    std::vector<uint32_t> root_ids;        ///< per plan
     std::vector<std::vector<uint32_t>> encoder_ids;  ///< nodes per encoder
     std::vector<std::vector<uint32_t>> level_ids;    ///< nodes per level
     // Forward activations.
@@ -154,7 +140,7 @@ class TreeMessagePassingModel : public NeuralCostModel {
     std::vector<std::vector<float>> combine_inputs;  ///< per level
     std::vector<nn::MlpTape> combine_tapes;
     std::vector<float> hidden;                       ///< (total_nodes, hidden)
-    std::vector<float> roots;                        ///< (graphs, hidden)
+    std::vector<float> roots;                        ///< (plans, hidden)
     nn::MlpTape readout_tape;
     // Backward gradients.
     std::vector<float> d_predictions;

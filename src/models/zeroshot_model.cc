@@ -1,6 +1,5 @@
 #include "models/zeroshot_model.h"
 
-#include "common/check.h"
 #include "plan/physical.h"
 
 namespace zerodb::models {
@@ -28,12 +27,6 @@ std::unique_ptr<NeuralCostModel> ZeroShotCostModel::CloneReplica() const {
 std::string ZeroShotCostModel::Name() const {
   return std::string("zero-shot (") +
          featurize::CardinalityModeName(featurizer_.mode()) + " card.)";
-}
-
-featurize::PlanGraph ZeroShotCostModel::FeaturizeRecord(
-    const QueryRecord& record) const {
-  ZDB_CHECK(record.env != nullptr);
-  return featurizer_.Featurize(*record.plan.root, *record.env);
 }
 
 }  // namespace zerodb::models

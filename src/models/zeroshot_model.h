@@ -32,8 +32,9 @@ class ZeroShotCostModel : public TreeMessagePassingModel {
   }
 
  protected:
-  featurize::PlanGraph FeaturizeRecord(
-      const QueryRecord& record) const override;
+  const featurize::TreeFeaturizer& featurizer() const override {
+    return featurizer_;
+  }
   size_t EncoderIdFor(size_t op_type) const override { return op_type; }
 
  private:

@@ -1,6 +1,7 @@
 #ifndef ZERODB_PLAN_EXPR_H_
 #define ZERODB_PLAN_EXPR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -13,6 +14,9 @@ namespace zerodb::plan {
 /// Comparison operators usable in predicates. String (dictionary-code)
 /// columns use only kEq / kNe; numeric columns use all of them.
 enum class CompareOp { kEq, kNe, kLt, kLe, kGt, kGe };
+/// One-hot widths in the featurizers; update with the enum.
+inline constexpr size_t kNumCompareOps = 6;
+static_assert(static_cast<size_t>(CompareOp::kGe) + 1 == kNumCompareOps);
 
 const char* CompareOpName(CompareOp op);
 

@@ -36,6 +36,8 @@ enum class PhysicalOpType {
 
 const char* PhysicalOpName(PhysicalOpType type);
 inline constexpr size_t kNumPhysicalOpTypes = 9;
+static_assert(static_cast<size_t>(PhysicalOpType::kSimpleAggregate) + 1 ==
+              kNumPhysicalOpTypes);
 
 /// An aggregate over a slot of the child's output (nullopt = COUNT(*)).
 struct AggregateExpr {

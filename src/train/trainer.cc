@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "common/check.h"
@@ -29,26 +30,16 @@ struct ShardResult {
   std::vector<float> grads;  ///< laid out like the parameter block
 };
 
-/// One shard-running unit: a model (the caller's or a replica) and reusable
-/// scratch. The trainer builds these once.
-struct ShardExecutor {
-  models::NeuralCostModel* model = nullptr;
-  std::vector<const QueryRecord*> shard;  ///< reused shard record scratch
-};
-
-/// Runs one shard on `exec`: zero grads, forward + backward on the shard
-/// scaled by shard_size / batch_size (so summing shard losses/gradients
-/// reconstructs the batch mean), then harvests the gradient buffer.
-void RunShard(ShardExecutor* exec,
-              const std::vector<const QueryRecord*>& batch, size_t shard_begin,
-              size_t shard_end, size_t batch_size, ShardResult* out) {
-  exec->shard.assign(batch.begin() + static_cast<ptrdiff_t>(shard_begin),
-                     batch.begin() + static_cast<ptrdiff_t>(shard_end));
-  std::vector<float>& grads = exec->model->MutableParameters()->grads;
+/// Runs one shard of training-table rows on `model`: zero grads, forward +
+/// backward on the shard scaled by shard_size / batch_size (so summing
+/// shard losses/gradients reconstructs the batch mean), then harvests the
+/// gradient buffer.
+void RunShard(models::NeuralCostModel* model, std::span<const uint32_t> shard,
+              size_t batch_size, ShardResult* out) {
+  std::vector<float>& grads = model->MutableParameters()->grads;
   std::fill(grads.begin(), grads.end(), 0.0f);
-  const float loss = exec->model->AccumulateGradients(
-      exec->shard,
-      static_cast<float>(exec->shard.size()) / static_cast<float>(batch_size));
+  const float loss = model->AccumulateGradients(
+      shard, static_cast<float>(shard.size()) / static_cast<float>(batch_size));
   ZDB_DCHECK_OK(nn::ValidateFinite(std::span<const float>(&loss, 1),
                                    "trainer forward: shard loss"));
   out->loss = static_cast<double>(loss);
@@ -82,15 +73,20 @@ TrainResult TrainModel(models::NeuralCostModel* model,
                                            shuffled.end());
 
   ZDB_CHECK_GT(options.batch_size, 0u);
+  // The training records are featurized here, once: every batch names
+  // rows of the table Prepare builds (row i = training[i]), which the
+  // replicas share.
   model->Prepare(training);
+  std::vector<uint32_t> order(training.size());
+  std::iota(order.begin(), order.end(), 0u);
   nn::ParameterBlock* main_params = model->MutableParameters();
   nn::Adam optimizer(main_params, options.learning_rate, 0.9f, 0.999f, 1e-8f,
                      options.weight_decay);
 
   // Shard-parallel gradient setup. Replicas are cloned after Prepare so they
-  // carry the fitted normalization; parameter values are re-synced from the
-  // caller's model at the start of every batch's replica task (Step changes
-  // them).
+  // carry the fitted normalization and share the table; parameter values
+  // are re-synced from the caller's model at the start of every batch's
+  // replica task (Step changes them).
   size_t want_threads = options.num_threads;
   if (want_threads == 0) want_threads = ThreadPool::Global()->num_threads();
   const size_t max_shards =
@@ -99,21 +95,16 @@ TrainResult TrainModel(models::NeuralCostModel* model,
       std::max<size_t>(1, std::min(want_threads, max_shards));
   ThreadPool* shard_pool = executors > 1 ? ThreadPool::Global() : nullptr;
 
-  // One ShardExecutor per model — the caller's first, then executors - 1
+  // One shard executor per model — the caller's first, then executors - 1
   // replicas. Every batch, executor e runs one contiguous shard range inside
   // a single pool task, so its model is only ever touched by one thread at
   // a time (the ParallelFor join orders one batch before the next).
   std::vector<std::unique_ptr<models::NeuralCostModel>> replicas;
-  std::vector<ShardExecutor> shard_executors(executors);
-  for (size_t e = 0; e < executors; ++e) {
-    ShardExecutor& shard_exec = shard_executors[e];
-    if (e == 0) {
-      shard_exec.model = model;
-    } else {
-      replicas.push_back(model->CloneReplica());
-      ZDB_CHECK(replicas.back() != nullptr) << model->Name();
-      shard_exec.model = replicas.back().get();
-    }
+  std::vector<models::NeuralCostModel*> shard_models = {model};
+  for (size_t e = 1; e < executors; ++e) {
+    replicas.push_back(model->CloneReplica());
+    ZDB_CHECK(replicas.back() != nullptr) << model->Name();
+    shard_models.push_back(replicas.back().get());
   }
 
   TrainResult result;
@@ -126,11 +117,9 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   obs::Counter* batches_counter = registry.GetCounter("train.batches");
 
   // Per-batch working state, hoisted out of the loops so batch N reuses
-  // batch N-1's capacity: the batch view, the shard result slots (kept at
-  // max_shards so the final partial batch never shrinks — and re-grows — the
-  // gradient buffers inside) and the shard partials' pointers.
-  std::vector<const QueryRecord*> batch;
-  batch.reserve(options.batch_size);
+  // batch N-1's capacity: the shard result slots (kept at max_shards so the
+  // final partial batch never shrinks — and re-grows — the gradient buffers
+  // inside) and the shard partials' pointers.
   std::vector<ShardResult> shard_results(max_shards);
   // Full-size from the start: RunShard swaps these with the executors'
   // gradient buffers, and the reduction writes the caller's gradients in
@@ -143,16 +132,17 @@ TrainResult TrainModel(models::NeuralCostModel* model,
   for (size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     obs::TimelineScope epoch_scope("train.epoch", "train");
     epoch_scope.AddArg("epoch", static_cast<double>(epoch + 1));
-    rng.Shuffle(&training);
+    // Shuffle's draws depend only on the length, so permuting row ids
+    // visits the records in the order shuffling them would.
+    rng.Shuffle(&order);
     double epoch_loss = 0.0;
     double grad_norm_sum = 0.0;
     size_t batches = 0;
-    for (size_t start = 0; start < training.size();
-         start += options.batch_size) {
-      size_t end = std::min(start + options.batch_size, training.size());
+    for (size_t start = 0; start < order.size(); start += options.batch_size) {
       obs::TimelineScope batch_scope("train.batch", "train");
-      batch.assign(training.begin() + static_cast<ptrdiff_t>(start),
-                   training.begin() + static_cast<ptrdiff_t>(end));
+      const std::span<const uint32_t> batch =
+          std::span<const uint32_t>(order).subspan(
+              start, std::min(options.batch_size, order.size() - start));
       const size_t batch_size = batch.size();
       const size_t num_shards =
           (batch_size + kShardRecords - 1) / kShardRecords;
@@ -173,18 +163,16 @@ TrainResult TrainModel(models::NeuralCostModel* model,
           // its own task, off the caller's critical path. Concurrent readers
           // only: nothing writes main_params' values until the join.
           obs::TimelineScope sync_scope("train.sync", "train");
-          shard_executors[e].model->MutableParameters()->values =
-              main_params->values;
+          shard_models[e]->MutableParameters()->values = main_params->values;
         }
         for (size_t s = e * num_shards / used; s < (e + 1) * num_shards / used;
              ++s) {
           obs::TimelineScope shard_scope("train.shard", "train");
           shard_scope.AddArg("shard", static_cast<double>(s));
           const size_t shard_begin = s * kShardRecords;
-          const size_t shard_end =
-              std::min(batch_size, shard_begin + kShardRecords);
-          RunShard(&shard_executors[e], batch, shard_begin, shard_end,
-                   batch_size, &shard_results[s]);
+          const std::span<const uint32_t> shard = batch.subspan(
+              shard_begin, std::min(kShardRecords, batch_size - shard_begin));
+          RunShard(shard_models[e], shard, batch_size, &shard_results[s]);
         }
       };
       ParallelFor(shard_pool, 0, used, /*grain=*/1,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "datagen/corpus.h"
 #include "featurize/e2e_featurizer.h"
 #include "featurize/mscn_featurizer.h"
@@ -75,11 +77,11 @@ TEST(ZeroShotFeaturizerTest, DatabaseIndependence) {
   PlanGraph graph1 = featurizer.Featurize(*record1.plan.root, env1);
   PlanGraph graph2 = featurizer.Featurize(*record2.plan.root, env2);
   ASSERT_EQ(graph1.nodes.size(), graph2.nodes.size());
+  ASSERT_EQ(graph1.dim, graph2.dim);
   for (size_t n = 0; n < graph1.nodes.size(); ++n) {
     EXPECT_EQ(graph1.nodes[n].op_type, graph2.nodes[n].op_type);
-    ASSERT_EQ(graph1.nodes[n].features.size(), graph2.nodes[n].features.size());
-    for (size_t d = 0; d < graph1.nodes[n].features.size(); ++d) {
-      EXPECT_FLOAT_EQ(graph1.nodes[n].features[d], graph2.nodes[n].features[d])
+    for (size_t d = 0; d < graph1.dim; ++d) {
+      EXPECT_FLOAT_EQ(graph1.row(n)[d], graph2.row(n)[d])
           << "node " << n << " dim " << d;
     }
   }
@@ -91,12 +93,15 @@ TEST(ZeroShotFeaturizerTest, GraphMirrorsPlanStructure) {
   ZeroShotFeaturizer featurizer(CardinalityMode::kEstimated);
   PlanGraph graph = featurizer.Featurize(*record.plan.root, env);
   EXPECT_EQ(graph.nodes.size(), record.plan.root->SubtreeSize());
+  ASSERT_EQ(graph.roots, std::vector<uint32_t>{0});
   // Root is an aggregate with one child.
-  EXPECT_EQ(graph.nodes[graph.root()].children.size(), 1u);
-  EXPECT_EQ(graph.nodes[graph.root()].level, graph.max_level());
+  EXPECT_EQ(graph.children_of(0).size(), 1u);
   for (const PlanGraphNode& node : graph.nodes) {
-    EXPECT_EQ(node.features.size(), ZeroShotFeaturizer::kFeatureDim);
+    EXPECT_LE(node.level, graph.nodes[0].level);
   }
+  EXPECT_EQ(graph.dim, ZeroShotFeaturizer::kFeatureDim);
+  EXPECT_EQ(graph.features.size(),
+            graph.nodes.size() * ZeroShotFeaturizer::kFeatureDim);
 }
 
 TEST(ZeroShotFeaturizerTest, ExactVsEstimatedDiffer) {
@@ -109,7 +114,7 @@ TEST(ZeroShotFeaturizerTest, ExactVsEstimatedDiffer) {
   // Cardinality features (dim 0) generally differ between modes.
   bool any_difference = false;
   for (size_t n = 0; n < g_est.nodes.size(); ++n) {
-    if (g_est.nodes[n].features[0] != g_exact.nodes[n].features[0]) {
+    if (g_est.row(n)[0] != g_exact.row(n)[0]) {
       any_difference = true;
     }
   }
@@ -130,11 +135,9 @@ TEST(ZeroShotFeaturizerTest, NoLiteralValuesInFeatures) {
   ZeroShotFeaturizer featurizer(CardinalityMode::kEstimated);
   PlanGraph g1 = featurizer.Featurize(*r1.plan.root, env);
   PlanGraph g2 = featurizer.Featurize(*r2.plan.root, env);
-  ASSERT_EQ(g1.nodes.size(), g2.nodes.size());
-  for (size_t n = 0; n < g1.nodes.size(); ++n) {
-    for (size_t d = 0; d < g1.nodes[n].features.size(); ++d) {
-      EXPECT_FLOAT_EQ(g1.nodes[n].features[d], g2.nodes[n].features[d]);
-    }
+  ASSERT_EQ(g1.features.size(), g2.features.size());
+  for (size_t i = 0; i < g1.features.size(); ++i) {
+    EXPECT_FLOAT_EQ(g1.features[i], g2.features[i]);
   }
 }
 
@@ -156,10 +159,10 @@ TEST(E2EFeaturizerTest, DatabaseDependence) {
   PlanGraph g_alpha = featurizer.Featurize(*r_alpha.plan.root, env);
   PlanGraph g_beta = featurizer.Featurize(*r_beta.plan.root, env);
   // Table one-hot region (offset 9): alpha sets slot 9+0, beta slot 9+1.
-  EXPECT_FLOAT_EQ(g_alpha.nodes[0].features[9 + 0], 1.0f);
-  EXPECT_FLOAT_EQ(g_alpha.nodes[0].features[9 + 1], 0.0f);
-  EXPECT_FLOAT_EQ(g_beta.nodes[0].features[9 + 0], 0.0f);
-  EXPECT_FLOAT_EQ(g_beta.nodes[0].features[9 + 1], 1.0f);
+  EXPECT_FLOAT_EQ(g_alpha.row(0)[9 + 0], 1.0f);
+  EXPECT_FLOAT_EQ(g_alpha.row(0)[9 + 1], 0.0f);
+  EXPECT_FLOAT_EQ(g_beta.row(0)[9 + 0], 0.0f);
+  EXPECT_FLOAT_EQ(g_beta.row(0)[9 + 1], 1.0f);
 }
 
 TEST(E2EFeaturizerTest, LiteralValuesPresent) {
@@ -173,15 +176,8 @@ TEST(E2EFeaturizerTest, LiteralValuesPresent) {
   E2EFeaturizer featurizer(CardinalityMode::kEstimated);
   PlanGraph g1 = featurizer.Featurize(*r1.plan.root, env);
   PlanGraph g2 = featurizer.Featurize(*r2.plan.root, env);
-  bool any_difference = false;
-  for (size_t n = 0; n < g1.nodes.size(); ++n) {
-    for (size_t d = 0; d < g1.nodes[n].features.size(); ++d) {
-      if (g1.nodes[n].features[d] != g2.nodes[n].features[d]) {
-        any_difference = true;
-      }
-    }
-  }
-  EXPECT_TRUE(any_difference);  // literal 7 vs 45 visible to E2E
+  ASSERT_EQ(g1.features.size(), g2.features.size());
+  EXPECT_NE(g1.features, g2.features);  // literal 7 vs 45 visible to E2E
 }
 
 TEST(E2EFeaturizerTest, FeatureDimensionsConsistent) {
@@ -192,9 +188,67 @@ TEST(E2EFeaturizerTest, FeatureDimensionsConsistent) {
   for (int i = 0; i < 10; ++i) {
     auto record = MakeRecord(env, generator.Next());
     PlanGraph graph = featurizer.Featurize(*record.plan.root, env);
-    for (const PlanGraphNode& node : graph.nodes) {
-      EXPECT_EQ(node.features.size(), E2EFeaturizer::kFeatureDim);
+    EXPECT_EQ(graph.dim, E2EFeaturizer::kFeatureDim);
+    EXPECT_EQ(graph.features.size(),
+              graph.nodes.size() * E2EFeaturizer::kFeatureDim);
+  }
+}
+
+// Plans appended into one graph are laid out exactly as one Featurize call
+// per plan would lay them out, shifted by the nodes and child ids before
+// them: the same op types, levels and child ranges, and the same row bits.
+template <typename Featurizer>
+void ExpectAppendMatchesFeaturize(const Featurizer& featurizer) {
+  auto env = datagen::MakeImdbEnv(5, 0.02);
+  workload::QueryGenerator generator(&env,
+                                     workload::TrainingWorkloadConfig(), 7);
+  std::vector<plan::QuerySpec> queries;
+  for (int i = 0; i < 12; ++i) queries.push_back(generator.Next());
+  const auto records =
+      train::CollectRecords(env, queries, train::CollectOptions());
+  ASSERT_GE(records.size(), 8u);
+  PlanGraph all;
+  for (const auto& record : records) {
+    featurizer.Append(*record.plan.root, env, &all);
+  }
+  ASSERT_EQ(all.num_plans(), records.size());
+  ASSERT_EQ(all.dim, Featurizer::kFeatureDim);
+  size_t child_base = 0;
+  for (size_t p = 0; p < records.size(); ++p) {
+    SCOPED_TRACE(p);
+    const PlanGraph one = featurizer.Featurize(*records[p].plan.root, env);
+    const uint32_t root = all.roots[p];
+    ASSERT_EQ(all.plan_end(p) - root, one.nodes.size());
+    for (size_t n = 0; n < one.nodes.size(); ++n) {
+      const PlanGraphNode& got = all.nodes[root + n];
+      const PlanGraphNode& want = one.nodes[n];
+      EXPECT_EQ(got.op_type, want.op_type);
+      EXPECT_EQ(got.level, want.level);
+      EXPECT_EQ(got.child_begin - child_base, want.child_begin);
+      EXPECT_EQ(got.child_end - child_base, want.child_end);
+      const std::span<const uint32_t> got_children = all.children_of(root + n);
+      const std::span<const uint32_t> want_children = one.children_of(n);
+      ASSERT_EQ(got_children.size(), want_children.size());
+      for (size_t c = 0; c < want_children.size(); ++c) {
+        EXPECT_EQ(got_children[c] - root, want_children[c]);
+      }
+      EXPECT_EQ(std::memcmp(all.row(root + n).data(), one.row(n).data(),
+                            one.dim * sizeof(float)),
+                0);
     }
+    child_base += one.children.size();
+  }
+  EXPECT_EQ(all.children.size(), child_base);
+}
+
+TEST(PlanGraphTest, AppendedPlansMatchSinglePlanFeaturization) {
+  {
+    SCOPED_TRACE("zero-shot");
+    ExpectAppendMatchesFeaturize(ZeroShotFeaturizer(CardinalityMode::kExact));
+  }
+  {
+    SCOPED_TRACE("e2e");
+    ExpectAppendMatchesFeaturize(E2EFeaturizer(CardinalityMode::kEstimated));
   }
 }
 
@@ -237,14 +291,14 @@ TEST(MscnFeaturizerTest, OrPredicatesExpandToLeaves) {
 }
 
 TEST(NormalizationTest, FeatureNormStandardizes) {
-  std::vector<float> a = {1.0f, 10.0f};
-  std::vector<float> b = {3.0f, 10.0f};
+  const std::vector<float> rows = {1.0f, 10.0f,  //
+                                   3.0f, 10.0f};
   FeatureNorm norm;
-  norm.Fit({&a, &b});
-  std::vector<float> row = {1.0f, 10.0f};
-  norm.Apply(&row);
-  EXPECT_FLOAT_EQ(row[0], -1.0f);  // (1-2)/1
-  EXPECT_FLOAT_EQ(row[1], 0.0f);   // constant dim: centered, unscaled
+  norm.Fit(rows, 2);
+  float out[2];
+  norm.Apply(std::span<const float>(rows).first(2), out);
+  EXPECT_FLOAT_EQ(out[0], -1.0f);  // (1-2)/1
+  EXPECT_FLOAT_EQ(out[1], 0.0f);   // constant dim: centered, unscaled
 }
 
 TEST(NormalizationTest, TargetNormRoundTrip) {
@@ -258,22 +312,51 @@ TEST(NormalizationTest, TargetNormRoundTrip) {
 
 TEST(NormalizationTest, UnfittedApplyIsNoop) {
   FeatureNorm norm;
-  std::vector<float> row = {5.0f};
-  norm.Apply(&row);
-  EXPECT_FLOAT_EQ(row[0], 5.0f);
+  const std::vector<float> row = {5.0f};
+  float out = 0.0f;
+  norm.Apply(row, &out);
+  EXPECT_FLOAT_EQ(out, 5.0f);
 }
 
-TEST(PlanGraphTest, ComputeLevels) {
-  PlanGraph graph;
-  graph.nodes.resize(4);
-  graph.nodes[0].children = {1, 2};
-  graph.nodes[2].children = {3};
-  graph.ComputeLevels();
-  EXPECT_EQ(graph.nodes[1].level, 0u);
-  EXPECT_EQ(graph.nodes[3].level, 0u);
-  EXPECT_EQ(graph.nodes[2].level, 1u);
-  EXPECT_EQ(graph.nodes[0].level, 2u);
-  EXPECT_EQ(graph.max_level(), 2u);
+// A featurizer whose one feature is the node's child count.
+class ChildCountFeaturizer : public TreeFeaturizer {
+ public:
+  ChildCountFeaturizer() : TreeFeaturizer(CardinalityMode::kEstimated, 1) {}
+
+ private:
+  void FillRow(const plan::PhysicalNode& node, const datagen::DatabaseEnv&,
+               const plan::PlanSlots&, float* f) const override {
+    f[0] = static_cast<float>(node.children.size());
+  }
+};
+
+// Levels come out of the append walk itself: a leaf is 0 and a parent one
+// above its highest child, on a plan whose branches differ in depth.
+TEST(PlanGraphTest, LevelsFromWalk) {
+  auto env = MakeNamedEnv("db", "alpha", "beta");
+  // Aggregate(HashJoin(Sort(Filter(Scan alpha)), Scan beta)), preorder:
+  // 0 aggregate, 1 join, 2 sort, 3 filter, 4 scan alpha, 5 scan beta.
+  auto plan = plan::MakeSimpleAggregate(
+      plan::MakeHashJoin(
+          plan::MakeSort(
+              plan::MakeFilter(
+                  plan::MakeSeqScan("alpha", std::nullopt),
+                  plan::Predicate::Compare(1, plan::CompareOp::kEq, 3)),
+              {0}),
+          plan::MakeSeqScan("beta", std::nullopt), 0, 1),
+      {plan::AggregateExpr{}});
+  const PlanGraph graph = ChildCountFeaturizer().Featurize(*plan, env);
+  ASSERT_EQ(graph.nodes.size(), 6u);
+  const std::vector<uint32_t> levels = {4, 3, 2, 1, 0, 0};
+  for (size_t n = 0; n < graph.nodes.size(); ++n) {
+    EXPECT_EQ(graph.nodes[n].level, levels[n]) << "node " << n;
+    EXPECT_EQ(graph.row(n)[0],
+              static_cast<float>(graph.children_of(n).size()));
+  }
+  ASSERT_EQ(graph.children_of(1).size(), 2u);
+  EXPECT_EQ(graph.children_of(1)[0], 2u);
+  EXPECT_EQ(graph.children_of(1)[1], 5u);
+  EXPECT_EQ(graph.roots, std::vector<uint32_t>{0});
 }
 
 }  // namespace

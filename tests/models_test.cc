@@ -4,8 +4,10 @@
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 
+#include "common/rng.h"
 #include "datagen/corpus.h"
 #include "featurize/e2e_featurizer.h"
 #include "featurize/mscn_featurizer.h"
@@ -283,6 +285,13 @@ NeuralModels(size_t hidden) {
   return models;
 }
 
+// Row ids 0, 1, ..., n - 1 of a training table.
+std::vector<uint32_t> AllRows(size_t n) {
+  std::vector<uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
 // A model whose scratch last held a larger batch computes what a
 // fresh model does, bit for bit: the scaled loss, every gradient, the
 // validation loss and the predictions.
@@ -292,19 +301,21 @@ TEST_F(ModelsTest, WarmScratchMatchesFreshModelBitForBit) {
     SCOPED_TRACE(name);
     fresh->Prepare(view);
     std::unique_ptr<NeuralCostModel> warm = fresh->CloneReplica();
-    warm->AccumulateGradients(view, 1.0f);
+    warm->AccumulateGradients(AllRows(view.size()), 1.0f);
     warm->LossOnBatch(view);
     warm->PredictMs(view);
     std::vector<float>& fresh_grads = fresh->MutableParameters()->grads;
     std::vector<float>& warm_grads = warm->MutableParameters()->grads;
-    for (size_t begin : {size_t(0), size_t(37), size_t(101)}) {
+    for (uint32_t begin : {0u, 37u, 101u}) {
+      const std::vector<uint32_t> rows = {begin, begin + 1, begin + 2,
+                                          begin + 3, begin + 4};
       const std::vector<const QueryRecord*> shard(
           view.begin() + static_cast<ptrdiff_t>(begin),
           view.begin() + static_cast<ptrdiff_t>(begin + 5));
       std::fill(fresh_grads.begin(), fresh_grads.end(), 0.0f);
       std::fill(warm_grads.begin(), warm_grads.end(), 0.0f);
-      EXPECT_TRUE(SameBits(fresh->AccumulateGradients(shard, 0.125f),
-                           warm->AccumulateGradients(shard, 0.125f)));
+      EXPECT_TRUE(SameBits(fresh->AccumulateGradients(rows, 0.125f),
+                           warm->AccumulateGradients(rows, 0.125f)));
       ASSERT_EQ(fresh_grads.size(), warm_grads.size());
       ASSERT_EQ(std::memcmp(fresh_grads.data(), warm_grads.data(),
                             fresh_grads.size() * sizeof(float)),
@@ -331,11 +342,44 @@ TEST_F(ModelsTest, AccumulateGradientsMatchCentralDifferences) {
     model->Prepare(view);
     nn::ParameterBlock* params = model->MutableParameters();
     std::fill(params->grads.begin(), params->grads.end(), 0.0f);
-    model->AccumulateGradients(batch, 1.0f);
+    model->AccumulateGradients(AllRows(batch.size()), 1.0f);
     auto loss = [&, m = model.get()]() { return m->LossOnBatch(batch); };
     const std::vector<float> analytic = params->grads;
     gradcheck::ExpectCentralDifferences(params->values, analytic, loss,
                                         "parameter");
+  }
+}
+
+// The training path reads rows Prepare featurized once; validation and
+// serving featurize afresh, kPassChunk records per pass. Both give the
+// same loss bit for bit (ScaledHuberLossBackward at scale 1 returns
+// HuberLossValue): for one record, an 8-record shard, a permuted subset,
+// and every record (more than one chunk).
+TEST_F(ModelsTest, TablePathMatchesFreshFeaturizationBitForBit) {
+  const std::vector<const QueryRecord*> view = train::MakeView(*records_);
+  ASSERT_GT(view.size(), kPassChunk);
+  std::vector<uint32_t> permuted = AllRows(view.size());
+  Rng rng(29);
+  rng.Shuffle(&permuted);
+  permuted.resize(40);
+  const std::vector<std::pair<std::string, std::vector<uint32_t>>> id_sets = {
+      {"one", {17}},
+      {"shard", {40, 41, 42, 43, 44, 45, 46, 47}},
+      {"permuted", permuted},
+      {"all", AllRows(view.size())},
+  };
+  for (auto& [name, model] : NeuralModels(16)) {
+    SCOPED_TRACE(name);
+    model->Prepare(view);
+    for (const auto& [set_name, rows] : id_sets) {
+      SCOPED_TRACE(set_name);
+      std::vector<const QueryRecord*> batch;
+      for (uint32_t row : rows) batch.push_back(view[row]);
+      const float table_loss = model->AccumulateGradients(rows, 1.0f);
+      const float fresh_loss = model->LossOnBatch(batch);
+      EXPECT_TRUE(SameBits(table_loss, fresh_loss))
+          << table_loss << " vs " << fresh_loss;
+    }
   }
 }
 

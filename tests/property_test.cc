@@ -318,12 +318,11 @@ TEST_P(FeaturizeProperty, FeaturesAlwaysFiniteAndFixedWidth) {
       featurize::PlanGraph graph =
           featurizer.Featurize(*record.plan.root, env);
       EXPECT_EQ(graph.nodes.size(), record.plan.root->SubtreeSize());
-      for (const auto& node : graph.nodes) {
-        ASSERT_EQ(node.features.size(),
-                  featurize::ZeroShotFeaturizer::kFeatureDim);
-        for (float f : node.features) {
-          EXPECT_TRUE(std::isfinite(f));
-        }
+      constexpr size_t kDim = featurize::ZeroShotFeaturizer::kFeatureDim;
+      ASSERT_EQ(graph.dim, kDim);
+      ASSERT_EQ(graph.features.size(), graph.nodes.size() * kDim);
+      for (float f : graph.features) {
+        EXPECT_TRUE(std::isfinite(f));
       }
     }
   }

@@ -6,6 +6,8 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -231,7 +233,9 @@ TEST_F(TrainTest, ShardMappingDoesNotChangeLossHistory) {
           auto model = MakeTinyModel(kind, 6);
           if (warm) {
             model->Prepare(view);
-            model->AccumulateGradients(view, 1.0f);
+            std::vector<uint32_t> rows(view.size());
+            std::iota(rows.begin(), rows.end(), 0u);
+            model->AccumulateGradients(rows, 1.0f);
           }
           TrainerOptions options;
           options.max_epochs = 3;
@@ -497,7 +501,10 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
       const std::vector<const QueryRecord*>& records) override {
     return std::vector<Millis>(records.size(), Millis(1.0));
   }
-  void Prepare(const std::vector<const QueryRecord*>&) override {}
+  // The table is the records themselves.
+  void Prepare(const std::vector<const QueryRecord*>& records) override {
+    table_ = records;
+  }
   // sum_i relu(x_i * w).
   float LossOnBatch(const std::vector<const QueryRecord*>& batch) override {
     float loss = 0.0f;
@@ -508,8 +515,10 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
     return loss;
   }
   // Adds scale * x_i * relu'(x_i * w) per record into the weight's gradient.
-  float AccumulateGradients(const std::vector<const QueryRecord*>& batch,
+  float AccumulateGradients(std::span<const uint32_t> rows,
                             float scale) override {
+    std::vector<const QueryRecord*> batch;
+    for (uint32_t row : rows) batch.push_back(table_.at(row));
     for (const QueryRecord* record : batch) {
       const float x = Input(record);
       const float active = x * Parameters().values[0] > 0.0f ? 1.0f : 0.0f;
@@ -518,7 +527,9 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
     return LossOnBatch(batch) * scale;
   }
   std::unique_ptr<models::NeuralCostModel> CloneReplica() const override {
-    return std::make_unique<PoisonedGradientModel>(poisoned_);
+    auto replica = std::make_unique<PoisonedGradientModel>(poisoned_);
+    replica->table_ = table_;
+    return replica;
   }
 
  private:
@@ -528,6 +539,7 @@ class PoisonedGradientModel final : public models::NeuralCostModel {
   }
 
   const QueryRecord* poisoned_;
+  std::vector<const QueryRecord*> table_;
 };
 
 using TrainDeathTest = TrainTest;
